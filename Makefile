@@ -11,6 +11,7 @@ all: build test
 build:
 	$(GO) build ./...
 	$(GO) vet ./...
+	test -z "$$(gofmt -l .)"
 
 test:
 	$(GO) test ./...

@@ -34,11 +34,11 @@ func main() {
 func run(args []string) error {
 	fs := flag.NewFlagSet("owlbench", flag.ContinueOnError)
 	var (
-		table = fs.Int("table", 0, "regenerate one table (1-4)")
-		fig   = fs.Int("fig", 0, "regenerate one figure (5)")
-		rq    = fs.Int("rq", 0, "regenerate one research-question comparison (3)")
-		abl   = fs.Bool("ablations", false, "regenerate the design-choice ablation table")
-		ext   = fs.Bool("extensions", false, "run the beyond-the-paper extension scenarios")
+		table   = fs.Int("table", 0, "regenerate one table (1-4)")
+		fig     = fs.Int("fig", 0, "regenerate one figure (5)")
+		rq      = fs.Int("rq", 0, "regenerate one research-question comparison (3)")
+		abl     = fs.Bool("ablations", false, "regenerate the design-choice ablation table")
+		ext     = fs.Bool("extensions", false, "run the beyond-the-paper extension scenarios")
 		all     = fs.Bool("all", false, "regenerate everything")
 		paper   = fs.Bool("paper", false, "use the paper's 100+100 execution counts")
 		seed    = fs.Int64("seed", 1, "deterministic seed")

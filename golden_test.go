@@ -45,6 +45,28 @@ func canonicalReportJSON(t *testing.T, rep *core.Report) []byte {
 	return append(b, '\n')
 }
 
+// checkGolden compares a canonical report against its golden file, or
+// rewrites the file under -update.
+func checkGolden(t *testing.T, path string, got []byte) {
+	t.Helper()
+	if *updateGolden {
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, got, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("missing golden file (run with -update): %v", err)
+	}
+	if string(got) != string(want) {
+		t.Errorf("report diverged from golden %s\ngot %d bytes, want %d bytes", path, len(got), len(want))
+	}
+}
+
 // goldenPrograms is the workload set the acceptance criteria name. Small
 // run counts keep the test affordable; determinism comes from the fixed
 // seed and the merge-on-arrival reorder window.
@@ -102,25 +124,7 @@ func TestGoldenHardenedReports(t *testing.T) {
 				if n := len(res.AfterSites); n != 0 {
 					t.Fatalf("hardened %s still has %d leak site(s)", name, n)
 				}
-				got := canonicalReportJSON(t, res.After)
-				path := hardenedGoldenPath(name, workers)
-				if *updateGolden {
-					if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-						t.Fatal(err)
-					}
-					if err := os.WriteFile(path, got, 0o644); err != nil {
-						t.Fatal(err)
-					}
-					return
-				}
-				want, err := os.ReadFile(path)
-				if err != nil {
-					t.Fatalf("missing golden file (run with -update): %v", err)
-				}
-				if string(got) != string(want) {
-					t.Errorf("hardened report for %s at workers=%d diverged from golden %s\ngot %d bytes, want %d bytes",
-						name, workers, path, len(got), len(want))
-				}
+				checkGolden(t, hardenedGoldenPath(name, workers), canonicalReportJSON(t, res.After))
 			})
 		}
 	}
@@ -151,25 +155,58 @@ func TestGoldenReports(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				got := canonicalReportJSON(t, rep)
-				path := goldenPath(name, workers)
-				if *updateGolden {
-					if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-						t.Fatal(err)
-					}
-					if err := os.WriteFile(path, got, 0o644); err != nil {
-						t.Fatal(err)
-					}
-					return
-				}
-				want, err := os.ReadFile(path)
+				checkGolden(t, goldenPath(name, workers), canonicalReportJSON(t, rep))
+			})
+		}
+	}
+}
+
+// statGoldenPrograms are the workloads whose statistical-evidence reports
+// are pinned: both evidence channels plus the cost channel, which routes
+// through the statistical recording loop, TVLA/MI verdicts merged into
+// diff leaks, and per-invocation cost-site rendering.
+var statGoldenPrograms = []string{
+	"libgpucrypto/aes128",
+	"workloads/shmem-leaky",
+}
+
+func statGoldenPath(program string, workers int) string {
+	safe := strings.ReplaceAll(program, "/", "_")
+	return filepath.Join("testdata", "golden", safe+"-both-cost-w"+string(rune('0'+workers))+".json")
+}
+
+// TestGoldenStatReports pins the "both"+"adcfg,cost" report of each
+// statGoldenPrograms workload at 1 and 4 trace-collection workers.
+func TestGoldenStatReports(t *testing.T) {
+	if testing.Short() {
+		t.Skip("golden reports run full detections")
+	}
+	for _, name := range statGoldenPrograms {
+		for _, workers := range []int{1, 4} {
+			name, workers := name, workers
+			t.Run(strings.ReplaceAll(name, "/", "_")+"/workers="+string(rune('0'+workers)), func(t *testing.T) {
+				t.Parallel()
+				target, err := experiments.FindTarget(name)
 				if err != nil {
-					t.Fatalf("missing golden file (run with -update): %v", err)
+					t.Fatal(err)
 				}
-				if string(got) != string(want) {
-					t.Errorf("report for %s at workers=%d diverged from pre-rewrite golden %s\ngot %d bytes, want %d bytes",
-						name, workers, path, len(got), len(want))
+				opts := core.DefaultOptions()
+				opts.FixedRuns, opts.RandomRuns = 16, 16
+				opts.Seed = 42
+				opts.Workers = workers
+				opts.Evidence = core.EvidenceConfig{
+					Mode:     core.EvidenceBoth,
+					Channels: []string{core.ChannelADCFG, core.ChannelCost},
 				}
+				det, err := core.NewDetector(opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				rep, err := det.Detect(target.Program, target.Inputs, target.Gen)
+				if err != nil {
+					t.Fatal(err)
+				}
+				checkGolden(t, statGoldenPath(name, workers), canonicalReportJSON(t, rep))
 			})
 		}
 	}

@@ -6,7 +6,10 @@
 // regime (fixed vs. random) and a scalar observation.
 package stats
 
-import "math"
+import (
+	"math"
+	"slices"
+)
 
 // Welford is a streaming mean/variance accumulator using Welford's update
 // with Chan's parallel merge. The zero value is an empty accumulator.
@@ -217,8 +220,15 @@ func (m *MIEstimator) Bits() float64 {
 			cell(c)
 		}
 	} else {
-		for _, c := range m.exact {
-			cell(*c)
+		// Sum in value order: map order would make the float sum, and so
+		// identical detections' MI, differ in the last bit.
+		vals := make([]float64, 0, len(m.exact))
+		for v := range m.exact {
+			vals = append(vals, v)
+		}
+		slices.Sort(vals)
+		for _, v := range vals {
+			cell(*m.exact[v])
 		}
 	}
 	if mi < 0 {

@@ -354,3 +354,44 @@ func TestMIEstimatorWeighted(t *testing.T) {
 		t.Fatalf("weighted %v != repeated %v", ga, gb)
 	}
 }
+
+// TestMIEstimatorBitsDeterministic pins Bits to the last bit: the exact
+// cells must sum in value order, so neither the order observations
+// arrived in nor map iteration order can move the result.
+func TestMIEstimatorBitsDeterministic(t *testing.T) {
+	type obs struct {
+		class         int
+		value, weight float64
+	}
+	var seq []obs
+	for i := 0; i < 40; i++ {
+		seq = append(seq, obs{class: i % 2, value: float64((i*7)%23) * 0.37, weight: float64(1 + i%5)})
+	}
+	build := func(order []int) *MIEstimator {
+		m := NewMIEstimator(64)
+		for _, i := range order {
+			o := seq[i]
+			m.Observe(o.class, o.value, o.weight)
+		}
+		return m
+	}
+	order := make([]int, len(seq))
+	for i := range order {
+		order[i] = i
+	}
+	want := build(order).Bits()
+	if want == 0 {
+		t.Fatal("fixture carries no information")
+	}
+	rng := rand.New(rand.NewSource(3))
+	for trial := 0; trial < 20; trial++ {
+		rng.Shuffle(len(order), func(i, j int) { order[i], order[j] = order[j], order[i] })
+		m := build(order)
+		for call := 0; call < 5; call++ {
+			if got := m.Bits(); math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("trial %d call %d: Bits = %v (%#x), want %v (%#x)",
+					trial, call, got, math.Float64bits(got), want, math.Float64bits(want))
+			}
+		}
+	}
+}

@@ -60,7 +60,8 @@ func buildLeaky() *isa.Kernel {
 // of the address register is HW(lane)+1 for every secret.
 func buildPadded() *isa.Kernel {
 	b := kbuild.New("shmem_padded_lookup", 2) // params: v (secret stride), out
-	b.SetShared(32 + 32*32) // one 32-word row per stride value, rows at 32*v
+	// One 32-word row per stride value, rows at 32*v.
+	b.SetShared(32 + 32*32)
 	lane := b.Tid()
 	v := b.Param(0)
 	out := b.Param(1)
