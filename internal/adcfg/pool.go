@@ -2,13 +2,14 @@ package adcfg
 
 import "sync"
 
-// Buffer pools for the A-DCFG building blocks. Trace recording allocates
-// one graph per warp and per kernel invocation, and the streaming evidence
+// Buffer pools for the A-DCFG building blocks. Trace recording folds each
+// kernel invocation into a pooled graph, and the streaming evidence
 // pipeline releases each trace as soon as it merges — recycling the
 // graphs (and their node/visit/histogram maps) through these pools keeps
 // the evidence-phase heap at O(workers) instead of O(runs). The pools are
-// shared by internal/tracer (warp-local graphs) and internal/trace
-// (whole-trace release after an evidence merge).
+// shared by internal/tracer (invocation graphs and the per-slot graphs of
+// parallel launches) and internal/trace (whole-trace release after an
+// evidence merge).
 var (
 	graphPool = sync.Pool{New: func() any {
 		return &Graph{Nodes: make(map[int]*Node), Edges: make(map[EdgeKey]*Edge)}
@@ -20,10 +21,34 @@ var (
 	edgePool  = sync.Pool{New: func() any {
 		return &Edge{Prev: make(map[EdgeKey]int64)}
 	}}
+	// Histograms pool in two size classes. A pooled map keeps its
+	// capacity, and the instructions of one trace see from one to
+	// hundreds of distinct addresses, so a single pool would hand large
+	// maps to small histograms (memory held, slower walks) and small maps
+	// to large ones (regrown every trace). New histograms start small;
+	// one that outgrows smallHist addresses swaps its map for a large one.
 	histPool = sync.Pool{New: func() any {
 		return &MemHist{Addrs: make(map[uint64]int64)}
 	}}
+	bigHistPool = sync.Pool{New: func() any {
+		return &MemHist{Addrs: make(map[uint64]int64, 4*smallHist)}
+	}}
 )
+
+// smallHist is the most distinct addresses a small-class histogram holds.
+const smallHist = 32
+
+// promote moves h's addresses into a large-class map, returning its small
+// map to the small pool.
+func (h *MemHist) promote() {
+	b := bigHistPool.Get().(*MemHist)
+	for a, c := range h.Addrs {
+		b.Addrs[a] = c
+	}
+	clear(h.Addrs)
+	h.Addrs, b.Addrs = b.Addrs, h.Addrs
+	histPool.Put(b)
+}
 
 // Recycle returns g and every node, visit, histogram, and edge it owns to
 // the shared pools. The caller must hold the only live reference: g and
@@ -78,6 +103,7 @@ func recycleHist(h *MemHist) {
 	if h == nil {
 		return
 	}
+	big := len(h.Addrs) > smallHist
 	if h.Addrs == nil {
 		h.Addrs = make(map[uint64]int64)
 	} else {
@@ -85,5 +111,9 @@ func recycleHist(h *MemHist) {
 	}
 	h.Space = 0
 	h.Store = false
-	histPool.Put(h)
+	if big {
+		bigHistPool.Put(h)
+	} else {
+		histPool.Put(h)
+	}
 }

@@ -94,13 +94,15 @@ type probeInst struct {
 	obs   *KernelObservation
 }
 
-func (pi *probeInst) BeginWarp(blockIdx gpu.Dim3, warpID int) simt.Hooks {
+func (pi *probeInst) BeginWarp(_ int, blockIdx gpu.Dim3, warpID int) simt.Hooks {
 	w := &WarpObservation{BlockIdx: blockIdx, WarpID: warpID}
 	pi.probe.mu.Lock()
 	pi.obs.Warps = append(pi.obs.Warps, w)
 	pi.probe.mu.Unlock()
 	return &probeHooks{w: w}
 }
+
+func (pi *probeInst) EndLaunch() {}
 
 type probeHooks struct {
 	w *WarpObservation

@@ -177,9 +177,11 @@ type perThreadInst struct {
 	t *PerThreadTracer
 }
 
-func (pi perThreadInst) BeginWarp(_ gpu.Dim3, _ int) simt.Hooks {
+func (pi perThreadInst) BeginWarp(int, gpu.Dim3, int) simt.Hooks {
 	return &perThreadHooks{t: pi.t}
 }
+
+func (pi perThreadInst) EndLaunch() {}
 
 type perThreadHooks struct {
 	t *PerThreadTracer

@@ -192,13 +192,14 @@ func TestFilterAblation(t *testing.T) {
 // collapse to one code location.
 func TestScreenedCollapsesVisits(t *testing.T) {
 	rep := &Report{}
+	leaks := newLeakSet(rep)
 	for visit := 0; visit < 4; visit++ {
-		rep.addLeak(Leak{
+		leaks.add(Leak{
 			Kind: DataFlowLeak, StackID: "s", Block: 1, Visit: visit, MemIndex: 2,
 			P: float64(visit+1) * 0.001,
 		})
 	}
-	rep.addLeak(Leak{Kind: DataFlowLeak, StackID: "s", Block: 1, Visit: 0, MemIndex: 3, P: 0.01})
+	leaks.add(Leak{Kind: DataFlowLeak, StackID: "s", Block: 1, Visit: 0, MemIndex: 3, P: 0.01})
 	if len(rep.Leaks) != 5 {
 		t.Fatalf("raw leaks = %d", len(rep.Leaks))
 	}

@@ -100,17 +100,30 @@ func TestEvidenceMemSamplesTrackRuns(t *testing.T) {
 	}
 }
 
+// TestHistSummary checks the per-run mean/spread feature the evidence
+// merge derives from each address histogram, and that an empty histogram
+// yields no feature.
 func TestHistSummary(t *testing.T) {
-	h := &adcfg.MemHist{Addrs: map[uint64]int64{10: 1, 20: 3}}
-	mean, spread := histSummary(h)
-	if mean != (10+60)/4.0 {
+	g := adcfg.NewGraph("k")
+	f := adcfg.NewWarpFolder(g, nil)
+	f.EnterBlock(0)
+	f.MemAccess(0, isa.SpaceGlobal, false, []int64{10, 20, 20, 20})
+	f.Finish()
+	g.Nodes[0].Visits[0].Mems = append(g.Nodes[0].Visits[0].Mems, &adcfg.MemHist{Addrs: map[uint64]int64{}})
+	inv := newInvEvidence("s", "k")
+	NewEvidence().mergeRunInvocation(inv, &trace.Invocation{StackID: "s", Kernel: "k", Graph: g}, 0)
+	if len(inv.MemSamples) != 1 {
+		t.Fatalf("features = %v, want one", inv.MemSamples)
+	}
+	feat := inv.MemSamples[MemKey{Block: 0, Visit: 0, Mem: 0}]
+	if feat == nil || feat.Runs() != 1 {
+		t.Fatalf("feature = %+v", feat)
+	}
+	if mean := feat.Means[0]; mean != (10+60)/4.0 {
 		t.Errorf("mean = %v", mean)
 	}
-	if spread != 10 {
+	if spread := feat.Spreads[0]; spread != 10 {
 		t.Errorf("spread = %v", spread)
-	}
-	if m, s := histSummary(&adcfg.MemHist{Addrs: map[uint64]int64{}}); m != 0 || s != 0 {
-		t.Errorf("empty summary = %v, %v", m, s)
 	}
 }
 

@@ -242,12 +242,14 @@ type countInst struct {
 	warps int
 }
 
-func (c *countInst) BeginWarp(Dim3, int) simt.Hooks {
+func (c *countInst) BeginWarp(int, Dim3, int) simt.Hooks {
 	c.mu.Lock()
 	c.warps++
 	c.mu.Unlock()
 	return nil
 }
+
+func (c *countInst) EndLaunch() {}
 
 func TestParallelLaunchMatchesSequential(t *testing.T) {
 	run := func(parallel bool) []int64 {

@@ -65,9 +65,12 @@ var _ gpu.Instrument = (*Recorder)(nil)
 func NewRecorder() *Recorder { return &Recorder{Profile: NewProfile()} }
 
 // BeginWarp implements gpu.Instrument.
-func (r *Recorder) BeginWarp(_ gpu.Dim3, _ int) simt.Hooks {
+func (r *Recorder) BeginWarp(int, gpu.Dim3, int) simt.Hooks {
 	return &profileHooks{p: r.Profile}
 }
+
+// EndLaunch implements gpu.Instrument.
+func (r *Recorder) EndLaunch() {}
 
 type profileHooks struct {
 	p *Profile
