@@ -13,6 +13,8 @@ import (
 
 	"owl/internal/cuda"
 	"owl/internal/gpu"
+	"owl/internal/trace"
+	"owl/internal/tracer"
 	"owl/internal/workloads/gpucrypto"
 	"owl/internal/workloads/jpeg"
 )
@@ -75,6 +77,52 @@ func TestWarpInterpAllocsCostOff(t *testing.T) {
 			})
 			if got != tc.allocs {
 				t.Errorf("allocs/exec = %v, want %v (cost-off fast path regressed)", got, tc.allocs)
+			}
+		})
+	}
+}
+
+// TestTracedRunAllocs pins the allocations of one traced aes128 execution,
+// recorded and released the way detection records every run. Warps fold
+// straight into the invocation graph through folders reused per
+// block-executor slot, so the count does not grow with the warp count: a
+// per-warp graph, folder or cost collector adds at least one allocation
+// per warp (16 warps on the wide cases, 2 on the others) and fails the
+// wide cases. The limits sit several allocations above the steady state
+// (27-31 plain, 45 with the cost channel), because a collection that
+// empties the graph pools makes the next runs refill them.
+func TestTracedRunAllocs(t *testing.T) {
+	cases := []struct {
+		name   string
+		blocks int
+		opts   []tracer.Option
+		max    float64
+	}{
+		{name: "aes128", blocks: 64, max: 36},
+		{name: "aes128-wide", blocks: 512, max: 44},
+		{name: "aes128-cost", blocks: 64, opts: []tracer.Option{tracer.WithCost()}, max: 52},
+		{name: "aes128-wide-cost", blocks: 512, opts: []tracer.Option{tracer.WithCost()}, max: 64},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			p := gpucrypto.NewAES(gpucrypto.WithBlocks(tc.blocks))
+			input := []byte("0123456789abcdef")
+			rng := rand.New(rand.NewSource(1))
+			run := func() {
+				tr := tracer.New(p.Name(), tc.opts...)
+				ctx, err := cuda.NewContext(gpu.DefaultConfig(), rng, tr)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := p.Run(ctx, input); err != nil {
+					t.Fatal(err)
+				}
+				ctx.Close()
+				trace.Release(tr.Trace())
+			}
+			run() // prime the pools and the decoded-kernel cache
+			if got := testing.AllocsPerRun(100, run); got > tc.max {
+				t.Errorf("allocs/traced run = %v, want at most %v (per-warp work crept back into the tracer?)", got, tc.max)
 			}
 		})
 	}

@@ -2,8 +2,10 @@ package owl_test
 
 // BenchmarkWarpInterp measures raw SIMT-interpreter throughput on the
 // Table IV kernels (aes128, rsa, jpeg encode): each iteration is one full
-// untraced program execution on a fresh device, exactly the unit of work
-// the detection pipeline repeats hundreds of times. Reported metrics:
+// untraced program execution on a fresh device. Detection repeats traced
+// executions instead, whose tracer hooks and A-DCFG folding cost several
+// times the interpretation; cmd/owlperf measures that path, end to end
+// and per layer. Reported metrics:
 //
 //	simulated-MIPS — simulated instructions per wall-clock second
 //	allocs/op      — allocations per execution (go test -benchmem)

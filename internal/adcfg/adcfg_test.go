@@ -259,3 +259,117 @@ func TestEncodeDeterministic(t *testing.T) {
 		t.Error("encoding not deterministic")
 	}
 }
+
+// TestFoldersShareGraph checks the tracer's folding scheme: warps folded
+// straight into one graph — interleaved, through folders reused after
+// Finish — give the graph that per-warp graphs merged together give.
+func TestFoldersShareGraph(t *testing.T) {
+	warps := [][]int{{0, 1, 1, 2}, {0, 2}, {0, 1, 2, 1, 2}, {0, 1, 1, 1, 2}}
+	addrs := func(w, b int) []int64 { return []int64{int64(10*w + b), int64(b), int64(100 + w)} }
+
+	merged := NewGraph("k")
+	for w, blocks := range warps {
+		g := NewGraph("k")
+		f := NewWarpFolder(g, nil)
+		for _, b := range blocks {
+			f.EnterBlock(b)
+			f.MemAccess(b%2, isa.SpaceShared, false, addrs(w, b))
+		}
+		f.Finish()
+		merged.Merge(g)
+	}
+
+	shared := NewGraph("k")
+	folders := []*WarpFolder{NewWarpFolder(shared, nil), NewWarpFolder(shared, nil)}
+	for pair := 0; pair < len(warps); pair += 2 {
+		// Two warps at a time, their events interleaved as the rounds
+		// driver interleaves the warps of a block.
+		for step := 0; ; step++ {
+			busy := false
+			for i, f := range folders {
+				w := pair + i
+				if step < len(warps[w]) {
+					b := warps[w][step]
+					f.EnterBlock(b)
+					f.MemAccess(b%2, isa.SpaceShared, false, addrs(w, b))
+					busy = true
+				}
+			}
+			if !busy {
+				break
+			}
+		}
+		for _, f := range folders {
+			f.Finish()
+		}
+	}
+	if shared.Hash() != merged.Hash() {
+		t.Errorf("shared-graph folding differs from merged per-warp graphs:\n%v\n%v", shared, merged)
+	}
+}
+
+// TestMergeSummaries checks that MergeSummaries merges exactly like Merge
+// and reports each non-empty histogram's mean and spread once.
+func TestMergeSummaries(t *testing.T) {
+	run := NewGraph("k")
+	foldWarp(run, []int{0, 1}, map[int][]int64{0: {10, 20, 20, 20}, 1: {7}})
+	run.Nodes[1].Visits[0].Mems = append(run.Nodes[1].Visits[0].Mems, &MemHist{Addrs: map[uint64]int64{}})
+
+	a, b := NewGraph("k"), NewGraph("k")
+	foldWarp(a, []int{0, 2}, map[int][]int64{0: {20, 30}})
+	foldWarp(b, []int{0, 2}, map[int][]int64{0: {20, 30}})
+	a.Merge(run)
+	type sum struct{ mean, spread float64 }
+	got := map[[3]int]sum{}
+	b.MergeSummaries(run, func(block, visit, mem int, mean, spread float64) {
+		k := [3]int{block, visit, mem}
+		if _, dup := got[k]; dup {
+			t.Errorf("histogram %v reported twice", k)
+		}
+		got[k] = sum{mean, spread}
+	})
+	if a.Hash() != b.Hash() {
+		t.Error("MergeSummaries merged differently from Merge")
+	}
+	want := map[[3]int]sum{{0, 0, 0}: {(10 + 60) / 4.0, 10}, {1, 0, 0}: {7, 0}}
+	if len(got) != len(want) {
+		t.Fatalf("summaries = %v, want %v", got, want)
+	}
+	for k, w := range want {
+		if got[k] != w {
+			t.Errorf("summary %v = %+v, want %+v", k, got[k], w)
+		}
+	}
+}
+
+// TestHistPromotionKeepsCounts folds a histogram past the small size
+// class, so it swaps to a large-class map mid-warp, and checks that no
+// count is lost.
+func TestHistPromotionKeepsCounts(t *testing.T) {
+	g := NewGraph("k")
+	f := NewWarpFolder(g, nil)
+	f.EnterBlock(0)
+	want := map[uint64]int64{}
+	for round := 0; round < 3; round++ {
+		addrs := make([]int64, 0, 20)
+		for i := 0; i < 20; i++ {
+			a := int64(round*15 + i)
+			addrs = append(addrs, a)
+			want[uint64(a)]++
+		}
+		f.MemAccess(0, isa.SpaceGlobal, false, addrs)
+	}
+	f.Finish()
+	h := g.Nodes[0].Visits[0].Mems[0]
+	if len(h.Addrs) <= smallHist {
+		t.Fatalf("fixture stays in the small class (%d addresses)", len(h.Addrs))
+	}
+	if len(h.Addrs) != len(want) {
+		t.Fatalf("histogram holds %d addresses, want %d", len(h.Addrs), len(want))
+	}
+	for a, c := range want {
+		if h.Addrs[a] != c {
+			t.Errorf("count of %d = %d, want %d", a, h.Addrs[a], c)
+		}
+	}
+}

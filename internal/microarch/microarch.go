@@ -109,9 +109,10 @@ type cell struct {
 }
 
 // Collector aggregates cost observations per (metric, block, instruction)
-// site across the warps of one kernel invocation. It is not safe for
-// concurrent use; give each warp its own Collector (or serialize) and
-// merge at warp end.
+// site across the warps of one kernel invocation. Aggregation only adds,
+// so any number of warps may record into one Collector in any order, but
+// not concurrently: the tracer gives each block-executor slot its own and
+// merges them at launch end.
 type Collector struct {
 	agg map[siteKey]cell
 }
@@ -161,8 +162,8 @@ func (c *Collector) Empty() bool { return len(c.agg) == 0 }
 func (c *Collector) Reset() { clear(c.agg) }
 
 // MergeInto folds the collector's aggregates into dst, keyed the same
-// way. The tracer uses it to combine per-warp collectors into one
-// per-invocation aggregate under its own lock.
+// way. The tracer uses it to combine the collectors of a parallel
+// launch's block-executor slots into one per-invocation aggregate.
 func (c *Collector) MergeInto(dst *Collector) {
 	for k, e := range c.agg {
 		d := dst.agg[k]

@@ -8,6 +8,7 @@ import (
 	"owl/internal/gpu"
 	"owl/internal/isa"
 	"owl/internal/kbuild"
+	"owl/internal/trace"
 )
 
 // traceProgram launches a kernel that stores tid into an allocated buffer
@@ -119,13 +120,69 @@ func TestRebaseEncodesAllocationIDs(t *testing.T) {
 	}
 }
 
+// TestParallelTracingDeterministic checks that a parallel launch, whose
+// blocks fold into per-slot graphs and cost collectors merged at launch
+// end, records the same trace as a sequential launch folding straight
+// into the invocation graph. The kernel spans more blocks than there are
+// slots, three warps per block with a partial last warp, block- and
+// warp-dependent control flow, and shared- and global-memory accesses
+// that feed every cost metric.
 func TestParallelTracingDeterministic(t *testing.T) {
-	cfg := gpu.DefaultConfig()
-	seqTrace := traceProgram(t, cfg, 5).tr.Trace()
-	cfg.Parallel = true
-	parTrace := traceProgram(t, cfg, 5).tr.Trace()
-	if seqTrace.Hash() != parTrace.Hash() {
-		t.Error("parallel tracing produced a different trace")
+	b := kbuild.New("mixed", 1)
+	b.SetShared(128)
+	tid := b.Special(isa.SpecTidX)
+	block := b.Special(isa.SpecCtaidX)
+	gid := b.Tid()
+	own := b.Add(b.Param(0), b.Mul(gid, b.ConstR(2))) // two words per thread
+	b.Store(isa.SpaceShared, b.And(b.Mul(tid, b.Add(block, b.ConstR(1))), b.ConstR(127)), 0, gid)
+	b.Barrier()
+	b.If(b.CmpLT(b.Mod(block, b.ConstR(3)), b.ConstR(2)), func() {
+		v := b.Load(isa.SpaceShared, b.And(b.Add(tid, block), b.ConstR(127)), 0)
+		b.Store(isa.SpaceGlobal, own, 0, b.Xor(v, block))
+	}, func() {
+		b.ForConst(0, 2, func(i isa.Reg) {
+			b.Store(isa.SpaceGlobal, b.Add(own, i), 0, b.Add(i, tid))
+		})
+	})
+	b.Ret()
+	k := b.MustBuild()
+
+	record := func(parallel bool) *trace.ProgramTrace {
+		cfg := gpu.DefaultConfig()
+		cfg.Parallel = parallel
+		tr := New("prog", WithCost())
+		ctx, err := cuda.NewContext(cfg, rand.New(rand.NewSource(5)), tr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ptr, err := ctx.Malloc(4096)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 2; i++ {
+			if err := ctx.Launch(k, gpu.D1(2*gpu.BlockWorkers+3), gpu.D1(80), int64(ptr)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return tr.Trace()
+	}
+	seq := record(false)
+	for _, inv := range seq.Invocations {
+		if inv.Graph.Warps != 3*(2*gpu.BlockWorkers+3) {
+			t.Fatalf("warps = %d", inv.Graph.Warps)
+		}
+		metrics := map[trace.CostMetric]bool{}
+		for _, c := range inv.Cost {
+			metrics[c.Metric] = true
+		}
+		if len(metrics) != 3 {
+			t.Fatalf("cost metrics = %v, want bank, coalesce and power", metrics)
+		}
+	}
+	for i := 0; i < 3; i++ {
+		if par := record(true); par.Hash() != seq.Hash() {
+			t.Fatal("parallel tracing produced a different trace")
+		}
 	}
 }
 
