@@ -17,7 +17,7 @@ test:
 	$(GO) test ./...
 
 test-race:
-	$(GO) test -race ./internal/gpu/ ./internal/tracer/ ./internal/simt/ ./internal/core/ ./internal/mitigate/ ./internal/attack/ ./internal/evidence/ ./internal/stats/ ./internal/microarch/
+	$(GO) test -race ./internal/gpu/ ./internal/tracer/ ./internal/simt/ ./internal/core/ ./internal/service/ ./internal/obs/ ./internal/mitigate/ ./internal/attack/ ./internal/cluster/ ./internal/evidence/ ./internal/stats/ ./internal/microarch/ ./internal/adcfg/ ./internal/trace/ ./internal/workloads/...
 
 bench:
 	$(GO) test -bench=. -benchmem ./...

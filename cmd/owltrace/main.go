@@ -16,6 +16,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"slices"
 	"sort"
 	"strings"
 
@@ -211,25 +212,13 @@ func graphDiff(a, b *trace.Invocation) string {
 				if ha == nil || hb == nil {
 					continue
 				}
-				if !sameHist(ha.Addrs, hb.Addrs) {
+				if !slices.Equal(ha.Cells, hb.Cells) {
 					return fmt.Sprintf("block %d visit %d mem %d address histograms differ", id, j, mi)
 				}
 			}
 		}
 	}
 	return "transition counts differ"
-}
-
-func sameHist(a, b map[uint64]int64) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for k, v := range a {
-		if b[k] != v {
-			return false
-		}
-	}
-	return true
 }
 
 // cmdValidate checks a Chrome trace-event timeline's invariants — the

@@ -12,6 +12,7 @@ import (
 	"testing"
 
 	"owl"
+	"owl/internal/adcfg"
 )
 
 // recordedTrace records one real trace through the public API.
@@ -103,6 +104,9 @@ func FuzzDecodeTrace(f *testing.F) {
 	f.Add(valid.Bytes()[:len(valid.Bytes())/2])
 	f.Add([]byte("junk"))
 	f.Add([]byte{})
+	for _, seed := range malformedCellTraces(f, valid.Bytes()) {
+		f.Add(seed)
+	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		got, err := owl.DecodeTrace(bytes.NewReader(data))
@@ -122,6 +126,56 @@ func FuzzDecodeTrace(f *testing.F) {
 			t.Fatal("gob round-trip changed the canonical hash")
 		}
 	})
+}
+
+// malformedCellTraces re-encodes the valid trace with its first address
+// histogram broken in each way validation must catch: a zero or negative
+// count, a repeated address, and cells out of address order.
+func malformedCellTraces(f *testing.F, valid []byte) [][]byte {
+	f.Helper()
+	mutations := []func(cells []adcfg.Cell) []adcfg.Cell{
+		func(c []adcfg.Cell) []adcfg.Cell { c[0].Count = 0; return c },
+		func(c []adcfg.Cell) []adcfg.Cell { c[0].Count = -3; return c },
+		func(c []adcfg.Cell) []adcfg.Cell { return append(c, c[len(c)-1]) },
+		func(c []adcfg.Cell) []adcfg.Cell { return append(c, adcfg.Cell{Addr: c[len(c)-1].Addr - 1, Count: 1}) },
+	}
+	var seeds [][]byte
+	for _, mutate := range mutations {
+		tr, err := owl.DecodeTrace(bytes.NewReader(valid))
+		if err != nil {
+			f.Fatal(err)
+		}
+		h := firstHist(tr)
+		if h == nil {
+			f.Fatal("recorded trace has no address histogram to corrupt")
+		}
+		h.Cells = mutate(h.Cells)
+		var buf bytes.Buffer
+		if err := owl.EncodeTrace(&buf, tr); err != nil {
+			f.Fatal(err)
+		}
+		if _, err := owl.DecodeTrace(bytes.NewReader(buf.Bytes())); err == nil {
+			f.Fatalf("malformed cells %v decoded without error", h.Cells)
+		}
+		seeds = append(seeds, buf.Bytes())
+	}
+	return seeds
+}
+
+// firstHist returns the first non-empty address histogram of tr.
+func firstHist(tr *owl.ProgramTrace) *adcfg.MemHist {
+	for _, inv := range tr.Invocations {
+		for _, n := range inv.Graph.Nodes {
+			for _, v := range n.Visits {
+				for _, h := range v.Mems {
+					if h != nil && len(h.Cells) > 0 {
+						return h
+					}
+				}
+			}
+		}
+	}
+	return nil
 }
 
 // FuzzDecodeTraceJSON mirrors FuzzDecodeTrace for the interchange format.

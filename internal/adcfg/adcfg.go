@@ -1,18 +1,18 @@
 // Package adcfg implements the Attributed Dynamic Control Flow Graph of
 // §V-B: one graph per kernel invocation, with nodes for executed basic
 // blocks (attributed with per-visit, per-instruction memory-access
-// histograms) and edges for observed block transitions (attributed with
-// traversal counts and previous-edge counts). Each warp's trace folds
-// straight into its invocation's graph as it executes (see WarpFolder),
-// eliminating cross-thread redundancy — the property that gives Owl its
-// scalability (RQ2).
+// histograms, kept as cells in ascending address order) and edges for
+// observed block transitions (attributed with traversal counts and
+// previous-edge counts). Each warp's trace folds straight into its
+// invocation's graph as it executes (see WarpFolder), eliminating
+// cross-thread redundancy — the property that gives Owl its scalability
+// (RQ2).
 package adcfg
 
 import (
 	"crypto/sha256"
 	"encoding/binary"
 	"fmt"
-	"math"
 	"sort"
 
 	"owl/internal/isa"
@@ -38,12 +38,22 @@ type EdgeKey struct {
 	Src, Dst int
 }
 
+// Cell is one address of a histogram with its access count.
+type Cell struct {
+	Addr  uint64
+	Count int64
+}
+
 // MemHist is the access histogram of one memory instruction during one
 // visit: rebased address → access count, aggregated over warps and lanes.
+// Cells hold the addresses in strictly ascending order, each with a
+// positive count, so every consumer — merge, the canonical encoding, the
+// distribution tests — walks them in address order without hashing or
+// sorting.
 type MemHist struct {
 	Space isa.Space
 	Store bool
-	Addrs map[uint64]int64
+	Cells []Cell
 }
 
 func newMemHist(space isa.Space, store bool) *MemHist {
@@ -55,37 +65,77 @@ func newMemHist(space isa.Space, store bool) *MemHist {
 // Total returns the total access count in the histogram.
 func (h *MemHist) Total() int64 {
 	var n int64
-	for _, c := range h.Addrs {
-		n += c
+	for _, c := range h.Cells {
+		n += c.Count
 	}
 	return n
 }
 
-// merge folds o into h.
-func (h *MemHist) merge(o *MemHist) {
-	for a, c := range o.Addrs {
-		h.Addrs[a] += c
-	}
-}
-
-// mergeSummary folds o into h and returns, from the same walk, o's
-// count-weighted mean address and its max-min address range (both 0 for
-// an empty o).
-func (h *MemHist) mergeSummary(o *MemHist) (mean, spread float64) {
-	var sum, total float64
-	lo, hi := math.Inf(1), math.Inf(-1)
-	for a, c := range o.Addrs {
-		h.Addrs[a] += c
-		v, w := float64(a), float64(c)
-		sum += v * w
-		total += w
-		lo = min(lo, v)
-		hi = max(hi, v)
-	}
-	if total == 0 {
+// add folds the strictly ascending cells o into h and returns, from the
+// same walk, o's count-weighted mean address and its max-min address
+// range (both 0 for an empty o). Addresses already in h gain their counts
+// in place, found by searching forward from a cursor; new addresses are
+// counted, and one backward pass then merges them into the grown cells.
+func (h *MemHist) add(o []Cell) (mean, spread float64) {
+	if len(o) == 0 {
 		return 0, 0
 	}
-	return sum / total, hi - lo
+	var sum float64
+	var total int64
+	missing, i := 0, 0
+	for _, c := range o {
+		i = seek(h.Cells, i, c.Addr)
+		if i < len(h.Cells) && h.Cells[i].Addr == c.Addr {
+			h.Cells[i].Count += c.Count
+			i++
+		} else {
+			missing++
+		}
+		sum += float64(c.Addr) * float64(c.Count)
+		total += c.Count
+	}
+	if missing > 0 {
+		n := len(h.Cells)
+		h.reserve(n + missing)
+		cells := h.Cells[:n+missing]
+		i, w := n-1, n+missing-1
+		for j := len(o) - 1; w > i; j-- {
+			c := o[j]
+			for i >= 0 && cells[i].Addr > c.Addr {
+				cells[w] = cells[i]
+				w, i = w-1, i-1
+			}
+			if i >= 0 && cells[i].Addr == c.Addr {
+				c = cells[i] // its count was added above
+				i--
+			}
+			cells[w] = c
+			w--
+		}
+		h.Cells = cells
+	}
+	return sum / float64(total), float64(o[len(o)-1].Addr) - float64(o[0].Addr)
+}
+
+// seek returns the index of the first cell at or after from whose address
+// is at least a. It gallops forward from from, so runs of matching
+// addresses cost one step each, then binary-searches the bracket.
+func seek(c []Cell, from int, a uint64) int {
+	lo, hi := from, from
+	for step := 1; hi < len(c) && c[hi].Addr < a; step <<= 1 {
+		lo = hi + 1
+		hi += step
+	}
+	hi = min(hi, len(c))
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		if c[m].Addr < a {
+			lo = m + 1
+		} else {
+			hi = m
+		}
+	}
+	return lo
 }
 
 // Visit aggregates the j-th visit of a basic block across all warps: how
@@ -180,6 +230,8 @@ type WarpFolder struct {
 	prev     int
 	prevEdge EdgeKey
 	started  bool
+	keys     [32]uint64 // one warp access's rebased addresses, sorted
+	lanes    [32]Cell   // the same, counted into cells
 }
 
 // NewWarpFolder creates a folder targeting g. rebase converts raw device
@@ -245,12 +297,44 @@ func (f *WarpFolder) MemAccess(memIdx int, space isa.Space, store bool, addrs []
 		h = newMemHist(space, store)
 		f.cur.Mems[memIdx] = h
 	}
-	small := len(h.Addrs) <= smallHist
-	for _, a := range addrs {
-		h.Addrs[f.rebase(space, a)]++
+	for len(addrs) > 0 {
+		n := min(len(addrs), len(f.keys))
+		f.fold(h, space, addrs[:n])
+		addrs = addrs[n:]
 	}
-	if small && len(h.Addrs) > smallHist {
-		h.promote()
+}
+
+// fold adds at most one warp's lane addresses to h: it sorts them
+// (insertion sort: lanes are few and often already ascending), counts
+// repeats into cells, and merges the cells in one walk. A histogram's
+// first access, often its only one, takes the cells as they are.
+func (f *WarpFolder) fold(h *MemHist, space isa.Space, addrs []int64) {
+	keys := f.keys[:len(addrs)]
+	for i, a := range addrs {
+		k := f.rebase(space, a)
+		j := i
+		for ; j > 0 && keys[j-1] > k; j-- {
+			keys[j] = keys[j-1]
+		}
+		keys[j] = k
+	}
+	first := len(h.Cells) == 0
+	lanes := f.lanes[:0]
+	if first {
+		h.reserve(len(keys))
+		lanes = h.Cells
+	}
+	for _, k := range keys {
+		if n := len(lanes); n > 0 && lanes[n-1].Addr == k {
+			lanes[n-1].Count++
+		} else {
+			lanes = append(lanes, Cell{Addr: k, Count: 1})
+		}
+	}
+	if first {
+		h.Cells = lanes
+	} else {
+		h.add(lanes)
 	}
 }
 
@@ -307,10 +391,8 @@ func (g *Graph) merge(o *Graph, each func(block, visit, mem int, mean, spread fl
 				if v.Mems[mi] == nil {
 					v.Mems[mi] = newMemHist(oh.Space, oh.Store)
 				}
-				if each == nil {
-					v.Mems[mi].merge(oh)
-				} else if len(oh.Addrs) > 0 {
-					mean, spread := v.Mems[mi].mergeSummary(oh)
+				mean, spread := v.Mems[mi].add(oh.Cells)
+				if each != nil && len(oh.Cells) > 0 {
 					each(id, j, mi, mean, spread)
 				}
 			}
@@ -379,15 +461,10 @@ func (g *Graph) Encode() []byte {
 				} else {
 					put(0)
 				}
-				addrs := make([]uint64, 0, len(h.Addrs))
-				for a := range h.Addrs {
-					addrs = append(addrs, a)
-				}
-				sort.Slice(addrs, func(i, j int) bool { return addrs[i] < addrs[j] })
-				put(int64(len(addrs)))
-				for _, a := range addrs {
-					putU(a)
-					put(h.Addrs[a])
+				put(int64(len(h.Cells)))
+				for _, c := range h.Cells {
+					putU(c.Addr)
+					put(c.Count)
 				}
 			}
 		}

@@ -43,8 +43,8 @@ func TestSingleWarpGraph(t *testing.T) {
 		t.Error("missing end edge")
 	}
 	h := g.Nodes[1].Visits[0].Mems[0]
-	if h.Addrs[100] != 1 || h.Addrs[101] != 1 {
-		t.Errorf("histogram = %v", h.Addrs)
+	if countAt(h, 100) != 1 || countAt(h, 101) != 1 {
+		t.Errorf("histogram = %v", h.Cells)
 	}
 }
 
@@ -86,13 +86,13 @@ func TestVisitIndexingPerWarp(t *testing.T) {
 	}
 	for j := 0; j < 3; j++ {
 		h := n.Visits[j].Mems[0]
-		if h.Addrs[uint64(10+j)] != 1 || len(h.Addrs) != 1 {
-			t.Errorf("visit %d histogram = %v", j, h.Addrs)
+		if countAt(h, uint64(10+j)) != 1 || len(h.Cells) != 1 {
+			t.Errorf("visit %d histogram = %v", j, h.Cells)
 		}
 	}
 	// A second warp's first visit merges into visit index 0.
 	foldWarp(g, []int{0, 1}, map[int][]int64{1: {10}})
-	if n.Visits[0].Count != 2 || n.Visits[0].Mems[0].Addrs[10] != 2 {
+	if n.Visits[0].Count != 2 || countAt(n.Visits[0].Mems[0], 10) != 2 {
 		t.Errorf("merged visit 0 = %+v", n.Visits[0])
 	}
 }
@@ -116,8 +116,8 @@ func TestMergeAggregates(t *testing.T) {
 		t.Errorf("warps = %d", a.Warps)
 	}
 	h := a.Nodes[1].Visits[0].Mems[0]
-	if h.Addrs[5] != 2 || h.Addrs[6] != 1 {
-		t.Errorf("merged histogram = %v", h.Addrs)
+	if countAt(h, 5) != 2 || countAt(h, 6) != 1 {
+		t.Errorf("merged histogram = %v", h.Cells)
 	}
 	if a.Edges[EdgeKey{Src: 0, Dst: 1}].Count != 2 {
 		t.Error("edge counts did not add")
@@ -210,10 +210,10 @@ func TestRebaseFunction(t *testing.T) {
 	f.MemAccess(1, isa.SpaceShared, true, []int64{7})
 	f.Finish()
 	v := g.Nodes[0].Visits[0]
-	if v.Mems[0].Addrs[5] != 1 {
-		t.Errorf("global not rebased: %v", v.Mems[0].Addrs)
+	if countAt(v.Mems[0], 5) != 1 {
+		t.Errorf("global not rebased: %v", v.Mems[0].Cells)
 	}
-	if v.Mems[1].Addrs[7] != 1 || !v.Mems[1].Store {
+	if countAt(v.Mems[1], 7) != 1 || !v.Mems[1].Store {
 		t.Errorf("shared histogram = %+v", v.Mems[1])
 	}
 }
@@ -313,7 +313,7 @@ func TestFoldersShareGraph(t *testing.T) {
 func TestMergeSummaries(t *testing.T) {
 	run := NewGraph("k")
 	foldWarp(run, []int{0, 1}, map[int][]int64{0: {10, 20, 20, 20}, 1: {7}})
-	run.Nodes[1].Visits[0].Mems = append(run.Nodes[1].Visits[0].Mems, &MemHist{Addrs: map[uint64]int64{}})
+	run.Nodes[1].Visits[0].Mems = append(run.Nodes[1].Visits[0].Mems, &MemHist{})
 
 	a, b := NewGraph("k"), NewGraph("k")
 	foldWarp(a, []int{0, 2}, map[int][]int64{0: {20, 30}})
@@ -338,38 +338,6 @@ func TestMergeSummaries(t *testing.T) {
 	for k, w := range want {
 		if got[k] != w {
 			t.Errorf("summary %v = %+v, want %+v", k, got[k], w)
-		}
-	}
-}
-
-// TestHistPromotionKeepsCounts folds a histogram past the small size
-// class, so it swaps to a large-class map mid-warp, and checks that no
-// count is lost.
-func TestHistPromotionKeepsCounts(t *testing.T) {
-	g := NewGraph("k")
-	f := NewWarpFolder(g, nil)
-	f.EnterBlock(0)
-	want := map[uint64]int64{}
-	for round := 0; round < 3; round++ {
-		addrs := make([]int64, 0, 20)
-		for i := 0; i < 20; i++ {
-			a := int64(round*15 + i)
-			addrs = append(addrs, a)
-			want[uint64(a)]++
-		}
-		f.MemAccess(0, isa.SpaceGlobal, false, addrs)
-	}
-	f.Finish()
-	h := g.Nodes[0].Visits[0].Mems[0]
-	if len(h.Addrs) <= smallHist {
-		t.Fatalf("fixture stays in the small class (%d addresses)", len(h.Addrs))
-	}
-	if len(h.Addrs) != len(want) {
-		t.Fatalf("histogram holds %d addresses, want %d", len(h.Addrs), len(want))
-	}
-	for a, c := range want {
-		if h.Addrs[a] != c {
-			t.Errorf("count of %d = %d, want %d", a, h.Addrs[a], c)
 		}
 	}
 }

@@ -1,8 +1,10 @@
 package adcfg
 
 import (
+	"cmp"
 	"encoding/json"
 	"fmt"
+	"slices"
 	"sort"
 
 	"owl/internal/isa"
@@ -10,7 +12,8 @@ import (
 
 // JSON interchange form. Map keys with struct types (PairKey, EdgeKey)
 // flatten into arrays; ordering is canonical so serialized traces diff
-// cleanly.
+// cleanly. Histogram cells convert to an address → count object at this
+// boundary.
 
 type graphJSON struct {
 	Kernel string     `json:"kernel"`
@@ -68,7 +71,11 @@ func (g *Graph) MarshalJSON() ([]byte, error) {
 					vj.Mems = append(vj.Mems, nil)
 					continue
 				}
-				vj.Mems = append(vj.Mems, &memJSON{Space: h.Space, Store: h.Store, Addrs: h.Addrs})
+				addrs := make(map[uint64]int64, len(h.Cells))
+				for _, c := range h.Cells {
+					addrs[c.Addr] = c.Count
+				}
+				vj.Mems = append(vj.Mems, &memJSON{Space: h.Space, Store: h.Store, Addrs: addrs})
 			}
 			nj.Visits = append(nj.Visits, vj)
 		}
@@ -132,8 +139,9 @@ func (g *Graph) UnmarshalJSON(data []byte) error {
 				}
 				h := newMemHist(mj.Space, mj.Store)
 				for a, c := range mj.Addrs {
-					h.Addrs[a] = c
+					h.Cells = append(h.Cells, Cell{Addr: a, Count: c})
 				}
+				slices.SortFunc(h.Cells, func(x, y Cell) int { return cmp.Compare(x.Addr, y.Addr) })
 				v.Mems = append(v.Mems, h)
 			}
 			n.Visits = append(n.Visits, v)

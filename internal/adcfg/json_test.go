@@ -86,7 +86,7 @@ func TestJSONNilMemEntryPreserved(t *testing.T) {
 	if v.Mems[0] != nil {
 		t.Error("nil mem slot materialized")
 	}
-	if v.Mems[1] == nil || v.Mems[1].Addrs[9] != 1 {
+	if v.Mems[1] == nil || countAt(v.Mems[1], 9) != 1 {
 		t.Errorf("mem slot 1 lost: %+v", v.Mems)
 	}
 }

@@ -1,15 +1,18 @@
 package adcfg
 
-import "sync"
+import (
+	"slices"
+	"sync"
+)
 
 // Buffer pools for the A-DCFG building blocks. Trace recording folds each
 // kernel invocation into a pooled graph, and the streaming evidence
 // pipeline releases each trace as soon as it merges — recycling the
-// graphs (and their node/visit/histogram maps) through these pools keeps
-// the evidence-phase heap at O(workers) instead of O(runs). The pools are
-// shared by internal/tracer (invocation graphs and the per-slot graphs of
-// parallel launches) and internal/trace (whole-trace release after an
-// evidence merge).
+// graphs (and their node/visit maps and histogram cells) through these
+// pools keeps the evidence-phase heap at O(workers) instead of O(runs).
+// The pools are shared by internal/tracer (invocation graphs and the
+// per-slot graphs of parallel launches) and internal/trace (whole-trace
+// release after an evidence merge).
 var (
 	graphPool = sync.Pool{New: func() any {
 		return &Graph{Nodes: make(map[int]*Node), Edges: make(map[EdgeKey]*Edge)}
@@ -21,32 +24,44 @@ var (
 	edgePool  = sync.Pool{New: func() any {
 		return &Edge{Prev: make(map[EdgeKey]int64)}
 	}}
-	// Histograms pool in two size classes. A pooled map keeps its
-	// capacity, and the instructions of one trace see from one to
+	// Histograms pool in two capacity classes. A pooled cell buffer keeps
+	// its capacity, and the instructions of one trace see from one to
 	// hundreds of distinct addresses, so a single pool would hand large
-	// maps to small histograms (memory held, slower walks) and small maps
-	// to large ones (regrown every trace). New histograms start small;
-	// one that outgrows smallHist addresses swaps its map for a large one.
+	// buffers to small histograms (memory held under them) and small
+	// buffers to large ones (regrown every trace). New histograms start
+	// small; one that outgrows smallHist cells swaps its buffer for a
+	// large one.
 	histPool = sync.Pool{New: func() any {
-		return &MemHist{Addrs: make(map[uint64]int64)}
+		return &MemHist{Cells: make([]Cell, 0, smallHist)}
 	}}
 	bigHistPool = sync.Pool{New: func() any {
-		return &MemHist{Addrs: make(map[uint64]int64, 4*smallHist)}
+		return &MemHist{Cells: make([]Cell, 0, 4*smallHist)}
 	}}
 )
 
-// smallHist is the most distinct addresses a small-class histogram holds.
+// smallHist is the most cells a small-class buffer holds.
 const smallHist = 32
 
-// promote moves h's addresses into a large-class map, returning its small
-// map to the small pool.
+// reserve makes room for n cells in h, moving a histogram that outgrows
+// the small class into a large-class buffer.
+func (h *MemHist) reserve(n int) {
+	if n <= cap(h.Cells) {
+		return
+	}
+	if n > smallHist && cap(h.Cells) <= smallHist {
+		h.promote()
+	}
+	if n > cap(h.Cells) {
+		h.Cells = slices.Grow(h.Cells, n-len(h.Cells))
+	}
+}
+
+// promote moves h's cells into a large-class buffer, returning its small
+// buffer to the small pool.
 func (h *MemHist) promote() {
 	b := bigHistPool.Get().(*MemHist)
-	for a, c := range h.Addrs {
-		b.Addrs[a] = c
-	}
-	clear(h.Addrs)
-	h.Addrs, b.Addrs = b.Addrs, h.Addrs
+	b.Cells = append(b.Cells[:0], h.Cells...)
+	h.Cells, b.Cells = b.Cells, h.Cells[:0]
 	histPool.Put(b)
 }
 
@@ -103,15 +118,10 @@ func recycleHist(h *MemHist) {
 	if h == nil {
 		return
 	}
-	big := len(h.Addrs) > smallHist
-	if h.Addrs == nil {
-		h.Addrs = make(map[uint64]int64)
-	} else {
-		clear(h.Addrs)
-	}
+	h.Cells = h.Cells[:0]
 	h.Space = 0
 	h.Store = false
-	if big {
+	if cap(h.Cells) > smallHist {
 		bigHistPool.Put(h)
 	} else {
 		histPool.Put(h)

@@ -13,6 +13,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"os"
 	"os/exec"
 	"path/filepath"
 	"regexp"
@@ -57,11 +58,13 @@ type workerProc struct {
 // kill SIGKILLs the process — the crash the rebalance path exists for.
 func (p *workerProc) kill() { _ = p.cmd.Process.Kill() }
 
-// startWorkerProc spawns one owlworker on an ephemeral port, parses the
-// bound address off its log, and waits until /readyz answers 200.
-func startWorkerProc(t *testing.T, bin string, slots int) *workerProc {
+// startWorkerProc spawns one owlworker on an ephemeral port, with env
+// added to its environment, parses the bound address off its log, and
+// waits until /readyz answers 200.
+func startWorkerProc(t *testing.T, bin string, slots int, env ...string) *workerProc {
 	t.Helper()
 	cmd := exec.Command(bin, "-addr", "127.0.0.1:0", "-slots", fmt.Sprint(slots))
+	cmd.Env = append(os.Environ(), env...)
 	stderr, err := cmd.StderrPipe()
 	if err != nil {
 		t.Fatal(err)
@@ -283,7 +286,10 @@ func killWorkerScenario(t *testing.T, bin string, tgt experiments.Target, want [
 	byAddr := make(map[string]*workerProc, 3)
 	for i := range procs {
 		// 4 slots → 4-run batches, so the kill usually lands mid-stream.
-		procs[i] = startWorkerProc(t, bin, 4)
+		// One OS thread per worker finishes a batch's runs one after
+		// another rather than all at once, which keeps the stream open
+		// after the first delivery.
+		procs[i] = startWorkerProc(t, bin, 4, "GOMAXPROCS=1")
 		addrs[i] = procs[i].addr
 		byAddr[procs[i].addr] = procs[i]
 	}

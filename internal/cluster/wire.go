@@ -30,7 +30,10 @@ import (
 // cost-observable collection, which changes the recorded traces (cost
 // sites join the canonical encoding), so a v2 worker must not serve a v3
 // coordinator.
-const ProtocolVersion = 3
+//
+// v4 changed the gob shape of shipped traces: an address histogram
+// (adcfg.MemHist) travels as strictly ascending cells instead of a map.
+const ProtocolVersion = 4
 
 // protocolHeader is the HTTP header a worker stamps on record-stream
 // responses so the coordinator can verify the version before decoding.

@@ -846,9 +846,9 @@ func copyOrNil(xs []float64) []float64 {
 }
 
 func histSample(h *adcfg.MemHist) *stats.Sample {
-	s := &stats.Sample{}
-	for a, c := range h.Addrs {
-		s.Add(float64(a), float64(c))
+	s := stats.NewWeightedSample(len(h.Cells))
+	for _, c := range h.Cells {
+		s.Add(float64(c.Addr), float64(c.Count))
 	}
 	return s
 }

@@ -109,7 +109,7 @@ func TestHistSummary(t *testing.T) {
 	f.EnterBlock(0)
 	f.MemAccess(0, isa.SpaceGlobal, false, []int64{10, 20, 20, 20})
 	f.Finish()
-	g.Nodes[0].Visits[0].Mems = append(g.Nodes[0].Visits[0].Mems, &adcfg.MemHist{Addrs: map[uint64]int64{}})
+	g.Nodes[0].Visits[0].Mems = append(g.Nodes[0].Visits[0].Mems, &adcfg.MemHist{})
 	inv := newInvEvidence("s", "k")
 	NewEvidence().mergeRunInvocation(inv, &trace.Invocation{StackID: "s", Kernel: "k", Graph: g}, 0)
 	if len(inv.MemSamples) != 1 {

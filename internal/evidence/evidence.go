@@ -238,8 +238,7 @@ type Engine struct {
 	idx  map[invID]int
 
 	// scratch reused across Observe calls
-	occ   map[string]int
-	addrs []uint64
+	occ map[string]int
 }
 
 // NewEngine builds an engine with cfg (zero values select defaults).
@@ -299,7 +298,7 @@ func (e *Engine) observeInvocation(a *invAcc, r Regime, runIdx int, ti *trace.In
 		}
 		for j, v := range node.Visits {
 			for mi, h := range v.Mems {
-				if h == nil || len(h.Addrs) == 0 {
+				if h == nil || len(h.Cells) == 0 {
 					continue
 				}
 				key := MemKey{Block: block, Visit: j, Mem: mi}
@@ -334,28 +333,20 @@ func (e *Engine) observeInvocation(a *invAcc, r Regime, runIdx int, ti *trace.In
 	}
 }
 
-// observeHist folds one address histogram into the MI estimator in sorted
-// address order (map iteration is randomized; sorting keeps the rebin
-// trigger — and therefore the estimate — deterministic) and returns the
-// run-level count-weighted mean offset and max-min spread, the same
-// per-run summary the diff channel extracts.
+// observeHist folds one non-empty address histogram into the MI
+// estimator in ascending address order (the order its cells keep, which
+// makes the rebin trigger — and therefore the estimate — deterministic)
+// and returns the run-level count-weighted mean offset and max-min
+// spread, the same per-run summary the diff channel extracts.
 func (e *Engine) observeHist(m *memAcc, r Regime, h *adcfg.MemHist) (mean, spread float64) {
-	e.addrs = e.addrs[:0]
-	for a := range h.Addrs {
-		e.addrs = append(e.addrs, a)
-	}
-	sort.Slice(e.addrs, func(i, j int) bool { return e.addrs[i] < e.addrs[j] })
 	var sum, total float64
-	for _, a := range e.addrs {
-		v, w := float64(a), float64(h.Addrs[a])
+	for _, c := range h.Cells {
+		v, w := float64(c.Addr), float64(c.Count)
 		m.mi.Observe(int(r), v, w)
 		sum += v * w
 		total += w
 	}
-	if total == 0 {
-		return 0, 0
-	}
-	return sum / total, float64(e.addrs[len(e.addrs)-1]) - float64(e.addrs[0])
+	return sum / total, float64(h.Cells[len(h.Cells)-1].Addr) - float64(h.Cells[0].Addr)
 }
 
 // bernoulli returns the analytic Welford accumulator of k ones among n

@@ -147,8 +147,8 @@ func quantifyInvocation(rep *Report, fi, ri *core.InvEvidence) {
 		if fh == nil || rh == nil {
 			continue
 		}
-		fd := distFromHist(fh.Addrs)
-		rd := distFromHist(rh.Addrs)
+		fd := distFromHist(fh.Cells)
+		rd := distFromHist(rh.Cells)
 		rep.Estimates = append(rep.Estimates, Estimate{
 			Kind: MemoryFeature, StackID: fi.StackID, Kernel: fi.Kernel,
 			Block: key.Block, Visit: key.Visit, MemIndex: key.Mem,
@@ -196,17 +196,17 @@ func memHistAt(g *adcfg.Graph, key core.MemKey) *adcfg.MemHist {
 // dist is a normalized probability distribution over discrete symbols.
 type dist map[uint64]float64
 
-func distFromHist(addrs map[uint64]int64) dist {
+func distFromHist(cells []adcfg.Cell) dist {
 	var total float64
-	for _, c := range addrs {
-		total += float64(c)
+	for _, c := range cells {
+		total += float64(c.Count)
 	}
-	d := make(dist, len(addrs))
+	d := make(dist, len(cells))
 	if total == 0 {
 		return d
 	}
-	for a, c := range addrs {
-		d[a] = float64(c) / total
+	for _, c := range cells {
+		d[c.Addr] = float64(c.Count) / total
 	}
 	return d
 }

@@ -92,7 +92,7 @@ func TestJSDProperties(t *testing.T) {
 }
 
 func TestDistFromHist(t *testing.T) {
-	d := distFromHist(map[uint64]int64{10: 3, 20: 1})
+	d := distFromHist([]adcfg.Cell{{Addr: 10, Count: 3}, {Addr: 20, Count: 1}})
 	if math.Abs(d[10]-0.75) > 1e-12 || math.Abs(d[20]-0.25) > 1e-12 {
 		t.Errorf("dist = %v", d)
 	}

@@ -21,11 +21,16 @@ type Sample struct {
 
 // NewSample builds a sample from unweighted observations.
 func NewSample(values []float64) *Sample {
-	s := &Sample{}
+	s := NewWeightedSample(len(values))
 	for _, v := range values {
 		s.Add(v, 1)
 	}
 	return s
+}
+
+// NewWeightedSample returns an empty sample with room for n observations.
+func NewWeightedSample(n int) *Sample {
+	return &Sample{values: make([]float64, 0, n), weights: make([]float64, 0, n)}
 }
 
 // Add inserts an observation with the given weight. Non-positive weights
@@ -46,7 +51,16 @@ func (s *Sample) N() float64 { return s.total }
 func (s *Sample) Len() int { return len(s.values) }
 
 // sorted returns values/weights sorted by value with duplicates merged.
+// Strictly ascending input — a histogram added in address order — is
+// returned as is.
 func (s *Sample) sorted() ([]float64, []float64) {
+	ascending := true
+	for i := 1; i < len(s.values) && ascending; i++ {
+		ascending = s.values[i-1] < s.values[i]
+	}
+	if ascending {
+		return s.values, s.weights
+	}
 	idx := make([]int, len(s.values))
 	for i := range idx {
 		idx[i] = i

@@ -2,6 +2,7 @@ package trace
 
 import (
 	"bytes"
+	"encoding/gob"
 	"path/filepath"
 	"testing"
 )
@@ -62,5 +63,30 @@ func TestReadGobGarbage(t *testing.T) {
 	}
 	if _, err := LoadGob("/nonexistent.gob"); err == nil {
 		t.Error("missing file accepted")
+	}
+}
+
+// TestReadGobRejectsOtherFormats feeds a headerless stream, the framing
+// of format-1 files whose map histograms this decoder cannot read, and a
+// stream with a foreign format number: both must fail to decode rather
+// than load with empty histograms.
+func TestReadGobRejectsOtherFormats(t *testing.T) {
+	var headerless bytes.Buffer
+	if err := gob.NewEncoder(&headerless).Encode(mkTrace()); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ReadGob(&headerless); err == nil {
+		t.Error("headerless stream accepted")
+	}
+	var foreign bytes.Buffer
+	enc := gob.NewEncoder(&foreign)
+	if err := enc.Encode(gobFormat + 1); err != nil {
+		t.Fatal(err)
+	}
+	if err := enc.Encode(mkTrace()); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ReadGob(&foreign); err == nil {
+		t.Error("foreign format accepted")
 	}
 }

@@ -3,8 +3,10 @@ package trace
 import "fmt"
 
 // Validate checks the structural invariants the rest of the pipeline
-// assumes: no nil invocations, graphs, nodes, visits, or edges. Encode
-// and Hash index straight into these structures, so a trace decoded from
+// assumes: no nil invocations, graphs, nodes, visits, or edges; histogram
+// cells in strictly ascending address order with positive counts (merge
+// walks them in order); cost sites in canonical order. Encode and Hash
+// index straight into these structures, so a trace decoded from
 // an untrusted byte stream — the cluster wire format, a file on disk —
 // must pass here before any later use can panic on it. Decoders call
 // Validate automatically; a trace built by the tracer always passes.
@@ -26,6 +28,19 @@ func (t *ProgramTrace) Validate() error {
 			for j, v := range n.Visits {
 				if v == nil {
 					return fmt.Errorf("trace: invocation %d: node %d visit %d is nil", i, id, j)
+				}
+				for mi, h := range v.Mems {
+					if h == nil {
+						continue
+					}
+					for ci, c := range h.Cells {
+						if c.Count <= 0 {
+							return fmt.Errorf("trace: invocation %d: node %d visit %d mem %d: address %d has count %d", i, id, j, mi, c.Addr, c.Count)
+						}
+						if ci > 0 && h.Cells[ci-1].Addr >= c.Addr {
+							return fmt.Errorf("trace: invocation %d: node %d visit %d mem %d: cells not strictly ascending at %d", i, id, j, mi, ci)
+						}
+					}
 				}
 			}
 		}

@@ -4,6 +4,9 @@ import (
 	"bytes"
 	"strings"
 	"testing"
+
+	"owl/internal/adcfg"
+	"owl/internal/isa"
 )
 
 func TestValidateAcceptsWellFormed(t *testing.T) {
@@ -78,5 +81,46 @@ func TestDecodersRejectInvalid(t *testing.T) {
 	}
 	if _, err := ReadJSON(strings.NewReader(`{"Program":"p","Invocations":[{"Kernel":"k","Graph":null}]}`)); err == nil {
 		t.Error("json decoder accepted a nil graph")
+	}
+}
+
+// TestValidateRejectsMalformedCells corrupts a histogram's cells — out of
+// order, repeated, or with a non-positive count — and checks that
+// validation and the gob decoder both reject it: merge walks cells in
+// address order and relies on it.
+func TestValidateRejectsMalformedCells(t *testing.T) {
+	withHist := func() *ProgramTrace {
+		tr := mkTrace()
+		g := adcfg.NewGraph("k3")
+		f := adcfg.NewWarpFolder(g, nil)
+		f.EnterBlock(0)
+		f.MemAccess(0, isa.SpaceGlobal, false, []int64{8, 4, 8, 12})
+		f.Finish()
+		tr.Invocations = append(tr.Invocations, &Invocation{Seq: 2, StackID: "main/c/k3", Kernel: "k3", Graph: g})
+		return tr
+	}
+	cells := func(tr *ProgramTrace) []adcfg.Cell { return tr.Invocations[2].Graph.Nodes[0].Visits[0].Mems[0].Cells }
+	if tr := withHist(); tr.Validate() != nil || len(cells(tr)) != 3 {
+		t.Fatalf("well-formed histogram rejected or fixture changed: %v", cells(tr))
+	}
+	cases := map[string]func([]adcfg.Cell){
+		"descending": func(c []adcfg.Cell) { c[0], c[1] = c[1], c[0] },
+		"repeated":   func(c []adcfg.Cell) { c[1].Addr = c[0].Addr },
+		"zero count": func(c []adcfg.Cell) { c[2].Count = 0 },
+		"negative":   func(c []adcfg.Cell) { c[0].Count = -1 },
+	}
+	for name, corrupt := range cases {
+		tr := withHist()
+		corrupt(cells(tr))
+		if err := tr.Validate(); err == nil {
+			t.Errorf("%s: Validate accepted", name)
+		}
+		var buf bytes.Buffer
+		if err := tr.WriteGob(&buf); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := ReadGob(&buf); err == nil {
+			t.Errorf("%s: gob decoder accepted", name)
+		}
 	}
 }

@@ -66,7 +66,7 @@ func TestTracerBuildsADCFG(t *testing.T) {
 				if h == nil {
 					continue
 				}
-				distinct += int64(len(h.Addrs))
+				distinct += int64(len(h.Cells))
 				total += h.Total()
 			}
 		}
