@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: all build test test-race bench tables paper fuzz fuzz-simt fuzz-mitigate examples cover clean
+.PHONY: all build test test-race bench tables paper fuzz fuzz-simt fuzz-mitigate fuzz-fold examples cover clean
 
 all: build test
 
@@ -44,6 +44,13 @@ fuzz-simt:
 # applied transforms should have removed) is a transform bug.
 fuzz-mitigate:
 	$(GO) test -fuzz=FuzzMitigateEquivalence -fuzztime=60s ./internal/mitigate/
+
+# Differential fuzzing of the tracer's warp folder against the reference
+# folder (a map operation per block entry, a sort per access): random
+# block walks and lane vectors over interleaved, reused and released
+# folders must encode the same A-DCFG.
+fuzz-fold:
+	$(GO) test -run=NONE -fuzz=FuzzWarpFold -fuzztime=60s ./internal/adcfg/
 
 examples:
 	@for e in quickstart aes rsa torch scalability attack owlc nvjpeg; do \

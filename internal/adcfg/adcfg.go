@@ -4,16 +4,21 @@
 // histograms, kept as cells in ascending address order) and edges for
 // observed block transitions (attributed with traversal counts and
 // previous-edge counts). Each warp's trace folds straight into its
-// invocation's graph as it executes (see WarpFolder), eliminating
-// cross-thread redundancy — the property that gives Owl its scalability
-// (RQ2).
+// invocation's graph as it executes (see WarpFolder: histograms grow per
+// access, and the warp's block-transition counts land when it finishes),
+// eliminating cross-thread redundancy — the property that gives Owl its
+// scalability (RQ2). Folders are pooled: the tracer releases a launch's
+// folders when the launch ends.
 package adcfg
 
 import (
 	"crypto/sha256"
 	"encoding/binary"
 	"fmt"
+	"math/bits"
+	"slices"
 	"sort"
+	"sync"
 
 	"owl/internal/isa"
 )
@@ -215,71 +220,171 @@ func (g *Graph) edge(k EdgeKey) *Edge {
 	return e
 }
 
+// Rebaser converts one access's raw lane addresses into the stable keys
+// its histogram records: keys[i] is the key of addrs[i] (allocation-
+// relative for global memory, see the tracer). It resolves a whole lane
+// vector per call, so an implementation can reuse one lookup across the
+// lanes that hit the same allocation.
+type Rebaser func(space isa.Space, addrs []int64, keys []uint64)
+
+// laneSpan is the widest key range, in words, whose lanes fold into cells
+// by counting instead of by sorting. It covers coalesced accesses and
+// table gathers within a few KB; scatters across allocations sort.
+const laneSpan = 512
+
 // WarpFolder folds one warp's trace into a graph. It implements the
 // simt.Hooks shape (via the tracer) and must be Finish()ed when the warp
-// retires so boundary transitions are recorded. Folding only adds to the
-// graph's counts, so several folders may target one graph as long as
-// their calls do not run concurrently, and a finished folder can fold
-// the next warp into the same graph.
+// retires: its block transitions stay pending in the folder until then.
+// Folding only adds to the graph's counts, so several folders may target
+// one graph as long as their calls do not run concurrently, and a
+// finished folder can fold the next warp into the same graph. Release
+// returns a folder that will fold no more warps to a pool.
+//
+// Every event folds in one pass without a map operation in the common
+// case. The folder keeps one state per edge it has taken: the edge's
+// destination node and the successors seen from it, each with its cached
+// *Edge and a pending count of the (previous, current, next) block triple.
+// A block entry scans the current state's successors and bumps a count;
+// Finish adds each distinct triple's count once to Edge.Count, Edge.Prev
+// and Node.Pairs. A memory access rebases its lanes with one call, counts
+// lanes spanning fewer than laneSpan words into a bitmap and emits them
+// as ascending cells, and sorts only wider lane vectors.
 type WarpFolder struct {
-	g        *Graph
-	rebase   func(space isa.Space, addr int64) uint64
-	visits   []int // visits[b]: the warp's entries into block b so far
-	cur      *Visit
-	prevPrev int
-	prev     int
-	prevEdge EdgeKey
-	started  bool
-	keys     [32]uint64 // one warp access's rebased addresses, sorted
-	lanes    [32]Cell   // the same, counted into cells
+	g       *Graph
+	rebase  Rebaser
+	visits  []int // visits[b]: the warp's entries into block b so far
+	cur     *Visit
+	at      int32 // the warp's current state; 0 before its first block
+	started bool
+	// states[0] is the root, the warp before its first block; the others
+	// are found through index by the edge they stand for.
+	states  []foldState
+	index   map[EdgeKey]int32
+	pending []succRef             // successors with a pending count, to add at Finish
+	keys    [32]uint64            // one warp access's rebased addresses
+	lanes   [32]Cell              // the same, counted into cells
+	bitmap  [laneSpan / 64]uint64 // the offsets from the lowest key present
+	counts  [laneSpan]uint8       // lanes at each offset
 }
 
-// NewWarpFolder creates a folder targeting g. rebase converts raw device
-// addresses to stable offsets (allocation-relative for global memory); a
+// foldState is the folder's state after taking the edge from→block.
+type foldState struct {
+	from, block int
+	node        *Node // block's node; nil for the root
+	succ        []foldSucc
+}
+
+// foldSucc is a block seen after a state, with the edge leading to it.
+type foldSucc struct {
+	block   int   // the next block, or End
+	to      int32 // the state of the edge block→next; unused for End
+	edge    *Edge
+	pending int64 // transitions through this triple not yet in the graph
+}
+
+// succRef locates one successor of one state.
+type succRef struct{ state, succ int32 }
+
+var folderPool = sync.Pool{New: func() any {
+	return &WarpFolder{index: make(map[EdgeKey]int32)}
+}}
+
+// NewWarpFolder returns a folder targeting g, reusing a released one when
+// one is pooled. rebase converts raw device addresses to stable keys; a
 // nil rebase keeps raw addresses.
-func NewWarpFolder(g *Graph, rebase func(space isa.Space, addr int64) uint64) *WarpFolder {
-	if rebase == nil {
-		rebase = func(_ isa.Space, addr int64) uint64 { return uint64(addr) }
+func NewWarpFolder(g *Graph, rebase Rebaser) *WarpFolder {
+	f := folderPool.Get().(*WarpFolder)
+	f.g, f.rebase = g, rebase
+	f.newState(Start, Start, nil)
+	return f
+}
+
+// Release returns f to the folder pool. Transitions of an unfinished warp
+// are dropped; f must not be used afterwards.
+func (f *WarpFolder) Release() {
+	for i := range f.states {
+		s := &f.states[i]
+		clear(s.succ)
+		s.succ = s.succ[:0]
+		s.node = nil
 	}
-	return &WarpFolder{
-		g:        g,
-		rebase:   rebase,
-		prevPrev: Start,
-		prev:     Start,
+	f.states = f.states[:0]
+	clear(f.index)
+	f.pending = f.pending[:0]
+	clear(f.visits)
+	f.g, f.rebase, f.cur = nil, nil, nil
+	f.at, f.started = 0, false
+	folderPool.Put(f)
+}
+
+// newState appends the state of edge from→block, keeping the successor
+// buffer a released folder left in the slot.
+func (f *WarpFolder) newState(from, block int, n *Node) int32 {
+	i := len(f.states)
+	if i < cap(f.states) {
+		f.states = f.states[:i+1]
+	} else {
+		f.states = append(f.states, foldState{})
 	}
+	s := &f.states[i]
+	s.from, s.block, s.node = from, block, n
+	return int32(i)
+}
+
+// step moves the warp from its current state to block b (or End) and
+// counts the transition as pending.
+func (f *WarpFolder) step(b int) {
+	s := &f.states[f.at]
+	i := 0
+	for i < len(s.succ) && s.succ[i].block != b {
+		i++
+	}
+	if i == len(s.succ) {
+		f.addSucc(b)
+		s = &f.states[f.at]
+	}
+	t := &s.succ[i]
+	if t.pending == 0 {
+		f.pending = append(f.pending, succRef{state: f.at, succ: int32(i)})
+	}
+	t.pending++
+	f.at = t.to
+}
+
+// addSucc records b as a new successor of the current state, finding or
+// creating the state of the edge it takes.
+func (f *WarpFolder) addSucc(b int) {
+	k := EdgeKey{Src: f.states[f.at].block, Dst: b}
+	to := int32(-1)
+	if b != End {
+		var ok bool
+		if to, ok = f.index[k]; !ok {
+			to = f.newState(k.Src, b, f.g.node(b))
+			f.index[k] = to
+		}
+	}
+	s := &f.states[f.at]
+	s.succ = append(s.succ, foldSucc{block: b, to: to, edge: f.g.edge(k)})
 }
 
 // EnterBlock records that the warp entered block b.
 func (f *WarpFolder) EnterBlock(b int) {
-	g := f.g
 	if !f.started {
 		f.started = true
-		g.Warps++
+		f.g.Warps++
 	}
-	ek := EdgeKey{Src: f.prev, Dst: b}
-	e := g.edge(ek)
-	e.Count++
-	if f.prev != Start {
-		e.Prev[f.prevEdge]++
-		// Completing the triple (prevPrev, prev, b) attributes the pair to
-		// the middle node.
-		g.node(f.prev).Pairs[PairKey{Src: f.prevPrev, Dst: b}]++
-	}
+	f.step(b)
 	if b >= len(f.visits) {
 		f.visits = append(f.visits, make([]int, max(b+1, 2*len(f.visits), 16)-len(f.visits))...)
 	}
 	j := f.visits[b]
 	f.visits[b] = j + 1
-	n := g.node(b)
+	n := f.states[f.at].node
 	for len(n.Visits) <= j {
 		n.Visits = append(n.Visits, newVisit())
 	}
 	f.cur = n.Visits[j]
 	f.cur.Count++
-
-	f.prevPrev = f.prev
-	f.prev = b
-	f.prevEdge = ek
 }
 
 // MemAccess records one memory instruction's lane addresses in the current
@@ -304,19 +409,23 @@ func (f *WarpFolder) MemAccess(memIdx int, space isa.Space, store bool, addrs []
 	}
 }
 
-// fold adds at most one warp's lane addresses to h: it sorts them
-// (insertion sort: lanes are few and often already ascending), counts
-// repeats into cells, and merges the cells in one walk. A histogram's
-// first access, often its only one, takes the cells as they are.
+// fold adds at most one warp's lane addresses to h. It rebases them,
+// builds their ascending cells — by counting into the bitmap when they
+// span fewer than laneSpan words, by sorting otherwise — and merges the
+// cells in one walk. A histogram's first access, often its only one,
+// takes the cells as they are.
 func (f *WarpFolder) fold(h *MemHist, space isa.Space, addrs []int64) {
 	keys := f.keys[:len(addrs)]
-	for i, a := range addrs {
-		k := f.rebase(space, a)
-		j := i
-		for ; j > 0 && keys[j-1] > k; j-- {
-			keys[j] = keys[j-1]
+	if f.rebase != nil {
+		f.rebase(space, addrs, keys)
+	} else {
+		for i, a := range addrs {
+			keys[i] = uint64(a)
 		}
-		keys[j] = k
+	}
+	lo, hi := keys[0], keys[0]
+	for _, k := range keys[1:] {
+		lo, hi = min(lo, k), max(hi, k)
 	}
 	first := len(h.Cells) == 0
 	lanes := f.lanes[:0]
@@ -324,11 +433,28 @@ func (f *WarpFolder) fold(h *MemHist, space isa.Space, addrs []int64) {
 		h.reserve(len(keys))
 		lanes = h.Cells
 	}
-	for _, k := range keys {
-		if n := len(lanes); n > 0 && lanes[n-1].Addr == k {
-			lanes[n-1].Count++
-		} else {
-			lanes = append(lanes, Cell{Addr: k, Count: 1})
+	if hi-lo < laneSpan {
+		for _, k := range keys {
+			o := k - lo
+			f.bitmap[o>>6] |= 1 << (o & 63)
+			f.counts[o]++
+		}
+		for w := range f.bitmap[:(hi-lo)>>6+1] {
+			for m := f.bitmap[w]; m != 0; m &= m - 1 {
+				o := w<<6 | bits.TrailingZeros64(m)
+				lanes = append(lanes, Cell{Addr: lo + uint64(o), Count: int64(f.counts[o])})
+				f.counts[o] = 0
+			}
+			f.bitmap[w] = 0
+		}
+	} else {
+		slices.Sort(keys)
+		for _, k := range keys {
+			if n := len(lanes); n > 0 && lanes[n-1].Addr == k {
+				lanes[n-1].Count++
+			} else {
+				lanes = append(lanes, Cell{Addr: k, Count: 1})
+			}
 		}
 	}
 	if first {
@@ -338,22 +464,29 @@ func (f *WarpFolder) fold(h *MemHist, space isa.Space, addrs []int64) {
 	}
 }
 
-// Finish closes the warp's trace with its End transition and resets the
-// folder for the next warp.
+// Finish closes the warp's trace with its End transition, adds the
+// warp's pending transition counts to the graph, and resets the folder
+// for the next warp.
 func (f *WarpFolder) Finish() {
 	if f.started {
-		ek := EdgeKey{Src: f.prev, Dst: End}
-		e := f.g.edge(ek)
-		e.Count++
-		if f.prev != Start {
-			e.Prev[f.prevEdge]++
-			f.g.node(f.prev).Pairs[PairKey{Src: f.prevPrev, Dst: End}]++
-		}
+		f.step(End)
 	}
+	for _, r := range f.pending {
+		s := &f.states[r.state]
+		t := &s.succ[r.succ]
+		t.edge.Count += t.pending
+		if r.state != 0 {
+			// The triple (from, block, next) attributes the previous edge
+			// to the edge taken and the pair to the middle node.
+			t.edge.Prev[EdgeKey{Src: s.from, Dst: s.block}] += t.pending
+			s.node.Pairs[PairKey{Src: s.from, Dst: t.block}] += t.pending
+		}
+		t.pending = 0
+	}
+	f.pending = f.pending[:0]
 	clear(f.visits)
 	f.cur = nil
-	f.prevPrev, f.prev = Start, Start
-	f.prevEdge = EdgeKey{}
+	f.at = 0
 	f.started = false
 }
 

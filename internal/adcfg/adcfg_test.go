@@ -198,11 +198,13 @@ func TestCloneIsDeep(t *testing.T) {
 
 func TestRebaseFunction(t *testing.T) {
 	g := NewGraph("k")
-	rebase := func(space isa.Space, addr int64) uint64 {
-		if space == isa.SpaceGlobal {
-			return uint64(addr - 1000)
+	rebase := func(space isa.Space, addrs []int64, keys []uint64) {
+		for i, a := range addrs {
+			if space == isa.SpaceGlobal {
+				a -= 1000
+			}
+			keys[i] = uint64(a)
 		}
-		return uint64(addr)
 	}
 	f := NewWarpFolder(g, rebase)
 	f.EnterBlock(0)

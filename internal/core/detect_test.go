@@ -1,12 +1,14 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"math/rand"
 	"sync"
 	"testing"
 
 	"owl/internal/cuda"
+	"owl/internal/obs"
 	"owl/internal/workloads/dummy"
 	"owl/internal/workloads/mlp"
 )
@@ -365,5 +367,52 @@ func TestOnProgressPhaseOrdering(t *testing.T) {
 				t.Fatalf("workers=%d: phase sequence %v, want %v", workers, got, want)
 			}
 		}
+	}
+}
+
+// TestCostRunRecordsSiteCounter checks a cost-on run's telemetry: the
+// cost observables fold inside the run, so the run records the
+// microarch_cost_sites counter and no span of their own.
+func TestCostRunRecordsSiteCounter(t *testing.T) {
+	opts := testOptions()
+	opts.Evidence = EvidenceConfig{Mode: EvidenceBoth, Channels: []string{ChannelADCFG, ChannelCost}}
+	d, err := NewDetector(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := obs.NewRecorder(1 << 10)
+	ctx := obs.WithRecorder(context.Background(), rec)
+	tr, err := d.recordRun(ctx, dummy.New(), []byte{1, 2, 3, 4}, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := 0
+	for _, inv := range tr.Invocations {
+		want += len(inv.Cost)
+	}
+	if want == 0 {
+		t.Fatal("run recorded no cost sites; test is vacuous")
+	}
+	spans, counters := rec.Snapshot()
+	runs := 0
+	for _, s := range spans {
+		switch s.Name {
+		case "run":
+			runs++
+		case "microarch.cost":
+			t.Error("cost-on run recorded a microarch.cost span")
+		}
+	}
+	if runs != 1 {
+		t.Errorf("run spans = %d, want 1", runs)
+	}
+	var got []float64
+	for _, c := range counters {
+		if c.Name == "microarch_cost_sites" {
+			got = append(got, c.Value)
+		}
+	}
+	if len(got) != 1 || got[0] != float64(want) {
+		t.Errorf("microarch_cost_sites counters = %v, want [%d]", got, want)
 	}
 }

@@ -4,10 +4,13 @@
 // hooks that fold basic-block entries and memory accesses into one A-DCFG
 // per kernel invocation, rebasing global addresses to allocation-relative
 // offsets so that memory-layout changes (ASLR) do not fabricate trace
-// differences.
+// differences. Each access's lanes are rebased in one call that resolves
+// an allocation once for the lanes that hit it.
 package tracer
 
 import (
+	"math"
+	"slices"
 	"sort"
 	"sync"
 
@@ -88,7 +91,7 @@ func (t *Tracer) OnLaunch(info cuda.LaunchInfo) gpu.Instrument {
 	}
 	t.mu.Lock()
 	t.result.Invocations = append(t.result.Invocations, inv)
-	rebase := t.rebaseFunc()
+	rebase := t.rebaser()
 	t.mu.Unlock()
 	li := &launchInst{
 		inv:    inv,
@@ -100,37 +103,75 @@ func (t *Tracer) OnLaunch(info cuda.LaunchInfo) gpu.Instrument {
 	return li
 }
 
-// rebaseFunc snapshots the allocation table into a rebasing closure.
-// Global addresses map to (allocation ID + 1) << 40 | offset; addresses
-// outside any allocation keep their raw value with the top bit set. Other
-// spaces are already layout-independent and pass through unchanged.
-func (t *Tracer) rebaseFunc() func(space isa.Space, addr int64) uint64 {
+// rebaser snapshots the allocation table into a lane rebaser. Global
+// addresses map to (allocation ID + 1) << 40 | offset; addresses outside
+// any allocation keep their raw value with the top bit set. Other spaces
+// are already layout-independent and pass through unchanged. The rebaser
+// resolves the first lane's region of the address space and reuses its
+// bounds for the following lanes, searching the table again only when a
+// lane falls outside them.
+func (t *Tracer) rebaser() adcfg.Rebaser {
 	if !t.rebase {
 		return nil
 	}
-	allocs := make([]gpu.AllocRecord, len(t.allocs))
-	copy(allocs, t.allocs)
-	return func(space isa.Space, addr int64) uint64 {
+	allocs := slices.Clone(t.allocs)
+	return func(space isa.Space, addrs []int64, keys []uint64) {
 		if space != isa.SpaceGlobal {
-			return uint64(addr)
+			for i, a := range addrs {
+				keys[i] = uint64(a)
+			}
+			return
 		}
-		// Find the last allocation with Base <= addr.
-		i := sort.Search(len(allocs), func(i int) bool { return allocs[i].Base > addr }) - 1
-		if i >= 0 && addr < allocs[i].Base+allocs[i].Words {
-			return uint64(allocs[i].ID+1)<<40 | uint64(addr-allocs[i].Base)
+		var r region
+		for i, a := range addrs {
+			if i == 0 || a < r.lo || a >= r.hi {
+				r = regionOf(allocs, a)
+			}
+			keys[i] = r.tag | uint64(a-r.base)
 		}
-		return uint64(addr) | 1<<63
 	}
+}
+
+// region is a stretch [lo, hi) of global addresses that rebase alike:
+// each address a maps to tag | (a - base).
+type region struct {
+	lo, hi, base int64
+	tag          uint64
+}
+
+// regionOf returns the region holding a, given allocations sorted by
+// base: the part of the last allocation starting at or below a that lies
+// before the next one, or the unowned stretch around a.
+func regionOf(allocs []gpu.AllocRecord, a int64) region {
+	// Find the last allocation with Base <= a.
+	i := sort.Search(len(allocs), func(i int) bool { return allocs[i].Base > a }) - 1
+	r := region{lo: math.MinInt64, hi: math.MaxInt64, tag: 1 << 63}
+	if i+1 < len(allocs) {
+		r.hi = allocs[i+1].Base
+	}
+	if i < 0 {
+		return r
+	}
+	al := allocs[i]
+	end := al.Base + al.Words
+	if a >= end {
+		r.lo = end
+		return r
+	}
+	r.lo, r.hi, r.base, r.tag = al.Base, min(r.hi, end), al.Base, uint64(al.ID+1)<<40
+	return r
 }
 
 // launchInst instruments one kernel launch. Every block-executor slot
 // folds the warps it runs into a graph and cost collector of its own, and
 // slot 0's graph is the invocation's A-DCFG itself: a sequential launch
 // folds each observation exactly once, straight into the trace, with no
-// lock. EndLaunch merges the other slots of a parallel launch once.
+// lock. The warp folders come from adcfg's folder pool, and EndLaunch
+// releases them before it merges the other slots of a parallel launch
+// once.
 type launchInst struct {
 	inv    *trace.Invocation
-	rebase func(space isa.Space, addr int64) uint64
+	rebase adcfg.Rebaser
 	cost   bool // collect the cost channel (WithCost)
 	nWarps int  // warps per thread block
 	// slots[i] is touched only by the block worker owning slot i until
@@ -178,9 +219,21 @@ func (li *launchInst) BeginWarp(slot int, _ gpu.Dim3, warpID int) simt.Hooks {
 	return &w.warpHooks
 }
 
-// EndLaunch merges the extra slots of a parallel launch into the
-// invocation graph and renders the invocation's canonical cost sites once.
+// EndLaunch releases the launch's warp folders, merges the extra slots
+// of a parallel launch into the invocation graph and renders the
+// invocation's canonical cost sites once.
 func (li *launchInst) EndLaunch() {
+	for _, s := range li.slots {
+		if s == nil {
+			continue
+		}
+		for i := range s.warps {
+			if f := s.warps[i].folder; f != nil {
+				f.Release()
+				s.warps[i].folder = nil
+			}
+		}
+	}
 	s0 := li.slots[0]
 	for _, s := range li.slots[1:] {
 		if s == nil {
@@ -201,7 +254,8 @@ func (li *launchInst) EndLaunch() {
 // the interpreter's hot path: both callbacks fold the event into the
 // slot's graph without retaining the addrs slice (the interpreter reuses
 // one address buffer per warp) and without allocating beyond the graph's
-// own pooled node/histogram growth.
+// own pooled node/histogram growth and the folder's pooled transition
+// states.
 type warpHooks struct {
 	folder *adcfg.WarpFolder
 }
@@ -216,8 +270,9 @@ func (w *warpHooks) OnMemAccess(_, memIdx int, space isa.Space, store bool, addr
 	w.folder.MemAccess(memIdx, space, store, addrs)
 }
 
-// EndWarp records the warp's End transition and leaves the folder ready
-// for the warp with the same ID in the slot's next thread block.
+// EndWarp records the warp's End transition, adds its pending transition
+// counts to the slot's graph, and leaves the folder ready for the warp
+// with the same ID in the slot's next thread block.
 func (w *warpHooks) EndWarp() { w.folder.Finish() }
 
 // costWarpHooks extends warpHooks with the cost-channel observables. It

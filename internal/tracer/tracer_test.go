@@ -2,6 +2,7 @@ package tracer
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"owl/internal/cuda"
@@ -100,7 +101,12 @@ func TestRebaseEncodesAllocationIDs(t *testing.T) {
 	tr := New("p")
 	tr.OnAlloc(gpu.AllocRecord{ID: 0, Base: 1000, Words: 10}, "site")
 	tr.OnAlloc(gpu.AllocRecord{ID: 1, Base: 2000, Words: 10}, "site")
-	rebase := tr.rebaseFunc()
+	rebaser := tr.rebaser()
+	rebase := func(space isa.Space, addr int64) uint64 {
+		var key [1]uint64
+		rebaser(space, []int64{addr}, key[:])
+		return key[0]
+	}
 	if got := rebase(isa.SpaceGlobal, 1003); got != uint64(1)<<40|3 {
 		t.Errorf("alloc0 offset = %#x", got)
 	}
@@ -117,6 +123,58 @@ func TestRebaseEncodesAllocationIDs(t *testing.T) {
 	}
 	if got := rebase(isa.SpaceConstant, 42); got != 42 {
 		t.Errorf("constant address = %#x", got)
+	}
+}
+
+// TestRebaseLaneVector checks the lane rebaser, which reuses one lane's
+// allocation bounds for the next lanes, against the per-address formula
+// on warps whose lanes straddle two allocations, the gap between them and
+// the unowned addresses below and above, in ascending and shuffled order.
+func TestRebaseLaneVector(t *testing.T) {
+	allocs := []gpu.AllocRecord{
+		{ID: 0, Base: 1000, Words: 10},
+		{ID: 1, Base: 1016, Words: 8},
+		{ID: 2, Base: 1024, Words: 4}, // adjacent to allocation 1
+	}
+	want := func(a int64) uint64 {
+		for _, al := range allocs {
+			if a >= al.Base && a < al.Base+al.Words {
+				return uint64(al.ID+1)<<40 | uint64(a-al.Base)
+			}
+		}
+		return uint64(a) | 1<<63
+	}
+	tr := New("p")
+	for _, al := range []gpu.AllocRecord{allocs[2], allocs[0], allocs[1]} {
+		tr.OnAlloc(al, "site")
+	}
+	rebase := tr.rebaser()
+
+	var ascending []int64
+	for a := int64(990); a < 1036; a++ {
+		ascending = append(ascending, a)
+	}
+	warps := [][]int64{ascending[:32], ascending[14:], {5, 1003, -7, 1017, 1009, 1010, 1029, 1 << 50}}
+	r := rand.New(rand.NewSource(1))
+	for i := 0; i < 2; i++ {
+		shuffled := slices.Clone(ascending[i*14 : i*14+32])
+		r.Shuffle(len(shuffled), func(i, j int) { shuffled[i], shuffled[j] = shuffled[j], shuffled[i] })
+		warps = append(warps, shuffled)
+	}
+	for _, lanes := range warps {
+		keys := make([]uint64, len(lanes))
+		rebase(isa.SpaceGlobal, lanes, keys)
+		for i, a := range lanes {
+			if keys[i] != want(a) {
+				t.Errorf("lanes %v: lane %d (%d) = %#x, want %#x", lanes, i, a, keys[i], want(a))
+			}
+		}
+		rebase(isa.SpaceShared, lanes, keys)
+		for i, a := range lanes {
+			if keys[i] != uint64(a) {
+				t.Errorf("shared lane %d (%d) = %#x, want it unchanged", i, a, keys[i])
+			}
+		}
 	}
 }
 
