@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: all build test test-race bench tables paper fuzz fuzz-simt fuzz-mitigate fuzz-fold examples cover clean
+.PHONY: all build test test-race perf-test bench tables paper fuzz fuzz-simt fuzz-mitigate fuzz-fold examples cover clean
 
 all: build test
 
@@ -18,6 +18,11 @@ test:
 
 test-race:
 	$(GO) test -race ./internal/gpu/ ./internal/tracer/ ./internal/simt/ ./internal/core/ ./internal/service/ ./internal/obs/ ./internal/mitigate/ ./internal/attack/ ./internal/cluster/ ./internal/evidence/ ./internal/stats/ ./internal/microarch/ ./internal/adcfg/ ./internal/trace/ ./internal/workloads/...
+
+# cmd/owlperf is its own module, so `go test ./...` at the root skips it;
+# it compiles against the service and core APIs and must keep building.
+perf-test:
+	cd cmd/owlperf && $(GO) test ./...
 
 bench:
 	$(GO) test -bench=. -benchmem ./...

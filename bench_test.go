@@ -18,11 +18,11 @@ import (
 
 	"owl/internal/baseline/data"
 	"owl/internal/baseline/pitchfork"
-	"owl/internal/coalesce"
 	"owl/internal/core"
 	"owl/internal/cuda"
 	"owl/internal/experiments"
 	"owl/internal/gpu"
+	"owl/internal/microarch"
 	"owl/internal/owlc"
 	"owl/internal/quantify"
 	"owl/internal/trace"
@@ -578,18 +578,16 @@ func BenchmarkOwlcCompile(b *testing.B) {
 	}
 }
 
-// BenchmarkCoalesceProfile measures the coalescing transaction model over
-// a traced launch.
+// BenchmarkCoalesceProfile measures the coalescing transaction model on
+// one 32-lane warp access.
 func BenchmarkCoalesceProfile(b *testing.B) {
-	k := gpucrypto.NewAES(gpucrypto.WithBlocks(64)).Kernel()
-	_ = k
 	addrs := make([]int64, 32)
 	for i := range addrs {
 		addrs[i] = int64(i * 7)
 	}
 	var n int
 	for i := 0; i < b.N; i++ {
-		n = coalesce.Transactions(addrs)
+		n = microarch.Transactions(addrs)
 	}
 	b.ReportMetric(float64(n), "transactions")
 }

@@ -163,7 +163,7 @@ func TestGoldenReports(t *testing.T) {
 
 // statGoldenPrograms are the workloads whose statistical-evidence reports
 // are pinned: both evidence channels plus the cost channel, which routes
-// through the statistical recording loop, TVLA/MI verdicts merged into
+// through the statistical engine, TVLA/MI verdicts merged into
 // diff leaks, and per-invocation cost-site rendering.
 var statGoldenPrograms = []string{
 	"libgpucrypto/aes128",

@@ -20,10 +20,9 @@ import (
 	"owl/internal/isa"
 )
 
-// ReportCache is the worker-resident half of the cluster's shared
-// content-addressed report cache: a mutex-guarded LRU keyed by
-// Fingerprint. It deliberately mirrors owld's job cache but lives here so
-// the cluster package stays import-free of the service layer.
+// ReportCache is a mutex-guarded LRU of detection reports. Workers key it
+// by Fingerprint as their half of the fleet's shared content-addressed
+// report cache; owld's job manager keys it by service.CacheKey.
 type ReportCache struct {
 	mu      sync.Mutex
 	cap     int
@@ -137,9 +136,7 @@ func Fingerprint(ctx context.Context, p cuda.Program, inputs [][]byte, opts core
 	}
 
 	h := sha256.New()
-	fmt.Fprintf(h, "owl-report-v1|%s|%d|%d|%g|%d|%v|%v|%v|%+v|%+v",
-		p.Name(), opts.FixedRuns, opts.RandomRuns, opts.Confidence, opts.Seed,
-		opts.Rebase, opts.FilterDuplicates, opts.UseWelch, opts.Device, opts.Evidence)
+	fmt.Fprintf(h, "owl-report-v1|%s|%s", p.Name(), OptionsKey(opts))
 	for _, in := range inputs {
 		fmt.Fprintf(h, "|in:%x", in)
 	}
@@ -152,6 +149,17 @@ func Fingerprint(ctx context.Context, p cuda.Program, inputs [][]byte, opts core
 		fmt.Fprintf(h, "|k:%s:%x", name, sha256.Sum256(kernels[name]))
 	}
 	return hex.EncodeToString(h.Sum(nil)), nil
+}
+
+// OptionsKey renders every option that influences a detection report, the
+// options part of both report-cache keys (Fingerprint and
+// service.CacheKey). Workers and Runner are excluded on purpose: parallel
+// and sequential recording produce identical reports. A new option that
+// changes reports must join this string, or cached reports alias.
+func OptionsKey(opts core.Options) string {
+	return fmt.Sprintf("%d|%d|%g|%d|%v|%v|%v|%+v|%+v",
+		opts.FixedRuns, opts.RandomRuns, opts.Confidence, opts.Seed,
+		opts.Rebase, opts.FilterDuplicates, opts.UseWelch, opts.Device, opts.Evidence)
 }
 
 // CacheGet asks each worker in turn for the report under key and returns

@@ -273,7 +273,7 @@ func (w *Worker) handleRecord(rw http.ResponseWriter, r *http.Request) {
 			var kernels []*isa.Kernel
 			rctx, sp := obs.Start(ctx, "worker.record")
 			sp.SetInt("run_index", int64(req.Index))
-			tr, err := Record(rctx, prog, br.Device, br.Rebase, br.Cost, req.Input, req.Seed, func(k *isa.Kernel) {
+			tr, _, err := core.RecordRun(rctx, prog, br.Device, br.Rebase, br.Cost, req.Input, req.Seed, func(k *isa.Kernel) {
 				kmu.Lock()
 				kernels = append(kernels, k)
 				kmu.Unlock()

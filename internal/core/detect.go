@@ -22,6 +22,7 @@ import (
 
 	"owl/internal/adcfg"
 	"owl/internal/cuda"
+	"owl/internal/evidence"
 	"owl/internal/gpu"
 	"owl/internal/isa"
 	"owl/internal/myers"
@@ -265,20 +266,21 @@ func (r poolRunner) RecordStream(ctx context.Context, p cuda.Program, reqs []Run
 		}
 		return nil
 	}
-	return streamParallel(ctx, r.workers, p, reqs, record, sink)
+	return StreamParallel(ctx, make(chan struct{}, r.workers), p, reqs, record, sink)
 }
 
-// kernelObserver wraps the tracer to harvest kernel definitions for leak
-// report enrichment (block labels, instruction annotations).
+// kernelObserver wraps the tracer to hand each launched kernel's
+// definition to harvest, so leak reports keep their block labels and
+// instruction annotations wherever the run was recorded.
 type kernelObserver struct {
 	*tracer.Tracer
-	d *Detector
+	harvest func(*isa.Kernel)
 }
 
 func (k kernelObserver) OnLaunch(info cuda.LaunchInfo) gpu.Instrument {
-	k.d.kmu.Lock()
-	k.d.kernels[info.Kernel.Name] = info.Kernel
-	k.d.kmu.Unlock()
+	if k.harvest != nil {
+		k.harvest(info.Kernel)
+	}
 	return k.Tracer.OnLaunch(info)
 }
 
@@ -333,48 +335,65 @@ func (d *Detector) recordSeeded(ctx context.Context, p cuda.Program, input []byt
 	return t, nil
 }
 
-// recordRun executes one seeded instrumented run. Safe for concurrent
+// recordRun executes one seeded instrumented run under a `run` span,
+// harvesting kernel definitions into the detector. Safe for concurrent
 // use; programs must not share mutable state across Run calls.
 func (d *Detector) recordRun(ctx context.Context, p cuda.Program, input []byte, seed int64) (*trace.ProgramTrace, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
 	rctx, sp := obs.Start(ctx, "run")
 	sp.SetInt("input_bytes", int64(len(input)))
 	defer sp.End()
-	var topts []tracer.Option
-	if !d.opts.Rebase {
-		topts = append(topts, tracer.WithoutRebase())
-	}
 	costOn := d.opts.Evidence.CostEnabled()
-	if costOn {
-		topts = append(topts, tracer.WithCost())
-	}
-	tr := tracer.New(p.Name(), topts...)
-	runRNG := rand.New(rand.NewSource(seed))
-	cctx, err := cuda.NewContext(d.opts.Device, runRNG, kernelObserver{Tracer: tr, d: d})
+	t, instrs, err := RecordRun(rctx, p, d.opts.Device, d.opts.Rebase, costOn, input, seed, d.RegisterKernel)
 	if err != nil {
 		return nil, err
 	}
-	// The trace captures everything the pipeline needs; the context's
-	// device arena goes back to the shared pool the moment the run ends.
-	defer cctx.Close()
-	// Kernel launches inside this run report under the run span.
-	cctx.SetObsContext(rctx)
-	if err := p.Run(cctx, input); err != nil {
-		return nil, fmt.Errorf("core: program %s: %w", p.Name(), err)
-	}
-	sp.SetInt("instructions", cctx.Stats().Instructions)
+	sp.SetInt("instructions", instrs)
 	if costOn {
 		// The cost observables were folded inline during the run, so their
 		// time is the run span's; only the site count is recorded.
 		sites := 0
-		for _, inv := range tr.Trace().Invocations {
+		for _, inv := range t.Invocations {
 			sites += len(inv.Cost)
 		}
 		obs.Counter(rctx, "microarch_cost_sites", float64(sites))
 	}
-	return tr.Trace(), nil
+	return t, nil
+}
+
+// RecordRun executes one instrumented run of p on a private simulated
+// device and returns its trace and the number of simulated instructions
+// it executed. It is the one recording recipe of Owl: the detector and
+// cluster workers both call it, so a run recorded on a remote worker is
+// byte-identical to a local one. rebase converts global addresses to
+// allocation-relative offsets (§V-C); cost selects the microarchitectural
+// cost channel, whose sites join the trace's canonical encoding. harvest,
+// when non-nil, observes each kernel definition at launch. Kernel
+// launches report under the span in ctx when it carries a recorder. Safe
+// for concurrent use: every call builds a private device and context.
+func RecordRun(ctx context.Context, p cuda.Program, device gpu.Config, rebase, cost bool, input []byte, seed int64, harvest func(*isa.Kernel)) (*trace.ProgramTrace, int64, error) {
+	if err := ctx.Err(); err != nil {
+		return nil, 0, err
+	}
+	var topts []tracer.Option
+	if !rebase {
+		topts = append(topts, tracer.WithoutRebase())
+	}
+	if cost {
+		topts = append(topts, tracer.WithCost())
+	}
+	tr := tracer.New(p.Name(), topts...)
+	cctx, err := cuda.NewContext(device, rand.New(rand.NewSource(seed)), kernelObserver{Tracer: tr, harvest: harvest})
+	if err != nil {
+		return nil, 0, err
+	}
+	// The trace captures everything the pipeline needs; the context's
+	// device arena goes back to the shared pool the moment the run ends.
+	defer cctx.Close()
+	cctx.SetObsContext(ctx)
+	if err := p.Run(cctx, input); err != nil {
+		return nil, 0, fmt.Errorf("core: program %s: %w", p.Name(), err)
+	}
+	return tr.Trace(), cctx.Stats().Instructions, nil
 }
 
 // countingSink advances the run counter as the pipeline accepts each
@@ -512,76 +531,155 @@ func (d *Detector) DetectContext(ctx context.Context, p cuda.Program, inputs [][
 	return report, nil
 }
 
+// classRegime is one input regime of a class's leakage analysis: its
+// requests, drawn up front, and the consumers its runs feed.
+type classRegime struct {
+	span string          // recording span name
+	r    evidence.Regime // the statistical engine's regime
+	reqs []RunRequest
+	used int       // requests recorded so far
+	ev   *Evidence // diff-channel evidence; nil when the diff channel is off
+}
+
 // analyzeClass runs the leakage-analysis phase for one input class,
-// adding its leaks to the detection's report.
+// adding its leaks to the detection's report. One round loop records both
+// regimes and merges each run on arrival into whichever evidence
+// consumers are on: the diff channel's E_fix/E_rnd and the statistical
+// channel's engine. Without the statistical channel each regime records
+// as one chunk; with it, rounds of CheckEvery runs per regime let the
+// sequential-testing controller cancel the remaining budget (and feed
+// the live telemetry).
+//
+// Inputs and per-run seeds are drawn sequentially up front — the
+// generator seed first, then the fixed-regime seeds, then the random
+// regime's inputs and seeds — and every chunk streams through an ordered
+// sink. So for a given seed the recorded runs are identical whatever the
+// Runner or worker count, and an early-stopped detection analyzes a
+// prefix of precisely the runs the full budget would have recorded.
 func (d *Detector) analyzeClass(ctx context.Context, p cuda.Program, cls InputClass, gen cuda.InputGen, leaks *leakSet) error {
-	if d.opts.Evidence.statEnabled() {
-		// The statistical channel (and the diff channel beside it in
-		// EvidenceBoth) records in rounds so the sequential-testing
-		// controller can cancel the remaining budget.
-		return d.analyzeClassStat(ctx, p, cls, gen, leaks)
-	}
 	report := leaks.report
-	// collect streams `runs` executions through the configured Runner into
-	// the evidence's merge-on-arrival sink: each trace merges (in request
-	// order, via the reorder window) the moment it is recorded, then its
-	// buffers are recycled. Inputs and per-run seeds are drawn sequentially
-	// up front, so any parallel Runner is bit-identical to the sequential
-	// one while peak heap stays O(workers + window) traces.
-	collect := func(ctx context.Context, next func() []byte, runs int, ev *Evidence) (time.Duration, error) {
-		reqs := make([]RunRequest, runs)
-		for i := 0; i < runs; i++ {
-			reqs[i] = RunRequest{Index: i, Input: next(), Seed: d.rng.Int63()}
+	cfg := d.opts.Evidence
+	var (
+		engine *evidence.Engine
+		ctrl   *evidence.Controller
+	)
+	if cfg.statEnabled() {
+		engine = evidence.NewEngine(cfg.engineConfig())
+		ctrl = evidence.NewController(engine, cfg.stopPolicy())
+	}
+	fixed := &classRegime{span: "record.fixed", r: evidence.Fixed, reqs: make([]RunRequest, d.opts.FixedRuns)}
+	random := &classRegime{span: "record.random", r: evidence.Random, reqs: make([]RunRequest, d.opts.RandomRuns)}
+	if cfg.diffEnabled() {
+		fixed.ev, random.ev = NewEvidence(), NewEvidence()
+	}
+	genRNG := rand.New(rand.NewSource(d.rng.Int63()))
+	for i := range fixed.reqs {
+		fixed.reqs[i] = RunRequest{Index: i, Input: cls.Rep, Seed: d.rng.Int63()}
+	}
+	for i := range random.reqs {
+		random.reqs[i] = RunRequest{Index: i, Input: gen(genRNG), Seed: d.rng.Int63()}
+	}
+
+	var (
+		mergeTime time.Duration
+		merged    int // runs merged for this class, both regimes
+	)
+	// record streams the regime's next n requests through the runner into
+	// its consumers. Request indexes are rebased so every chunk is a
+	// self-contained batch for the Runner contract.
+	record := func(ctx context.Context, rg *classRegime, n int) error {
+		chunk := make([]RunRequest, n)
+		for i, req := range rg.reqs[rg.used : rg.used+n] {
+			req.Index = i
+			chunk[i] = req
 		}
-		start := ev.Runs
-		var mergeTime time.Duration
-		sink := ev.MergeSink(0, func(merge time.Duration) {
-			mergeTime += merge // serialized by the sink's window lock
-			obs.Counter(ctx, "evidence_runs", float64(ev.Runs))
+		sink := newOrderedSink(0, func(_ int, t *trace.ProgramTrace) error {
+			t0 := time.Now()
+			if engine != nil {
+				engine.Observe(rg.r, t)
+			}
+			if rg.ev != nil {
+				rg.ev.AddRun(t)
+			}
+			mergeTime += time.Since(t0) // serialized by the sink's window lock
+			trace.Release(t)
+			merged++
+			obs.Counter(ctx, "evidence_runs", float64(merged))
 			d.trackRAM(ctx, report)
+			return nil
 		})
-		if err := d.runner.RecordStream(ctx, p, reqs, d.recordRun, d.countingSink(sink)); err != nil {
-			return 0, err
+		if err := d.runner.RecordStream(ctx, p, chunk, d.recordRun, d.countingSink(sink.Sink)); err != nil {
+			return err
 		}
-		if merged := ev.Runs - start; merged != runs {
-			return 0, fmt.Errorf("core: runner delivered %d traces for %d requests", merged, runs)
+		if got := sink.delivered(); got != n {
+			return fmt.Errorf("core: runner delivered %d traces for %d requests", got, n)
 		}
-		return mergeTime, nil
+		rg.used += n
+		return nil
 	}
 
 	d.setPhase(PhaseRecord)
-	eFix, eRnd := NewEvidence(), NewEvidence()
-	fixInput := cls.Rep
-	genRNG := rand.New(rand.NewSource(d.rng.Int63()))
-
 	rctx, rsp := obs.Start(ctx, "phase.record")
-	fctx, fsp := obs.Start(rctx, "record.fixed")
-	fsp.SetInt("runs", int64(d.opts.FixedRuns))
-	mt1, err := collect(fctx, func() []byte { return fixInput }, d.opts.FixedRuns, eFix)
-	fsp.End()
-	if err != nil {
-		rsp.End()
-		return err
+	// Live telemetry wants per-round samples, so an OnEvidence hook (or an
+	// attached recorder, for the counter feed) keeps round-sized chunks
+	// even without early stopping. Chunking never changes run order or
+	// results — only how often the engine is sampled between rounds.
+	rounds := engine != nil && (cfg.EarlyStop.Enabled || d.opts.OnEvidence != nil || obs.FromContext(ctx) != nil)
+	step := max(d.opts.FixedRuns, d.opts.RandomRuns)
+	if rounds {
+		step = ctrl.Policy().CheckEvery
 	}
-	gctx, gsp := obs.Start(rctx, "record.random")
-	gsp.SetInt("runs", int64(d.opts.RandomRuns))
-	mt2, err := collect(gctx, func() []byte { return gen(genRNG) }, d.opts.RandomRuns, eRnd)
-	gsp.End()
+	remaining := func() bool { return fixed.used < len(fixed.reqs) || random.used < len(random.reqs) }
+	earlyStopped := false
+	for round := 1; !earlyStopped && remaining(); round++ {
+		for _, rg := range [2]*classRegime{fixed, random} {
+			n := min(step, len(rg.reqs)-rg.used)
+			if n == 0 {
+				continue
+			}
+			cctx, csp := obs.Start(rctx, rg.span)
+			csp.SetInt("runs", int64(n))
+			err := record(cctx, rg, n)
+			csp.End()
+			if err != nil {
+				rsp.End()
+				return err
+			}
+		}
+		if rounds {
+			earlyStopped = d.checkRound(rctx, engine, ctrl, round, merged, remaining())
+		}
+	}
+	rsp.SetInt("runs_used", int64(merged))
 	rsp.End()
-	if err != nil {
-		return err
+
+	report.Stats.EvidenceTraces += merged
+	report.Stats.EvidenceTime += mergeTime
+	if engine != nil {
+		report.EvidenceMode = string(cfg.Mode)
+		if len(cfg.Channels) > 0 {
+			report.Channels = cfg.Channels
+		}
+		report.RunsBudget += d.opts.FixedRuns + d.opts.RandomRuns
+		report.RunsUsed += merged
+		if earlyStopped {
+			report.EarlyStopped = true
+		}
 	}
-	report.Stats.EvidenceTraces += d.opts.FixedRuns + d.opts.RandomRuns
-	report.Stats.EvidenceTime += mt1 + mt2
 
 	d.setPhase(PhaseAnalyze)
 	t0 := time.Now()
 	_, tsp := obs.Start(ctx, "phase.analyze")
-	err = d.leakageTests(eFix, eRnd, leaks)
-	tsp.End()
-	if err != nil {
-		return err
+	if fixed.ev != nil {
+		if err := d.leakageTests(fixed.ev, random.ev, leaks); err != nil {
+			tsp.End()
+			return err
+		}
 	}
+	if engine != nil {
+		d.applyVerdicts(engine.Verdicts(), merged, leaks)
+	}
+	tsp.End()
 	report.Stats.TestTime += time.Since(t0)
 	d.trackRAM(ctx, report)
 	return nil

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"math/rand"
 	"sync"
@@ -414,5 +415,99 @@ func TestCostRunRecordsSiteCounter(t *testing.T) {
 	}
 	if len(got) != 1 || got[0] != float64(want) {
 		t.Errorf("microarch_cost_sites counters = %v, want [%d]", got, want)
+	}
+}
+
+// TestDiffLoopTraced runs the recording loop in diff mode with a recorder
+// attached and OnEvidence set. Neither may change the report or the
+// chunking: the statistical channel is off, so each regime records as one
+// chunk and no evidence sample is emitted. The evidence_runs counter
+// counts both regimes of a class, so its last sample per class is the
+// whole budget.
+func TestDiffLoopTraced(t *testing.T) {
+	inputs := [][]byte{{1, 2}, {3, 4}}
+	detect := func(ctx context.Context, onEvidence func(EvidenceSample)) *Report {
+		o := testOptions()
+		o.OnEvidence = onEvidence
+		d, err := NewDetector(o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rep, err := d.DetectContext(ctx, dummy.New(), inputs, dummy.Gen(2))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rep
+	}
+	canonical := func(rep *Report) string {
+		r := *rep
+		r.Stats.TraceCollectTime, r.Stats.EvidenceTime, r.Stats.TestTime = 0, 0, 0
+		r.Stats.Total, r.Stats.PeakAllocBytes = 0, 0
+		b, err := json.Marshal(&r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(b)
+	}
+
+	rec := obs.NewRecorder(0)
+	samples := 0
+	traced := detect(obs.WithRecorder(context.Background(), rec), func(EvidenceSample) { samples++ })
+	if got, want := canonical(traced), canonical(detect(context.Background(), nil)); got != want {
+		t.Errorf("traced report differs from untraced:\n got %s\nwant %s", got, want)
+	}
+	if traced.Classes < 2 {
+		t.Fatalf("%d classes; the test needs at least 2", traced.Classes)
+	}
+	if samples != 0 {
+		t.Errorf("diff mode emitted %d evidence samples", samples)
+	}
+
+	spans, counters := rec.Snapshot()
+	children := func(parent uint64, name string) []obs.SpanRecord {
+		var out []obs.SpanRecord
+		for _, s := range spans {
+			if s.Parent == parent && s.Name == name {
+				out = append(out, s)
+			}
+		}
+		return out
+	}
+	opts := testOptions()
+	budget := float64(opts.FixedRuns + opts.RandomRuns)
+	classes := 0
+	for _, cls := range spans {
+		if cls.Name != "class" {
+			continue
+		}
+		classes++
+		record := children(cls.ID, "phase.record")
+		if len(record) != 1 {
+			t.Fatalf("class %d: %d phase.record spans", cls.ID, len(record))
+		}
+		for name, runs := range map[string]int{"record.fixed": opts.FixedRuns, "record.random": opts.RandomRuns} {
+			chunks := children(record[0].ID, name)
+			if len(chunks) != 1 {
+				t.Errorf("class %d: %d %s chunks, want 1", cls.ID, len(chunks), name)
+				continue
+			}
+			for _, a := range chunks[0].AttrList() {
+				if a.Key == "runs" && a.Num != int64(runs) {
+					t.Errorf("class %d: %s runs = %d, want %d", cls.ID, name, a.Num, runs)
+				}
+			}
+		}
+		last := -1.0
+		for _, c := range counters {
+			if c.Name == "evidence_runs" && c.TS >= cls.Start && c.TS <= cls.End {
+				last = c.Value
+			}
+		}
+		if last != budget {
+			t.Errorf("class %d: last evidence_runs = %v, want %v", cls.ID, last, budget)
+		}
+	}
+	if classes != traced.Classes {
+		t.Errorf("%d class spans for %d classes", classes, traced.Classes)
 	}
 }

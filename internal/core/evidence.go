@@ -8,8 +8,6 @@
 package core
 
 import (
-	"time"
-
 	"owl/internal/adcfg"
 	"owl/internal/myers"
 	"owl/internal/trace"
@@ -80,29 +78,6 @@ func pad(xs []float64, n int) []float64 {
 		xs = append(xs, 0)
 	}
 	return xs
-}
-
-// MergeSink returns a TraceSink that merges streamed traces into the
-// evidence — the merge-on-arrival path of the streaming pipeline. A
-// reorder window keyed by request index (window entries; <= 0 selects
-// DefaultReorderWindow) re-establishes request order, so the merged
-// evidence is bit-identical to calling AddRun sequentially. Ownership of
-// each delivered trace transfers to the sink: once merged its buffers are
-// recycled through the shared adcfg pools, so callers must not retain
-// references. observe, when non-nil, is called after every merge with
-// that merge's latency; calls are serialized by the window lock.
-func (e *Evidence) MergeSink(window int, observe func(mergeTime time.Duration)) TraceSink {
-	s := newOrderedSink(window, func(_ int, t *trace.ProgramTrace) error {
-		t0 := time.Now()
-		e.AddRun(t)
-		d := time.Since(t0)
-		trace.Release(t)
-		if observe != nil {
-			observe(d)
-		}
-		return nil
-	})
-	return s.Sink
 }
 
 // AddRun merges one program trace as the next run.

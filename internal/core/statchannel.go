@@ -1,188 +1,44 @@
-// The statistical analysis path: round-based recording feeding the
-// streaming accumulators of internal/evidence (and, in EvidenceBoth mode,
-// the diff channel's merged evidence as well), with the sequential-testing
-// controller checking the leak signature between rounds and cancelling
-// the remaining run budget once it stabilizes.
-//
-// Determinism matches the diff path's contract: the full budget's inputs
-// and per-run seeds are drawn sequentially up front — in exactly the
-// order the diff path draws them — and every chunk streams through an
-// ordered sink, so for a given seed the recorded run prefix is identical
-// whatever the worker count, and an early-stopped EvidenceBoth detection
-// analyzes a prefix of precisely the runs the fixed-budget diff detection
-// would have recorded.
+// The statistical channel's side of the analysis phase: the per-round
+// check that feeds the sequential-testing controller and the live
+// telemetry, and the mapping of the engine's verdicts onto the report.
+// The recording loop itself is analyzeClass, shared with the diff
+// channel.
 package core
 
 import (
 	"context"
 	"fmt"
-	"math/rand"
-	"time"
 
-	"owl/internal/cuda"
 	"owl/internal/evidence"
 	"owl/internal/isa"
 	"owl/internal/obs"
 	"owl/internal/trace"
 )
 
-// analyzeClassStat is analyzeClass for EvidenceTVLA / EvidenceBoth.
-func (d *Detector) analyzeClassStat(ctx context.Context, p cuda.Program, cls InputClass, gen cuda.InputGen, leaks *leakSet) error {
-	report := leaks.report
-	cfg := d.opts.Evidence
-	engine := evidence.NewEngine(cfg.engineConfig())
-	ctrl := evidence.NewController(engine, cfg.stopPolicy())
-	var eFix, eRnd *Evidence
-	if cfg.diffEnabled() {
-		eFix, eRnd = NewEvidence(), NewEvidence()
-	}
-
-	// Draw the whole budget up front, in the diff path's order: the
-	// generator RNG seed first, then the fixed-regime seeds, then the
-	// random-regime inputs and seeds.
-	genRNG := rand.New(rand.NewSource(d.rng.Int63()))
-	fixedReqs := make([]RunRequest, d.opts.FixedRuns)
-	for i := range fixedReqs {
-		fixedReqs[i] = RunRequest{Index: i, Input: cls.Rep, Seed: d.rng.Int63()}
-	}
-	randomReqs := make([]RunRequest, d.opts.RandomRuns)
-	for i := range randomReqs {
-		randomReqs[i] = RunRequest{Index: i, Input: gen(genRNG), Seed: d.rng.Int63()}
-	}
-
-	var mergeTime time.Duration
-	// recordChunk streams one chunk of a regime through the runner into
-	// the accumulators. Request indexes are rebased so every chunk is a
-	// self-contained batch for the Runner contract; run continuity lives
-	// in the engine and the merged evidence, not the sink.
-	recordChunk := func(ctx context.Context, reqs []RunRequest, r evidence.Regime, ev *Evidence) error {
-		if len(reqs) == 0 {
-			return nil
-		}
-		chunk := make([]RunRequest, len(reqs))
-		for i, req := range reqs {
-			req.Index = i
-			chunk[i] = req
-		}
-		start := engine.Runs(r)
-		sink := newOrderedSink(0, func(_ int, t *trace.ProgramTrace) error {
-			t0 := time.Now()
-			engine.Observe(r, t)
-			if ev != nil {
-				ev.AddRun(t)
-			}
-			mergeTime += time.Since(t0)
-			trace.Release(t)
-			obs.Counter(ctx, "evidence_runs", float64(engine.Runs(evidence.Fixed)+engine.Runs(evidence.Random)))
-			d.trackRAM(ctx, report)
-			return nil
+// checkRound evaluates the statistical channel after recording round
+// `round` of a class (runs merged so far, both regimes): one site
+// evaluation feeds both the early-stop decision and the telemetry
+// sample. more reports whether budget remains; it reports whether the
+// class stops early.
+func (d *Detector) checkRound(ctx context.Context, engine *evidence.Engine, ctrl *evidence.Controller, round, runs int, more bool) bool {
+	traj := engine.Trajectory()
+	stop := d.opts.Evidence.EarlyStop.Enabled && ctrl.CheckTrajectory(traj) && more
+	obs.Counter(ctx, "evidence_sites", float64(traj.Sites))
+	obs.Counter(ctx, "evidence_leak_sites", float64(traj.LeakSites))
+	obs.Counter(ctx, "evidence_max_t", traj.MaxAbsT)
+	obs.Counter(ctx, "evidence_stable_checks", float64(ctrl.Stable()))
+	if d.opts.OnEvidence != nil {
+		d.opts.OnEvidence(EvidenceSample{
+			Round:        round,
+			Runs:         runs,
+			Sites:        traj.Sites,
+			LeakSites:    traj.LeakSites,
+			MaxAbsT:      traj.MaxAbsT,
+			StableChecks: ctrl.Stable(),
+			EarlyStopped: stop,
 		})
-		if err := d.runner.RecordStream(ctx, p, chunk, d.recordRun, d.countingSink(sink.Sink)); err != nil {
-			return err
-		}
-		if merged := engine.Runs(r) - start; merged != len(chunk) {
-			return fmt.Errorf("core: runner delivered %d traces for %d requests", merged, len(chunk))
-		}
-		return nil
 	}
-
-	d.setPhase(PhaseRecord)
-	rctx, rsp := obs.Start(ctx, "phase.record")
-	// Live telemetry wants per-round samples, so an OnEvidence hook (or an
-	// attached recorder, for the counter feed) keeps round-sized chunks
-	// even without early stopping. Chunking never changes run order or
-	// results — only how often the engine is sampled between rounds.
-	telemetry := d.opts.OnEvidence != nil || obs.FromContext(ctx) != nil
-	step := ctrl.Policy().CheckEvery
-	if !cfg.EarlyStop.Enabled && !telemetry {
-		step = max(d.opts.FixedRuns, d.opts.RandomRuns)
-	}
-	fixedUsed, randomUsed := 0, 0
-	earlyStopped := false
-	round := 0
-	for fixedUsed < d.opts.FixedRuns || randomUsed < d.opts.RandomRuns {
-		fstep := min(step, d.opts.FixedRuns-fixedUsed)
-		if fstep > 0 {
-			fctx, fsp := obs.Start(rctx, "record.fixed")
-			fsp.SetInt("runs", int64(fstep))
-			err := recordChunk(fctx, fixedReqs[fixedUsed:fixedUsed+fstep], evidence.Fixed, eFix)
-			fsp.End()
-			if err != nil {
-				rsp.End()
-				return err
-			}
-			fixedUsed += fstep
-		}
-		rstep := min(step, d.opts.RandomRuns-randomUsed)
-		if rstep > 0 {
-			gctx, gsp := obs.Start(rctx, "record.random")
-			gsp.SetInt("runs", int64(rstep))
-			err := recordChunk(gctx, randomReqs[randomUsed:randomUsed+rstep], evidence.Random, eRnd)
-			gsp.End()
-			if err != nil {
-				rsp.End()
-				return err
-			}
-			randomUsed += rstep
-		}
-		round++
-		more := fixedUsed < d.opts.FixedRuns || randomUsed < d.opts.RandomRuns
-		if cfg.EarlyStop.Enabled || telemetry {
-			// One site evaluation per round feeds both the stop decision
-			// and the telemetry sample.
-			traj := engine.Trajectory()
-			if cfg.EarlyStop.Enabled && ctrl.CheckTrajectory(traj) && more {
-				earlyStopped = true
-			}
-			obs.Counter(rctx, "evidence_sites", float64(traj.Sites))
-			obs.Counter(rctx, "evidence_leak_sites", float64(traj.LeakSites))
-			obs.Counter(rctx, "evidence_max_t", traj.MaxAbsT)
-			obs.Counter(rctx, "evidence_stable_checks", float64(ctrl.Stable()))
-			if d.opts.OnEvidence != nil {
-				d.opts.OnEvidence(EvidenceSample{
-					Round:        round,
-					Runs:         fixedUsed + randomUsed,
-					Sites:        traj.Sites,
-					LeakSites:    traj.LeakSites,
-					MaxAbsT:      traj.MaxAbsT,
-					StableChecks: ctrl.Stable(),
-					EarlyStopped: earlyStopped,
-				})
-			}
-			if earlyStopped {
-				break
-			}
-		}
-	}
-	rsp.SetInt("runs_used", int64(fixedUsed+randomUsed))
-	rsp.End()
-
-	report.Stats.EvidenceTraces += fixedUsed + randomUsed
-	report.Stats.EvidenceTime += mergeTime
-	report.EvidenceMode = string(cfg.Mode)
-	if len(cfg.Channels) > 0 {
-		report.Channels = cfg.Channels
-	}
-	report.RunsBudget += d.opts.FixedRuns + d.opts.RandomRuns
-	report.RunsUsed += fixedUsed + randomUsed
-	if earlyStopped {
-		report.EarlyStopped = true
-	}
-
-	d.setPhase(PhaseAnalyze)
-	t0 := time.Now()
-	_, tsp := obs.Start(ctx, "phase.analyze")
-	if cfg.diffEnabled() {
-		if err := d.leakageTests(eFix, eRnd, leaks); err != nil {
-			tsp.End()
-			return err
-		}
-	}
-	d.applyVerdicts(engine.Verdicts(), fixedUsed+randomUsed, leaks)
-	tsp.End()
-	report.Stats.TestTime += time.Since(t0)
-	d.trackRAM(ctx, report)
-	return nil
+	return stop
 }
 
 // applyVerdicts folds the statistical channel's verdicts into the report:

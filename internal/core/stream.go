@@ -131,23 +131,23 @@ func (s *orderedSink) broadcast() {
 // regardless of arrival order, with at most window (<= 0 selects
 // DefaultReorderWindow) out-of-order traces buffered before deliverers
 // block. It is the ordering building block custom Runner consumers can
-// reuse; the pipeline's own merge path is Evidence.MergeSink.
+// reuse; the pipeline's own classify and merge sinks are built on it.
 func OrderedSink(window int, consume func(idx int, t *trace.ProgramTrace) error) TraceSink {
 	return newOrderedSink(window, consume).Sink
 }
 
-// streamParallel is the shared fan-out engine of the built-in parallel
-// runner: it dispatches requests in index order onto a bounded worker
-// set and streams each completed trace into sink. In-order dispatch is a
-// hard requirement — ordered sinks rely on it to stay deadlock-free. The
-// first record or sink error cancels the remaining work and is returned
-// after in-flight runs unwind.
-func streamParallel(ctx context.Context, workers int, p cuda.Program, reqs []RunRequest, record RecordFn, sink TraceSink) error {
+// StreamParallel is Owl's one recording fan-out: it dispatches requests
+// in index order, each onto a goroutine holding one of slots, and streams
+// each completed trace into sink. The built-in Workers runner passes a
+// per-batch slot set; service.Pool passes its daemon-wide one, so every
+// job shares the bound. In-order dispatch is a hard requirement — ordered
+// sinks rely on it to stay deadlock-free. The first record or sink error
+// cancels the remaining work and is returned after in-flight runs unwind.
+func StreamParallel(ctx context.Context, slots chan struct{}, p cuda.Program, reqs []RunRequest, record RecordFn, sink TraceSink) error {
 	parent := ctx
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 
-	sem := make(chan struct{}, workers)
 	var (
 		wg       sync.WaitGroup
 		mu       sync.Mutex
@@ -164,14 +164,14 @@ func streamParallel(ctx context.Context, workers int, p cuda.Program, reqs []Run
 dispatch:
 	for _, req := range reqs {
 		select {
-		case sem <- struct{}{}:
+		case slots <- struct{}{}:
 		case <-ctx.Done():
 			break dispatch
 		}
 		wg.Add(1)
 		go func(req RunRequest) {
 			defer wg.Done()
-			defer func() { <-sem }()
+			defer func() { <-slots }()
 			t, err := record(ctx, p, req.Input, req.Seed)
 			if err == nil {
 				err = sink(ctx, RunResult{Index: req.Index, Trace: t})

@@ -187,7 +187,7 @@ func TestStreamParallelFirstError(t *testing.T) {
 		reqs[i] = RunRequest{Index: i, Seed: int64(i)}
 	}
 	sink := func(ctx context.Context, res RunResult) error { return nil }
-	err := streamParallel(context.Background(), 2, nil, reqs, record, sink)
+	err := StreamParallel(context.Background(), make(chan struct{}, 2), nil, reqs, record, sink)
 	if !errors.Is(err, boom) {
 		t.Fatalf("got %v, want the record error", err)
 	}

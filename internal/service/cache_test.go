@@ -13,37 +13,6 @@ import (
 	"owl/internal/workloads/dummy"
 )
 
-func TestCacheLRUEviction(t *testing.T) {
-	c := NewCache(2)
-	r1, r2, r3 := &core.Report{Program: "a"}, &core.Report{Program: "b"}, &core.Report{Program: "c"}
-	c.Add("a", r1)
-	c.Add("b", r2)
-	if _, ok := c.Get("a"); !ok { // refresh a; b becomes LRU
-		t.Fatal("a missing")
-	}
-	c.Add("c", r3)
-	if _, ok := c.Get("b"); ok {
-		t.Error("b should have been evicted")
-	}
-	if got, ok := c.Get("a"); !ok || got != r1 {
-		t.Error("a lost")
-	}
-	if got, ok := c.Get("c"); !ok || got != r3 {
-		t.Error("c lost")
-	}
-	if c.Len() != 2 {
-		t.Errorf("len = %d", c.Len())
-	}
-}
-
-func TestCacheDisabled(t *testing.T) {
-	c := NewCache(-1)
-	c.Add("k", &core.Report{})
-	if _, ok := c.Get("k"); ok {
-		t.Error("disabled cache served a hit")
-	}
-}
-
 func TestCacheKeySensitivity(t *testing.T) {
 	base := core.DefaultOptions()
 	k := CacheKey("p", base)
@@ -81,6 +50,23 @@ func TestCacheKeySensitivity(t *testing.T) {
 	concurrent.Runner = NewPool(2).Runner(nil)
 	if CacheKey("p", concurrent) != k {
 		t.Error("recording strategy leaked into the cache key")
+	}
+}
+
+// TestCacheKeyPinned pins the manager's cache key for one program and a
+// both+cost, early-stopping option set. The literal was computed before
+// the key and cluster.Fingerprint came to share cluster.OptionsKey.
+func TestCacheKeyPinned(t *testing.T) {
+	const want = "b1169bae07ac1372449ea84f384097d5a6362abb7b279f8deaadaf459ca0abca"
+	opts := core.DefaultOptions()
+	opts.FixedRuns, opts.RandomRuns = 20, 20
+	opts.Evidence = core.EvidenceConfig{
+		Mode:      core.EvidenceBoth,
+		Channels:  []string{core.ChannelADCFG, core.ChannelCost},
+		EarlyStop: core.EarlyStopPolicy{Enabled: true},
+	}
+	if got := CacheKey("libgpucrypto/aes128", opts); got != want {
+		t.Errorf("CacheKey = %s, want %s", got, want)
 	}
 }
 

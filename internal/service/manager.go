@@ -108,7 +108,7 @@ var ErrDraining = errors.New("service: draining, not accepting jobs")
 type Manager struct {
 	cfg      Config
 	pool     *Pool
-	cache    *Cache
+	cache    *cluster.ReportCache
 	metrics  *Metrics
 	recorder *obs.Recorder
 	log      *slog.Logger
@@ -156,7 +156,7 @@ func NewManager(cfg Config) (*Manager, error) {
 	return &Manager{
 		cfg:      cfg,
 		pool:     cfg.Pool,
-		cache:    NewCache(cfg.CacheSize),
+		cache:    cluster.NewReportCache(cfg.CacheSize),
 		metrics:  NewMetrics(),
 		recorder: obs.NewRecorder(0),
 		log:      logger,

@@ -9,7 +9,6 @@ package service
 import (
 	"context"
 	"runtime"
-	"sync"
 
 	"owl/internal/core"
 	"owl/internal/cuda"
@@ -24,9 +23,6 @@ import (
 // backed recording is bit-identical to the sequential path.
 type Pool struct {
 	sem chan struct{}
-	// co batches identical-kernel launches from concurrent jobs through
-	// one executor pass — see coalesce.go.
-	co *coalescer
 }
 
 // NewPool sizes a pool. workers <= 0 selects GOMAXPROCS.
@@ -34,7 +30,7 @@ func NewPool(workers int) *Pool {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	return &Pool{sem: make(chan struct{}, workers), co: newCoalescer()}
+	return &Pool{sem: make(chan struct{}, workers)}
 }
 
 // Workers returns the pool's concurrency bound.
@@ -61,58 +57,16 @@ type poolRunner struct {
 	onRun func()
 }
 
-// RecordStream implements core.Runner: requests are dispatched in index
-// order as pool slots free up (in-order dispatch keeps the pipeline's
-// reorder window deadlock-free), and each completed trace streams
-// straight into sink. The first record or sink error (including ctx
-// cancellation) cancels the remaining work and is returned after
-// in-flight runs finish.
+// RecordStream implements core.Runner on core's one fan-out, holding a
+// pool slot per in-flight run so every job of the daemon shares the
+// bound.
 func (r *poolRunner) RecordStream(ctx context.Context, prog cuda.Program, reqs []core.RunRequest, record core.RecordFn, sink core.TraceSink) error {
-	parent := ctx
-	ctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-
-	var (
-		wg       sync.WaitGroup
-		mu       sync.Mutex
-		firstErr error
-	)
-	fail := func(err error) {
-		mu.Lock()
-		if firstErr == nil {
-			firstErr = err
+	if r.onRun != nil {
+		deliver := sink
+		sink = func(ctx context.Context, res core.RunResult) error {
+			r.onRun()
+			return deliver(ctx, res)
 		}
-		mu.Unlock()
-		cancel()
 	}
-dispatch:
-	for _, req := range reqs {
-		select {
-		case r.pool.sem <- struct{}{}:
-		case <-ctx.Done():
-			break dispatch
-		}
-		wg.Add(1)
-		go func(req core.RunRequest) {
-			defer wg.Done()
-			defer func() { <-r.pool.sem }()
-			t, err := r.pool.co.run(ctx, prog, req, record)
-			if err == nil {
-				if r.onRun != nil {
-					r.onRun()
-				}
-				err = sink(ctx, core.RunResult{Index: req.Index, Trace: t})
-			}
-			if err != nil {
-				fail(err)
-			}
-		}(req)
-	}
-	wg.Wait()
-	mu.Lock()
-	defer mu.Unlock()
-	if firstErr != nil {
-		return firstErr
-	}
-	return parent.Err()
+	return core.StreamParallel(ctx, r.pool.sem, prog, reqs, record, sink)
 }
