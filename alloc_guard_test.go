@@ -11,6 +11,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"owl/internal/core"
 	"owl/internal/cuda"
 	"owl/internal/gpu"
 	"owl/internal/trace"
@@ -144,5 +145,44 @@ func TestTracedRunAllocs(t *testing.T) {
 				t.Errorf("allocs/traced run = %v, want at most %v (per-warp work crept back into the tracer?)", got, tc.max)
 			}
 		})
+	}
+}
+
+// TestEvidenceAddRunAllocs pins the allocations of merging one
+// random-input aes128 run into evidence whose histograms have passed the
+// small class, the steady state of the random regime. Those histograms
+// merge as dense counts: one indexed add per run cell, with no buffer
+// allocated or widened per run. What remains is the run's alignment and
+// bookkeeping (the Myers diff, the merged invocation list) and the
+// amortized growth of the per-run feature vectors: 15 per run over these
+// 200 merges. A merge that allocates per dense histogram (its counts
+// reallocated or its Cells rebuilt every run) reads about 175.
+func TestEvidenceAddRunAllocs(t *testing.T) {
+	const limit = 15
+	det, err := core.NewDetector(core.DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := gpucrypto.NewAES(gpucrypto.WithBlocks(16))
+	gen, rng := gpucrypto.KeyGen(), rand.New(rand.NewSource(1))
+	var runs []*trace.ProgramTrace
+	for i := 0; i < 10; i++ {
+		tr, err := det.RecordOnce(p, gen(rng))
+		if err != nil {
+			t.Fatal(err)
+		}
+		runs = append(runs, tr)
+	}
+	ev := core.NewEvidence()
+	for _, tr := range runs {
+		ev.AddRun(tr) // the histograms pass the small class
+	}
+	i := 0
+	got := testing.AllocsPerRun(200, func() {
+		ev.AddRun(runs[i%len(runs)])
+		i++
+	})
+	if got > limit {
+		t.Errorf("allocs/AddRun = %v, want at most %v (per-histogram work in the evidence merge?)", got, limit)
 	}
 }

@@ -20,6 +20,7 @@ import (
 	"owl/internal/baseline/pitchfork"
 	"owl/internal/core"
 	"owl/internal/cuda"
+	"owl/internal/evidence"
 	"owl/internal/experiments"
 	"owl/internal/gpu"
 	"owl/internal/microarch"
@@ -182,27 +183,85 @@ func BenchmarkTable4TraceCollection(b *testing.B) {
 	b.ReportMetric(float64(bytes), "trace-bytes")
 }
 
+// BenchmarkTable4EvidenceCollection merges pre-recorded fixed-input
+// aes128 runs into evidence: the evidence-merge layer alone. Its
+// histograms hold about 30 cells, so they stay cells; the Random and Both
+// variants below reach the dense evidence histograms.
 func BenchmarkTable4EvidenceCollection(b *testing.B) {
-	det, err := core.NewDetector(benchOptions())
+	fixed, _ := evidenceRuns(b, benchOptions(), 10, 0)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		ev := core.NewEvidence()
+		for _, t := range fixed {
+			ev.AddRun(t)
+		}
+	}
+}
+
+// BenchmarkTable4EvidenceCollectionRandom merges random-input aes128 runs:
+// each adds a couple dozen table addresses, so the evidence histograms
+// pass the small class and merge as dense counts.
+func BenchmarkTable4EvidenceCollectionRandom(b *testing.B) {
+	_, random := evidenceRuns(b, benchOptions(), 0, 10)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		ev := core.NewEvidence()
+		for _, t := range random {
+			ev.AddRun(t)
+		}
+	}
+}
+
+// BenchmarkTable4EvidenceCollectionBoth is evidence mode both with the
+// cost channel: every fixed and random run merges into its regime's diff
+// evidence and is observed by the statistical engine, the two
+// accumulators of one both-mode recording loop.
+func BenchmarkTable4EvidenceCollectionBoth(b *testing.B) {
+	opts := benchOptions()
+	opts.Evidence = core.EvidenceConfig{Mode: core.EvidenceBoth, Channels: []string{core.ChannelADCFG, core.ChannelCost}}
+	fixed, random := evidenceRuns(b, opts, 10, 10)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		eFix, eRnd := core.NewEvidence(), core.NewEvidence()
+		engine := evidence.NewEngine(evidence.Config{})
+		for _, t := range fixed {
+			eFix.AddRun(t)
+			engine.Observe(evidence.Fixed, t)
+		}
+		for _, t := range random {
+			eRnd.AddRun(t)
+			engine.Observe(evidence.Random, t)
+		}
+	}
+}
+
+// evidenceRuns records nFixed runs of the fixed aes128 key and nRandom
+// runs of random keys under opts, for the evidence-merge benchmarks.
+func evidenceRuns(b *testing.B, opts core.Options, nFixed, nRandom int) (fixed, random []*trace.ProgramTrace) {
+	b.Helper()
+	det, err := core.NewDetector(opts)
 	if err != nil {
 		b.Fatal(err)
 	}
 	p := gpucrypto.NewAES(gpucrypto.WithBlocks(16))
-	var pre []*trace.ProgramTrace
-	for i := 0; i < 10; i++ {
-		tr, err := det.RecordOnce(p, []byte("0123456789abcdef"))
+	gen, rng := gpucrypto.KeyGen(), rand.New(rand.NewSource(1))
+	record := func(input []byte) *trace.ProgramTrace {
+		tr, err := det.RecordOnce(p, input)
 		if err != nil {
 			b.Fatal(err)
 		}
-		pre = append(pre, tr)
+		return tr
 	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		ev := core.NewEvidence()
-		for _, t := range pre {
-			ev.AddRun(t)
-		}
+	for i := 0; i < nFixed; i++ {
+		fixed = append(fixed, record([]byte("0123456789abcdef")))
 	}
+	for i := 0; i < nRandom; i++ {
+		random = append(random, record(gen(rng)))
+	}
+	return fixed, random
 }
 
 func BenchmarkTable4DistributionTest(b *testing.B) {

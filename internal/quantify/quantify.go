@@ -142,8 +142,8 @@ func FromEvidence(program string, eFix, eRnd *core.Evidence) *Report {
 func quantifyInvocation(rep *Report, fi, ri *core.InvEvidence) {
 	// Memory features: offset distributions per instruction occurrence.
 	for key := range fi.MemSamples {
-		fh := memHistAt(fi.Graph, key)
-		rh := memHistAt(ri.Graph, key)
+		fh := fi.MemHist(key)
+		rh := ri.MemHist(key)
 		if fh == nil || rh == nil {
 			continue
 		}
@@ -179,18 +179,6 @@ func quantifyInvocation(rep *Report, fi, ri *core.InvEvidence) {
 			EntropyDeltaBits: entropy(rd) - entropy(fd),
 		})
 	}
-}
-
-func memHistAt(g *adcfg.Graph, key core.MemKey) *adcfg.MemHist {
-	n := g.Nodes[key.Block]
-	if n == nil || key.Visit >= len(n.Visits) {
-		return nil
-	}
-	v := n.Visits[key.Visit]
-	if key.Mem >= len(v.Mems) {
-		return nil
-	}
-	return v.Mems[key.Mem]
 }
 
 // dist is a normalized probability distribution over discrete symbols.

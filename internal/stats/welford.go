@@ -109,14 +109,26 @@ func TConfidence(t float64) float64 {
 // Weights are expected to be integral (access counts), which keeps
 // accumulation order-independent and therefore deterministic across
 // worker counts.
+//
+// The exact cells are kept in ascending value order, so no value is
+// hashed: each observation is a search that starts at the previous
+// observation's cell when the value lies past it, which makes an
+// ascending stream (an address histogram's cells) a merge-join.
 type MIEstimator struct {
 	maxBins int
-	exact   map[float64]*[2]float64 // value → per-class weight, while under cap
+	exact   []miCell // ascending by value, while under cap
+	at      int      // the exact cell of the previous observation
 	classN  [2]float64
 
 	binned   bool
 	lo, step float64
 	bins     [][2]float64
+}
+
+// miCell is one exact value with its per-class weight.
+type miCell struct {
+	value float64
+	w     [2]float64
 }
 
 // NewMIEstimator builds an estimator with the given histogram cap
@@ -125,7 +137,7 @@ func NewMIEstimator(maxBins int) *MIEstimator {
 	if maxBins <= 0 {
 		maxBins = 64
 	}
-	return &MIEstimator{maxBins: maxBins, exact: make(map[float64]*[2]float64)}
+	return &MIEstimator{maxBins: maxBins}
 }
 
 // Observe folds weight observations of value under class (0 or 1) in.
@@ -135,45 +147,59 @@ func (m *MIEstimator) Observe(class int, value, weight float64) {
 	}
 	m.classN[class] += weight
 	if !m.binned {
-		cell := m.exact[value]
-		if cell == nil {
-			if len(m.exact) >= m.maxBins {
-				m.rebin()
-			} else {
-				cell = new([2]float64)
-				m.exact[value] = cell
-			}
-		}
-		if cell != nil {
-			cell[class] += weight
+		i := m.find(value)
+		switch {
+		case i < len(m.exact) && m.exact[i].value == value:
+			m.exact[i].w[class] += weight
+			m.at = i
+			return
+		case len(m.exact) < m.maxBins:
+			m.exact = slices.Insert(m.exact, i, miCell{value: value})
+			m.exact[i].w[class] = weight
+			m.at = i
 			return
 		}
+		m.rebin()
 	}
 	m.bins[m.binIdx(value)][class] += weight
+}
+
+// find returns the index of the first exact cell whose value is at least
+// v, searching only past the previous observation's cell when v does.
+func (m *MIEstimator) find(v float64) int {
+	lo, hi := 0, len(m.exact)
+	if m.at < hi {
+		if m.exact[m.at].value <= v {
+			lo = m.at
+		} else {
+			hi = m.at
+		}
+	}
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if m.exact[mid].value < v {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	return lo
 }
 
 // rebin folds the exact histogram into maxBins equal-width cells over the
 // observed range.
 func (m *MIEstimator) rebin() {
-	lo, hi := math.Inf(1), math.Inf(-1)
-	for v := range m.exact {
-		if v < lo {
-			lo = v
-		}
-		if v > hi {
-			hi = v
-		}
-	}
+	lo, hi := m.exact[0].value, m.exact[len(m.exact)-1].value
 	m.lo = lo
 	m.step = (hi - lo) / float64(m.maxBins)
 	if m.step == 0 {
 		m.step = 1
 	}
 	m.bins = make([][2]float64, m.maxBins)
-	for v, cell := range m.exact {
-		b := &m.bins[m.binIdx(v)]
-		b[0] += cell[0]
-		b[1] += cell[1]
+	for _, c := range m.exact {
+		b := &m.bins[m.binIdx(c.value)]
+		b[0] += c.w[0]
+		b[1] += c.w[1]
 	}
 	m.exact = nil
 	m.binned = true
@@ -220,15 +246,10 @@ func (m *MIEstimator) Bits() float64 {
 			cell(c)
 		}
 	} else {
-		// Sum in value order: map order would make the float sum, and so
-		// identical detections' MI, differ in the last bit.
-		vals := make([]float64, 0, len(m.exact))
-		for v := range m.exact {
-			vals = append(vals, v)
-		}
-		slices.Sort(vals)
-		for _, v := range vals {
-			cell(*m.exact[v])
+		// Sum in value order: any other order would make the float sum, and
+		// so identical detections' MI, differ in the last bit.
+		for _, c := range m.exact {
+			cell(c.w)
 		}
 	}
 	if mi < 0 {

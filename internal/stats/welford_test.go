@@ -3,6 +3,7 @@ package stats
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -393,5 +394,177 @@ func TestMIEstimatorBitsDeterministic(t *testing.T) {
 					trial, call, got, math.Float64bits(got), want, math.Float64bits(want))
 			}
 		}
+	}
+}
+
+// mapMIEstimator is the map-backed MIEstimator the sorted-cell one
+// replaced, kept as the reference its results must match bit for bit.
+type mapMIEstimator struct {
+	maxBins int
+	exact   map[float64]*[2]float64
+	classN  [2]float64
+
+	binned   bool
+	lo, step float64
+	bins     [][2]float64
+}
+
+func newMapMIEstimator(maxBins int) *mapMIEstimator {
+	if maxBins <= 0 {
+		maxBins = 64
+	}
+	return &mapMIEstimator{maxBins: maxBins, exact: make(map[float64]*[2]float64)}
+}
+
+func (m *mapMIEstimator) Observe(class int, value, weight float64) {
+	if weight <= 0 {
+		return
+	}
+	m.classN[class] += weight
+	if !m.binned {
+		cell := m.exact[value]
+		if cell == nil {
+			if len(m.exact) >= m.maxBins {
+				m.rebin()
+			} else {
+				cell = new([2]float64)
+				m.exact[value] = cell
+			}
+		}
+		if cell != nil {
+			cell[class] += weight
+			return
+		}
+	}
+	m.bins[m.binIdx(value)][class] += weight
+}
+
+func (m *mapMIEstimator) rebin() {
+	lo, hi := math.Inf(1), math.Inf(-1)
+	for v := range m.exact {
+		lo, hi = min(lo, v), max(hi, v)
+	}
+	m.lo = lo
+	m.step = (hi - lo) / float64(m.maxBins)
+	if m.step == 0 {
+		m.step = 1
+	}
+	m.bins = make([][2]float64, m.maxBins)
+	for v, cell := range m.exact {
+		b := &m.bins[m.binIdx(v)]
+		b[0] += cell[0]
+		b[1] += cell[1]
+	}
+	m.exact = nil
+	m.binned = true
+}
+
+func (m *mapMIEstimator) binIdx(v float64) int {
+	i := int((v - m.lo) / m.step)
+	if i < 0 {
+		return 0
+	}
+	if i >= m.maxBins {
+		return m.maxBins - 1
+	}
+	return i
+}
+
+func (m *mapMIEstimator) Bits() float64 {
+	total := m.classN[0] + m.classN[1]
+	if total == 0 || m.classN[0] == 0 || m.classN[1] == 0 {
+		return 0
+	}
+	var mi float64
+	cell := func(c [2]float64) {
+		v := c[0] + c[1]
+		if v == 0 {
+			return
+		}
+		pv := v / total
+		for class := 0; class < 2; class++ {
+			if c[class] == 0 {
+				continue
+			}
+			pvc := c[class] / total
+			pc := m.classN[class] / total
+			mi += pvc * math.Log2(pvc/(pv*pc))
+		}
+	}
+	if m.binned {
+		for _, c := range m.bins {
+			cell(c)
+		}
+	} else {
+		vals := make([]float64, 0, len(m.exact))
+		for v := range m.exact {
+			vals = append(vals, v)
+		}
+		slices.Sort(vals)
+		for _, v := range vals {
+			cell(*m.exact[v])
+		}
+	}
+	if mi < 0 {
+		mi = 0
+	}
+	return mi
+}
+
+// TestMIEstimatorMatchesMapReference streams random observations into
+// the sorted-cell estimator and the map-backed reference and requires the
+// same Bits, to the last bit, after every step. Streams mix the two
+// shapes the evidence engine feeds: an address histogram's ascending
+// cells with integral weights (duplicate values across histograms, some
+// non-positive weights, a cap small enough that the rebin fires in the
+// middle of a histogram) and the cost channel's single unit-weight
+// observations in arbitrary order.
+func TestMIEstimatorMatchesMapReference(t *testing.T) {
+	rebinnedMid := false
+	for seed := int64(0); seed < 200; seed++ {
+		r := rand.New(rand.NewSource(seed))
+		maxBins := []int{0, 1, 4, 16, 64}[seed%5]
+		values := 8 + r.Intn(120)
+		got, want := NewMIEstimator(maxBins), newMapMIEstimator(maxBins)
+		check := func(step int) {
+			t.Helper()
+			g, w := got.Bits(), want.Bits()
+			if math.Float64bits(g) != math.Float64bits(w) {
+				t.Fatalf("seed %d step %d: Bits = %v (%#x), map reference %v (%#x)",
+					seed, step, g, math.Float64bits(g), w, math.Float64bits(w))
+			}
+		}
+		for step := 0; step < 60; step++ {
+			class := r.Intn(2)
+			if r.Intn(4) == 0 {
+				// A cost-channel site: one mean value per run.
+				v := float64(r.Intn(values)) * 0.25
+				got.Observe(class, v, 1)
+				want.Observe(class, v, 1)
+				check(step)
+				continue
+			}
+			// An address histogram: strictly ascending values.
+			var hist []float64
+			for v := r.Intn(4); v < values; v += 1 + r.Intn(6) {
+				hist = append(hist, float64(v))
+			}
+			wasBinned := want.binned
+			for i, v := range hist {
+				w := float64(1 + r.Intn(9))
+				if r.Intn(12) == 0 {
+					w = -float64(r.Intn(2)) // 0 or -1: dropped
+				}
+				got.Observe(class, v, w)
+				want.Observe(class, v, w)
+				if !wasBinned && want.binned && i > 0 && i < len(hist)-1 {
+					rebinnedMid = true
+				}
+			}
+			check(step)
+		}
+	}
+	if !rebinnedMid {
+		t.Fatal("no rebin fired in the middle of a histogram; test is vacuous")
 	}
 }
