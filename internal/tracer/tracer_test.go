@@ -1,11 +1,14 @@
 package tracer
 
 import (
+	"bytes"
 	"math/rand"
+	"reflect"
 	"slices"
 	"testing"
 
 	"owl/internal/cuda"
+	"owl/internal/evidence"
 	"owl/internal/gpu"
 	"owl/internal/isa"
 	"owl/internal/kbuild"
@@ -240,6 +243,92 @@ func TestParallelTracingDeterministic(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		if par := record(true); par.Hash() != seq.Hash() {
 			t.Fatal("parallel tracing produced a different trace")
+		}
+	}
+}
+
+// TestParallelLaunchHistogramsStayCells checks that merging the slot
+// graphs of a parallel launch leaves every histogram of the trace as
+// current cells, even one far past the small pool class (32 cells), for
+// the readers that take Cells as they are: Validate, the gob encoding
+// and the statistical engine. Each is run on the parallel traces before
+// anything settles them, and must match the sequential traces.
+func TestParallelLaunchHistogramsStayCells(t *testing.T) {
+	b := kbuild.New("wide_store", 1)
+	gid := b.Tid()
+	b.Store(isa.SpaceGlobal, b.Add(b.Param(0), gid), 0, gid)
+	b.Ret()
+	k := b.MustBuild()
+	record := func(parallel bool, blocks int) *trace.ProgramTrace {
+		cfg := gpu.DefaultConfig()
+		cfg.Parallel = parallel
+		tr := New("prog")
+		ctx, err := cuda.NewContext(cfg, rand.New(rand.NewSource(3)), tr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ptr, err := ctx.Malloc(4096)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := ctx.Launch(k, gpu.D1(blocks), gpu.D1(80), int64(ptr)); err != nil {
+			t.Fatal(err)
+		}
+		return tr.Trace()
+	}
+	// run records two fixed-regime and two random-regime traces, whose
+	// grids differ so every memory site has a distribution, and reads them
+	// with the readers that do not settle histograms.
+	type result struct {
+		verdicts []evidence.Verdict
+		gob      [][32]byte // trace hashes after a gob round trip
+		traces   []*trace.ProgramTrace
+	}
+	run := func(parallel bool) result {
+		var res result
+		e := evidence.NewEngine(evidence.Config{})
+		for i, blocks := range []int{2*gpu.BlockWorkers + 3, 2*gpu.BlockWorkers + 2, gpu.BlockWorkers + 3, gpu.BlockWorkers + 1} {
+			tr := record(parallel, blocks)
+			if err := tr.Validate(); err != nil {
+				t.Fatal(err)
+			}
+			e.Observe(evidence.Regime(i/2), tr)
+			var buf bytes.Buffer
+			if err := tr.WriteGob(&buf); err != nil {
+				t.Fatal(err)
+			}
+			rt, err := trace.ReadGob(&buf)
+			if err != nil {
+				t.Fatal(err)
+			}
+			res.gob = append(res.gob, rt.Hash())
+			res.traces = append(res.traces, tr)
+		}
+		res.verdicts = e.Verdicts()
+		return res
+	}
+	seq := run(false)
+	if h := seq.traces[0].Invocations[0].Graph.Nodes[0].Visits[0].Mems[0]; len(h.Cells) <= 32 {
+		t.Fatalf("fixture histogram holds %d cells, want more than 32", len(h.Cells))
+	}
+	mem := false
+	for _, v := range seq.verdicts {
+		mem = mem || v.Kind == evidence.MemSite
+	}
+	if !mem {
+		t.Fatal("the engine saw no memory site in the sequential traces")
+	}
+	par := run(true)
+	if !reflect.DeepEqual(par.verdicts, seq.verdicts) {
+		t.Fatalf("engine verdicts of the parallel traces differ:\n%v\n%v", par.verdicts, seq.verdicts)
+	}
+	for i := range seq.traces {
+		want := seq.traces[i].Hash()
+		if seq.gob[i] != want || par.gob[i] != want {
+			t.Fatalf("trace %d: the gob round trip of the parallel trace differs from the sequential trace", i)
+		}
+		if par.traces[i].Hash() != want {
+			t.Fatalf("trace %d: parallel tracing produced a different trace", i)
 		}
 	}
 }
