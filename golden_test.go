@@ -15,14 +15,17 @@ import (
 	"context"
 	"encoding/json"
 	"flag"
+	"fmt"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 
 	"owl"
 	"owl/internal/core"
 	"owl/internal/experiments"
+	"owl/internal/quantify"
 )
 
 var updateGolden = flag.Bool("update", false, "rewrite golden report files")
@@ -209,5 +212,52 @@ func TestGoldenStatReports(t *testing.T) {
 				checkGolden(t, statGoldenPath(name, workers), canonicalReportJSON(t, rep))
 			})
 		}
+	}
+}
+
+// quantifyGoldenRuns is the per-regime run count of each quantify golden.
+var quantifyGoldenRuns = map[string]int{
+	"libgpucrypto/aes128": 40,
+	"nvjpeg/encode":       10,
+}
+
+func quantifyGoldenPath(program string) string {
+	safe := strings.ReplaceAll(program, "/", "_")
+	return filepath.Join("testdata", "golden", safe+"-quantify.txt")
+}
+
+// TestGoldenQuantify pins every leakage estimate of aes128 and nvjpeg
+// encode, in report order, with each score written in full precision
+// (the shortest form that parses back to the same bits).
+func TestGoldenQuantify(t *testing.T) {
+	if testing.Short() {
+		t.Skip("quantify goldens record full evidence")
+	}
+	for name, runs := range quantifyGoldenRuns {
+		name, runs := name, runs
+		t.Run(strings.ReplaceAll(name, "/", "_"), func(t *testing.T) {
+			t.Parallel()
+			target, err := experiments.FindTarget(name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			opts := core.DefaultOptions()
+			opts.Seed = 42
+			det, err := core.NewDetector(opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rep, err := quantify.Quantify(det, target.Program, target.Inputs[0], target.Gen, runs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var b strings.Builder
+			full := func(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
+			for _, e := range rep.Estimates {
+				fmt.Fprintf(&b, "%s %s jsd=%s dh=%s hfix=%s hrnd=%s\n", e.Kind, e.Location(),
+					full(e.JSDBits), full(e.EntropyDeltaBits), full(e.FixEntropyBits), full(e.RndEntropyBits))
+			}
+			checkGolden(t, quantifyGoldenPath(name), []byte(b.String()))
+		})
 	}
 }
