@@ -149,14 +149,14 @@ func TestTracedRunAllocs(t *testing.T) {
 }
 
 // TestEvidenceAddRunAllocs pins the allocations of merging one
-// random-input aes128 run into evidence whose histograms have passed the
-// small class, the steady state of the random regime. Those histograms
-// merge as dense counts: one indexed add per run cell, with no buffer
-// allocated or widened per run. What remains is the run's alignment and
-// bookkeeping (the Myers diff, the merged invocation list) and the
-// amortized growth of the per-run feature vectors: 15 per run over these
-// 200 merges. A merge that allocates per dense histogram (its counts
-// reallocated or its Cells rebuilt every run) reads about 175.
+// random-input aes128 run into evidence whose T-table records have passed
+// the small class, the steady state of the random regime. Their
+// adcfg.EvidenceHist histograms hold dense counts: one indexed add per
+// run cell, with no buffer allocated or widened per run. What remains is
+// the run's alignment and bookkeeping (the Myers diff, the merged
+// invocation list) and the amortized growth of the per-run feature
+// vectors: 15 per run over these 200 merges. A merge that allocates per
+// dense histogram (its counts reallocated every run) reads about 175.
 func TestEvidenceAddRunAllocs(t *testing.T) {
 	const limit = 15
 	det, err := core.NewDetector(core.DefaultOptions())

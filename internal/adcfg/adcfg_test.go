@@ -2,6 +2,7 @@ package adcfg
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -230,12 +231,12 @@ func TestTotalAndSize(t *testing.T) {
 	if n.TotalVisits() != 1 {
 		t.Errorf("total visits = %d", n.TotalVisits())
 	}
-	if g.SizeBytes() <= 0 {
+	if len(g.Encode()) <= 0 {
 		t.Error("empty encoding")
 	}
-	small := g.SizeBytes()
+	small := len(g.Encode())
 	foldWarp(g, []int{0, 1, 2, 3}, map[int][]int64{2: {9, 10, 11}})
-	if g.SizeBytes() <= small {
+	if len(g.Encode()) <= small {
 		t.Error("encoding did not grow with content")
 	}
 }
@@ -310,30 +311,52 @@ func TestFoldersShareGraph(t *testing.T) {
 	}
 }
 
-// TestMergeSummaries checks that MergeSummaries merges exactly like Merge
-// and reports each non-empty histogram's mean and spread once.
+// TestMergeSummaries checks that evidence histograms merge runs exactly
+// like Merge, empty run histograms included, and that Summary gives each
+// run histogram's mean and spread.
 func TestMergeSummaries(t *testing.T) {
 	run := NewGraph("k")
 	foldWarp(run, []int{0, 1}, map[int][]int64{0: {10, 20, 20, 20}, 1: {7}})
 	run.Nodes[1].Visits[0].Mems = append(run.Nodes[1].Visits[0].Mems, &MemHist{})
+	g := NewGraph("k")
+	foldWarp(g, []int{0, 2}, map[int][]int64{0: {20, 30}})
 
-	a, b := NewGraph("k"), NewGraph("k")
-	foldWarp(a, []int{0, 2}, map[int][]int64{0: {20, 30}})
-	foldWarp(b, []int{0, 2}, map[int][]int64{0: {20, 30}})
-	a.Merge(run)
 	type sum struct{ mean, spread float64 }
+	ev := map[[3]int]*EvidenceHist{}
 	got := map[[3]int]sum{}
-	b.MergeSummaries(run, func(block, visit, mem int, mean, spread float64) {
-		k := [3]int{block, visit, mem}
-		if _, dup := got[k]; dup {
-			t.Errorf("histogram %v reported twice", k)
+	for _, o := range []*Graph{g, run} {
+		for id, n := range o.Nodes {
+			for j, v := range n.Visits {
+				for mi, h := range v.Mems {
+					k := [3]int{id, j, mi}
+					if ev[k] == nil {
+						ev[k] = &EvidenceHist{}
+					}
+					ev[k].Add(h.Cells)
+					if o == run {
+						mean, spread := Summary(h.Cells)
+						got[k] = sum{mean, spread}
+					}
+				}
+			}
 		}
-		got[k] = sum{mean, spread}
-	})
-	if a.Hash() != b.Hash() {
-		t.Error("MergeSummaries merged differently from Merge")
 	}
-	want := map[[3]int]sum{{0, 0, 0}: {(10 + 60) / 4.0, 10}, {1, 0, 0}: {7, 0}}
+	g.Merge(run)
+	for id, n := range g.Nodes {
+		for j, v := range n.Visits {
+			for mi, h := range v.Mems {
+				k := [3]int{id, j, mi}
+				if c := ev[k].Cells(); !slices.Equal(c, h.Cells) {
+					t.Errorf("histogram %v: evidence %v, Merge %v", k, c, h.Cells)
+				}
+				delete(ev, k)
+			}
+		}
+	}
+	if len(ev) != 0 {
+		t.Errorf("evidence histograms without a merged counterpart: %v", ev)
+	}
+	want := map[[3]int]sum{{0, 0, 0}: {(10 + 60) / 4.0, 10}, {1, 0, 0}: {7, 0}, {1, 0, 1}: {0, 0}}
 	if len(got) != len(want) {
 		t.Fatalf("summaries = %v, want %v", got, want)
 	}

@@ -84,7 +84,7 @@ func (f *refFolder) MemAccess(memIdx int, space isa.Space, store bool, addrs []i
 				lanes = append(lanes, Cell{Addr: k, Count: 1})
 			}
 		}
-		h.add(lanes, false)
+		h.add(lanes)
 		addrs = addrs[n:]
 	}
 }

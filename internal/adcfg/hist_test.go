@@ -201,19 +201,7 @@ func checkAgainstRef(t *testing.T, g *Graph, ref refHists) int {
 					continue
 				}
 				k := histKey{id, j, mi}
-				m := ref[k]
-				h.Settle()
-				if len(h.Cells) != len(m) {
-					t.Fatalf("histogram %v holds %d cells, want %d", k, len(h.Cells), len(m))
-				}
-				for i, c := range h.Cells {
-					if i > 0 && h.Cells[i-1].Addr >= c.Addr {
-						t.Fatalf("histogram %v cells not strictly ascending at %d: %v", k, i, h.Cells)
-					}
-					if m[c.Addr] != c.Count {
-						t.Fatalf("histogram %v count of %d = %d, want %d", k, c.Addr, c.Count, m[c.Addr])
-					}
-				}
+				checkCells(t, k, h.Cells, ref[k])
 				seen++
 				most = max(most, len(h.Cells))
 			}
@@ -225,10 +213,47 @@ func checkAgainstRef(t *testing.T, g *Graph, ref refHists) int {
 	return most
 }
 
-// TestHistDifferential runs random fold/Merge/MergeSummaries sequences
-// against a map-backed reference, across the small-class promotion
-// boundary, and checks counts, summaries, the canonical encoding, and the
-// JSON round-trip.
+// checkCells asserts the cells of histogram k hold exactly m's counts,
+// in strictly ascending order.
+func checkCells(t *testing.T, k histKey, cells []Cell, m map[uint64]int64) {
+	t.Helper()
+	if len(cells) != len(m) {
+		t.Fatalf("histogram %v holds %d cells, want %d", k, len(cells), len(m))
+	}
+	for i, c := range cells {
+		if i > 0 && cells[i-1].Addr >= c.Addr {
+			t.Fatalf("histogram %v cells not strictly ascending at %d: %v", k, i, cells)
+		}
+		if m[c.Addr] != c.Count {
+			t.Fatalf("histogram %v count of %d = %d, want %d", k, c.Addr, c.Count, m[c.Addr])
+		}
+	}
+}
+
+// checkSummaries asserts Summary gives each of run's histograms the mean
+// and spread of its reference.
+func checkSummaries(t *testing.T, run *Graph, ref refHists) {
+	t.Helper()
+	for id, n := range run.Nodes {
+		for j, v := range n.Visits {
+			for mi, h := range v.Mems {
+				if h == nil {
+					continue
+				}
+				k := histKey{id, j, mi}
+				mean, spread := Summary(h.Cells)
+				if wm, ws := refSummary(ref[k]); mean != wm || spread != ws {
+					t.Fatalf("summary of %v = (%v, %v), want (%v, %v)", k, mean, spread, wm, ws)
+				}
+			}
+		}
+	}
+}
+
+// TestHistDifferential runs random fold/Merge sequences against a
+// map-backed reference, across the small-class promotion boundary, and
+// checks counts, summaries, the canonical encoding, and the JSON
+// round-trip.
 func TestHistDifferential(t *testing.T) {
 	promoted := false
 	for seed := int64(0); seed < 30; seed++ {
@@ -236,30 +261,13 @@ func TestHistDifferential(t *testing.T) {
 		span := []int{8, 40, 300}[seed%3]
 		g, ref := NewGraph("k"), refHists{}
 		for step := 0; step < 40; step++ {
-			switch r.Intn(3) {
-			case 0:
+			if r.Intn(2) == 0 {
 				ref.addAll(foldRandomWarps(r, g, span))
-			case 1:
+			} else {
 				o := NewGraph("k")
 				oref := foldRandomWarps(r, o, span)
+				checkSummaries(t, o, oref)
 				g.Merge(o)
-				ref.addAll(oref)
-				Recycle(o)
-			default:
-				o := NewGraph("k")
-				oref := foldRandomWarps(r, o, span)
-				reported := 0
-				g.MergeSummaries(o, func(block, visit, mem int, mean, spread float64) {
-					reported++
-					wm, ws := refSummary(oref[histKey{block, visit, mem}])
-					if mean != wm || spread != ws {
-						t.Fatalf("seed %d: summary of %v = (%v, %v), want (%v, %v)",
-							seed, histKey{block, visit, mem}, mean, spread, wm, ws)
-					}
-				})
-				if reported != len(oref) {
-					t.Fatalf("seed %d: %d summaries for %d histograms", seed, reported, len(oref))
-				}
 				ref.addAll(oref)
 				Recycle(o)
 			}
@@ -312,39 +320,34 @@ func TestHistDifferential(t *testing.T) {
 
 // TestSummaryMeanDeterministic folds a histogram whose count-weighted
 // address sum passes 2^53, where float addition stops being associative,
-// and checks that repeated MergeSummaries report one mean bit pattern:
-// the sum must run in a fixed order.
+// and checks that Summary always reports the mean of the sum in ascending
+// address order, one bit pattern.
 func TestSummaryMeanDeterministic(t *testing.T) {
 	run := NewGraph("k")
 	f := NewWarpFolder(run, nil)
 	f.EnterBlock(0)
 	const base = int64(7) << 40
+	ref := map[uint64]int64{}
 	accesses := 0
 	for k := 0; accesses < 20000; k++ {
 		lanes := make([]int64, 1+k%32)
 		for i := range lanes {
 			lanes[i] = base + int64(3*((k*7+i*13)%640)+1)
+			ref[uint64(lanes[i])]++
 		}
 		f.MemAccess(0, isa.SpaceGlobal, false, lanes)
 		accesses += len(lanes)
 	}
 	f.Finish()
-	if h := run.Nodes[0].Visits[0].Mems[0]; float64(base)*float64(h.Total()) < 1<<53 {
+	h := run.Nodes[0].Visits[0].Mems[0]
+	if float64(base)*float64(h.Total()) < 1<<53 {
 		t.Fatal("fixture sum stays below 2^53; test is vacuous")
 	}
-
-	var first uint64
+	want, _ := refSummary(ref)
 	for i := 0; i < 200; i++ {
-		g := NewGraph("k")
-		g.MergeSummaries(run, func(_, _, _ int, mean, _ float64) {
-			bits := math.Float64bits(mean)
-			if i == 0 {
-				first = bits
-			} else if bits != first {
-				t.Fatalf("merge %d: mean %v, first merge gave %v", i, mean, math.Float64frombits(first))
-			}
-		})
-		Recycle(g)
+		if mean, _ := Summary(h.Cells); math.Float64bits(mean) != math.Float64bits(want) {
+			t.Fatalf("call %d: mean %v, want %v", i, mean, want)
+		}
 	}
 }
 
@@ -369,321 +372,142 @@ func keyRange(lo, hi int64) []int64 {
 	return out
 }
 
-func hist0(g *Graph) *MemHist { return g.Nodes[0].Visits[0].Mems[0] }
-
-// mergeRun merges a run counting addrs into g and into ref with the
-// evidence merge, MergeSummaries.
-func mergeRun(g *Graph, ref map[uint64]int64, addrs ...int64) {
+// addRun adds a run counting addrs to e and to ref.
+func addRun(e *EvidenceHist, ref map[uint64]int64, addrs ...int64) {
 	o := runGraph(addrs...)
-	g.MergeSummaries(o, nil)
+	e.Add(o.Nodes[0].Visits[0].Mems[0].Cells)
 	Recycle(o)
 	for _, a := range addrs {
 		ref[uint64(a)]++
 	}
 }
 
-// plainMerge merges a run counting addrs into g and into ref with Merge.
-func plainMerge(g *Graph, ref map[uint64]int64, addrs ...int64) {
-	o := runGraph(addrs...)
-	g.Merge(o)
-	Recycle(o)
-	for _, a := range addrs {
-		ref[uint64(a)]++
-	}
-}
-
-// checkHist asserts h holds exactly ref's counts once settled.
-func checkHist(t *testing.T, h *MemHist, ref map[uint64]int64) {
+// checkHist asserts e holds exactly ref's counts.
+func checkHist(t *testing.T, e *EvidenceHist, ref map[uint64]int64) {
 	t.Helper()
-	checkAgainstRef(t, &Graph{Nodes: map[int]*Node{0: {Visits: []*Visit{{Mems: []*MemHist{h}}}}}},
-		refHists{{0, 0, 0}: ref})
+	checkCells(t, histKey{}, e.Cells(), ref)
 }
 
 // TestDensePromotion walks one evidence histogram through its states:
-// cells through its first run whatever its size, dense once a merge grows
+// cells through its first run whatever its size, dense once a run grows
 // it past smallHist cells (and not at smallHist), widened below its base
 // and above its end, kept dense while its counted keys span less than
 // denseSpan even where the block-aligned array would not, and back to
 // cells for good once they span denseSpan or more.
 func TestDensePromotion(t *testing.T) {
-	g, ref := NewGraph("k"), map[uint64]int64{}
-	mergeRun(g, ref, keyRange(1000, 1019)...)
-	mergeRun(g, ref, keyRange(1008, 1031)...) // 32 cells: still the small class
-	if h := hist0(g); h.dense != nil || len(h.Cells) != smallHist {
-		t.Fatalf("at %d cells: dense %v, %d cells; want cells", smallHist, h.dense != nil, len(h.Cells))
+	h, ref := &EvidenceHist{}, map[uint64]int64{}
+	addRun(h, ref, keyRange(1000, 1019)...)
+	addRun(h, ref, keyRange(1008, 1031)...) // 32 cells: still the small class
+	if h.dense != nil || len(h.cells) != smallHist {
+		t.Fatalf("at %d cells: dense %v, %d cells; want cells", smallHist, h.dense != nil, len(h.cells))
 	}
-	mergeRun(g, ref, 1000, 1032) // the 33rd cell
-	h := hist0(g)
-	if h.dense == nil || !h.stale || h.Cells != nil {
-		t.Fatalf("at %d cells: dense %v, stale %v; want dense with the cell buffer freed", smallHist+1, h.dense != nil, h.stale)
+	addRun(h, ref, 1000, 1032) // the 33rd cell
+	if h.dense == nil || h.cells != nil {
+		t.Fatalf("at %d cells: dense %v; want dense with the cell buffer freed", smallHist+1, h.dense != nil)
 	}
 	checkHist(t, h, ref)
 
-	mergeRun(g, ref, 3, 1030) // below base: widens downwards
+	addRun(h, ref, 3, 1030) // below base: widens downwards
 	if h.dense == nil || h.base > 3 {
 		t.Fatalf("after a key below base: dense %v, base %d", h.dense != nil, h.base)
 	}
-	mergeRun(g, ref, 1040, 2100) // above the end
+	addRun(h, ref, 1040, 2100) // above the end
 	checkHist(t, h, ref)
 	if h.dense == nil {
 		t.Fatal("a span under the bound left the dense state")
 	}
 	// The keys 3..4098 span one short of the bound, but whole blocks
 	// around them would span 0..4159: the counts stay dense, sized exactly.
-	mergeRun(g, ref, denseSpan+2)
+	addRun(h, ref, denseSpan+2)
 	if h.dense == nil || h.base != 3 || len(h.dense) != denseSpan {
 		t.Fatalf("keys 3..%d: dense %v, base %d, %d counts; want dense over exactly the keys",
 			denseSpan+2, h.dense != nil, h.base, len(h.dense))
 	}
 	checkHist(t, h, ref)
-	mergeRun(g, ref, 4, denseSpan) // inside: no reallocation
+	addRun(h, ref, 4, denseSpan) // inside: no reallocation
 	if h.dense == nil || h.base != 3 || len(h.dense) != denseSpan {
 		t.Fatal("keys inside the dense counts changed their bounds")
 	}
-	mergeRun(g, ref, denseSpan+3) // the span reaches the bound
-	if h.dense != nil || h.stale {
-		t.Fatalf("past the bound: dense %v, stale %v; want cells", h.dense != nil, h.stale)
+	addRun(h, ref, denseSpan+3) // the span reaches the bound
+	if h.dense != nil {
+		t.Fatal("past the bound: dense; want cells")
 	}
 	checkHist(t, h, ref)
-	mergeRun(g, ref, 5, 6, 7)
+	addRun(h, ref, 5, 6, 7)
 	if h.dense != nil {
 		t.Fatal("a histogram past the bound went dense again")
 	}
 	checkHist(t, h, ref)
 
 	// A first run larger than the small class keeps its cells; the next
-	// merge switches it.
-	g2, ref2 := NewGraph("k"), map[uint64]int64{}
-	mergeRun(g2, ref2, keyRange(0, 59)...)
-	if h := hist0(g2); h.dense != nil {
+	// run switches it.
+	h2, ref2 := &EvidenceHist{}, map[uint64]int64{}
+	addRun(h2, ref2, keyRange(0, 59)...)
+	if h2.dense != nil {
 		t.Fatal("a histogram went dense on its first run")
 	}
-	mergeRun(g2, ref2, 7)
-	if h := hist0(g2); h.dense == nil {
+	addRun(h2, ref2, 7)
+	if h2.dense == nil {
 		t.Fatal("a histogram past the small class stayed cells on its second run")
 	}
-	checkHist(t, hist0(g2), ref2)
-	Recycle(g)
-	Recycle(g2)
+	checkHist(t, h2, ref2)
 }
 
-// TestMergeStaysCells checks that only the evidence merge switches a
-// histogram to dense counts: Merge and the warp fold keep every histogram
-// of a trace as current cells however large it grows.
-func TestMergeStaysCells(t *testing.T) {
-	g, ref := NewGraph("k"), map[uint64]int64{}
-	plainMerge(g, ref, keyRange(0, 40)...)
-	plainMerge(g, ref, keyRange(30, 90)...)
-	plainMerge(g, ref, 5, 200)
-	f := NewWarpFolder(g, nil)
-	f.EnterBlock(0)
-	f.MemAccess(0, isa.SpaceGlobal, false, []int64{1, 300})
-	f.Finish()
-	f.Release()
-	ref[1]++
-	ref[300]++
-	if h := hist0(g); h.dense != nil || h.stale {
-		t.Fatal("Merge or the warp fold switched a histogram to dense counts")
-	}
-	checkHist(t, hist0(g), ref)
-	Recycle(g)
-}
-
-// TestDenseAnyCallPath checks that the dense state belongs to the
-// histogram: once the evidence merge has switched it, a plain Merge, a
-// MergeSummaries and a warp fold into the graph all add into the dense
-// counts, in any order, with or without a read in between, and the
-// summaries still come from the run's own cells.
-func TestDenseAnyCallPath(t *testing.T) {
-	g, ref := NewGraph("k"), map[uint64]int64{}
-	summarize := func(addrs ...int64) {
-		o := runGraph(addrs...)
-		m := map[uint64]int64{}
-		for _, a := range addrs {
-			m[uint64(a)]++
-			ref[uint64(a)]++
-		}
-		wm, ws := refSummary(m)
-		g.MergeSummaries(o, func(_, _, _ int, mean, spread float64) {
-			if mean != wm || spread != ws {
-				t.Fatalf("summary (%v, %v), want (%v, %v)", mean, spread, wm, ws)
-			}
-		})
-		Recycle(o)
-	}
-	summarize(keyRange(0, 29)...)
-	summarize(keyRange(20, 45)...) // dense now
-	if hist0(g).dense == nil {
-		t.Fatal("fixture did not go dense")
-	}
-	plainMerge(g, ref, 1, 2, 50) // plain Merge on the stale histogram
-	summarize(4, 60)
-	f := NewWarpFolder(g, nil)
-	f.EnterBlock(0)
-	f.MemAccess(0, isa.SpaceGlobal, false, []int64{3, 3, 70})
-	f.Finish()
-	f.Release()
-	for _, a := range []uint64{3, 3, 70} {
-		ref[a]++
-	}
-	checkHist(t, hist0(g), ref) // settles
-	plainMerge(g, ref, 9, 80)   // stale again after a read
-	summarize(keyRange(0, 5)...)
-	checkHist(t, hist0(g), ref)
-	Recycle(g)
-}
-
-// denseGraph returns a graph whose first histogram is dense and stale
-// after merges of runs counting the fixture's addresses, and an all-cell
-// graph folded from the same addresses.
-func denseGraph(t *testing.T) (dense, cells *Graph) {
-	t.Helper()
-	runs := [][]int64{keyRange(0, 20), keyRange(15, 40), {2, 41, 90}, {300}}
-	dense, cells = NewGraph("k"), NewGraph("k")
-	f := NewWarpFolder(cells, nil)
-	for _, addrs := range runs {
-		o := runGraph(addrs...)
-		dense.MergeSummaries(o, nil)
-		Recycle(o)
-		f.EnterBlock(0)
-		f.MemAccess(0, isa.SpaceGlobal, false, addrs)
-		f.Finish()
-	}
-	f.Release()
-	dense.Warps = cells.Warps
-	if h := hist0(dense); h.dense == nil || !h.stale {
-		t.Fatal("fixture histogram is not dense and stale")
-	}
-	if hist0(cells).dense != nil {
-		t.Fatal("the fold went dense")
-	}
-	return dense, cells
-}
-
-// TestDenseReaders checks every reader of a stale dense graph against the
-// all-cell graph of the same counts: Encode, JSON, Total, Clone (whose
-// copy holds cells), and Recycle, which must leave no dense state behind.
-func TestDenseReaders(t *testing.T) {
-	d, c := denseGraph(t)
-	if string(d.Encode()) != string(c.Encode()) {
-		t.Fatal("Encode of a dense graph differs from the cell graph")
-	}
-	d, _ = denseGraph(t)
-	dj, err := json.Marshal(d)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cj, err := json.Marshal(c)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(dj) != string(cj) {
-		t.Fatalf("JSON of a dense graph differs:\n%s\n%s", dj, cj)
-	}
-	d, _ = denseGraph(t)
-	if got, want := hist0(d).Total(), hist0(c).Total(); got != want {
-		t.Fatalf("Total = %d, want %d", got, want)
-	}
-	d, _ = denseGraph(t)
-	cl := d.Clone()
-	if h := hist0(cl); h.dense != nil || h.stale {
-		t.Fatal("Clone copied the dense state")
-	}
-	if string(cl.Encode()) != string(c.Encode()) {
-		t.Fatal("Clone of a dense graph differs from the cell graph")
-	}
-
-	d, _ = denseGraph(t)
-	h := hist0(d)
-	Recycle(d)
-	if h.dense != nil || h.stale || h.base != 0 || len(h.Cells) != 0 {
-		t.Fatal("Recycle left dense state in a histogram")
-	}
-	d, _ = denseGraph(t)
-	d.Encode() // settled: the cell buffer is pooled again
-	h = hist0(d)
-	Recycle(d)
-	if h.dense != nil || h.stale || len(h.Cells) != 0 {
-		t.Fatal("Recycle left dense state in a settled histogram")
-	}
-	// Graphs drawn after the recycles fold and merge correctly.
-	for seed := int64(0); seed < 5; seed++ {
-		r := rand.New(rand.NewSource(seed))
-		g := NewGraph("k")
-		ref := foldRandomWarps(r, g, 40)
-		checkAgainstRef(t, g, ref)
-		Recycle(g)
-	}
-	Recycle(cl)
-	Recycle(c)
-}
-
-// TestDenseHistDifferential runs random sequences of Merge,
-// MergeSummaries and warp folds into one evidence graph against the map
-// reference, reading (and so settling) it only at some steps, over key
+// TestDenseHistDifferential adds random runs into evidence histograms
+// against the map reference, reading them only at some steps, over key
 // spans that keep histograms as cells, take them dense, and carry dense
-// ones past the bound. Only MergeSummaries may switch a histogram to
-// dense counts. It requires every transition to have happened.
+// ones past the bound. It requires every transition to have happened.
 func TestDenseHistDifferential(t *testing.T) {
 	var dense, widenedDown, back bool
 	for seed := int64(0); seed < 40; seed++ {
 		r := rand.New(rand.NewSource(seed))
 		width := []int{40, 300, 2 * denseSpan}[seed%3]
-		g, ref := NewGraph("k"), refHists{}
-		bases := map[*MemHist]uint64{} // the dense histograms' bases
+		ev, ref := map[histKey]*EvidenceHist{}, refHists{}
+		bases := map[histKey]uint64{} // the dense histograms' bases
 		for step := 0; step < 60; step++ {
-			op := r.Intn(3)
-			switch op {
-			case 0:
-				ref.addAll(foldRandomWarps(r, g, width))
-			case 1:
-				o := NewGraph("k")
-				ref.addAll(foldRandomWarps(r, o, width))
-				g.Merge(o)
-				Recycle(o)
-			default:
-				o := NewGraph("k")
-				oref := foldRandomWarps(r, o, width)
-				g.MergeSummaries(o, func(block, visit, mem int, mean, spread float64) {
-					wm, ws := refSummary(oref[histKey{block, visit, mem}])
-					if mean != wm || spread != ws {
-						t.Fatalf("seed %d: summary (%v, %v), want (%v, %v)", seed, mean, spread, wm, ws)
-					}
-				})
-				ref.addAll(oref)
-				Recycle(o)
-			}
-			for _, n := range g.Nodes {
-				for _, v := range n.Visits {
-					for _, h := range v.Mems {
+			o := NewGraph("k")
+			oref := foldRandomWarps(r, o, width)
+			checkSummaries(t, o, oref)
+			for id, n := range o.Nodes {
+				for j, v := range n.Visits {
+					for mi, h := range v.Mems {
 						if h == nil {
 							continue
 						}
-						base, was := bases[h]
-						if h.dense != nil && !was && op != 2 {
-							t.Fatalf("seed %d: operation %d switched a histogram to dense counts", seed, op)
+						k := histKey{id, j, mi}
+						if ev[k] == nil {
+							ev[k] = &EvidenceHist{}
 						}
-						switch {
-						case h.dense != nil:
-							dense = true
-							widenedDown = widenedDown || was && h.base < base
-							bases[h] = h.base
-						case was:
-							back = true
-							delete(bases, h)
-						}
+						ev[k].Add(h.Cells)
 					}
 				}
 			}
+			ref.addAll(oref)
+			Recycle(o)
+			for k, h := range ev {
+				base, was := bases[k]
+				switch {
+				case h.dense != nil:
+					dense = true
+					widenedDown = widenedDown || was && h.base < base
+					bases[k] = h.base
+				case was:
+					back = true
+					delete(bases, k)
+				}
+			}
 			if r.Intn(4) == 0 {
-				checkAgainstRef(t, g, ref)
+				for k, h := range ev {
+					checkCells(t, k, h.Cells(), ref[k])
+				}
 			}
 		}
-		checkAgainstRef(t, g, ref)
-		if string(g.Encode()) != string(refEncode(g, ref)) {
-			t.Fatalf("seed %d: Encode differs from the sorted-map encoding", seed)
+		for k, h := range ev {
+			checkCells(t, k, h.Cells(), ref[k])
 		}
-		Recycle(g)
+		if len(ev) != len(ref) {
+			t.Fatalf("seed %d: %d evidence histograms, reference %d", seed, len(ev), len(ref))
+		}
 	}
 	if !dense || !widenedDown || !back {
 		t.Fatalf("transitions seen: dense %v, widened below base %v, back to cells %v; test is vacuous",

@@ -71,7 +71,6 @@ func (g *Graph) MarshalJSON() ([]byte, error) {
 					vj.Mems = append(vj.Mems, nil)
 					continue
 				}
-				h.Settle()
 				addrs := make(map[uint64]int64, len(h.Cells))
 				for _, c := range h.Cells {
 					addrs[c.Addr] = c.Count

@@ -42,27 +42,22 @@ var (
 // smallHist is the most cells a small-class buffer holds.
 const smallHist = 32
 
-// reserve makes room for n cells in h, moving a histogram that outgrows
-// the small class into a large-class buffer.
-func (h *MemHist) reserve(n int) {
-	if n <= cap(h.Cells) {
+// reserve makes room for n cells in *c. Cells that outgrow the small
+// class move into a large-class buffer, returning their small buffer to
+// the small pool; an empty buffer grows to at least the small class.
+func reserve(c *[]Cell, n int) {
+	if n <= cap(*c) {
 		return
 	}
-	if n > smallHist && cap(h.Cells) <= smallHist {
-		h.promote()
+	if n > smallHist && cap(*c) <= smallHist {
+		b := bigHistPool.Get().(*MemHist)
+		b.Cells = append(b.Cells[:0], *c...)
+		*c, b.Cells = b.Cells, (*c)[:0]
+		histPool.Put(b)
 	}
-	if n > cap(h.Cells) {
-		h.Cells = slices.Grow(h.Cells, n-len(h.Cells))
+	if n > cap(*c) {
+		*c = slices.Grow(*c, max(n, smallHist)-len(*c))
 	}
-}
-
-// promote moves h's cells into a large-class buffer, returning its small
-// buffer to the small pool.
-func (h *MemHist) promote() {
-	b := bigHistPool.Get().(*MemHist)
-	b.Cells = append(b.Cells[:0], h.Cells...)
-	h.Cells, b.Cells = b.Cells, h.Cells[:0]
-	histPool.Put(b)
 }
 
 // Recycle returns g and every node, visit, histogram, and edge it owns to
@@ -121,7 +116,6 @@ func recycleHist(h *MemHist) {
 	h.Cells = h.Cells[:0]
 	h.Space = 0
 	h.Store = false
-	h.dense, h.base, h.lo, h.hi, h.stale = nil, 0, 0, 0, false
 	if cap(h.Cells) > smallHist {
 		bigHistPool.Put(h)
 	} else {

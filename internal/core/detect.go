@@ -829,9 +829,11 @@ func (d *Detector) testInvocation(fi, ri *InvEvidence, leaks *leakSet) error {
 	// effective sizes, and the per-run mean/spread summaries are tested as
 	// independent run-level samples. This keeps input-independent
 	// randomness (e.g. ORAM-style random offsets) below threshold.
-	memKeys := make([]MemKey, 0, len(fi.MemSamples))
-	for key := range fi.MemSamples {
-		memKeys = append(memKeys, key)
+	memKeys := make([]evidence.MemKey, 0, len(fi.Mems))
+	for key, f := range fi.Mems {
+		if f.Runs() > 0 {
+			memKeys = append(memKeys, key)
+		}
 	}
 	sort.Slice(memKeys, func(i, j int) bool {
 		a, b := memKeys[i], memKeys[j]
@@ -844,17 +846,12 @@ func (d *Detector) testInvocation(fi, ri *InvEvidence, leaks *leakSet) error {
 		return a.Mem < b.Mem
 	})
 	for _, key := range memKeys {
-		ff := fi.MemSamples[key]
-		rf := ri.MemSamples[key]
-		if rf == nil {
+		ff := fi.Mems[key]
+		rf := ri.Mems[key]
+		if rf == nil || rf.Runs() == 0 {
 			continue // no counterpart: control-flow effect
 		}
-		fh := fi.MemHist(key)
-		rh := ri.MemHist(key)
-		if fh == nil || rh == nil {
-			continue
-		}
-		rej, p, dd, err := d.rejectMem(ff, rf, fh, rh)
+		rej, p, dd, err := d.rejectMem(ff, rf)
 		if err != nil {
 			return err
 		}
@@ -866,7 +863,7 @@ func (d *Detector) testInvocation(fi, ri *InvEvidence, leaks *leakSet) error {
 				Where: memAnnotation(k, key.Block, key.Mem),
 				P:     p, D: dd,
 				Detail: fmt.Sprintf("%s %s address distribution depends on the input",
-					fh.Space, storeName(fh.Store)),
+					ff.Space, storeName(ff.Store)),
 			})
 		}
 	}
@@ -875,7 +872,7 @@ func (d *Detector) testInvocation(fi, ri *InvEvidence, leaks *leakSet) error {
 
 // rejectMem runs the data-flow distribution tests for one instruction and
 // returns the strongest rejection.
-func (d *Detector) rejectMem(ff, rf *MemFeature, fh, rh *adcfg.MemHist) (bool, float64, float64, error) {
+func (d *Detector) rejectMem(ff, rf *MemFeature) (bool, float64, float64, error) {
 	type verdict struct {
 		rej  bool
 		p, D float64
@@ -890,7 +887,7 @@ func (d *Detector) rejectMem(ff, rf *MemFeature, fh, rh *adcfg.MemHist) (bool, f
 
 	if !d.opts.UseWelch {
 		// Pooled offset distributions with run-based effective sizes.
-		res, err := stats.KSTestEff(histSample(fh), histSample(rh), d.opts.Confidence,
+		res, err := stats.KSTestEff(histSample(ff.Hist.Cells()), histSample(rf.Hist.Cells()), d.opts.Confidence,
 			float64(ff.Runs()), float64(rf.Runs()))
 		if err != nil {
 			return false, 1, 0, err
@@ -927,9 +924,9 @@ func copyOrNil(xs []float64) []float64 {
 	return out
 }
 
-func histSample(h *adcfg.MemHist) *stats.Sample {
-	s := stats.NewWeightedSample(len(h.Cells))
-	for _, c := range h.Cells {
+func histSample(cells []adcfg.Cell) *stats.Sample {
+	s := stats.NewWeightedSample(len(cells))
+	for _, c := range cells {
 		s.Add(float64(c.Addr), float64(c.Count))
 	}
 	return s

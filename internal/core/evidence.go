@@ -1,84 +1,61 @@
 // Evidence merging (§VII-A): repeated executions of the program merge into
 // a single piece of evidence per input regime — E_fix from fixed inputs and
 // E_rnd from random inputs. Kernel-invocation sequences align with the
-// Myers algorithm; aligned invocations merge their A-DCFGs with the same
-// aggregation used for warps, and every statistical feature additionally
-// keeps its per-run sample vector so the distribution test can compare
-// fixed-regime and random-regime feature distributions.
+// Myers algorithm. An aligned invocation keeps what the tests of §VII-C
+// read: its per-run presence, each node's per-run transition counts, and
+// one record per memory instruction holding the address histogram merged
+// over the runs and each run's summary of it.
 package core
 
 import (
 	"owl/internal/adcfg"
+	"owl/internal/evidence"
+	"owl/internal/isa"
 	"owl/internal/myers"
 	"owl/internal/trace"
 )
 
-// MemKey identifies one memory-instruction occurrence: the memIdx-th
-// memory instruction during the Visit-th visit of a block.
-type MemKey struct {
-	Block, Visit, Mem int
-}
-
-// MemFeature carries the run-level samples of one memory instruction.
+// MemFeature is the evidence record of one memory-instruction occurrence.
 // Accesses within a single execution are correlated (one secret drives all
 // warps), so the distribution test works on per-run summaries plus the
 // pooled histogram with run-based effective sizes.
 type MemFeature struct {
+	Space isa.Space
+	Store bool
+	// Hist is the address histogram merged over every run.
+	Hist adcfg.EvidenceHist
 	// Means[i] is the count-weighted mean accessed offset in the i-th run
-	// in which the instruction executed; Spreads[i] is that run's max-min
-	// offset range.
+	// in which the instruction accessed memory; Spreads[i] is that run's
+	// max-min offset range. A record whose runs all had every lane
+	// predicated off has none.
 	Means   []float64
 	Spreads []float64
 }
 
-// Runs returns the number of runs in which the instruction executed.
+// Runs returns the number of runs in which the instruction accessed memory.
 func (f *MemFeature) Runs() int { return len(f.Means) }
 
 // InvEvidence accumulates one aligned kernel-invocation position.
 type InvEvidence struct {
 	StackID string
 	Kernel  string
-	// Graph is the A-DCFG merged over every run in which the invocation
-	// occurred. The evidence merge may keep its histograms as dense
-	// counts, so read them through MemHist, not Graph's Cells.
-	Graph *adcfg.Graph
 	// Presence[r] is 1 when run r contained this invocation.
 	Presence []float64
 	// PairSamples[block][pair][r] is the (src,dst) transition count of the
 	// node in run r — the per-run control-flow transition-matrix entries of
-	// Eq. 8.
+	// Eq. 8. Every node of every merged run has an entry.
 	PairSamples map[int]map[adcfg.PairKey][]float64
-	// MemSamples holds run-level address-histogram features per memory
-	// instruction.
-	MemSamples map[MemKey]*MemFeature
+	// Mems holds one record per memory-instruction occurrence.
+	Mems map[evidence.MemKey]*MemFeature
 }
 
 func newInvEvidence(stackID, kernel string) *InvEvidence {
 	return &InvEvidence{
 		StackID:     stackID,
 		Kernel:      kernel,
-		Graph:       adcfg.NewGraph(kernel),
 		PairSamples: make(map[int]map[adcfg.PairKey][]float64),
-		MemSamples:  make(map[MemKey]*MemFeature),
+		Mems:        make(map[evidence.MemKey]*MemFeature),
 	}
-}
-
-// MemHist returns the merged address histogram of one memory-instruction
-// occurrence, settled so its Cells are current, or nil when the graph
-// holds none. It is the one read path for evidence histograms: the merge
-// may keep them as dense counts whose Cells lag.
-func (inv *InvEvidence) MemHist(key MemKey) *adcfg.MemHist {
-	n := inv.Graph.Nodes[key.Block]
-	if n == nil || key.Visit >= len(n.Visits) {
-		return nil
-	}
-	v := n.Visits[key.Visit]
-	if key.Mem >= len(v.Mems) || v.Mems[key.Mem] == nil {
-		return nil
-	}
-	h := v.Mems[key.Mem]
-	h.Settle()
-	return h
 }
 
 // Evidence is E_fix or E_rnd: the merged invocation sequence plus per-run
@@ -138,22 +115,11 @@ func (e *Evidence) AddRun(t *trace.ProgramTrace) {
 	}
 }
 
-// mergeRunInvocation folds one run's invocation into the evidence entry.
-// The walk that folds each address histogram into the evidence graph also
-// yields that run's mean/spread feature of the histogram.
+// mergeRunInvocation folds one run's invocation into the evidence entry
+// in one walk over the run graph's nodes, visits and histograms.
 func (e *Evidence) mergeRunInvocation(inv *InvEvidence, ti *trace.Invocation, runIdx int) {
 	inv.Presence = pad(inv.Presence, runIdx)
 	inv.Presence = append(inv.Presence, 1)
-	inv.Graph.MergeSummaries(ti.Graph, func(block, visit, mem int, mean, spread float64) {
-		key := MemKey{Block: block, Visit: visit, Mem: mem}
-		f := inv.MemSamples[key]
-		if f == nil {
-			f = &MemFeature{}
-			inv.MemSamples[key] = f
-		}
-		f.Means = append(f.Means, mean)
-		f.Spreads = append(f.Spreads, spread)
-	})
 	for block, node := range ti.Graph.Nodes {
 		pairs := inv.PairSamples[block]
 		if pairs == nil {
@@ -164,15 +130,25 @@ func (e *Evidence) mergeRunInvocation(inv *InvEvidence, ti *trace.Invocation, ru
 			xs := pad(pairs[pk], runIdx)
 			pairs[pk] = append(xs, float64(c))
 		}
+		for j, v := range node.Visits {
+			for mi, h := range v.Mems {
+				if h == nil {
+					continue
+				}
+				key := evidence.MemKey{Block: block, Visit: j, Mem: mi}
+				f := inv.Mems[key]
+				if f == nil {
+					f = &MemFeature{Space: h.Space, Store: h.Store}
+					inv.Mems[key] = f
+				}
+				if len(h.Cells) == 0 {
+					continue
+				}
+				f.Hist.Add(h.Cells)
+				mean, spread := adcfg.Summary(h.Cells)
+				f.Means = append(f.Means, mean)
+				f.Spreads = append(f.Spreads, spread)
+			}
+		}
 	}
-}
-
-// SizeBytes returns the canonical size of the merged graphs, the
-// evidence-size metric used alongside Table IV.
-func (e *Evidence) SizeBytes() int {
-	n := 0
-	for _, inv := range e.Invs {
-		n += inv.Graph.SizeBytes()
-	}
-	return n
 }

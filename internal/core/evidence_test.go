@@ -5,6 +5,7 @@ import (
 
 	"owl/internal/adcfg"
 	"owl/internal/cuda"
+	"owl/internal/evidence"
 	"owl/internal/gpu"
 	"owl/internal/isa"
 	"owl/internal/kbuild"
@@ -66,9 +67,9 @@ func TestEvidenceAbsentInvocationKeepsZeros(t *testing.T) {
 	if p := byStack["b"].Presence; len(p) != 3 || p[0] != 1 || p[1] != 0 || p[2] != 1 {
 		t.Errorf("b presence = %v", p)
 	}
-	// b's graph merged only the two present runs.
-	if byStack["b"].Graph.Warps != 2 {
-		t.Errorf("b warps = %d, want 2", byStack["b"].Graph.Warps)
+	// b's transition samples count only the two present runs.
+	if xs := byStack["b"].PairSamples[0][adcfg.PairKey{Src: adcfg.Start, Dst: 1}]; len(xs) != 3 || xs[0] != 1 || xs[1] != 0 || xs[2] != 1 {
+		t.Errorf("b samples of (START, 1) through block 0 = %v", xs)
 	}
 }
 
@@ -90,7 +91,7 @@ func TestEvidenceMemSamplesTrackRuns(t *testing.T) {
 	if len(ev.Invs) != 1 {
 		t.Fatalf("invs = %d", len(ev.Invs))
 	}
-	for key, f := range ev.Invs[0].MemSamples {
+	for key, f := range ev.Invs[0].Mems {
 		if f.Runs() != 4 {
 			t.Errorf("mem %v present in %d runs, want 4", key, f.Runs())
 		}
@@ -102,28 +103,35 @@ func TestEvidenceMemSamplesTrackRuns(t *testing.T) {
 
 // TestHistSummary checks the per-run mean/spread feature the evidence
 // merge derives from each address histogram, and that an empty histogram
-// yields no feature.
+// (every lane predicated off) gets a record with no runs.
 func TestHistSummary(t *testing.T) {
 	g := adcfg.NewGraph("k")
 	f := adcfg.NewWarpFolder(g, nil)
 	f.EnterBlock(0)
 	f.MemAccess(0, isa.SpaceGlobal, false, []int64{10, 20, 20, 20})
 	f.Finish()
-	g.Nodes[0].Visits[0].Mems = append(g.Nodes[0].Visits[0].Mems, &adcfg.MemHist{})
+	g.Nodes[0].Visits[0].Mems = append(g.Nodes[0].Visits[0].Mems, &adcfg.MemHist{Space: isa.SpaceShared, Store: true})
 	inv := newInvEvidence("s", "k")
 	NewEvidence().mergeRunInvocation(inv, &trace.Invocation{StackID: "s", Kernel: "k", Graph: g}, 0)
-	if len(inv.MemSamples) != 1 {
-		t.Fatalf("features = %v, want one", inv.MemSamples)
+	if len(inv.Mems) != 2 {
+		t.Fatalf("records = %v, want two", inv.Mems)
 	}
-	feat := inv.MemSamples[MemKey{Block: 0, Visit: 0, Mem: 0}]
+	feat := inv.Mems[evidence.MemKey{Block: 0, Visit: 0, Mem: 0}]
 	if feat == nil || feat.Runs() != 1 {
-		t.Fatalf("feature = %+v", feat)
+		t.Fatalf("record = %+v", feat)
 	}
 	if mean := feat.Means[0]; mean != (10+60)/4.0 {
 		t.Errorf("mean = %v", mean)
 	}
 	if spread := feat.Spreads[0]; spread != 10 {
 		t.Errorf("spread = %v", spread)
+	}
+	if cells := feat.Hist.Cells(); len(cells) != 2 || cells[1] != (adcfg.Cell{Addr: 20, Count: 3}) {
+		t.Errorf("merged cells = %v", cells)
+	}
+	empty := inv.Mems[evidence.MemKey{Block: 0, Visit: 0, Mem: 1}]
+	if empty == nil || empty.Runs() != 0 || len(empty.Hist.Cells()) != 0 || empty.Space != isa.SpaceShared || !empty.Store {
+		t.Errorf("empty-histogram record = %+v", empty)
 	}
 }
 
