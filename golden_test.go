@@ -12,12 +12,16 @@ package owl_test
 //	go test -run TestGoldenReports -update .
 
 import (
+	"bytes"
 	"context"
+	"crypto/sha256"
 	"encoding/json"
 	"flag"
 	"fmt"
+	"math/rand"
 	"os"
 	"path/filepath"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -260,4 +264,40 @@ func TestGoldenQuantify(t *testing.T) {
 			checkGolden(t, quantifyGoldenPath(name), []byte(b.String()))
 		})
 	}
+}
+
+// traceGoldenPath holds the canonical bytes of every FullSuite target's
+// traces: per trace, its Hash and the SHA-256 of its JSON encoding.
+var traceGoldenPath = filepath.Join("testdata", "golden", "trace-hashes.txt")
+
+// TestGoldenTraceHashes pins the canonical trace encoding and the JSON
+// trace form of every FullSuite target: each user input plus two
+// generated ones (fixed seed) is recorded once, and the trace's Hash and
+// the SHA-256 of its JSON are compared against the golden.
+func TestGoldenTraceHashes(t *testing.T) {
+	if testing.Short() {
+		t.Skip("trace goldens record every suite target")
+	}
+	targets, err := experiments.FullSuite()
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := core.DefaultOptions()
+	var b strings.Builder
+	for _, target := range targets {
+		gen := rand.New(rand.NewSource(42))
+		inputs := append(slices.Clone(target.Inputs), target.Gen(gen), target.Gen(gen))
+		for i, in := range inputs {
+			tr, _, err := core.RecordRun(context.Background(), target.Program, opts.Device, opts.Rebase, false, in, int64(i+1), nil)
+			if err != nil {
+				t.Fatalf("%s input %d: %v", target.Program.Name(), i, err)
+			}
+			var js bytes.Buffer
+			if err := tr.WriteJSON(&js); err != nil {
+				t.Fatal(err)
+			}
+			fmt.Fprintf(&b, "%s %d hash=%x json=%x\n", target.Program.Name(), i, tr.Hash(), sha256.Sum256(js.Bytes()))
+		}
+	}
+	checkGolden(t, traceGoldenPath, []byte(b.String()))
 }
