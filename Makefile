@@ -51,9 +51,11 @@ fuzz-mitigate:
 	$(GO) test -fuzz=FuzzMitigateEquivalence -fuzztime=60s ./internal/mitigate/
 
 # Differential fuzzing of the tracer's warp folder against the reference
-# folder (a map operation per block entry, a sort per access): random
-# block walks and lane vectors over interleaved, reused and released
-# folders must encode the same A-DCFG.
+# folder (a map operation per block entry, a sort per access, edges
+# stored as they are taken): random block walks and lane vectors over
+# interleaved, reused and released folders must encode the same A-DCFG,
+# and the edges the folded graph derives from its pairs must equal the
+# reference's stored edges.
 fuzz-fold:
 	$(GO) test -run=NONE -fuzz=FuzzWarpFold -fuzztime=60s ./internal/adcfg/
 

@@ -140,7 +140,7 @@ func cmdShow(args []string) error {
 		}
 		fmt.Printf("  [%d] %s grid=%dx%d: %d warps, %d blocks, %d edges, %d accesses\n",
 			inv.Seq, inv.StackID, inv.Grid.Count(), inv.Block.Count(),
-			inv.Graph.Warps, len(inv.Graph.Nodes), len(inv.Graph.Edges), accesses)
+			inv.Graph.Warps, len(inv.Graph.Nodes), len(inv.Graph.Edges()), accesses)
 	}
 	return nil
 }
@@ -191,8 +191,8 @@ func graphDiff(a, b *trace.Invocation) string {
 	if len(a.Graph.Nodes) != len(b.Graph.Nodes) {
 		return fmt.Sprintf("blocks %d vs %d", len(a.Graph.Nodes), len(b.Graph.Nodes))
 	}
-	if len(a.Graph.Edges) != len(b.Graph.Edges) {
-		return fmt.Sprintf("edges %d vs %d", len(a.Graph.Edges), len(b.Graph.Edges))
+	if ea, eb := len(a.Graph.Edges()), len(b.Graph.Edges()); ea != eb {
+		return fmt.Sprintf("edges %d vs %d", ea, eb)
 	}
 	for id, na := range a.Graph.Nodes {
 		nb := b.Graph.Nodes[id]

@@ -3,21 +3,23 @@
 // blocks (attributed with per-visit, per-instruction memory-access
 // histograms, kept as cells in ascending address order) and edges for
 // observed block transitions (attributed with traversal counts and
-// previous-edge counts). Each warp's trace folds straight into its
-// invocation's graph as it executes (see WarpFolder: histograms grow per
-// access, and the warp's block-transition counts land when it finishes),
+// previous-edge counts). A node stores the counts of the (entered-from,
+// left-towards) pairs through it; the edges are not stored, Graph.Edges
+// derives them from those pairs. Each warp's trace folds straight into
+// its invocation's graph as it executes (see WarpFolder: histograms grow
+// per access, and the warp's pair counts land when it finishes),
 // eliminating cross-thread redundancy — the property that gives Owl its
 // scalability (RQ2). Folders are pooled: the tracer releases a launch's
 // folders when the launch ends.
 package adcfg
 
 import (
+	"cmp"
 	"crypto/sha256"
 	"encoding/binary"
 	"fmt"
 	"math/bits"
 	"slices"
-	"sort"
 	"sync"
 
 	"owl/internal/isa"
@@ -184,19 +186,24 @@ func (n *Node) TotalVisits() int64 {
 }
 
 // Edge is one observed transition with its traversal count and the counts
-// of the edges that preceded it (§V-B).
+// of the edges that preceded it (§V-B). Edges are not stored: Graph.Edges
+// derives them from the nodes' pair counts.
 type Edge struct {
+	EdgeKey
 	Count int64
-	Prev  map[EdgeKey]int64
+	Prev  []EdgeCount // the edges p→Src taken before this one, ascending by p
 }
 
-func newEdge() *Edge { return edgePool.Get().(*Edge) }
+// EdgeCount is an edge with a count.
+type EdgeCount struct {
+	EdgeKey
+	Count int64
+}
 
 // Graph is the A-DCFG of one kernel invocation, or of several merged.
 type Graph struct {
 	Kernel string
 	Nodes  map[int]*Node
-	Edges  map[EdgeKey]*Edge
 	Warps  int64 // number of warp traces folded in
 }
 
@@ -217,13 +224,61 @@ func (g *Graph) node(block int) *Node {
 	return n
 }
 
-func (g *Graph) edge(k EdgeKey) *Edge {
-	e := g.Edges[k]
-	if e == nil {
-		e = newEdge()
-		g.Edges[k] = e
+// nodeIDs returns the graph's block IDs in ascending order.
+func (g *Graph) nodeIDs() []int {
+	ids := make([]int, 0, len(g.Nodes))
+	for id := range g.Nodes {
+		ids = append(ids, id)
 	}
-	return e
+	slices.Sort(ids)
+	return ids
+}
+
+// sortedPairs returns m's pairs ordered by (Src, Dst).
+func sortedPairs(m map[PairKey]int64) []PairKey {
+	pairs := make([]PairKey, 0, len(m))
+	for pk := range m {
+		pairs = append(pairs, pk)
+	}
+	slices.SortFunc(pairs, func(a, b PairKey) int {
+		return cmp.Or(cmp.Compare(a.Src, b.Src), cmp.Compare(a.Dst, b.Dst))
+	})
+	return pairs
+}
+
+// Edges derives the graph's edges from its nodes' pair counts, sorted by
+// (Src, Dst). The edge b→n counts the pairs (p, n) through b, and its
+// previous edge p→b carries the count of (p, n). The entry edge Start→b
+// counts the pairs (Start, n) through b. Start sorts before every block
+// as a source; End sorts before every block as a destination.
+func (g *Graph) Edges() []Edge {
+	var entries, edges []Edge
+	for _, id := range g.nodeIDs() {
+		n := g.Nodes[id]
+		first := len(edges)
+		var entry int64
+		for _, pk := range sortedPairs(n.Pairs) {
+			c := n.Pairs[pk]
+			if pk.Src == Start {
+				entry += c
+			}
+			i := first
+			for i < len(edges) && edges[i].Dst != pk.Dst {
+				i++
+			}
+			if i == len(edges) {
+				edges = append(edges, Edge{EdgeKey: EdgeKey{Src: id, Dst: pk.Dst}})
+			}
+			e := &edges[i]
+			e.Count += c
+			e.Prev = append(e.Prev, EdgeCount{EdgeKey{Src: pk.Src, Dst: id}, c})
+		}
+		slices.SortFunc(edges[first:], func(a, b Edge) int { return cmp.Compare(a.Dst, b.Dst) })
+		if entry > 0 {
+			entries = append(entries, Edge{EdgeKey: EdgeKey{Src: Start, Dst: id}, Count: entry})
+		}
+	}
+	return append(entries, edges...)
 }
 
 // Rebaser converts one access's raw lane addresses into the stable keys
@@ -248,13 +303,13 @@ const laneSpan = 512
 //
 // Every event folds in one pass without a map operation in the common
 // case. The folder keeps one state per edge it has taken: the edge's
-// destination node and the successors seen from it, each with its cached
-// *Edge and a pending count of the (previous, current, next) block triple.
-// A block entry scans the current state's successors and bumps a count;
-// Finish adds each distinct triple's count once to Edge.Count, Edge.Prev
-// and Node.Pairs. A memory access rebases its lanes with one call, counts
-// lanes spanning fewer than laneSpan words into a bitmap and emits them
-// as ascending cells, and sorts only wider lane vectors.
+// destination node and the successors seen from it, each with a pending
+// count of the (previous, current, next) block triple. A block entry
+// scans the current state's successors and bumps a count; Finish adds
+// each distinct triple's count once to the middle node's Pairs. A memory
+// access rebases its lanes with one call, counts lanes spanning fewer
+// than laneSpan words into a bitmap and emits them as ascending cells,
+// and sorts only wider lane vectors.
 type WarpFolder struct {
 	g       *Graph
 	rebase  Rebaser
@@ -280,11 +335,11 @@ type foldState struct {
 	succ        []foldSucc
 }
 
-// foldSucc is a block seen after a state, with the edge leading to it.
+// foldSucc is a block seen after a state, with the state of the edge
+// leading to it.
 type foldSucc struct {
 	block   int   // the next block, or End
 	to      int32 // the state of the edge block→next; unused for End
-	edge    *Edge
 	pending int64 // transitions through this triple not yet in the graph
 }
 
@@ -338,7 +393,8 @@ func (f *WarpFolder) newState(from, block int, n *Node) int32 {
 }
 
 // step moves the warp from its current state to block b (or End) and
-// counts the transition as pending.
+// counts the triple it completes as pending. The root state's step
+// completes none.
 func (f *WarpFolder) step(b int) {
 	s := &f.states[f.at]
 	i := 0
@@ -350,10 +406,12 @@ func (f *WarpFolder) step(b int) {
 		s = &f.states[f.at]
 	}
 	t := &s.succ[i]
-	if t.pending == 0 {
-		f.pending = append(f.pending, succRef{state: f.at, succ: int32(i)})
+	if f.at != 0 {
+		if t.pending == 0 {
+			f.pending = append(f.pending, succRef{state: f.at, succ: int32(i)})
+		}
+		t.pending++
 	}
-	t.pending++
 	f.at = t.to
 }
 
@@ -370,7 +428,7 @@ func (f *WarpFolder) addSucc(b int) {
 		}
 	}
 	s := &f.states[f.at]
-	s.succ = append(s.succ, foldSucc{block: b, to: to, edge: f.g.edge(k)})
+	s.succ = append(s.succ, foldSucc{block: b, to: to})
 }
 
 // EnterBlock records that the warp entered block b.
@@ -471,22 +529,18 @@ func (f *WarpFolder) fold(h *MemHist, space isa.Space, addrs []int64) {
 }
 
 // Finish closes the warp's trace with its End transition, adds the
-// warp's pending transition counts to the graph, and resets the folder
-// for the next warp.
+// warp's pending triple counts to the graph, and resets the folder for
+// the next warp.
 func (f *WarpFolder) Finish() {
 	if f.started {
 		f.step(End)
 	}
 	for _, r := range f.pending {
+		// The triple (from, block, next) is the pair (from, next) of the
+		// middle node.
 		s := &f.states[r.state]
 		t := &s.succ[r.succ]
-		t.edge.Count += t.pending
-		if r.state != 0 {
-			// The triple (from, block, next) attributes the previous edge
-			// to the edge taken and the pair to the middle node.
-			t.edge.Prev[EdgeKey{Src: s.from, Dst: s.block}] += t.pending
-			s.node.Pairs[PairKey{Src: s.from, Dst: t.block}] += t.pending
-		}
+		s.node.Pairs[PairKey{Src: s.from, Dst: t.block}] += t.pending
 		t.pending = 0
 	}
 	f.pending = f.pending[:0]
@@ -525,13 +579,6 @@ func (g *Graph) Merge(o *Graph) {
 			n.Pairs[pk] += c
 		}
 	}
-	for ek, oe := range o.Edges {
-		e := g.edge(ek)
-		e.Count += oe.Count
-		for pk, c := range oe.Prev {
-			e.Prev[pk] += c
-		}
-	}
 }
 
 // Clone deep-copies the graph.
@@ -561,11 +608,7 @@ func (g *Graph) Encode() []byte {
 	buf = append(buf, 0)
 	put(g.Warps)
 
-	nodeIDs := make([]int, 0, len(g.Nodes))
-	for id := range g.Nodes {
-		nodeIDs = append(nodeIDs, id)
-	}
-	sort.Ints(nodeIDs)
+	nodeIDs := g.nodeIDs()
 	put(int64(len(nodeIDs)))
 	for _, id := range nodeIDs {
 		n := g.Nodes[id]
@@ -592,16 +635,7 @@ func (g *Graph) Encode() []byte {
 				}
 			}
 		}
-		pairs := make([]PairKey, 0, len(n.Pairs))
-		for pk := range n.Pairs {
-			pairs = append(pairs, pk)
-		}
-		sort.Slice(pairs, func(i, j int) bool {
-			if pairs[i].Src != pairs[j].Src {
-				return pairs[i].Src < pairs[j].Src
-			}
-			return pairs[i].Dst < pairs[j].Dst
-		})
+		pairs := sortedPairs(n.Pairs)
 		put(int64(len(pairs)))
 		for _, pk := range pairs {
 			put(int64(pk.Src))
@@ -610,37 +644,17 @@ func (g *Graph) Encode() []byte {
 		}
 	}
 
-	edgeKeys := make([]EdgeKey, 0, len(g.Edges))
-	for ek := range g.Edges {
-		edgeKeys = append(edgeKeys, ek)
-	}
-	sort.Slice(edgeKeys, func(i, j int) bool {
-		if edgeKeys[i].Src != edgeKeys[j].Src {
-			return edgeKeys[i].Src < edgeKeys[j].Src
-		}
-		return edgeKeys[i].Dst < edgeKeys[j].Dst
-	})
-	put(int64(len(edgeKeys)))
-	for _, ek := range edgeKeys {
-		e := g.Edges[ek]
-		put(int64(ek.Src))
-		put(int64(ek.Dst))
+	edges := g.Edges()
+	put(int64(len(edges)))
+	for _, e := range edges {
+		put(int64(e.Src))
+		put(int64(e.Dst))
 		put(e.Count)
-		prevs := make([]EdgeKey, 0, len(e.Prev))
-		for pk := range e.Prev {
-			prevs = append(prevs, pk)
-		}
-		sort.Slice(prevs, func(i, j int) bool {
-			if prevs[i].Src != prevs[j].Src {
-				return prevs[i].Src < prevs[j].Src
-			}
-			return prevs[i].Dst < prevs[j].Dst
-		})
-		put(int64(len(prevs)))
-		for _, pk := range prevs {
-			put(int64(pk.Src))
-			put(int64(pk.Dst))
-			put(e.Prev[pk])
+		put(int64(len(e.Prev)))
+		for _, p := range e.Prev {
+			put(int64(p.Src))
+			put(int64(p.Dst))
+			put(p.Count)
 		}
 	}
 	return buf
@@ -655,5 +669,5 @@ func (g *Graph) Equal(o *Graph) bool { return g.Hash() == o.Hash() }
 // String summarizes the graph.
 func (g *Graph) String() string {
 	return fmt.Sprintf("adcfg(%s: %d nodes, %d edges, %d warps)",
-		g.Kernel, len(g.Nodes), len(g.Edges), g.Warps)
+		g.Kernel, len(g.Nodes), len(g.Edges()), g.Warps)
 }

@@ -21,6 +21,16 @@ func foldWarp(g *Graph, blocks []int, mems map[int][]int64) {
 	f.Finish()
 }
 
+// edgeOf returns g's derived edge src→dst, or nil.
+func edgeOf(g *Graph, src, dst int) *Edge {
+	for _, e := range g.Edges() {
+		if e.Src == src && e.Dst == dst {
+			return &e
+		}
+	}
+	return nil
+}
+
 func TestSingleWarpGraph(t *testing.T) {
 	g := NewGraph("k")
 	foldWarp(g, []int{0, 1, 2}, map[int][]int64{1: {100, 101}})
@@ -31,17 +41,17 @@ func TestSingleWarpGraph(t *testing.T) {
 		t.Errorf("nodes = %d", len(g.Nodes))
 	}
 	// Edges: start->0, 0->1, 1->2, 2->end.
-	if len(g.Edges) != 4 {
-		t.Errorf("edges = %d", len(g.Edges))
+	if n := len(g.Edges()); n != 4 {
+		t.Errorf("edges = %d", n)
 	}
-	if e := g.Edges[EdgeKey{Src: 0, Dst: 1}]; e == nil || e.Count != 1 {
+	if e := edgeOf(g, 0, 1); e == nil || e.Count != 1 {
 		t.Errorf("edge 0->1 = %+v", e)
 	}
-	if e := g.Edges[EdgeKey{Src: Start, Dst: 0}]; e == nil {
-		t.Error("missing start edge")
+	if e := edgeOf(g, Start, 0); e == nil || e.Count != 1 {
+		t.Errorf("start edge = %+v", e)
 	}
-	if e := g.Edges[EdgeKey{Src: 2, Dst: End}]; e == nil {
-		t.Error("missing end edge")
+	if e := edgeOf(g, 2, End); e == nil || e.Count != 1 {
+		t.Errorf("end edge = %+v", e)
 	}
 	h := g.Nodes[1].Visits[0].Mems[0]
 	if countAt(h, 100) != 1 || countAt(h, 101) != 1 {
@@ -101,9 +111,9 @@ func TestVisitIndexingPerWarp(t *testing.T) {
 func TestPrevEdgeAttribution(t *testing.T) {
 	g := NewGraph("k")
 	foldWarp(g, []int{0, 1, 2}, nil)
-	e := g.Edges[EdgeKey{Src: 1, Dst: 2}]
-	if e.Prev[EdgeKey{Src: 0, Dst: 1}] != 1 {
-		t.Errorf("prev edges = %v", e.Prev)
+	e := edgeOf(g, 1, 2)
+	if want := []EdgeCount{{EdgeKey{Src: 0, Dst: 1}, 1}}; e == nil || !slices.Equal(e.Prev, want) {
+		t.Errorf("edge 1->2 = %+v, want prev edges %v", e, want)
 	}
 }
 
@@ -120,8 +130,8 @@ func TestMergeAggregates(t *testing.T) {
 	if countAt(h, 5) != 2 || countAt(h, 6) != 1 {
 		t.Errorf("merged histogram = %v", h.Cells)
 	}
-	if a.Edges[EdgeKey{Src: 0, Dst: 1}].Count != 2 {
-		t.Error("edge counts did not add")
+	if e := edgeOf(a, 0, 1); e == nil || e.Count != 2 {
+		t.Errorf("edge 0->1 = %+v, want count 2", e)
 	}
 }
 

@@ -3,6 +3,7 @@ package adcfg
 import (
 	"bytes"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"owl/internal/isa"
@@ -10,9 +11,12 @@ import (
 
 // refFolder is the reference warp folder: a map operation per block entry
 // for each transition count and a per-address rebase with an insertion
-// sort per access. WarpFolder must build byte-identical graphs.
+// sort per access. It also keeps the edges, with their previous-edge
+// counts, in a store of their own. WarpFolder must build byte-identical
+// graphs whose derived edges equal the stored ones.
 type refFolder struct {
 	g        *Graph
+	edges    refEdges
 	rebase   func(space isa.Space, addr int64) uint64
 	visits   map[int]int
 	cur      *Visit
@@ -22,11 +26,53 @@ type refFolder struct {
 	started  bool
 }
 
-func newRefFolder(g *Graph, rebase func(space isa.Space, addr int64) uint64) *refFolder {
+func newRefFolder(g *Graph, edges refEdges, rebase func(space isa.Space, addr int64) uint64) *refFolder {
 	if rebase == nil {
 		rebase = func(_ isa.Space, addr int64) uint64 { return uint64(addr) }
 	}
-	return &refFolder{g: g, rebase: rebase, visits: map[int]int{}, prevPrev: Start, prev: Start}
+	return &refFolder{g: g, edges: edges, rebase: rebase, visits: map[int]int{}, prevPrev: Start, prev: Start}
+}
+
+// refEdge is a stored edge: its traversal count and the counts of the
+// edges taken before it.
+type refEdge struct {
+	count int64
+	prev  map[EdgeKey]int64
+}
+
+// refEdges is the edge store of the reference folders of one graph.
+type refEdges map[EdgeKey]*refEdge
+
+// take counts one traversal of k, after prev unless k leaves Start.
+func (r refEdges) take(k, prev EdgeKey) {
+	e := r[k]
+	if e == nil {
+		e = &refEdge{prev: map[EdgeKey]int64{}}
+		r[k] = e
+	}
+	e.count++
+	if k.Src != Start {
+		e.prev[prev]++
+	}
+}
+
+// sorted returns the stored edges in the order and shape of Graph.Edges.
+func (r refEdges) sorted() []Edge {
+	byKey := func(a, b EdgeKey) int {
+		if a.Src != b.Src {
+			return a.Src - b.Src
+		}
+		return a.Dst - b.Dst
+	}
+	var out []Edge
+	for _, k := range sortedKeys(r, byKey) {
+		e := Edge{EdgeKey: k, Count: r[k].count}
+		for _, p := range sortedKeys(r[k].prev, byKey) {
+			e.Prev = append(e.Prev, EdgeCount{p, r[k].prev[p]})
+		}
+		out = append(out, e)
+	}
+	return out
 }
 
 func (f *refFolder) EnterBlock(b int) {
@@ -36,10 +82,8 @@ func (f *refFolder) EnterBlock(b int) {
 		g.Warps++
 	}
 	ek := EdgeKey{Src: f.prev, Dst: b}
-	e := g.edge(ek)
-	e.Count++
+	f.edges.take(ek, f.prevEdge)
 	if f.prev != Start {
-		e.Prev[f.prevEdge]++
 		g.node(f.prev).Pairs[PairKey{Src: f.prevPrev, Dst: b}]++
 	}
 	j := f.visits[b]
@@ -91,11 +135,8 @@ func (f *refFolder) MemAccess(memIdx int, space isa.Space, store bool, addrs []i
 
 func (f *refFolder) Finish() {
 	if f.started {
-		ek := EdgeKey{Src: f.prev, Dst: End}
-		e := f.g.edge(ek)
-		e.Count++
+		f.edges.take(EdgeKey{Src: f.prev, Dst: End}, f.prevEdge)
 		if f.prev != Start {
-			e.Prev[f.prevEdge]++
 			f.g.node(f.prev).Pairs[PairKey{Src: f.prevPrev, Dst: End}]++
 		}
 	}
@@ -209,12 +250,14 @@ type folder interface {
 }
 
 // runFoldScript folds the script into a fresh graph, through WarpFolders
-// (reference false) or refFolders, and returns the graph's encoding. Every
-// folder is finished at the end, and WarpFolders are released.
-func runFoldScript(data []byte, reference bool) []byte {
+// (reference false) or refFolders, and returns the graph's encoding and
+// its edges: those the graph derives, or those the refFolders stored.
+// Every folder is finished at the end, and WarpFolders are released.
+func runFoldScript(data []byte, reference bool) ([]byte, []Edge) {
 	r := &scriptReader{data: data}
 	hdr := r.next()
 	g := NewGraph("k")
+	stored := refEdges{}
 	var rebase Rebaser
 	var refRebase func(isa.Space, int64) uint64
 	if hdr&4 == 0 {
@@ -222,7 +265,7 @@ func runFoldScript(data []byte, reference bool) []byte {
 	}
 	newFolder := func() folder {
 		if reference {
-			return newRefFolder(g, refRebase)
+			return newRefFolder(g, stored, refRebase)
 		}
 		return NewWarpFolder(g, rebase)
 	}
@@ -259,9 +302,12 @@ func runFoldScript(data []byte, reference bool) []byte {
 	for _, f := range folders {
 		release(f)
 	}
-	enc := g.Encode()
+	enc, edges := g.Encode(), g.Edges()
+	if reference {
+		edges = stored.sorted()
+	}
 	Recycle(g)
-	return enc
+	return enc, edges
 }
 
 // scriptBuilder writes fold scripts for the seed corpus.
@@ -360,17 +406,22 @@ func foldSeeds() [][]byte {
 }
 
 // FuzzWarpFold checks WarpFolder against the reference folder on fold
-// scripts: both must encode the same graph, folded fresh and again
-// through folders taken from the pool after a release.
+// scripts: both must encode the same graph, and the edges the folded
+// graph derives must equal the reference's stored edges, folded fresh
+// and again through folders taken from the pool after a release.
 func FuzzWarpFold(f *testing.F) {
 	for _, s := range foldSeeds() {
 		f.Add(s)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		want := runFoldScript(data, true)
+		want, wantEdges := runFoldScript(data, true)
 		for pass := 0; pass < 2; pass++ {
-			if got := runFoldScript(data, false); !bytes.Equal(got, want) {
+			got, edges := runFoldScript(data, false)
+			if !bytes.Equal(got, want) {
 				t.Fatalf("pass %d: folded graph differs from the reference (%d vs %d bytes) for script %x", pass, len(got), len(want), data)
+			}
+			if !reflect.DeepEqual(edges, wantEdges) {
+				t.Fatalf("pass %d: derived edges differ from the stored ones for script %x:\n got %v\nwant %v", pass, data, edges, wantEdges)
 			}
 		}
 	})

@@ -165,25 +165,17 @@ func refEncode(g *Graph, ref refHists) []byte {
 			put(n.Pairs[pk])
 		}
 	}
-	byKey := func(a, b EdgeKey) int {
-		if a.Src != b.Src {
-			return a.Src - b.Src
-		}
-		return a.Dst - b.Dst
-	}
-	eks := sortedKeys(g.Edges, byKey)
-	put(int64(len(eks)))
-	for _, ek := range eks {
-		e := g.Edges[ek]
-		put(int64(ek.Src))
-		put(int64(ek.Dst))
+	edges := g.Edges()
+	put(int64(len(edges)))
+	for _, e := range edges {
+		put(int64(e.Src))
+		put(int64(e.Dst))
 		put(e.Count)
-		prevs := sortedKeys(e.Prev, byKey)
-		put(int64(len(prevs)))
-		for _, pk := range prevs {
-			put(int64(pk.Src))
-			put(int64(pk.Dst))
-			put(e.Prev[pk])
+		put(int64(len(e.Prev)))
+		for _, p := range e.Prev {
+			put(int64(p.Src))
+			put(int64(p.Dst))
+			put(p.Count)
 		}
 	}
 	return buf

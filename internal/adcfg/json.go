@@ -5,15 +5,15 @@ import (
 	"encoding/json"
 	"fmt"
 	"slices"
-	"sort"
 
 	"owl/internal/isa"
 )
 
-// JSON interchange form. Map keys with struct types (PairKey, EdgeKey)
-// flatten into arrays; ordering is canonical so serialized traces diff
-// cleanly. Histogram cells convert to an address → count object at this
-// boundary.
+// JSON interchange form. Pair maps flatten into arrays; ordering is
+// canonical so serialized traces diff cleanly. Histogram cells convert to
+// an address → count object at this boundary. The edges are written for
+// readers of the file and ignored on read: Graph.Edges derives them from
+// the pairs.
 
 type graphJSON struct {
 	Kernel string     `json:"kernel"`
@@ -56,12 +56,7 @@ type edgeJSON struct {
 func (g *Graph) MarshalJSON() ([]byte, error) {
 	out := graphJSON{Kernel: g.Kernel, Warps: g.Warps}
 
-	nodeIDs := make([]int, 0, len(g.Nodes))
-	for id := range g.Nodes {
-		nodeIDs = append(nodeIDs, id)
-	}
-	sort.Ints(nodeIDs)
-	for _, id := range nodeIDs {
+	for _, id := range g.nodeIDs() {
 		n := g.Nodes[id]
 		nj := nodeJSON{Block: id}
 		for _, v := range n.Visits {
@@ -79,45 +74,19 @@ func (g *Graph) MarshalJSON() ([]byte, error) {
 			}
 			nj.Visits = append(nj.Visits, vj)
 		}
-		nj.Pairs = sortedPairs(n.Pairs)
+		for _, pk := range sortedPairs(n.Pairs) {
+			nj.Pairs = append(nj.Pairs, pairJSON{Src: pk.Src, Dst: pk.Dst, Count: n.Pairs[pk]})
+		}
 		out.Nodes = append(out.Nodes, nj)
 	}
-
-	edgeKeys := make([]EdgeKey, 0, len(g.Edges))
-	for ek := range g.Edges {
-		edgeKeys = append(edgeKeys, ek)
-	}
-	sort.Slice(edgeKeys, func(i, j int) bool {
-		if edgeKeys[i].Src != edgeKeys[j].Src {
-			return edgeKeys[i].Src < edgeKeys[j].Src
+	for _, e := range g.Edges() {
+		ej := edgeJSON{Src: e.Src, Dst: e.Dst, Count: e.Count}
+		for _, p := range e.Prev {
+			ej.Prev = append(ej.Prev, pairJSON{Src: p.Src, Dst: p.Dst, Count: p.Count})
 		}
-		return edgeKeys[i].Dst < edgeKeys[j].Dst
-	})
-	for _, ek := range edgeKeys {
-		e := g.Edges[ek]
-		prev := make(map[PairKey]int64, len(e.Prev))
-		for pk, c := range e.Prev {
-			prev[PairKey(pk)] = c
-		}
-		out.Edges = append(out.Edges, edgeJSON{
-			Src: ek.Src, Dst: ek.Dst, Count: e.Count, Prev: sortedPairs(prev),
-		})
+		out.Edges = append(out.Edges, ej)
 	}
 	return json.Marshal(out)
-}
-
-func sortedPairs(m map[PairKey]int64) []pairJSON {
-	out := make([]pairJSON, 0, len(m))
-	for pk, c := range m {
-		out = append(out, pairJSON{Src: pk.Src, Dst: pk.Dst, Count: c})
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Src != out[j].Src {
-			return out[i].Src < out[j].Src
-		}
-		return out[i].Dst < out[j].Dst
-	})
-	return out
 }
 
 // UnmarshalJSON implements json.Unmarshaler.
@@ -148,13 +117,6 @@ func (g *Graph) UnmarshalJSON(data []byte) error {
 		}
 		for _, pj := range nj.Pairs {
 			n.Pairs[PairKey{Src: pj.Src, Dst: pj.Dst}] = pj.Count
-		}
-	}
-	for _, ej := range in.Edges {
-		e := g.edge(EdgeKey{Src: ej.Src, Dst: ej.Dst})
-		e.Count = ej.Count
-		for _, pj := range ej.Prev {
-			e.Prev[EdgeKey{Src: pj.Src, Dst: pj.Dst}] = pj.Count
 		}
 	}
 	return nil

@@ -10,20 +10,19 @@ import (
 // pipeline releases each trace as soon as it merges — recycling the
 // graphs (and their node/visit maps and histogram cells) through these
 // pools keeps the evidence-phase heap at O(workers) instead of O(runs).
+// A graph stores no edges (Graph.Edges derives them from the pairs), so
+// no pool holds any.
 // The pools are shared by internal/tracer (invocation graphs and the
 // per-slot graphs of parallel launches) and internal/trace (whole-trace
 // release after an evidence merge).
 var (
 	graphPool = sync.Pool{New: func() any {
-		return &Graph{Nodes: make(map[int]*Node), Edges: make(map[EdgeKey]*Edge)}
+		return &Graph{Nodes: make(map[int]*Node)}
 	}}
 	nodePool = sync.Pool{New: func() any {
 		return &Node{Pairs: make(map[PairKey]int64)}
 	}}
 	visitPool = sync.Pool{New: func() any { return &Visit{} }}
-	edgePool  = sync.Pool{New: func() any {
-		return &Edge{Prev: make(map[EdgeKey]int64)}
-	}}
 	// Histograms pool in two capacity classes. A pooled cell buffer keeps
 	// its capacity, and the instructions of one trace see from one to
 	// hundreds of distinct addresses, so a single pool would hand large
@@ -60,7 +59,7 @@ func reserve(c *[]Cell, n int) {
 	}
 }
 
-// Recycle returns g and every node, visit, histogram, and edge it owns to
+// Recycle returns g and every node, visit, and histogram it owns to
 // the shared pools. The caller must hold the only live reference: g and
 // its sub-objects must not be used afterwards. Recycle(nil) is a no-op.
 func Recycle(g *Graph) {
@@ -85,24 +84,10 @@ func Recycle(g *Graph) {
 		n.Block = 0
 		nodePool.Put(n)
 	}
-	for _, e := range g.Edges {
-		if e.Prev == nil {
-			e.Prev = make(map[EdgeKey]int64)
-		} else {
-			clear(e.Prev)
-		}
-		e.Count = 0
-		edgePool.Put(e)
-	}
 	if g.Nodes == nil {
 		g.Nodes = make(map[int]*Node)
 	} else {
 		clear(g.Nodes)
-	}
-	if g.Edges == nil {
-		g.Edges = make(map[EdgeKey]*Edge)
-	} else {
-		clear(g.Edges)
 	}
 	g.Kernel = ""
 	g.Warps = 0

@@ -24,7 +24,7 @@ func TestRecycleYieldsCleanGraphs(t *testing.T) {
 	// factory-fresh regardless of which pooled object comes back.
 	for i := 0; i < 4; i++ {
 		ng := NewGraph("fresh")
-		if ng.Kernel != "fresh" || len(ng.Nodes) != 0 || len(ng.Edges) != 0 || ng.Warps != 0 {
+		if ng.Kernel != "fresh" || len(ng.Nodes) != 0 || ng.Warps != 0 {
 			t.Fatalf("recycled graph not clean: %+v", ng)
 		}
 		Recycle(ng)
@@ -45,7 +45,6 @@ func TestRecycleNormalizesNilMaps(t *testing.T) {
 		Nodes: map[int]*Node{
 			1: {Block: 1, Visits: []*Visit{{Count: 2, Mems: []*MemHist{nil, {Space: isa.SpaceGlobal}}}}},
 		},
-		Edges: map[EdgeKey]*Edge{{Src: 1, Dst: 2}: {Count: 1}},
 	}
 	Recycle(g)
 	ng := NewGraph("after")

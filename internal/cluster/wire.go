@@ -33,7 +33,12 @@ import (
 //
 // v4 changed the gob shape of shipped traces: an address histogram
 // (adcfg.MemHist) travels as strictly ascending cells instead of a map.
-const ProtocolVersion = 4
+//
+// v5 dropped the stored edges from shipped traces: an adcfg.Graph
+// travels with its node pairs only, and the receiver derives the edges
+// from them. A v4 peer would decode a v5 trace with no edges and hash it
+// differently.
+const ProtocolVersion = 5
 
 // protocolHeader is the HTTP header a worker stamps on record-stream
 // responses so the coordinator can verify the version before decoding.

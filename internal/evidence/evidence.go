@@ -308,7 +308,14 @@ func (e *Engine) observeInvocation(a *invAcc, r Regime, runIdx int, ti *trace.In
 					a.mems[key] = m
 					a.dirty = true
 				}
-				mean, spread := e.observeHist(m, r, h)
+				// The MI estimator takes the cells in ascending address
+				// order, which makes its rebin trigger, and so the
+				// estimate, deterministic. The mean and spread are the
+				// diff channel's per-run summary.
+				for _, c := range h.Cells {
+					m.mi.Observe(int(r), float64(c.Addr), float64(c.Count))
+				}
+				mean, spread := adcfg.Summary(h.Cells)
 				m.mean[r].Add(mean)
 				m.spread[r].Add(spread)
 			}
@@ -331,22 +338,6 @@ func (e *Engine) observeInvocation(a *invAcc, r Regime, runIdx int, ti *trace.In
 		w.Add(v)
 		c.mi.Observe(int(r), v, 1)
 	}
-}
-
-// observeHist folds one non-empty address histogram into the MI
-// estimator in ascending address order (the order its cells keep, which
-// makes the rebin trigger — and therefore the estimate — deterministic)
-// and returns the run-level count-weighted mean offset and max-min
-// spread, the same per-run summary the diff channel extracts.
-func (e *Engine) observeHist(m *memAcc, r Regime, h *adcfg.MemHist) (mean, spread float64) {
-	var sum, total float64
-	for _, c := range h.Cells {
-		v, w := float64(c.Addr), float64(c.Count)
-		m.mi.Observe(int(r), v, w)
-		sum += v * w
-		total += w
-	}
-	return sum / total, float64(h.Cells[len(h.Cells)-1].Addr) - float64(h.Cells[0].Addr)
 }
 
 // bernoulli returns the analytic Welford accumulator of k ones among n

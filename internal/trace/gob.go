@@ -11,10 +11,13 @@ import (
 // traces; JSON remains the interchange format.
 
 // gobFormat leads every gob trace. Format 2 stores address histograms as
-// sorted cells. Gob skips fields a type no longer has, so a headerless
-// format-1 stream (map histograms) would otherwise decode into a trace
-// with every histogram empty; the header makes it fail instead.
-const gobFormat = 2
+// sorted cells. Format 3 drops the stored edges: a graph carries only its
+// node pairs, from which adcfg.Graph.Edges derives the edges. Gob skips
+// fields a type no longer has, so a headerless format-1 stream (map
+// histograms) would otherwise decode into a trace with every histogram
+// empty, and a format-2 reader would decode a format-3 trace with no
+// edges and hash it differently; the header makes both fail instead.
+const gobFormat = 3
 
 // WriteGob writes the trace in gob form.
 func (t *ProgramTrace) WriteGob(w io.Writer) error {

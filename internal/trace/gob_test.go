@@ -3,7 +3,9 @@ package trace
 import (
 	"bytes"
 	"encoding/gob"
+	"fmt"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -88,5 +90,28 @@ func TestReadGobRejectsOtherFormats(t *testing.T) {
 	}
 	if _, err := ReadGob(&foreign); err == nil {
 		t.Error("foreign format accepted")
+	}
+}
+
+// TestReadGobRejectsFormat2 feeds a format-2 stream, whose graphs stored
+// their edges: the error must name both formats, so a mismatch across
+// versions fails loudly instead of loading and hashing differently.
+func TestReadGobRejectsFormat2(t *testing.T) {
+	var old bytes.Buffer
+	enc := gob.NewEncoder(&old)
+	if err := enc.Encode(2); err != nil {
+		t.Fatal(err)
+	}
+	if err := enc.Encode(mkTrace()); err != nil {
+		t.Fatal(err)
+	}
+	_, err := ReadGob(&old)
+	if err == nil {
+		t.Fatal("format-2 stream accepted")
+	}
+	for _, want := range []string{"format 2", fmt.Sprintf("want %d", gobFormat)} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("error %q omits %q", err, want)
+		}
 	}
 }

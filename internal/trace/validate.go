@@ -3,13 +3,15 @@ package trace
 import "fmt"
 
 // Validate checks the structural invariants the rest of the pipeline
-// assumes: no nil invocations, graphs, nodes, visits, or edges; histogram
+// assumes: no nil invocations, graphs, nodes, or visits; histogram
 // cells in strictly ascending address order with positive counts (merge
 // walks them in order); cost sites in canonical order. Encode and Hash
 // index straight into these structures, so a trace decoded from
 // an untrusted byte stream — the cluster wire format, a file on disk —
-// must pass here before any later use can panic on it. Decoders call
-// Validate automatically; a trace built by the tracer always passes.
+// must pass here before any later use can panic on it. A graph stores no
+// edges (adcfg.Graph.Edges derives them from the node pairs), so there
+// are none to check. Decoders call Validate automatically; a trace built
+// by the tracer always passes.
 func (t *ProgramTrace) Validate() error {
 	if t == nil {
 		return fmt.Errorf("trace: nil trace")
@@ -42,11 +44,6 @@ func (t *ProgramTrace) Validate() error {
 						}
 					}
 				}
-			}
-		}
-		for key, e := range inv.Graph.Edges {
-			if e == nil {
-				return fmt.Errorf("trace: invocation %d: edge %d->%d is nil", i, key.Src, key.Dst)
 			}
 		}
 		for j, c := range inv.Cost {

@@ -40,13 +40,6 @@ func TestValidateRejectsNilParts(t *testing.T) {
 			}
 			t.Fatal("mkTrace has no visits to corrupt")
 		},
-		"nil edge": func(tr *ProgramTrace) {
-			g := tr.Invocations[0].Graph
-			for key := range g.Edges {
-				g.Edges[key] = nil
-				break
-			}
-		},
 	}
 	var nilTrace *ProgramTrace
 	if err := nilTrace.Validate(); err == nil {
