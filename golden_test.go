@@ -30,6 +30,7 @@ import (
 	"owl/internal/core"
 	"owl/internal/experiments"
 	"owl/internal/quantify"
+	"owl/internal/trace"
 )
 
 var updateGolden = flag.Bool("update", false, "rewrite golden report files")
@@ -266,14 +267,21 @@ func TestGoldenQuantify(t *testing.T) {
 	}
 }
 
-// traceGoldenPath holds the canonical bytes of every FullSuite target's
-// traces: per trace, its Hash and the SHA-256 of its JSON encoding.
-var traceGoldenPath = filepath.Join("testdata", "golden", "trace-hashes.txt")
+// traceGoldenPath and traceCostGoldenPath hold the canonical bytes of
+// every FullSuite target's traces, recorded with the cost channel off and
+// on: per trace, its Hash and the SHA-256 of its JSON encoding.
+var (
+	traceGoldenPath     = filepath.Join("testdata", "golden", "trace-hashes.txt")
+	traceCostGoldenPath = filepath.Join("testdata", "golden", "trace-hashes-cost.txt")
+)
 
 // TestGoldenTraceHashes pins the canonical trace encoding and the JSON
 // trace form of every FullSuite target: each user input plus two
-// generated ones (fixed seed) is recorded once, and the trace's Hash and
-// the SHA-256 of its JSON are compared against the golden.
+// generated ones (fixed seed) is recorded once with the cost channel off
+// and once with it on, and each trace's Hash and the SHA-256 of its JSON
+// are compared against the golden of its channel setting. The cost
+// channel only adds cost sites: both recordings of one input must fold
+// invocation graphs that encode identically.
 func TestGoldenTraceHashes(t *testing.T) {
 	if testing.Short() {
 		t.Skip("trace goldens record every suite target")
@@ -283,21 +291,35 @@ func TestGoldenTraceHashes(t *testing.T) {
 		t.Fatal(err)
 	}
 	opts := core.DefaultOptions()
-	var b strings.Builder
+	var plain, withCost strings.Builder
 	for _, target := range targets {
 		gen := rand.New(rand.NewSource(42))
 		inputs := append(slices.Clone(target.Inputs), target.Gen(gen), target.Gen(gen))
 		for i, in := range inputs {
-			tr, _, err := core.RecordRun(context.Background(), target.Program, opts.Device, opts.Rebase, false, in, int64(i+1), nil)
-			if err != nil {
-				t.Fatalf("%s input %d: %v", target.Program.Name(), i, err)
+			var trs [2]*trace.ProgramTrace
+			for c, b := range []*strings.Builder{&plain, &withCost} {
+				tr, _, err := core.RecordRun(context.Background(), target.Program, opts.Device, opts.Rebase, c == 1, in, int64(i+1), nil)
+				if err != nil {
+					t.Fatalf("%s input %d (cost=%v): %v", target.Program.Name(), i, c == 1, err)
+				}
+				var js bytes.Buffer
+				if err := tr.WriteJSON(&js); err != nil {
+					t.Fatal(err)
+				}
+				fmt.Fprintf(b, "%s %d hash=%x json=%x\n", target.Program.Name(), i, tr.Hash(), sha256.Sum256(js.Bytes()))
+				trs[c] = tr
 			}
-			var js bytes.Buffer
-			if err := tr.WriteJSON(&js); err != nil {
-				t.Fatal(err)
+			off, on := trs[0].Invocations, trs[1].Invocations
+			if len(off) != len(on) {
+				t.Fatalf("%s input %d: %d invocations with cost off, %d with cost on", target.Program.Name(), i, len(off), len(on))
 			}
-			fmt.Fprintf(&b, "%s %d hash=%x json=%x\n", target.Program.Name(), i, tr.Hash(), sha256.Sum256(js.Bytes()))
+			for j := range off {
+				if !bytes.Equal(off[j].Graph.Encode(), on[j].Graph.Encode()) {
+					t.Errorf("%s input %d invocation %d: the cost channel changed the A-DCFG", target.Program.Name(), i, j)
+				}
+			}
 		}
 	}
-	checkGolden(t, traceGoldenPath, []byte(b.String()))
+	checkGolden(t, traceGoldenPath, []byte(plain.String()))
+	checkGolden(t, traceCostGoldenPath, []byte(withCost.String()))
 }
