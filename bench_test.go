@@ -637,9 +637,9 @@ func BenchmarkOwlcCompile(b *testing.B) {
 	}
 }
 
-// BenchmarkCoalesceProfile measures the coalescing transaction model on
+// BenchmarkTransactions measures the coalescing transaction model on
 // one 32-lane warp access.
-func BenchmarkCoalesceProfile(b *testing.B) {
+func BenchmarkTransactions(b *testing.B) {
 	addrs := make([]int64, 32)
 	for i := range addrs {
 		addrs[i] = int64(i * 7)

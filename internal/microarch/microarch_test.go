@@ -3,6 +3,8 @@ package microarch
 import (
 	"math/bits"
 	"math/rand"
+	"slices"
+	"sort"
 	"testing"
 
 	"owl/internal/isa"
@@ -152,16 +154,55 @@ func TestPowerProxyMatchesOnesCount(t *testing.T) {
 			t.Fatalf("PowerProxy mask %08x = %d, want %d", mask, got, want)
 		}
 	}
-	var zero [simt.WarpWidth]int64
-	if PowerProxy(&zero, 0) != 0 {
-		t.Error("empty mask must cost 0")
+	// Random masks almost never select every lane, so the full-warp
+	// path, the top lane alone and the empty mask are fixed cases.
+	var vals [simt.WarpWidth]int64
+	for i := range vals {
+		vals[i] = int64(rng.Uint64())
+	}
+	vals[simt.WarpWidth-1] = -1
+	var all int64
+	for _, v := range vals {
+		all += int64(bits.OnesCount64(uint64(v)))
+	}
+	for _, tc := range []struct {
+		mask uint32
+		want int64
+	}{
+		{0xFFFFFFFF, all},
+		{1 << 31, 64},
+		{0, 0},
+	} {
+		if got := PowerProxy(&vals, tc.mask); got != tc.want {
+			t.Errorf("PowerProxy mask %08x = %d, want %d", tc.mask, got, tc.want)
+		}
 	}
 }
 
+// testKernel returns a kernel whose blocks hold the given code, written
+// as one letter per instruction: 'm' a memory instruction, anything else
+// an arithmetic one. Only the layout matters to a Collector.
+func testKernel(blocks ...string) *isa.Kernel {
+	k := &isa.Kernel{Name: "layout"}
+	for id, code := range blocks {
+		b := &isa.Block{ID: id, Term: isa.Terminator{Kind: isa.TermRet}}
+		for _, c := range code {
+			op := isa.OpAdd
+			if c == 'm' {
+				op = isa.OpLoad
+			}
+			b.Code = append(b.Code, isa.Instr{Op: op})
+		}
+		k.Blocks = append(k.Blocks, b)
+	}
+	return k
+}
+
 func TestCollectorAggregation(t *testing.T) {
-	c := NewCollector()
-	if !c.Empty() {
-		t.Fatal("new collector not empty")
+	k := testKernel("am", "", "mamamaa")
+	c := NewCollector(k)
+	if sites := c.Sites(); sites != nil {
+		t.Fatalf("new collector has sites %+v", sites)
 	}
 	// Two shared accesses at the same site: degrees 1 and 4.
 	c.RecordMem(2, 0, isa.SpaceShared, seq(0, 1, 32))
@@ -183,17 +224,12 @@ func TestCollectorAggregation(t *testing.T) {
 		{Block: 2, Instr: 1, Metric: trace.CostCoalesce, Events: 1, Total: 2},
 		{Block: 2, Instr: 5, Metric: trace.CostPower, Events: 1, Total: 4 * 64},
 	}
-	if len(sites) != len(want) {
-		t.Fatalf("got %d sites, want %d: %+v", len(sites), len(want), sites)
-	}
-	for i := range want {
-		if sites[i] != want[i] {
-			t.Errorf("site %d = %+v, want %+v", i, sites[i], want[i])
-		}
+	if !slices.Equal(sites, want) {
+		t.Fatalf("sites = %+v, want %+v", sites, want)
 	}
 
 	// Merge doubles every aggregate.
-	d := NewCollector()
+	d := NewCollector(k)
 	c.MergeInto(d)
 	c.MergeInto(d)
 	for _, s := range d.Sites() {
@@ -201,8 +237,148 @@ func TestCollectorAggregation(t *testing.T) {
 			t.Errorf("merged site %+v not doubled", s)
 		}
 	}
-	c.Reset()
-	if !c.Empty() {
-		t.Error("reset collector not empty")
+}
+
+// siteKey identifies one mapCollector accumulator.
+type siteKey struct {
+	metric trace.CostMetric
+	block  int
+	instr  int
+}
+
+// mapCollector is the reference for Collector: the same observables
+// aggregated in a map keyed by (metric, block, instruction) and sorted
+// when rendered, with no knowledge of the kernel's layout.
+type mapCollector struct {
+	agg map[siteKey]cell
+}
+
+func newMapCollector() *mapCollector {
+	return &mapCollector{agg: make(map[siteKey]cell)}
+}
+
+func (c *mapCollector) add(k siteKey, cost int64) {
+	e := c.agg[k]
+	e.add(cost)
+	c.agg[k] = e
+}
+
+func (c *mapCollector) RecordMem(block, memIdx int, space isa.Space, addrs []int64) {
+	if len(addrs) == 0 {
+		return
+	}
+	switch space {
+	case isa.SpaceShared:
+		c.add(siteKey{trace.CostBank, block, memIdx}, int64(BankConflictDegree(addrs)))
+	case isa.SpaceGlobal:
+		c.add(siteKey{trace.CostCoalesce, block, memIdx}, int64(Transactions(addrs)))
+	}
+}
+
+func (c *mapCollector) RecordRegWrite(block, instr int, vals *[simt.WarpWidth]int64, mask uint32) {
+	if mask == 0 {
+		return
+	}
+	c.add(siteKey{trace.CostPower, block, instr}, PowerProxy(vals, mask))
+}
+
+func (c *mapCollector) MergeInto(dst *mapCollector) {
+	for k, e := range c.agg {
+		d := dst.agg[k]
+		d.events += e.events
+		d.total += e.total
+		dst.agg[k] = d
+	}
+}
+
+func (c *mapCollector) Sites() []trace.CostSite {
+	if len(c.agg) == 0 {
+		return nil
+	}
+	out := make([]trace.CostSite, 0, len(c.agg))
+	for k, e := range c.agg {
+		out = append(out, trace.CostSite{Block: k.block, Instr: k.instr, Metric: k.metric, Events: e.events, Total: e.total})
+	}
+	sort.Slice(out, func(i, j int) bool {
+		a, b := out[i], out[j]
+		if a.Metric != b.Metric {
+			return a.Metric < b.Metric
+		}
+		if a.Block != b.Block {
+			return a.Block < b.Block
+		}
+		return a.Instr < b.Instr
+	})
+	return out
+}
+
+// TestCollectorMatchesMapReference feeds random RecordMem, RecordRegWrite
+// and MergeInto sequences over generated multi-block kernels to dense
+// collectors and to map references, and requires identical sites from
+// every pair, including collectors that never record.
+func TestCollectorMatchesMapReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	spaces := []isa.Space{isa.SpaceShared, isa.SpaceGlobal, isa.SpaceLocal, isa.SpaceConstant}
+	for iter := 0; iter < 500; iter++ {
+		// Blocks of 0-11 instructions, some with no memory instruction.
+		blocks := make([]string, 1+rng.Intn(6))
+		for i := range blocks {
+			code := make([]byte, rng.Intn(12))
+			for j := range code {
+				code[j] = "mma"[rng.Intn(3)]
+			}
+			blocks[i] = string(code)
+		}
+		k := testKernel(blocks...)
+		dense := make([]*Collector, 1+rng.Intn(3))
+		ref := make([]*mapCollector, len(dense))
+		for i := range dense {
+			dense[i], ref[i] = NewCollector(k), newMapCollector()
+		}
+		for op := rng.Intn(60); op > 0; op-- {
+			i := rng.Intn(len(dense))
+			b := rng.Intn(len(blocks))
+			code := k.Blocks[b].Code
+			switch rng.Intn(4) {
+			case 0, 1:
+				mems := len(k.Blocks[b].MemInstrs())
+				if mems == 0 {
+					continue
+				}
+				m := rng.Intn(mems)
+				space := spaces[rng.Intn(len(spaces))]
+				addrs := make([]int64, rng.Intn(simt.WarpWidth+1))
+				for l := range addrs {
+					addrs[l] = int64(rng.Intn(128))
+				}
+				dense[i].RecordMem(b, m, space, addrs)
+				ref[i].RecordMem(b, m, space, addrs)
+			case 2:
+				if len(code) == 0 {
+					continue
+				}
+				instr := rng.Intn(len(code))
+				var vals [simt.WarpWidth]int64
+				for l := range vals {
+					vals[l] = int64(rng.Uint64())
+				}
+				mask := []uint32{0, 0xFFFFFFFF, rng.Uint32()}[rng.Intn(3)]
+				dense[i].RecordRegWrite(b, instr, &vals, mask)
+				ref[i].RecordRegWrite(b, instr, &vals, mask)
+			case 3:
+				j := rng.Intn(len(dense))
+				if j == i {
+					continue
+				}
+				dense[i].MergeInto(dense[j])
+				ref[i].MergeInto(ref[j])
+			}
+		}
+		for i := range dense {
+			got, want := dense[i].Sites(), ref[i].Sites()
+			if !slices.Equal(got, want) || (got == nil) != (want == nil) {
+				t.Fatalf("iter %d kernel %q collector %d: sites\n%+v\nwant\n%+v", iter, blocks, i, got, want)
+			}
+		}
 	}
 }

@@ -95,6 +95,7 @@ func (t *Tracer) OnLaunch(info cuda.LaunchInfo) gpu.Instrument {
 	t.mu.Unlock()
 	li := &launchInst{
 		inv:    inv,
+		kernel: info.Kernel,
 		rebase: rebase,
 		cost:   t.cost,
 		nWarps: (info.Block.Count() + simt.WarpWidth - 1) / simt.WarpWidth,
@@ -171,6 +172,7 @@ func regionOf(allocs []gpu.AllocRecord, a int64) region {
 // once.
 type launchInst struct {
 	inv    *trace.Invocation
+	kernel *isa.Kernel // lays out each slot's cost collector
 	rebase adcfg.Rebaser
 	cost   bool // collect the cost channel (WithCost)
 	nWarps int  // warps per thread block
@@ -193,7 +195,7 @@ type foldSlot struct {
 func (li *launchInst) newSlot(g *adcfg.Graph) *foldSlot {
 	s := &foldSlot{graph: g, warps: make([]costWarpHooks, li.nWarps)}
 	if li.cost {
-		s.cost = microarch.NewCollector()
+		s.cost = microarch.NewCollector(li.kernel)
 	}
 	return s
 }
