@@ -89,15 +89,14 @@ func TestWarpInterpAllocsCostOff(t *testing.T) {
 // block-executor slot, so the count does not grow with the warp count: a
 // per-warp graph or folder adds several allocations per warp (16 warps on
 // the wide aes128 cases, 2 on the others) and fails the wide plain case,
-// whose limit sits 20 above its steady state of 23-24. The cost-on limits
-// were set when the map collector's steady state was 41-43; it is 27-28
-// with the dense collector, so they no longer catch one allocation added
-// per warp (16 more on the wide cost case still passes) and only guard
-// against larger regressions. The aes128 limits sit above the steady
-// state because a collection that empties the graph pools makes the next
-// runs refill them. nvjpeg/encode launches four kernels per run; its
-// limit sits a few allocations above its steady state of 77-78, so a
-// folder or transition-state buffer allocated per launch instead of
+// whose limit sits 20 above its steady state of 23-24. The cost-on cases
+// read 27-29 with the dense cost collector; both limits sit 11-13 above
+// that, like the narrow plain case's, so one allocation added per warp
+// (16 more) fails the wide cost case. The aes128 limits sit above the
+// steady state because a collection that empties the graph pools makes
+// the next runs refill them. nvjpeg/encode launches four kernels per
+// run; its limit sits a few allocations above its steady state of 77-78,
+// so a folder or transition-state buffer allocated per launch instead of
 // pooled fails it.
 func TestTracedRunAllocs(t *testing.T) {
 	aes := func(blocks int) func() (cuda.Program, []byte) {
@@ -113,8 +112,8 @@ func TestTracedRunAllocs(t *testing.T) {
 	}{
 		{name: "aes128", prog: aes(64), max: 36},
 		{name: "aes128-wide", prog: aes(512), max: 44},
-		{name: "aes128-cost", prog: aes(64), opts: []tracer.Option{tracer.WithCost()}, max: 52},
-		{name: "aes128-wide-cost", prog: aes(512), opts: []tracer.Option{tracer.WithCost()}, max: 64},
+		{name: "aes128-cost", prog: aes(64), opts: []tracer.Option{tracer.WithCost()}, max: 40},
+		{name: "aes128-wide-cost", prog: aes(512), opts: []tracer.Option{tracer.WithCost()}, max: 40},
 		{
 			name: "nvjpeg-encode",
 			prog: func() (cuda.Program, []byte) {

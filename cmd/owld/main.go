@@ -95,7 +95,7 @@ func run(args []string) error {
 		return err
 	}
 	mgr.Start()
-	expvar.Publish("owld", mgr.Metrics().Map())
+	expvar.Publish("owld", mgr.Metrics().Map(mgr.Recorder()))
 	if fleet != nil {
 		logger.Info("detection jobs record on cluster",
 			slog.String("workers", strings.Join(fleet.Workers(), ", ")))

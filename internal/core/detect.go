@@ -594,6 +594,9 @@ func (d *Detector) analyzeClass(ctx context.Context, p cuda.Program, cls InputCl
 			chunk[i] = req
 		}
 		sink := newOrderedSink(0, func(_ int, t *trace.ProgramTrace) error {
+			// The span feeds owld's latency histograms; mergeTime feeds
+			// Report.Stats.EvidenceTime, which must work without a recorder.
+			_, msp := obs.Start(ctx, "evidence.merge")
 			t0 := time.Now()
 			if engine != nil {
 				engine.Observe(rg.r, t)
@@ -602,6 +605,7 @@ func (d *Detector) analyzeClass(ctx context.Context, p cuda.Program, cls InputCl
 				rg.ev.AddRun(t)
 			}
 			mergeTime += time.Since(t0) // serialized by the sink's window lock
+			msp.End()
 			trace.Release(t)
 			merged++
 			obs.Counter(ctx, "evidence_runs", float64(merged))

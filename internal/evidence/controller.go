@@ -46,7 +46,7 @@ func (p StopPolicy) WithDefaults() StopPolicy {
 }
 
 // Controller runs the early-stop state machine over an engine. The
-// zero-state controller has seen no signature; the first Check only
+// zero-state controller has seen no signature; the first check only
 // records one.
 type Controller struct {
 	engine *Engine
@@ -65,17 +65,12 @@ func NewController(engine *Engine, policy StopPolicy) *Controller {
 // Policy returns the normalized policy.
 func (c *Controller) Policy() StopPolicy { return c.policy }
 
-// Check evaluates the engine once and reports whether recording should
-// stop: both regimes have reached MinRuns and the leak signature has been
-// unchanged for StableChecks consecutive checks. Callers invoke it after
-// every CheckEvery runs per regime.
-func (c *Controller) Check() bool {
-	return c.CheckTrajectory(c.engine.Trajectory())
-}
-
-// CheckTrajectory is Check over a trajectory the caller already sampled,
-// so live telemetry and the stop decision share one site evaluation per
-// round.
+// CheckTrajectory reports whether recording should stop, given the
+// engine's trajectory as of this check: both regimes have reached
+// MinRuns and the leak signature has been unchanged for StableChecks
+// consecutive checks. Callers sample the trajectory once per round (every
+// CheckEvery runs per regime), so live telemetry and the stop decision
+// share one site evaluation.
 func (c *Controller) CheckTrajectory(tr Trajectory) bool {
 	if !c.policy.Enabled {
 		return false

@@ -515,7 +515,11 @@ type Trajectory struct {
 	LeakSites int
 	// MaxAbsT is the strongest |t| across all evaluated sites.
 	MaxAbsT float64
-	// Signature is the canonical leak-location string (LeakSignature).
+	// Signature renders the leaking code locations as a canonical
+	// string — the quantity the sequential-testing controller watches for
+	// stability. Locations are screened site keys (see Verdict.SiteKey):
+	// verdicts for later visits or occurrences of an already-leaking
+	// instruction do not change the signature.
 	Signature string
 }
 
@@ -550,10 +554,3 @@ func (e *Engine) Trajectory() Trajectory {
 	tr.Signature = string(sig)
 	return tr
 }
-
-// LeakSignature renders the current set of leaking code locations as a
-// canonical string — the quantity the sequential-testing controller
-// watches for stability. Locations are screened site keys (see
-// Verdict.SiteKey): verdicts for later visits or occurrences of an
-// already-leaking instruction do not change the signature.
-func (e *Engine) LeakSignature() string { return e.Trajectory().Signature }

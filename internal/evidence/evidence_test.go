@@ -251,15 +251,15 @@ func TestControllerStopsOnStableSignature(t *testing.T) {
 	}
 
 	observeRound(2)
-	if c.Check() {
+	if c.CheckTrajectory(e.Trajectory()) {
 		t.Fatal("stopped below MinRuns")
 	}
 	observeRound(2)
-	if c.Check() {
+	if c.CheckTrajectory(e.Trajectory()) {
 		t.Fatal("stopped on the priming check — no previous signature to compare")
 	}
 	observeRound(2)
-	if !c.Check() {
+	if !c.CheckTrajectory(e.Trajectory()) {
 		t.Fatal("signature stable across consecutive checks but controller did not stop")
 	}
 }
@@ -279,7 +279,7 @@ func TestControllerSignatureChangeResetsStability(t *testing.T) {
 
 	quiet()
 	quiet()
-	if c.Check() {
+	if c.CheckTrajectory(e.Trajectory()) {
 		t.Fatal("priming check stopped")
 	}
 	// The leak emerges: signature flips from empty to non-empty and the
@@ -287,19 +287,19 @@ func TestControllerSignatureChangeResetsStability(t *testing.T) {
 	for i := 0; i < 8; i++ {
 		leaky(i)
 	}
-	if c.Check() {
+	if c.CheckTrajectory(e.Trajectory()) {
 		t.Fatal("stopped on a signature change")
 	}
 	for i := 0; i < 2; i++ {
 		leaky(i)
 	}
-	if c.Check() {
+	if c.CheckTrajectory(e.Trajectory()) {
 		t.Fatal("stopped after one stable check; policy requires two")
 	}
 	for i := 0; i < 2; i++ {
 		leaky(i)
 	}
-	if !c.Check() {
+	if !c.CheckTrajectory(e.Trajectory()) {
 		t.Fatal("two consecutive stable checks must stop")
 	}
 }
@@ -310,7 +310,7 @@ func TestControllerDisabledNeverStops(t *testing.T) {
 	for i := 0; i < 40; i++ {
 		e.Observe(Fixed, mkTrace(mkInvocation("k", []int{0, 1}, nil)))
 		e.Observe(Random, mkTrace(mkInvocation("k", []int{0, 1}, nil)))
-		if c.Check() {
+		if c.CheckTrajectory(e.Trajectory()) {
 			t.Fatal("disabled controller stopped")
 		}
 	}
@@ -431,15 +431,15 @@ func TestControllerCostSignature(t *testing.T) {
 	}
 
 	observeRound(2)
-	if c.Check() {
+	if c.CheckTrajectory(e.Trajectory()) {
 		t.Fatal("stopped below MinRuns")
 	}
 	observeRound(2)
-	if c.Check() {
+	if c.CheckTrajectory(e.Trajectory()) {
 		t.Fatal("stopped on the priming check")
 	}
 	observeRound(2)
-	if !c.Check() {
+	if !c.CheckTrajectory(e.Trajectory()) {
 		t.Fatal("stable cost-only signature did not stop the controller")
 	}
 	// The signature the controller converged on must name the cost site.

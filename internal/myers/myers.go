@@ -100,14 +100,3 @@ loop:
 	}
 	return rev
 }
-
-// Distance returns the edit distance implied by the script.
-func Distance(ops []Op) int {
-	d := 0
-	for _, op := range ops {
-		if op.Kind != Match {
-			d++
-		}
-	}
-	return d
-}

@@ -18,6 +18,10 @@ package obs
 
 import (
 	"context"
+	"fmt"
+	"math"
+	"math/bits"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -230,7 +234,7 @@ type Recorder struct {
 	counters []CounterRecord
 	ctrNext  int
 	dropped  uint64
-	aggs     map[string]DurationAgg
+	aggs     map[string]*DurationAgg
 }
 
 // DefaultCapacity is the flight-recorder ring size when NewRecorder is
@@ -268,10 +272,68 @@ type CounterRecord struct {
 	Value float64
 }
 
-// DurationAgg accumulates completed-span durations for one span name.
+// DurationBuckets is the number of latency buckets a DurationAgg keeps:
+// bucket i < DurationBuckets-1 counts spans shorter than 2^i ms (1 ms up
+// to 2^19 ms ≈ 8.7 min), and the last bucket counts the rest (+Inf).
+const DurationBuckets = 21
+
+// DurationAgg accumulates completed-span durations for one span name: a
+// count, a sum, and a powers-of-two millisecond latency histogram.
 type DurationAgg struct {
-	Count int64
-	Sum   time.Duration
+	Count   int64
+	Sum     time.Duration
+	Buckets [DurationBuckets]int64 // per bucket, not cumulative
+}
+
+// observe adds one span duration.
+func (a *DurationAgg) observe(d time.Duration) {
+	a.Count++
+	a.Sum += d
+	// d < 2^i ms exactly when its whole milliseconds are below 2^i, and
+	// bits.Len64 is the least such i.
+	ms := max(d/time.Millisecond, 0)
+	a.Buckets[min(bits.Len64(uint64(ms)), DurationBuckets-1)]++
+}
+
+// bucketUpperMS returns bucket i's upper bound in milliseconds: 2^i, or
+// +Inf for the last bucket.
+func bucketUpperMS(i int) float64 {
+	if i >= DurationBuckets-1 {
+		return math.Inf(1)
+	}
+	return float64(int64(1) << i)
+}
+
+// cumulative returns the bucket counts in Prometheus le form: element i
+// counts the spans under bucketUpperMS(i), so the last equals Count.
+func (a DurationAgg) cumulative() [DurationBuckets]int64 {
+	cum := a.Buckets
+	for i := 1; i < len(cum); i++ {
+		cum[i] += cum[i-1]
+	}
+	return cum
+}
+
+// String renders the aggregate as JSON,
+// {"count":N,"sum_ms":S,"le_ms":{"1":n,...,"+Inf":n}}, with cumulative
+// le counts: le_ms["8"] is how many spans took under 8 ms, and "+Inf"
+// always equals count. Buckets that add nothing over their predecessor
+// are omitted to keep the expvar endpoint readable; "+Inf" is always
+// present.
+func (a DurationAgg) String() string {
+	var sb strings.Builder
+	fmt.Fprintf(&sb, `{"count":%d,"sum_ms":%.3f,"le_ms":{`, a.Count, float64(a.Sum)/float64(time.Millisecond))
+	var prev int64
+	for i, n := range a.cumulative() {
+		if i == DurationBuckets-1 {
+			fmt.Fprintf(&sb, `"+Inf":%d`, n)
+		} else if n != prev {
+			fmt.Fprintf(&sb, `"%d":%d,`, int64(1)<<i, n)
+			prev = n
+		}
+	}
+	sb.WriteString("}}")
+	return sb.String()
 }
 
 // NewRecorder builds a recorder whose rings hold capacity spans and
@@ -285,7 +347,7 @@ func NewRecorder(capacity int) *Recorder {
 		epoch:    time.Now(),
 		spans:    make([]SpanRecord, 0, capacity),
 		counters: make([]CounterRecord, 0, capacity),
-		aggs:     make(map[string]DurationAgg),
+		aggs:     make(map[string]*DurationAgg),
 	}
 }
 
@@ -312,11 +374,19 @@ func (r *Recorder) record(s *Span, end time.Duration) {
 		r.spanNext = (r.spanNext + 1) % cap(r.spans)
 		r.dropped++
 	}
-	agg := r.aggs[s.name]
-	agg.Count++
-	agg.Sum += end - s.start
-	r.aggs[s.name] = agg
+	r.observeLocked(s.name, end-s.start)
 	r.mu.Unlock()
+}
+
+// observeLocked adds one completed span to its name's aggregate. Called
+// with r.mu held.
+func (r *Recorder) observeLocked(name string, d time.Duration) {
+	agg := r.aggs[name]
+	if agg == nil {
+		agg = new(DurationAgg)
+		r.aggs[name] = agg
+	}
+	agg.observe(d)
 }
 
 func (r *Recorder) counter(trace uint64, name string, value float64) {
@@ -374,13 +444,13 @@ func (r *Recorder) snapshotLocked(trace uint64) ([]SpanRecord, []CounterRecord) 
 }
 
 // Durations snapshots the per-span-name duration aggregates — the
-// span-derived latency series of the Prometheus endpoint.
+// latency histograms of owld's Prometheus and expvar endpoints.
 func (r *Recorder) Durations() map[string]DurationAgg {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	out := make(map[string]DurationAgg, len(r.aggs))
 	for name, agg := range r.aggs {
-		out[name] = agg
+		out[name] = *agg
 	}
 	return out
 }

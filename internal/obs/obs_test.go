@@ -2,6 +2,7 @@ package obs
 
 import (
 	"context"
+	"encoding/json"
 	"strings"
 	"sync"
 	"testing"
@@ -210,5 +211,70 @@ func TestConcurrentSpans(t *testing.T) {
 	}
 	if err := ValidateChromeTrace([]byte(sb.String())); err != nil {
 		t.Fatalf("concurrent-span timeline invalid: %v", err)
+	}
+}
+
+// TestHistogramCumulativeBuckets is the regression test for the bucket
+// semantics of a span duration aggregate: le counts must be cumulative
+// (Prometheus convention), with "+Inf" always present and equal to
+// count, and spans grafted in by MergeRemote must land in the same
+// buckets as spans recorded locally.
+func TestHistogramCumulativeBuckets(t *testing.T) {
+	durations := []time.Duration{
+		500 * time.Microsecond, // < 1ms
+		3 * time.Millisecond,   // < 4ms
+		100 * time.Millisecond, // < 128ms
+	}
+	var agg DurationAgg
+	for _, d := range durations {
+		agg.observe(d)
+	}
+
+	got := agg.String()
+	want := `{"count":3,"sum_ms":103.500,"le_ms":{"1":1,"4":2,"128":3,"+Inf":3}}`
+	if got != want {
+		t.Errorf("DurationAgg.String() = %s\nwant                   %s", got, want)
+	}
+
+	// The output stays valid JSON in the historical shape.
+	var decoded struct {
+		Count int64              `json:"count"`
+		SumMS float64            `json:"sum_ms"`
+		LeMS  map[string]float64 `json:"le_ms"`
+	}
+	if err := json.Unmarshal([]byte(got), &decoded); err != nil {
+		t.Fatalf("output is not JSON: %v", err)
+	}
+	if decoded.LeMS["+Inf"] != float64(decoded.Count) {
+		t.Errorf("+Inf bucket %v != count %d", decoded.LeMS["+Inf"], decoded.Count)
+	}
+
+	// Cumulative counts never decrease, and the last equals the count.
+	cum := agg.cumulative()
+	for i := 1; i < len(cum); i++ {
+		if cum[i] < cum[i-1] {
+			t.Fatalf("cumulative bucket %d (%d) below bucket %d (%d)", i, cum[i], i-1, cum[i-1])
+		}
+	}
+	if last := cum[len(cum)-1]; last != agg.Count {
+		t.Errorf("last cumulative bucket %d != count %d", last, agg.Count)
+	}
+
+	var empty DurationAgg
+	if got := empty.String(); got != `{"count":0,"sum_ms":0.000,"le_ms":{"+Inf":0}}` {
+		t.Errorf("empty aggregate = %s", got)
+	}
+
+	// Remote spans of the same durations, shifted onto the local clock,
+	// fill the same buckets.
+	remote := make([]SpanRecord, len(durations))
+	for i, d := range durations {
+		start := time.Duration(i) * time.Second
+		remote[i] = SpanRecord{ID: uint64(i + 1), Name: "work", Start: start, End: start + d}
+	}
+	rec := NewRecorder(16)
+	rec.MergeRemote(remote, nil, MergeOptions{Trace: 1, Parent: 1, Shift: time.Hour, Proc: "w1"})
+	if merged := rec.Durations()["work"]; merged != agg {
+		t.Errorf("merged aggregate = %s, want %s", merged, agg)
 	}
 }

@@ -1,7 +1,7 @@
 // Prometheus text exposition (format version 0.0.4) without a client
-// library: a small writer that renders # HELP / # TYPE headers and
-// samples with escaped labels, plus the line-level validator the handler
-// tests run over scraped output.
+// library: a small writer that renders # HELP / # TYPE headers, samples
+// with escaped labels and span-duration histograms, plus the line-level
+// validator the handler tests run over scraped output.
 package obs
 
 import (
@@ -11,6 +11,7 @@ import (
 	"regexp"
 	"strconv"
 	"strings"
+	"time"
 )
 
 // PromWriter renders metrics in the Prometheus text exposition format.
@@ -64,9 +65,19 @@ func (p *PromWriter) Sample(name string, value float64, labels ...string) {
 	p.printf("%s %s\n", sb.String(), formatValue(value))
 }
 
-// FormatLE renders a histogram bucket upper bound as an le label value,
-// using the +Inf form for the overflow bucket.
-func FormatLE(v float64) string { return formatValue(v) }
+// Histogram emits one series of a histogram family from a span duration
+// aggregate: a _bucket sample per le bound (cumulative, in milliseconds),
+// then _sum (milliseconds) and _count. labels are alternating key, value
+// pairs; le is appended to them on the bucket lines.
+func (p *PromWriter) Histogram(name string, agg DurationAgg, labels ...string) {
+	le := append(labels[:len(labels):len(labels)], "le", "")
+	for i, n := range agg.cumulative() {
+		le[len(le)-1] = formatValue(bucketUpperMS(i))
+		p.Sample(name+"_bucket", float64(n), le...)
+	}
+	p.Sample(name+"_sum", float64(agg.Sum)/float64(time.Millisecond), labels...)
+	p.Sample(name+"_count", float64(agg.Count), labels...)
+}
 
 // escapeLabel escapes a label value per the exposition format.
 func escapeLabel(v string) string {

@@ -5,6 +5,7 @@ import (
 	"math"
 	"strings"
 	"testing"
+	"time"
 )
 
 func TestPromWriterRendersValidText(t *testing.T) {
@@ -15,11 +16,12 @@ func TestPromWriterRendersValidText(t *testing.T) {
 	p.Sample("owld_jobs", 1, "state", "running")
 	p.Header("owld_cache_hits_total", "Result-cache hits.", "counter")
 	p.Sample("owld_cache_hits_total", 17)
-	p.Header("owld_record_time_ms", "Recording latency.", "histogram")
-	p.Sample("owld_record_time_ms_bucket", 2, "le", "1")
-	p.Sample("owld_record_time_ms_bucket", 5, "le", "+Inf")
-	p.Sample("owld_record_time_ms_sum", 123.5)
-	p.Sample("owld_record_time_ms_count", 5)
+	var agg DurationAgg
+	agg.observe(500 * time.Microsecond)
+	agg.observe(3 * time.Millisecond)
+	agg.observe(20 * time.Minute)
+	p.Header("owl_span_duration_ms", "Span latency.", "histogram")
+	p.Histogram("owl_span_duration_ms", agg, "span", "phase.record")
 	if err := p.Err(); err != nil {
 		t.Fatal(err)
 	}
@@ -31,7 +33,12 @@ func TestPromWriterRendersValidText(t *testing.T) {
 		"# HELP owld_jobs Jobs by lifecycle state.",
 		"# TYPE owld_jobs gauge",
 		`owld_jobs{state="queued"} 3`,
-		`owld_record_time_ms_bucket{le="+Inf"} 5`,
+		`owl_span_duration_ms_bucket{span="phase.record",le="1"} 1`,
+		`owl_span_duration_ms_bucket{span="phase.record",le="4"} 2`,
+		`owl_span_duration_ms_bucket{span="phase.record",le="524288"} 2`,
+		`owl_span_duration_ms_bucket{span="phase.record",le="+Inf"} 3`,
+		`owl_span_duration_ms_sum{span="phase.record"} 1.2000035e+06`,
+		`owl_span_duration_ms_count{span="phase.record"} 3`,
 		"owld_cache_hits_total 17",
 	} {
 		if !strings.Contains(out, want) {

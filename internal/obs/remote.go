@@ -154,10 +154,7 @@ func (r *Recorder) MergeRemote(spans []SpanRecord, counters []CounterRecord, opt
 			r.spanNext = (r.spanNext + 1) % cap(r.spans)
 			r.dropped++
 		}
-		agg := r.aggs[s.Name]
-		agg.Count++
-		agg.Sum += s.End - s.Start
-		r.aggs[s.Name] = agg
+		r.observeLocked(s.Name, s.End-s.Start)
 	}
 	for _, c := range counters {
 		c.Trace = opts.Trace

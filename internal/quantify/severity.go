@@ -4,18 +4,7 @@
 // so reports from either evidence mode rank on a single scale.
 package quantify
 
-import (
-	"sort"
-
-	"owl/internal/core"
-)
-
-// ScoredSite pairs one screened leak site with its severity grade.
-type ScoredSite struct {
-	core.LeakSite
-	// Severity grades the site in [0, 1]; see Severity for the model.
-	Severity float64 `json:"severity"`
-}
+import "owl/internal/core"
 
 // Severity grades one leak in [0, 1]. The base grade is the statistical
 // channel's confidence (1-p of the Welch t under the normal
@@ -42,27 +31,4 @@ func Severity(l core.Leak) float64 {
 		base += (1 - base) * (l.MI / (1 + l.MI))
 	}
 	return base
-}
-
-// RankedSites exports a report's screened leak sites ordered by severity,
-// worst first; ties keep the stable site order of Report.Sites. The
-// severity attached to each site is the maximum over the screened leaks
-// that collapse to it.
-func RankedSites(r *core.Report) []ScoredSite {
-	screened := r.Screened()
-	// Severity per location key, maxed over collapsing leaks.
-	byLoc := make(map[string]float64, len(screened))
-	for _, l := range screened {
-		loc := l.Location()
-		if s := Severity(l); s > byLoc[loc] {
-			byLoc[loc] = s
-		}
-	}
-	sites := r.Sites()
-	out := make([]ScoredSite, len(sites))
-	for i, s := range sites {
-		out[i] = ScoredSite{LeakSite: s, Severity: byLoc[s.Location]}
-	}
-	sort.SliceStable(out, func(i, j int) bool { return out[i].Severity > out[j].Severity })
-	return out
 }

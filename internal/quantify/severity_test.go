@@ -37,28 +37,3 @@ func TestSeverityModel(t *testing.T) {
 		t.Errorf("MI lift not monotone: MI=2 scored %g <= MI=0.1 at %g", hi, lo)
 	}
 }
-
-func TestRankedSitesOrdersBySeverity(t *testing.T) {
-	rep := &core.Report{
-		Program:       "p",
-		PotentialLeak: true,
-		Leaks: []core.Leak{
-			{Kind: core.DataFlowLeak, StackID: "s1", BlockLabel: "B0", Block: 0, MemIndex: 0, P: 0.04},
-			{Kind: core.DataFlowLeak, StackID: "s2", BlockLabel: "B1", Block: 1, MemIndex: 0, P: 0.04,
-				TStat: 9, Confidence: 0.9999, MI: 1.5, RunsUsed: 24},
-		},
-	}
-	ranked := RankedSites(rep)
-	if len(ranked) != 2 {
-		t.Fatalf("got %d sites, want 2", len(ranked))
-	}
-	if ranked[0].StackID != "s2" {
-		t.Errorf("top site is %s, want the confidence+MI-backed s2", ranked[0].StackID)
-	}
-	if ranked[0].Severity <= ranked[1].Severity {
-		t.Errorf("severities not ordered: %g then %g", ranked[0].Severity, ranked[1].Severity)
-	}
-	if ranked[0].TStat != 9 || ranked[0].RunsUsed != 24 {
-		t.Errorf("statistical fields not carried: %+v", ranked[0].LeakSite)
-	}
-}

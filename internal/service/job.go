@@ -45,9 +45,6 @@ type Job struct {
 	created    time.Time
 	started    time.Time
 	finished   time.Time
-	phaseStart time.Time     // start of the current recording/analyzing stretch
-	recordDur  time.Duration // accumulated recording wall-clock
-	analyzeDur time.Duration // accumulated analyzing wall-clock
 	runsDone   int
 	runsTotal  int // estimate; exact once the classes are known
 	classes    int
@@ -121,13 +118,6 @@ func (j *Job) publishLocked(ev JobEvent) {
 		default:
 		}
 	}
-}
-
-// publish is publishLocked for callers not holding j.mu.
-func (j *Job) publish(ev JobEvent) {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	j.publishLocked(ev)
 }
 
 // Subscribe registers a live event subscriber and returns the replay
@@ -274,10 +264,8 @@ func (j *Job) TraceID() uint64 {
 	return j.traceID
 }
 
-// setState transitions the job, keeping the per-phase wall-clock
-// accumulators: time spent in StateRecording feeds recordDur, time in
-// StateAnalyzing feeds analyzeDur. It returns the state left behind so
-// callers can move gauges.
+// setState transitions the job and publishes the phase event. It
+// returns the state left behind so callers can move gauges.
 func (j *Job) setState(s State) (prev State, changed bool) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
@@ -285,14 +273,6 @@ func (j *Job) setState(s State) (prev State, changed bool) {
 		return j.state, false
 	}
 	prev = j.state
-	now := time.Now()
-	switch j.state {
-	case StateRecording:
-		j.recordDur += now.Sub(j.phaseStart)
-	case StateAnalyzing:
-		j.analyzeDur += now.Sub(j.phaseStart)
-	}
-	j.phaseStart = now
 	j.state = s
 	j.publishLocked(JobEvent{
 		Type:      "phase",
@@ -302,15 +282,8 @@ func (j *Job) setState(s State) (prev State, changed bool) {
 		RunsTotal: j.runsTotal,
 	})
 	if s.Terminal() {
-		j.finished = now
+		j.finished = time.Now()
 		close(j.done)
 	}
 	return prev, true
-}
-
-// phaseDurations returns the accumulated recording/analyzing wall-clock.
-func (j *Job) phaseDurations() (record, analyze time.Duration) {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.recordDur, j.analyzeDur
 }

@@ -173,17 +173,6 @@ func (m *Manager) Metrics() *Metrics { return m.metrics }
 // pipeline spans land here, keyed by the job's trace ID.
 func (m *Manager) Recorder() *obs.Recorder { return m.recorder }
 
-// Ready reports whether the manager is accepting and executing jobs:
-// Start has run and Drain has not begun. The daemon's /readyz handler —
-// and therefore any load balancer in front of it — keys off this, so
-// flipping to draining takes the instance out of rotation while running
-// jobs finish.
-func (m *Manager) Ready() bool {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.started && !m.draining
-}
-
 // Readiness snapshots the daemon's load in the cluster-wide /readyz
 // shape: the ready bit plus queue depth and recording-slot occupancy,
 // the inputs of a coordinator's backpressure-aware batch sizing.
@@ -317,9 +306,7 @@ func (m *Manager) Submit(req JobRequest) (*Job, error) {
 			job.runsDone, job.runsTotal = 0, 0
 			job.classes = cached.Classes
 			job.mu.Unlock()
-			if prev, ok := job.setState(StateDone); ok {
-				m.metrics.JobTransition(prev, StateDone)
-			}
+			m.transition(job, StateDone)
 			return job, nil
 		}
 		m.metrics.CacheMisses.Add(1)
@@ -370,9 +357,7 @@ func (m *Manager) Cancel(id string) error {
 		cancel()
 		return nil
 	}
-	if prev, ok := job.setState(StateCanceled); ok {
-		m.metrics.JobTransition(prev, StateCanceled)
-	}
+	m.transition(job, StateCanceled)
 	return nil
 }
 
@@ -401,11 +386,9 @@ func (m *Manager) runJob(job *Job) {
 	ctx, root := obs.Start(ctx, "job")
 	root.SetStr("job_id", job.ID)
 	root.SetStr("program", job.Program)
-	defer root.End()
 
 	job.mu.Lock()
 	job.started = time.Now()
-	job.phaseStart = job.started
 	job.cancel = cancel
 	job.traceID = root.TraceID()
 	job.mu.Unlock()
@@ -413,22 +396,39 @@ func (m *Manager) runJob(job *Job) {
 		slog.String("job_id", job.ID),
 		slog.String("program", job.Program),
 		slog.Bool("mitigate", job.Mitigate))
-	defer func() {
-		v := job.View()
-		attrs := []slog.Attr{
-			slog.String("job_id", job.ID),
-			slog.String("state", string(v.State)),
-			slog.Int("runs", v.RunsDone),
-		}
-		if v.Leaks != nil {
-			attrs = append(attrs, slog.Int("leaks", *v.Leaks))
-		}
-		if v.Error != "" {
-			attrs = append(attrs, slog.String("error", v.Error))
-		}
-		m.log.LogAttrs(ctx, slog.LevelInfo, "job finished", attrs...)
-	}()
 
+	err := m.execute(ctx, job)
+	// The job span ends before the terminal transition, so whoever sees
+	// the job finish also finds it in the span latency histograms.
+	root.End()
+	switch {
+	case errors.Is(err, context.Canceled):
+		m.finish(job, StateCanceled)
+	case err != nil:
+		m.failJob(job, err)
+	default:
+		m.finish(job, StateDone)
+	}
+
+	v := job.View()
+	attrs := []slog.Attr{
+		slog.String("job_id", job.ID),
+		slog.String("state", string(v.State)),
+		slog.Int("runs", v.RunsDone),
+	}
+	if v.Leaks != nil {
+		attrs = append(attrs, slog.Int("leaks", *v.Leaks))
+	}
+	if v.Error != "" {
+		attrs = append(attrs, slog.String("error", v.Error))
+	}
+	m.log.LogAttrs(ctx, slog.LevelInfo, "job finished", attrs...)
+}
+
+// execute runs a started job's detection (or repair) under ctx and
+// stores its report on the job; runJob makes the terminal transition
+// from the returned error.
+func (m *Manager) execute(ctx context.Context, job *Job) error {
 	target := m.targets[job.Program]
 	opts := job.Opts
 	fleet := m.cfg.Fleet
@@ -496,13 +496,9 @@ func (m *Manager) runJob(job *Job) {
 		job.mu.Unlock()
 		switch p.Phase {
 		case core.PhaseClassify, core.PhaseRecord:
-			if prev, ok := job.setState(StateRecording); ok {
-				m.metrics.JobTransition(prev, StateRecording)
-			}
+			m.transition(job, StateRecording)
 		case core.PhaseAnalyze:
-			if prev, ok := job.setState(StateAnalyzing); ok {
-				m.metrics.JobTransition(prev, StateAnalyzing)
-			}
+			m.transition(job, StateAnalyzing)
 		}
 	}
 	// Evidence-trajectory samples (tvla/both jobs) feed the SSE stream so
@@ -533,25 +529,13 @@ func (m *Manager) runJob(job *Job) {
 		// the pair enters the plain-detection result cache.
 		res, err := mitigate.Repair(ctx, target.Program, target.Inputs, target.Gen, mitigate.Options{Detector: opts})
 		if err != nil {
-			if errors.Is(err, context.Canceled) {
-				if prev, ok := job.setState(StateCanceled); ok {
-					m.metrics.JobTransition(prev, StateCanceled)
-				}
-				m.observeJob(job)
-				return
-			}
-			m.failJob(job, err)
-			return
+			return err
 		}
 		job.mu.Lock()
 		job.report = res.After
 		job.mitigation = res
 		job.mu.Unlock()
-		if prev, ok := job.setState(StateDone); ok {
-			m.metrics.JobTransition(prev, StateDone)
-		}
-		m.observeJob(job)
-		return
+		return nil
 	}
 
 	// Fleet jobs consult the shared content-addressed cache first: any
@@ -569,32 +553,19 @@ func (m *Manager) runJob(job *Job) {
 				job.report = rep
 				job.classes = rep.Classes
 				job.mu.Unlock()
-				if prev, ok := job.setState(StateDone); ok {
-					m.metrics.JobTransition(prev, StateDone)
-				}
-				m.observeJob(job)
-				return
+				return nil
 			}
 		}
 	}
 
 	d, err := core.NewDetector(opts)
 	if err != nil {
-		m.failJob(job, err)
-		return
+		return err
 	}
 	det = d
 	report, err := det.DetectContext(ctx, target.Program, target.Inputs, target.Gen)
 	if err != nil {
-		if errors.Is(err, context.Canceled) {
-			if prev, ok := job.setState(StateCanceled); ok {
-				m.metrics.JobTransition(prev, StateCanceled)
-			}
-			m.observeJob(job)
-			return
-		}
-		m.failJob(job, err)
-		return
+		return err
 	}
 
 	job.mu.Lock()
@@ -604,10 +575,34 @@ func (m *Manager) runJob(job *Job) {
 	if useFleet && sharedKey != "" {
 		fleet.CachePut(ctx, sharedKey, report)
 	}
-	if prev, ok := job.setState(StateDone); ok {
-		m.metrics.JobTransition(prev, StateDone)
+	return nil
+}
+
+// transition moves a job to state s and the jobs gauge with it.
+func (m *Manager) transition(job *Job, s State) {
+	if prev, ok := job.setState(s); ok {
+		m.metrics.JobTransition(prev, s)
 	}
-	m.observeJob(job)
+}
+
+// finish makes a job's terminal transition and folds its report, if
+// any, into the cross-job counters.
+func (m *Manager) finish(job *Job, s State) {
+	m.transition(job, s)
+	rep := job.Report()
+	if rep == nil {
+		return
+	}
+	m.metrics.JobPeakRAM.Observe(rep.Stats.PeakAllocBytes)
+	if rep.EarlyStopped {
+		m.metrics.EarlyStops.Add(1)
+	}
+	if saved := rep.RunsSaved(); saved > 0 {
+		m.metrics.RunsSaved.Add(int64(saved))
+	}
+	if n := rep.Count(core.CostLeak); n > 0 {
+		m.metrics.CostLeaks.Add(int64(n))
+	}
 }
 
 // failJob marks a job failed.
@@ -615,38 +610,7 @@ func (m *Manager) failJob(job *Job, err error) {
 	job.mu.Lock()
 	job.err = err.Error()
 	job.mu.Unlock()
-	if prev, ok := job.setState(StateFailed); ok {
-		m.metrics.JobTransition(prev, StateFailed)
-	}
-	m.observeJob(job)
-}
-
-// observeJob feeds the per-phase histograms after a terminal transition.
-// Jobs that never started (queue-full rejections) are not observed.
-func (m *Manager) observeJob(job *Job) {
-	job.mu.Lock()
-	started, finished := job.started, job.finished
-	job.mu.Unlock()
-	if started.IsZero() {
-		return
-	}
-	record, analyze := job.phaseDurations()
-	m.metrics.RecordTime.Observe(record)
-	m.metrics.AnalyzeTime.Observe(analyze)
-	m.metrics.JobTime.Observe(finished.Sub(started))
-	if rep := job.Report(); rep != nil {
-		m.metrics.MergeTime.Observe(rep.Stats.EvidenceTime)
-		m.metrics.JobPeakRAM.Observe(rep.Stats.PeakAllocBytes)
-		if rep.EarlyStopped {
-			m.metrics.EarlyStops.Add(1)
-		}
-		if saved := rep.RunsSaved(); saved > 0 {
-			m.metrics.RunsSaved.Add(int64(saved))
-		}
-		if n := rep.Count(core.CostLeak); n > 0 {
-			m.metrics.CostLeaks.Add(int64(n))
-		}
-	}
+	m.finish(job, StateFailed)
 }
 
 // Drain gracefully shuts the manager down: new submissions are rejected,

@@ -1,106 +1,13 @@
 package service
 
 import (
+	"encoding/json"
 	"expvar"
 	"fmt"
-	"math"
-	"strings"
 	"sync"
-	"time"
+
+	"owl/internal/obs"
 )
-
-// Histogram is an expvar.Var recording durations in exponential
-// millisecond buckets (1ms, 2ms, 4ms, ... 2^19ms ≈ 8.7min, +Inf), plus
-// count and sum — enough to read per-phase latency percentiles off
-// /metrics without a metrics dependency.
-type Histogram struct {
-	mu      sync.Mutex
-	count   int64
-	sumMS   float64
-	buckets [21]int64 // buckets[i] counts d < 2^i ms; last is +Inf
-}
-
-// Observe records one duration.
-func (h *Histogram) Observe(d time.Duration) {
-	ms := float64(d) / float64(time.Millisecond)
-	idx := len(h.buckets) - 1
-	for i := 0; i < len(h.buckets)-1; i++ {
-		if ms < float64(int64(1)<<i) {
-			idx = i
-			break
-		}
-	}
-	h.mu.Lock()
-	h.count++
-	h.sumMS += ms
-	h.buckets[idx]++
-	h.mu.Unlock()
-}
-
-// String implements expvar.Var: {"count":N,"sum_ms":S,"le_ms":{"1":n,...,"+Inf":n}}.
-// Bucket counts are cumulative, matching Prometheus le semantics:
-// le_ms["8"] is how many observations fell under 8ms, and "+Inf" always
-// equals count. Buckets that add nothing over their predecessor are
-// omitted to keep /metrics readable; "+Inf" is always present.
-func (h *Histogram) String() string {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	var sb strings.Builder
-	fmt.Fprintf(&sb, `{"count":%d,"sum_ms":%.3f,"le_ms":{`, h.count, h.sumMS)
-	var cum, prev int64
-	first := true
-	for i, n := range h.buckets {
-		cum += n
-		last := i == len(h.buckets)-1
-		if !last && cum == prev {
-			continue
-		}
-		if !first {
-			sb.WriteByte(',')
-		}
-		first = false
-		if last {
-			fmt.Fprintf(&sb, `"+Inf":%d`, cum)
-		} else {
-			fmt.Fprintf(&sb, `"%d":%d`, int64(1)<<i, cum)
-		}
-		prev = cum
-	}
-	sb.WriteString("}}")
-	return sb.String()
-}
-
-// HistogramSnapshot is a point-in-time copy of a Histogram with
-// cumulative bucket counts, the shape Prometheus rendering needs.
-type HistogramSnapshot struct {
-	Count      int64
-	SumMS      float64
-	UpperMS    []float64 // bucket upper bounds in ms; the last is +Inf
-	Cumulative []int64   // observations at or under each bound
-}
-
-// Snapshot copies the histogram's state with cumulative buckets.
-func (h *Histogram) Snapshot() HistogramSnapshot {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	s := HistogramSnapshot{
-		Count:      h.count,
-		SumMS:      h.sumMS,
-		UpperMS:    make([]float64, len(h.buckets)),
-		Cumulative: make([]int64, len(h.buckets)),
-	}
-	var cum int64
-	for i, n := range h.buckets {
-		cum += n
-		s.Cumulative[i] = cum
-		if i == len(h.buckets)-1 {
-			s.UpperMS[i] = math.Inf(1)
-		} else {
-			s.UpperMS[i] = float64(int64(1) << i)
-		}
-	}
-	return s
-}
 
 // MaxBytes is an expvar.Var tracking a byte quantity across jobs: the
 // last observed value and the maximum ever observed. It backs the
@@ -169,11 +76,7 @@ type Metrics struct {
 	WorkerRuns      expvar.Map
 	WorkerRetries   expvar.Map
 
-	RecordTime  Histogram // per-job wall-clock of the recording phases
-	AnalyzeTime Histogram // per-job wall-clock of the statistical tests
-	JobTime     Histogram // per-job wall-clock, submit-to-terminal
-	MergeTime   Histogram // per-job evidence merge latency (streamed AddRun total)
-	JobPeakRAM  MaxBytes  // per-job Report.Stats.PeakAllocBytes (last and max)
+	JobPeakRAM MaxBytes // per-job Report.Stats.PeakAllocBytes (last and max)
 }
 
 // NewMetrics builds an empty metrics set.
@@ -217,9 +120,11 @@ func (m *Metrics) JobsByState() map[State]int64 {
 	return out
 }
 
-// Map assembles every metric into one expvar.Map, suitable for
-// expvar.Publish or for serving directly at /metrics.
-func (m *Metrics) Map() *expvar.Map {
+// Map assembles every metric — and, when rec is non-nil, rec's span
+// duration histograms under span_duration_ms, keyed by span name — into
+// one expvar.Map, suitable for expvar.Publish or for serving directly at
+// /metrics.
+func (m *Metrics) Map(rec *obs.Recorder) *expvar.Map {
 	mp := new(expvar.Map).Init()
 	mp.Set("jobs", expvar.Func(func() any { return m.jobsJSON() }))
 	mp.Set("executions_recorded", &m.Executions)
@@ -231,11 +136,17 @@ func (m *Metrics) Map() *expvar.Map {
 	mp.Set("dispatch_retries", &m.DispatchRetries)
 	mp.Set("worker_executions", &m.WorkerRuns)
 	mp.Set("worker_retries", &m.WorkerRetries)
-	mp.Set("record_time_ms", &m.RecordTime)
-	mp.Set("analyze_time_ms", &m.AnalyzeTime)
-	mp.Set("job_time_ms", &m.JobTime)
-	mp.Set("merge_time_ms", &m.MergeTime)
 	mp.Set("job_peak_alloc_bytes", &m.JobPeakRAM)
+	if rec != nil {
+		mp.Set("span_duration_ms", expvar.Func(func() any {
+			aggs := rec.Durations()
+			out := make(map[string]json.RawMessage, len(aggs))
+			for name, agg := range aggs {
+				out[name] = json.RawMessage(agg.String())
+			}
+			return out
+		}))
+	}
 	return mp
 }
 

@@ -2,7 +2,6 @@ package service
 
 import (
 	"context"
-	"encoding/json"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -11,52 +10,6 @@ import (
 
 	"owl/internal/obs"
 )
-
-// TestHistogramCumulativeBuckets is the regression test for the bucket
-// semantics of Histogram.String: le counts must be cumulative (Prometheus
-// convention), with "+Inf" always present and equal to count.
-func TestHistogramCumulativeBuckets(t *testing.T) {
-	var h Histogram
-	h.Observe(500 * time.Microsecond) // < 1ms
-	h.Observe(3 * time.Millisecond)   // < 4ms
-	h.Observe(100 * time.Millisecond) // < 128ms
-
-	got := h.String()
-	want := `{"count":3,"sum_ms":103.500,"le_ms":{"1":1,"4":2,"128":3,"+Inf":3}}`
-	if got != want {
-		t.Errorf("Histogram.String() = %s\nwant                 %s", got, want)
-	}
-
-	// The output stays valid JSON in the historical shape.
-	var decoded struct {
-		Count int64              `json:"count"`
-		SumMS float64            `json:"sum_ms"`
-		LeMS  map[string]float64 `json:"le_ms"`
-	}
-	if err := json.Unmarshal([]byte(got), &decoded); err != nil {
-		t.Fatalf("output is not JSON: %v", err)
-	}
-	if decoded.LeMS["+Inf"] != float64(decoded.Count) {
-		t.Errorf("+Inf bucket %v != count %d", decoded.LeMS["+Inf"], decoded.Count)
-	}
-
-	// Cumulative counts never decrease across the snapshot.
-	snap := h.Snapshot()
-	for i := 1; i < len(snap.Cumulative); i++ {
-		if snap.Cumulative[i] < snap.Cumulative[i-1] {
-			t.Fatalf("cumulative bucket %d (%d) below bucket %d (%d)",
-				i, snap.Cumulative[i], i-1, snap.Cumulative[i-1])
-		}
-	}
-	if last := snap.Cumulative[len(snap.Cumulative)-1]; last != snap.Count {
-		t.Errorf("last cumulative bucket %d != count %d", last, snap.Count)
-	}
-
-	var empty Histogram
-	if got := empty.String(); got != `{"count":0,"sum_ms":0.000,"le_ms":{"+Inf":0}}` {
-		t.Errorf("empty histogram = %s", got)
-	}
-}
 
 // TestHealthReadyEndpoints drives the liveness/readiness pair through the
 // manager lifecycle: ready only between Start and Drain.
@@ -138,8 +91,7 @@ func TestPrometheusEndpoint(t *testing.T) {
 	for _, want := range []string{
 		`owld_jobs{state="done"} 1`,
 		"owld_executions_recorded_total",
-		`owld_job_time_ms_bucket{le="+Inf"} 1`,
-		"owld_job_time_ms_count 1",
+		`owl_span_duration_ms_bucket{span="job",le="+Inf"} 1`,
 		`owld_job_peak_alloc_bytes{stat="max"}`,
 		`owl_span_duration_ms_count{span="detect"} 1`,
 		`owl_span_duration_ms_count{span="job"} 1`,
@@ -147,6 +99,24 @@ func TestPrometheusEndpoint(t *testing.T) {
 	} {
 		if !strings.Contains(body, want) {
 			t.Errorf("exposition missing %q", want)
+		}
+	}
+	// Every phase of the job has a full histogram series.
+	for _, span := range []string{"job", "phase.classify", "phase.record", "phase.analyze", "evidence.merge"} {
+		for _, want := range []string{
+			`owl_span_duration_ms_bucket{span="` + span + `",le="1"} `,
+			`owl_span_duration_ms_bucket{span="` + span + `",le="+Inf"} `,
+			`owl_span_duration_ms_sum{span="` + span + `"} `,
+			`owl_span_duration_ms_count{span="` + span + `"} `,
+		} {
+			if !strings.Contains(body, want) {
+				t.Errorf("exposition missing %q", want)
+			}
+		}
+	}
+	for _, gone := range []string{"owld_job_time_ms", "owld_record_time_ms", "owld_analyze_time_ms", "owld_merge_time_ms"} {
+		if strings.Contains(body, gone) {
+			t.Errorf("exposition still carries %s", gone)
 		}
 	}
 }

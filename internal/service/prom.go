@@ -1,15 +1,13 @@
-// Prometheus rendering of the daemon's metrics: the expvar counters,
-// gauges, and histograms of Metrics plus the span-derived per-phase
-// latency aggregates of the manager's flight recorder, in the text
-// exposition format (obs.PromWriter). Metric names and conventions are
-// documented in DESIGN.md §8.
+// Prometheus rendering of the daemon's metrics: the expvar counters and
+// gauges of Metrics plus the span latency histograms of the manager's
+// flight recorder, in the text exposition format (obs.PromWriter).
+// Metric names and conventions are documented in DESIGN.md §8.
 package service
 
 import (
 	"expvar"
 	"io"
 	"sort"
-	"time"
 
 	"owl/internal/obs"
 )
@@ -31,7 +29,7 @@ func workerFamily(pw *obs.PromWriter, name, help string, mp *expvar.Map) {
 }
 
 // WritePrometheus renders m — and, when rec is non-nil, rec's span
-// duration aggregates — as Prometheus text exposition.
+// duration histograms — as Prometheus text exposition.
 func WritePrometheus(w io.Writer, m *Metrics, rec *obs.Recorder) error {
 	pw := obs.NewPromWriter(w)
 
@@ -74,26 +72,6 @@ func WritePrometheus(w io.Writer, m *Metrics, rec *obs.Recorder) error {
 	workerFamily(pw, "owld_worker_retries_total",
 		"Batches each cluster worker failed, forcing a rebalance.", &m.WorkerRetries)
 
-	hists := []struct {
-		name string
-		help string
-		h    *Histogram
-	}{
-		{"owld_record_time_ms", "Per-job recording-phase wall-clock in milliseconds.", &m.RecordTime},
-		{"owld_analyze_time_ms", "Per-job statistical-test wall-clock in milliseconds.", &m.AnalyzeTime},
-		{"owld_job_time_ms", "Per-job submit-to-terminal wall-clock in milliseconds.", &m.JobTime},
-		{"owld_merge_time_ms", "Per-job evidence merge latency in milliseconds.", &m.MergeTime},
-	}
-	for _, hm := range hists {
-		snap := hm.h.Snapshot()
-		pw.Header(hm.name, hm.help, "histogram")
-		for i, le := range snap.UpperMS {
-			pw.Sample(hm.name+"_bucket", float64(snap.Cumulative[i]), "le", obs.FormatLE(le))
-		}
-		pw.Sample(hm.name+"_sum", snap.SumMS)
-		pw.Sample(hm.name+"_count", float64(snap.Count))
-	}
-
 	pw.Header("owld_job_peak_alloc_bytes", "Per-job peak live heap in bytes.", "gauge")
 	pw.Sample("owld_job_peak_alloc_bytes", float64(m.JobPeakRAM.Last()), "stat", "last")
 	pw.Sample("owld_job_peak_alloc_bytes", float64(m.JobPeakRAM.Max()), "stat", "max")
@@ -105,15 +83,10 @@ func WritePrometheus(w io.Writer, m *Metrics, rec *obs.Recorder) error {
 			names = append(names, name)
 		}
 		sort.Strings(names)
-		pw.Header("owl_span_duration_ms_sum",
-			"Total wall-clock of completed spans by name, in milliseconds.", "counter")
+		pw.Header("owl_span_duration_ms",
+			"Wall-clock of completed spans by name, in milliseconds.", "histogram")
 		for _, name := range names {
-			pw.Sample("owl_span_duration_ms_sum",
-				float64(aggs[name].Sum)/float64(time.Millisecond), "span", name)
-		}
-		pw.Header("owl_span_duration_ms_count", "Completed spans by name.", "counter")
-		for _, name := range names {
-			pw.Sample("owl_span_duration_ms_count", float64(aggs[name].Count), "span", name)
+			pw.Histogram("owl_span_duration_ms", aggs[name], "span", name)
 		}
 		pw.Header("owl_spans_dropped_total",
 			"Spans evicted from the flight-recorder ring.", "counter")

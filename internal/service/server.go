@@ -247,7 +247,7 @@ func NewServer(m *Manager) http.Handler {
 
 	handle("GET /metrics", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "application/json; charset=utf-8")
-		fmt.Fprintf(w, "{\"owld\": %s}\n", m.Metrics().Map().String())
+		fmt.Fprintf(w, "{\"owld\": %s}\n", m.Metrics().Map(m.Recorder()).String())
 	})
 
 	handle("GET /metrics/prometheus", func(w http.ResponseWriter, r *http.Request) {

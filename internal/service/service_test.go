@@ -137,9 +137,9 @@ func TestJobLifecycle(t *testing.T) {
 	if jobs[string(StateDone)].(float64) < 1 {
 		t.Errorf("metrics jobs = %v, want >= 1 done", jobs)
 	}
-	hist := metrics["job_time_ms"].(map[string]any)
+	hist := metrics["span_duration_ms"].(map[string]any)["job"].(map[string]any)
 	if hist["count"].(float64) < 1 {
-		t.Errorf("job_time_ms histogram empty: %v", hist)
+		t.Errorf("span_duration_ms[job] histogram empty: %v", hist)
 	}
 
 	// Resubmitting the same request is a cache hit served instantly.
@@ -236,8 +236,9 @@ func TestUnversionedAliases(t *testing.T) {
 		t.Fatalf("job finished %s", final.State)
 	}
 	metrics := fetchMetrics(t, srv)
-	if _, ok := metrics["merge_time_ms"].(map[string]any); !ok {
-		t.Errorf("merge_time_ms missing from metrics: %v", metrics["merge_time_ms"])
+	spans, _ := metrics["span_duration_ms"].(map[string]any)
+	if _, ok := spans["evidence.merge"].(map[string]any); !ok {
+		t.Errorf("span_duration_ms[evidence.merge] missing from metrics: %v", metrics["span_duration_ms"])
 	}
 	peak, ok := metrics["job_peak_alloc_bytes"].(map[string]any)
 	if !ok || peak["max"].(float64) <= 0 {

@@ -48,9 +48,6 @@ func init() { blockBatch.Store(true) }
 // driver. Results are identical either way; only speed differs.
 func SetBlockBatch(on bool) { blockBatch.Store(on) }
 
-// BlockBatchEnabled reports the current setting.
-func BlockBatchEnabled() bool { return blockBatch.Load() }
-
 // BlockRun executes all warps of one thread block against a shared
 // block-wide register file. Create with NewBlockRun, drive with Run,
 // recycle with Release.

@@ -349,8 +349,8 @@ func TestBlockBatchOffMatchesOn(t *testing.T) {
 // block under the current block-batch setting and returns its memory.
 func blockRunForSeed(t *testing.T, seed int64, expectBatch bool) *mapMem {
 	t.Helper()
-	if BlockBatchEnabled() != expectBatch {
-		t.Fatalf("seed %d: block batch enabled = %v, want %v", seed, BlockBatchEnabled(), expectBatch)
+	if blockBatch.Load() != expectBatch {
+		t.Fatalf("seed %d: block batch enabled = %v, want %v", seed, blockBatch.Load(), expectBatch)
 	}
 	r := rand.New(rand.NewSource(seed))
 	k, err := genFuzzKernel(r)
