@@ -30,8 +30,6 @@ import (
 	"owl/internal/mitigate"
 	"owl/internal/obs"
 	"owl/internal/quantify"
-	"owl/internal/service"
-	"owl/internal/simt"
 )
 
 func main() {
@@ -51,7 +49,6 @@ func run(args []string) error {
 		confidence = fs.Float64("confidence", 0.95, "KS confidence level alpha")
 		seed       = fs.Int64("seed", 1, "deterministic seed")
 		workers    = fs.String("workers", "1", "parallel trace-collection workers: a count, or comma-separated owlworker hosts for distributed recording (results are deterministic either way)")
-		parallel   = fs.Int("parallel", 0, "record traces on an N-worker service pool (same runner as owld; results are deterministic)")
 		welch      = fs.Bool("welch", false, "use Welch's t-test instead of KS (ablation)")
 		noRebase   = fs.Bool("no-rebase", false, "disable address rebasing (ablation)")
 		evidence   = fs.String("evidence", "diff", "evidence channel: diff (paper's set-difference tests), tvla (streaming Welch-t + mutual information), or both")
@@ -66,7 +63,6 @@ func run(args []string) error {
 		baseline   = fs.String("baseline", "", "CI mode: compare leak locations against this JSON report; non-zero exit on new leaks")
 		saveBase   = fs.String("save-baseline", "", "write the report JSON to this path (for -baseline)")
 		interpN    = fs.Int("interp-bench", 0, "run N untraced executions of the program and report interpreter throughput instead of detecting")
-		blockBatch = fs.String("block-batch", "on", "with -interp-bench: block-lockstep execution (on/off); off forces the per-warp rounds driver for A/B comparison")
 		traceOut   = fs.String("trace", "", "write a Chrome trace-event timeline of the detection to this path (open in Perfetto)")
 		doMitigate = fs.Bool("mitigate", false, "repair the flagged leaks (if-conversion, oblivious access) and re-detect; non-zero exit on residual or new leaks")
 		mitigOut   = fs.String("mitigate-out", "", "with -mitigate: write the mitigation result (transform log, before/after site diff) as JSON to this path")
@@ -101,14 +97,6 @@ func run(args []string) error {
 	}
 
 	if *interpN > 0 {
-		switch *blockBatch {
-		case "on", "true", "1":
-		case "off", "false", "0":
-			simt.SetBlockBatch(false)
-			defer simt.SetBlockBatch(true)
-		default:
-			return fmt.Errorf("invalid -block-batch %q (want on or off)", *blockBatch)
-		}
 		return interpBench(target, *interpN, *seed)
 	}
 
@@ -171,14 +159,6 @@ func run(args []string) error {
 				s.Round, s.Runs, s.Sites, s.LeakSites, s.MaxAbsT, s.StableChecks, stopped)
 		}
 	}
-	// -workers and -parallel are alternative recording strategies behind
-	// the same mutually exclusive Options fields: exactly one path is set.
-	workersSet := false
-	fs.Visit(func(f *flag.Flag) {
-		if f.Name == "workers" {
-			workersSet = true
-		}
-	})
 	workerHosts, workerCount, err := parseWorkersFlag(*workers)
 	if err != nil {
 		return err
@@ -186,14 +166,7 @@ func run(args []string) error {
 	// det is assigned before detection runs; the cluster runner's kernel
 	// hook feeds remotely harvested definitions back into it.
 	var det *core.Detector
-	switch {
-	case *parallel > 0 && workersSet:
-		return fmt.Errorf("-workers and -parallel are mutually exclusive; pick one recording strategy")
-	case *parallel > 0:
-		// The owld service runner: a bounded pool streaming traces into
-		// the merge window, bit-identical to sequential collection.
-		opts.Runner = service.NewPool(*parallel).Runner(nil)
-	case len(workerHosts) > 0:
+	if len(workerHosts) > 0 {
 		if *doMitigate {
 			return fmt.Errorf("-mitigate re-records hardened kernel variants that remote registries don't have; use a local recording strategy")
 		}
@@ -211,7 +184,7 @@ func run(args []string) error {
 				}
 			},
 		})
-	default:
+	} else {
 		opts.Workers = workerCount
 	}
 	det, err = core.NewDetector(opts)
@@ -264,8 +237,11 @@ func run(args []string) error {
 		fmt.Print(report.Summary())
 	}
 
+	// The estimate is computed once for both outputs: it draws from the
+	// detector's RNG, so a second call would show different numbers.
+	var q *quantify.Report
 	if *doQuantify > 0 {
-		q, err := quantify.Quantify(det, target.Program, target.Inputs[0], target.Gen, *fixedRuns)
+		q, err = quantify.Quantify(det, target.Program, target.Inputs[0], target.Gen, *fixedRuns)
 		if err != nil {
 			return err
 		}
@@ -277,13 +253,6 @@ func run(args []string) error {
 	}
 
 	if *htmlOut != "" {
-		var q *quantify.Report
-		if *doQuantify > 0 {
-			q, err = quantify.Quantify(det, target.Program, target.Inputs[0], target.Gen, *fixedRuns)
-			if err != nil {
-				return err
-			}
-		}
 		f, err := os.Create(*htmlOut)
 		if err != nil {
 			return err

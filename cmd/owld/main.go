@@ -27,7 +27,6 @@ package main
 import (
 	"context"
 	"errors"
-	"expvar"
 	"flag"
 	"fmt"
 	"log/slog"
@@ -95,7 +94,6 @@ func run(args []string) error {
 		return err
 	}
 	mgr.Start()
-	expvar.Publish("owld", mgr.Metrics().Map(mgr.Recorder()))
 	if fleet != nil {
 		logger.Info("detection jobs record on cluster",
 			slog.String("workers", strings.Join(fleet.Workers(), ", ")))

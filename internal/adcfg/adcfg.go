@@ -552,6 +552,8 @@ func (f *WarpFolder) Finish() {
 
 // Merge folds o into g: node visits align by visit index, histograms and
 // counts add (the same aggregation used for warps in the recording phase).
+// Recording folds warps straight into one graph, so Merge serves as the
+// reference that folding and the evidence merge are checked against.
 func (g *Graph) Merge(o *Graph) {
 	g.Warps += o.Warps
 	for id, on := range o.Nodes {
@@ -579,14 +581,6 @@ func (g *Graph) Merge(o *Graph) {
 			n.Pairs[pk] += c
 		}
 	}
-}
-
-// Clone deep-copies the graph.
-func (g *Graph) Clone() *Graph {
-	c := NewGraph(g.Kernel)
-	c.Merge(g)
-	c.Warps = g.Warps
-	return c
 }
 
 // Encode writes a canonical binary form of the graph: deterministic field

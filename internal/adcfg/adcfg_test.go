@@ -191,22 +191,6 @@ func TestHashDistinguishesContent(t *testing.T) {
 	}
 }
 
-func TestCloneIsDeep(t *testing.T) {
-	g := NewGraph("k")
-	foldWarp(g, []int{0, 1}, map[int][]int64{1: {5}})
-	c := g.Clone()
-	if !g.Equal(c) {
-		t.Fatal("clone differs")
-	}
-	foldWarp(c, []int{0, 2}, nil)
-	if g.Equal(c) {
-		t.Error("mutating the clone changed the original hash")
-	}
-	if _, ok := g.Nodes[2]; ok {
-		t.Error("clone shares node map")
-	}
-}
-
 func TestRebaseFunction(t *testing.T) {
 	g := NewGraph("k")
 	rebase := func(space isa.Space, addrs []int64, keys []uint64) {

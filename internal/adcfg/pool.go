@@ -12,9 +12,8 @@ import (
 // pools keeps the evidence-phase heap at O(workers) instead of O(runs).
 // A graph stores no edges (Graph.Edges derives them from the pairs), so
 // no pool holds any.
-// The pools are shared by internal/tracer (invocation graphs and the
-// per-slot graphs of parallel launches) and internal/trace (whole-trace
-// release after an evidence merge).
+// The pools are shared by internal/tracer (invocation graphs) and
+// internal/trace (whole-trace release after an evidence merge).
 var (
 	graphPool = sync.Pool{New: func() any {
 		return &Graph{Nodes: make(map[int]*Node)}

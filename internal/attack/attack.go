@@ -66,7 +66,7 @@ func (p *Probe) OnLaunch(info cuda.LaunchInfo) gpu.Instrument {
 	p.mu.Lock()
 	p.byStack[info.StackID] = append(p.byStack[info.StackID], obs)
 	p.mu.Unlock()
-	return &probeInst{probe: p, obs: obs}
+	return &probeInst{obs: obs}
 }
 
 // Observations returns the launches recorded for a stack identity.
@@ -90,15 +90,12 @@ func (p *Probe) First(substr string) (*KernelObservation, error) {
 }
 
 type probeInst struct {
-	probe *Probe
-	obs   *KernelObservation
+	obs *KernelObservation
 }
 
-func (pi *probeInst) BeginWarp(_ int, blockIdx gpu.Dim3, warpID int) simt.Hooks {
+func (pi *probeInst) BeginWarp(blockIdx gpu.Dim3, warpID int) simt.Hooks {
 	w := &WarpObservation{BlockIdx: blockIdx, WarpID: warpID}
-	pi.probe.mu.Lock()
 	pi.obs.Warps = append(pi.obs.Warps, w)
-	pi.probe.mu.Unlock()
 	return &probeHooks{w: w}
 }
 

@@ -177,7 +177,7 @@ type perThreadInst struct {
 	t *PerThreadTracer
 }
 
-func (pi perThreadInst) BeginWarp(int, gpu.Dim3, int) simt.Hooks {
+func (pi perThreadInst) BeginWarp(gpu.Dim3, int) simt.Hooks {
 	return &perThreadHooks{t: pi.t}
 }
 

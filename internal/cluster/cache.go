@@ -156,10 +156,16 @@ func Fingerprint(ctx context.Context, p cuda.Program, inputs [][]byte, opts core
 // service.CacheKey). Workers and Runner are excluded on purpose: parallel
 // and sequential recording produce identical reports. A new option that
 // changes reports must join this string, or cached reports alias.
+//
+// The device renders field by field in the form %+v gave gpu.Config when
+// it still had a Parallel field. Fleet and owld caches outlive the
+// process, so the constant "Parallel:false" stays to keep their keys.
 func OptionsKey(opts core.Options) string {
-	return fmt.Sprintf("%d|%d|%g|%d|%v|%v|%v|%+v|%+v",
+	d := opts.Device
+	return fmt.Sprintf("%d|%d|%g|%d|%v|%v|%v|{GlobalWords:%d ConstWords:%d ASLR:%v Parallel:false}|%+v",
 		opts.FixedRuns, opts.RandomRuns, opts.Confidence, opts.Seed,
-		opts.Rebase, opts.FilterDuplicates, opts.UseWelch, opts.Device, opts.Evidence)
+		opts.Rebase, opts.FilterDuplicates, opts.UseWelch,
+		d.GlobalWords, d.ConstWords, d.ASLR, opts.Evidence)
 }
 
 // CacheGet asks each worker in turn for the report under key and returns

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"context"
+	"reflect"
 	"testing"
 
 	"owl/internal/core"
@@ -59,5 +60,30 @@ func TestFingerprintPinned(t *testing.T) {
 	}
 	if got != want {
 		t.Errorf("Fingerprint = %s, want %s", got, want)
+	}
+}
+
+// TestOptionsKeyRendersDevice fails when gpu.Config gains a field that
+// OptionsKey does not render: the key spells the device out field by
+// field, and a device option it leaves out would let reports recorded on
+// different devices alias in the report caches.
+func TestOptionsKeyRendersDevice(t *testing.T) {
+	opts := core.DefaultOptions()
+	base := OptionsKey(opts)
+	typ := reflect.TypeOf(opts.Device)
+	for i := 0; i < typ.NumField(); i++ {
+		changed := opts
+		f := reflect.ValueOf(&changed.Device).Elem().Field(i)
+		switch f.Kind() {
+		case reflect.Int, reflect.Int64:
+			f.SetInt(f.Int() + 1)
+		case reflect.Bool:
+			f.SetBool(!f.Bool())
+		default:
+			t.Fatalf("gpu.Config.%s has kind %v, which this test cannot vary", typ.Field(i).Name, f.Kind())
+		}
+		if OptionsKey(changed) == base {
+			t.Errorf("OptionsKey does not render gpu.Config.%s", typ.Field(i).Name)
+		}
 	}
 }

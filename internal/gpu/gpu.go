@@ -10,7 +10,6 @@ import (
 	"fmt"
 	"math/rand"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"owl/internal/isa"
@@ -44,27 +43,17 @@ func (d Dim3) Count() int {
 // Instrument creates per-warp hooks for a launch, playing the role of
 // NVBit's per-kernel instrumentation.
 //
-// Thread blocks run on block-executor slots numbered 0 to BlockWorkers-1.
-// A slot runs one thread block at a time, and every warp of that block
-// retires before the slot begins its next block (a slot whose block fails
-// runs no further blocks). Sequential launches use
-// slot 0 only; under Config.Parallel each concurrent block worker owns one
-// slot. BeginWarp is therefore called concurrently only with distinct
-// slots, and state kept per slot needs no locking.
+// Thread blocks run one at a time, and every warp of a block retires
+// before the next block begins (a failed block ends the launch).
 type Instrument interface {
 	// BeginWarp returns the hooks of warp warpID of thread block
-	// blockIdx, run by the given slot. It may return nil to leave the
-	// warp untraced. Hooks that implement EndWarp() are told when their
-	// warp retires.
-	BeginWarp(slot int, blockIdx Dim3, warpID int) simt.Hooks
+	// blockIdx. It may return nil to leave the warp untraced. Hooks that
+	// implement EndWarp() are told when their warp retires.
+	BeginWarp(blockIdx Dim3, warpID int) simt.Hooks
 	// EndLaunch is called once, after every block of the launch has
 	// finished running (or the launch failed).
 	EndLaunch()
 }
-
-// BlockWorkers is the number of thread blocks a parallel launch executes
-// concurrently, and so the number of block-executor slots.
-const BlockWorkers = 8
 
 // Config sizes the simulated device.
 type Config struct {
@@ -76,10 +65,6 @@ type Config struct {
 	// driver does. The paper disables it during tracing (§V-C); Owl's
 	// tracer instead rebases addresses, and the ablation keeps it on.
 	ASLR bool
-	// Parallel executes thread blocks concurrently, as the paper notes
-	// Owl's kernel tracing does (§VIII-C). Kernels must be data-race free
-	// across blocks (the usual CUDA contract).
-	Parallel bool
 }
 
 // DefaultConfig returns a 2 Mi-word (16 MiB) device without ASLR — ample
@@ -337,10 +322,11 @@ func (d *Device) launch(k *isa.Kernel, grid, block Dim3, params []int64, inst In
 		return LaunchStats{}, err
 	}
 	// Materialize the extent kernels may touch before running any block —
-	// the arena never grows during kernel execution, because parallel
-	// blocks share it. Programs that allocate address their allocations;
-	// a device launched without any host allocation (raw-device tests)
-	// keeps the whole address space materialized, as before lazy sizing.
+	// the arena never grows during kernel execution, because warps
+	// snapshot the Direct slices at setup. Programs that allocate address
+	// their allocations; a device launched without any host allocation
+	// (raw-device tests) keeps the whole address space materialized, as
+	// before lazy sizing.
 	if len(d.allocs) == 0 {
 		d.ensure(d.cfg.GlobalWords)
 	} else {
@@ -367,11 +353,20 @@ func (d *Device) launch(k *isa.Kernel, grid, block Dim3, params []int64, inst In
 
 	flat1D := dimOrOne(block.Y) == 1 && dimOrOne(block.Z) == 1
 
-	runBlock := func(slot int, bi Dim3) (LaunchStats, error) {
-		var bs LaunchStats
-		sc := getBlockScratch(nWarps, threadsPerBlock, k.SharedWords)
-		flatBlock := (bi.Z*dimOrOne(grid.Y)+bi.Y)*dimOrOne(grid.X) + bi.X
-		gidBase := flatBlock * threadsPerBlock
+	var sc *blockScratch
+	endWarp := func(i int) {
+		if sc.ended[i] {
+			return
+		}
+		sc.ended[i] = true
+		if fin, ok := sc.hooks[i].(interface{ EndWarp() }); ok && sc.hooks[i] != nil {
+			fin.EndWarp()
+		}
+	}
+	for i := 0; i < nBlocks; i++ {
+		bi := coordAt(grid, i)
+		sc = getBlockScratch(nWarps, threadsPerBlock, k.SharedWords)
+		gidBase := i * threadsPerBlock // blocks run in x-fastest order
 
 		// In x-fastest order a thread's enumeration index IS its flat tid.
 		if flat1D {
@@ -410,7 +405,7 @@ func (d *Device) launch(k *isa.Kernel, grid, block Dim3, params []int64, inst In
 			}
 			var hooks simt.Hooks
 			if inst != nil {
-				hooks = inst.BeginWarp(slot, bi, w)
+				hooks = inst.BeginWarp(bi, w)
 			}
 			m := &sc.mems[w]
 			m.dev = d
@@ -420,82 +415,22 @@ func (d *Device) launch(k *isa.Kernel, grid, block Dim3, params []int64, inst In
 			sc.hooks[w] = hooks
 		}
 
-		endWarp := func(i int) {
-			if sc.ended[i] {
-				return
-			}
-			sc.ended[i] = true
-			if fin, ok := sc.hooks[i].(interface{ EndWarp() }); ok && sc.hooks[i] != nil {
-				fin.EndWarp()
-			}
-		}
 		br, err := exec.NewBlockRun(sc.wps, sc.memIfs, sc.hooks)
 		if err != nil {
-			return bs, err
+			return stats, err
 		}
 		if err := br.Run(endWarp); err != nil {
-			return bs, err
+			return stats, err
 		}
 		for w := 0; w < nWarps; w++ {
 			endWarp(w)
 			ws := br.WarpStats(w)
-			bs.Warps++
-			bs.BlocksExecuted += ws.BlocksExecuted
-			bs.Instructions += ws.Instructions
+			stats.Warps++
+			stats.BlocksExecuted += ws.BlocksExecuted
+			stats.Instructions += ws.Instructions
 		}
 		br.Release()
 		putBlockScratch(sc)
-		return bs, nil
-	}
-
-	if !d.cfg.Parallel || nBlocks == 1 {
-		for i := 0; i < nBlocks; i++ {
-			bs, err := runBlock(0, coordAt(grid, i))
-			if err != nil {
-				return stats, err
-			}
-			stats.Warps += bs.Warps
-			stats.BlocksExecuted += bs.BlocksExecuted
-			stats.Instructions += bs.Instructions
-		}
-		return stats, nil
-	}
-
-	// Parallel across thread blocks (SM-style): each worker owns one slot
-	// and pulls the next block until none is left. Kernels must be
-	// race-free across blocks; per-block stats are merged deterministically.
-	type result struct {
-		bs  LaunchStats
-		err error
-	}
-	results := make([]result, nBlocks)
-	var wg sync.WaitGroup
-	var next atomic.Int64
-	for slot := 0; slot < min(BlockWorkers, nBlocks); slot++ {
-		wg.Add(1)
-		go func(slot int) {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= nBlocks {
-					return
-				}
-				bs, err := runBlock(slot, coordAt(grid, i))
-				results[i] = result{bs: bs, err: err}
-				if err != nil {
-					return // the failed block's warps may not have retired
-				}
-			}
-		}(slot)
-	}
-	wg.Wait()
-	for _, r := range results {
-		if r.err != nil {
-			return stats, r.err
-		}
-		stats.Warps += r.bs.Warps
-		stats.BlocksExecuted += r.bs.BlocksExecuted
-		stats.Instructions += r.bs.Instructions
 	}
 	return stats, nil
 }

@@ -2,12 +2,10 @@ package gpu
 
 import (
 	"math/rand"
-	"sync"
 	"testing"
 
 	"owl/internal/isa"
 	"owl/internal/kbuild"
-	"owl/internal/simt"
 )
 
 func newDev(t testing.TB, cfg Config) *Device {
@@ -232,49 +230,6 @@ func TestSharedMemoryIsPerBlock(t *testing.T) {
 	for i, v := range got {
 		if v != int64(i) {
 			t.Errorf("block %d saw shared value %d", i, v)
-		}
-	}
-}
-
-// countInst counts warps begun, concurrency-safe for the parallel test.
-type countInst struct {
-	mu    sync.Mutex
-	warps int
-}
-
-func (c *countInst) BeginWarp(int, Dim3, int) simt.Hooks {
-	c.mu.Lock()
-	c.warps++
-	c.mu.Unlock()
-	return nil
-}
-
-func (c *countInst) EndLaunch() {}
-
-func TestParallelLaunchMatchesSequential(t *testing.T) {
-	run := func(parallel bool) []int64 {
-		cfg := smallConfig()
-		cfg.Parallel = parallel
-		d := newDev(t, cfg)
-		inst := &countInst{}
-		st, err := d.Launch(writeTidKernel(), D1(8), D1(64), []int64{0}, inst)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if inst.warps != st.Warps {
-			t.Errorf("instrumented %d warps, stats say %d", inst.warps, st.Warps)
-		}
-		out, err := d.ReadGlobal(0, 512)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return out
-	}
-	seq := run(false)
-	par := run(true)
-	for i := range seq {
-		if seq[i] != par[i] {
-			t.Fatalf("parallel result differs at %d: %d vs %d", i, par[i], seq[i])
 		}
 	}
 }

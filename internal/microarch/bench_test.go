@@ -33,9 +33,9 @@ func (l *eventLog) OnLaunch(info cuda.LaunchInfo) gpu.Instrument {
 	l.kernel = info.Kernel
 	return l
 }
-func (l *eventLog) BeginWarp(int, gpu.Dim3, int) simt.Hooks { return l }
-func (l *eventLog) EndLaunch()                              {}
-func (l *eventLog) OnBlockEnter(int, uint32)                {}
+func (l *eventLog) BeginWarp(gpu.Dim3, int) simt.Hooks { return l }
+func (l *eventLog) EndLaunch()                         {}
+func (l *eventLog) OnBlockEnter(int, uint32)           {}
 func (l *eventLog) OnMemAccess(block, memIdx int, space isa.Space, _ bool, addrs []int64) {
 	l.events = append(l.events, costEvent{block: block, idx: memIdx, space: space, addrs: append([]int64{}, addrs...)})
 }

@@ -17,9 +17,9 @@ import (
 // warps record one after another.
 type collectInstrument struct{ c *Collector }
 
-func (r collectInstrument) BeginWarp(int, gpu.Dim3, int) simt.Hooks { return r }
-func (r collectInstrument) EndLaunch()                              {}
-func (r collectInstrument) OnBlockEnter(int, uint32)                {}
+func (r collectInstrument) BeginWarp(gpu.Dim3, int) simt.Hooks { return r }
+func (r collectInstrument) EndLaunch()                         {}
+func (r collectInstrument) OnBlockEnter(int, uint32)           {}
 func (r collectInstrument) OnMemAccess(block, memIdx int, space isa.Space, _ bool, addrs []int64) {
 	r.c.RecordMem(block, memIdx, space, addrs)
 }

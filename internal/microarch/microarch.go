@@ -124,7 +124,7 @@ func (e *cell) add(cost int64) {
 // in (block, instruction) order, so recording an observation is one
 // indexed add. Aggregation only adds, so any number of warps may record
 // into one Collector in any order, but not concurrently: the tracer gives
-// each block-executor slot its own and merges them at launch end.
+// each launch its own, and thread blocks run one at a time.
 type Collector struct {
 	// memOff[b] is the first memory site of block b and codeOff[b] its
 	// first code site; the last entry of each is the kernel's total.
@@ -185,24 +185,6 @@ func (c *Collector) RecordRegWrite(block, instr int, vals *[simt.WarpWidth]int64
 		return
 	}
 	c.power[c.codeOff[block]+instr].add(PowerProxy(vals, mask))
-}
-
-// MergeInto adds the collector's aggregates into dst, site by site. Both
-// must be laid out for the same kernel. The tracer uses it to combine
-// the collectors of a parallel launch's block-executor slots into one
-// per-invocation aggregate.
-func (c *Collector) MergeInto(dst *Collector) {
-	mergeCells(dst.bank, c.bank)
-	mergeCells(dst.coalesce, c.coalesce)
-	mergeCells(dst.power, c.power)
-}
-
-func mergeCells(dst, src []cell) {
-	dst = dst[:len(src)]
-	for i, e := range src {
-		dst[i].events += e.events
-		dst[i].total += e.total
-	}
 }
 
 // Sites renders the aggregate as canonical trace cost sites: every site

@@ -227,16 +227,6 @@ func TestCollectorAggregation(t *testing.T) {
 	if !slices.Equal(sites, want) {
 		t.Fatalf("sites = %+v, want %+v", sites, want)
 	}
-
-	// Merge doubles every aggregate.
-	d := NewCollector(k)
-	c.MergeInto(d)
-	c.MergeInto(d)
-	for _, s := range d.Sites() {
-		if s.Events%2 != 0 || s.Total%2 != 0 {
-			t.Errorf("merged site %+v not doubled", s)
-		}
-	}
 }
 
 // siteKey identifies one mapCollector accumulator.
@@ -282,15 +272,6 @@ func (c *mapCollector) RecordRegWrite(block, instr int, vals *[simt.WarpWidth]in
 	c.add(siteKey{trace.CostPower, block, instr}, PowerProxy(vals, mask))
 }
 
-func (c *mapCollector) MergeInto(dst *mapCollector) {
-	for k, e := range c.agg {
-		d := dst.agg[k]
-		d.events += e.events
-		d.total += e.total
-		dst.agg[k] = d
-	}
-}
-
 func (c *mapCollector) Sites() []trace.CostSite {
 	if len(c.agg) == 0 {
 		return nil
@@ -312,8 +293,8 @@ func (c *mapCollector) Sites() []trace.CostSite {
 	return out
 }
 
-// TestCollectorMatchesMapReference feeds random RecordMem, RecordRegWrite
-// and MergeInto sequences over generated multi-block kernels to dense
+// TestCollectorMatchesMapReference feeds random RecordMem and
+// RecordRegWrite sequences over generated multi-block kernels to dense
 // collectors and to map references, and requires identical sites from
 // every pair, including collectors that never record.
 func TestCollectorMatchesMapReference(t *testing.T) {
@@ -339,7 +320,7 @@ func TestCollectorMatchesMapReference(t *testing.T) {
 			i := rng.Intn(len(dense))
 			b := rng.Intn(len(blocks))
 			code := k.Blocks[b].Code
-			switch rng.Intn(4) {
+			switch rng.Intn(3) {
 			case 0, 1:
 				mems := len(k.Blocks[b].MemInstrs())
 				if mems == 0 {
@@ -365,13 +346,6 @@ func TestCollectorMatchesMapReference(t *testing.T) {
 				mask := []uint32{0, 0xFFFFFFFF, rng.Uint32()}[rng.Intn(3)]
 				dense[i].RecordRegWrite(b, instr, &vals, mask)
 				ref[i].RecordRegWrite(b, instr, &vals, mask)
-			case 3:
-				j := rng.Intn(len(dense))
-				if j == i {
-					continue
-				}
-				dense[i].MergeInto(dense[j])
-				ref[i].MergeInto(ref[j])
 			}
 		}
 		for i := range dense {

@@ -197,8 +197,7 @@ func (s *Span) End() {
 	if s == nil {
 		return
 	}
-	end := s.rec.now()
-	s.rec.record(s, end)
+	s.rec.record(s)
 	*s = Span{}
 	spanPool.Put(s)
 }
@@ -354,8 +353,12 @@ func NewRecorder(capacity int) *Recorder {
 // now returns the monotonic offset since the recorder epoch.
 func (r *Recorder) now() time.Duration { return time.Since(r.epoch) }
 
-// record stores a completed span. Called from Span.End.
-func (r *Recorder) record(s *Span, end time.Duration) {
+// record stores a completed span, ending it now. Called from Span.End.
+// The end time is read under r.mu, so the ring holds spans in End order
+// even when writers contend.
+func (r *Recorder) record(s *Span) {
+	r.mu.Lock()
+	end := r.now()
 	rec := SpanRecord{
 		ID:     s.id,
 		Parent: s.parent,
@@ -366,7 +369,6 @@ func (r *Recorder) record(s *Span, end time.Duration) {
 		Attrs:  s.attrs,
 		NAttrs: s.nattrs,
 	}
-	r.mu.Lock()
 	if len(r.spans) < cap(r.spans) {
 		r.spans = append(r.spans, rec)
 	} else {
@@ -389,9 +391,11 @@ func (r *Recorder) observeLocked(name string, d time.Duration) {
 	agg.observe(d)
 }
 
+// counter stores one counter sample, stamped under r.mu so the ring
+// holds samples in time order.
 func (r *Recorder) counter(trace uint64, name string, value float64) {
-	rec := CounterRecord{Trace: trace, Name: name, TS: r.now(), Value: value}
 	r.mu.Lock()
+	rec := CounterRecord{Trace: trace, Name: name, TS: r.now(), Value: value}
 	if len(r.counters) < cap(r.counters) {
 		r.counters = append(r.counters, rec)
 	} else {

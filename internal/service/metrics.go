@@ -50,9 +50,9 @@ func (g *MaxBytes) String() string {
 }
 
 // Metrics aggregates the daemon's counters. None of the vars are
-// published to the global expvar registry at construction, so tests can
-// build as many managers as they want; cmd/owld publishes the map once
-// via Publish.
+// published to the global expvar registry, so tests can build as many
+// managers as they want; the server renders them per request at
+// /v1/metrics.
 type Metrics struct {
 	mu          sync.Mutex
 	jobsByState map[State]int64 // live gauge: how many jobs sit in each state now
@@ -122,8 +122,7 @@ func (m *Metrics) JobsByState() map[State]int64 {
 
 // Map assembles every metric — and, when rec is non-nil, rec's span
 // duration histograms under span_duration_ms, keyed by span name — into
-// one expvar.Map, suitable for expvar.Publish or for serving directly at
-// /metrics.
+// one expvar.Map, served at /v1/metrics.
 func (m *Metrics) Map(rec *obs.Recorder) *expvar.Map {
 	mp := new(expvar.Map).Init()
 	mp.Set("jobs", expvar.Func(func() any { return m.jobsJSON() }))

@@ -36,17 +36,12 @@ import (
 	"owl/internal/isa"
 )
 
-// blockBatch gates the lockstep driver process-wide. On by default;
-// SetBlockBatch(false) is the CLI's -block-batch=off escape hatch for
-// A/B comparing the two execution strategies.
+// blockBatch gates the lockstep driver process-wide. It is always on
+// outside tests, which turn it off to check the per-warp rounds driver
+// against it: results are identical either way; only speed differs.
 var blockBatch atomic.Bool
 
 func init() { blockBatch.Store(true) }
-
-// SetBlockBatch enables or disables the block-lockstep fast path
-// process-wide. Disabled, every block executes on the per-warp rounds
-// driver. Results are identical either way; only speed differs.
-func SetBlockBatch(on bool) { blockBatch.Store(on) }
 
 // BlockRun executes all warps of one thread block against a shared
 // block-wide register file. Create with NewBlockRun, drive with Run,

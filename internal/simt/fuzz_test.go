@@ -328,15 +328,15 @@ func TestBlockInterpMatchesReference(t *testing.T) {
 	}
 }
 
-// TestBlockBatchOffMatchesOn pins the CLI escape hatch: with the
-// lockstep driver disabled process-wide, a block must produce identical
-// memory and statistics through the rounds driver.
+// TestBlockBatchOffMatchesOn checks that with the lockstep driver
+// disabled process-wide, a block produces identical memory and
+// statistics through the rounds driver.
 func TestBlockBatchOffMatchesOn(t *testing.T) {
-	defer SetBlockBatch(true)
+	defer blockBatch.Store(true)
 	for seed := int64(0); seed < 60; seed++ {
-		SetBlockBatch(true)
+		blockBatch.Store(true)
 		memOn := blockRunForSeed(t, seed, true)
-		SetBlockBatch(false)
+		blockBatch.Store(false)
 		memOff := blockRunForSeed(t, seed, false)
 		if !reflect.DeepEqual(memOn.global, memOff.global) ||
 			!reflect.DeepEqual(memOn.shared, memOff.shared) {

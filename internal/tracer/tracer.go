@@ -95,12 +95,12 @@ func (t *Tracer) OnLaunch(info cuda.LaunchInfo) gpu.Instrument {
 	t.mu.Unlock()
 	li := &launchInst{
 		inv:    inv,
-		kernel: info.Kernel,
 		rebase: rebase,
-		cost:   t.cost,
-		nWarps: (info.Block.Count() + simt.WarpWidth - 1) / simt.WarpWidth,
+		warps:  make([]costWarpHooks, (info.Block.Count()+simt.WarpWidth-1)/simt.WarpWidth),
 	}
-	li.slots[0] = li.newSlot(inv.Graph)
+	if t.cost {
+		li.cost = microarch.NewCollector(info.Kernel)
+	}
 	return li
 }
 
@@ -163,98 +163,54 @@ func regionOf(allocs []gpu.AllocRecord, a int64) region {
 	return r
 }
 
-// launchInst instruments one kernel launch. Every block-executor slot
-// folds the warps it runs into a graph and cost collector of its own, and
-// slot 0's graph is the invocation's A-DCFG itself: a sequential launch
-// folds each observation exactly once, straight into the trace, with no
-// lock. The warp folders come from adcfg's folder pool, and EndLaunch
-// releases them before it merges the other slots of a parallel launch
-// once.
+// launchInst instruments one kernel launch. Thread blocks run one at a
+// time, so every warp folds each observation exactly once, straight into
+// the invocation's A-DCFG and cost collector, with no lock. The hooks of
+// warp w are reused from block to block, since every warp retires before
+// the next block begins; their folders come from adcfg's folder pool, and
+// EndLaunch releases them.
 type launchInst struct {
 	inv    *trace.Invocation
-	kernel *isa.Kernel // lays out each slot's cost collector
 	rebase adcfg.Rebaser
-	cost   bool // collect the cost channel (WithCost)
-	nWarps int  // warps per thread block
-	// slots[i] is touched only by the block worker owning slot i until
-	// EndLaunch, which runs after every worker has finished.
-	slots [gpu.BlockWorkers]*foldSlot
+	cost   *microarch.Collector // nil unless WithCost
+	warps  []costWarpHooks      // by warp ID
 }
 
 var _ gpu.Instrument = (*launchInst)(nil)
 
-// foldSlot is one block-executor slot's fold target plus the hooks of the
-// warps of the thread block it runs, reused from block to block: a slot
-// runs one block at a time and every warp retires before the next block.
-type foldSlot struct {
-	graph *adcfg.Graph
-	cost  *microarch.Collector // nil unless WithCost
-	warps []costWarpHooks      // by warp ID
-}
-
-func (li *launchInst) newSlot(g *adcfg.Graph) *foldSlot {
-	s := &foldSlot{graph: g, warps: make([]costWarpHooks, li.nWarps)}
-	if li.cost {
-		s.cost = microarch.NewCollector(li.kernel)
-	}
-	return s
-}
-
-// BeginWarp returns hooks that fold the warp into its slot's graph. With
-// the cost channel on, the hooks are a distinct type satisfying
+// BeginWarp returns hooks that fold the warp into the invocation graph.
+// With the cost channel on, the hooks are a distinct type satisfying
 // simt.CostHooks — plain traced runs must not, or every traced uop would
 // pay the register-write callback.
-func (li *launchInst) BeginWarp(slot int, _ gpu.Dim3, warpID int) simt.Hooks {
-	s := li.slots[slot]
-	if s == nil {
-		s = li.newSlot(adcfg.NewGraph(li.inv.Kernel))
-		li.slots[slot] = s
-	}
-	w := &s.warps[warpID]
+func (li *launchInst) BeginWarp(_ gpu.Dim3, warpID int) simt.Hooks {
+	w := &li.warps[warpID]
 	if w.folder == nil {
-		w.folder = adcfg.NewWarpFolder(s.graph, li.rebase)
-		w.cost = s.cost
+		w.folder = adcfg.NewWarpFolder(li.inv.Graph, li.rebase)
+		w.cost = li.cost
 	}
-	if li.cost {
+	if li.cost != nil {
 		return w
 	}
 	return &w.warpHooks
 }
 
-// EndLaunch releases the launch's warp folders, merges the extra slots
-// of a parallel launch into the invocation graph and renders the
+// EndLaunch releases the launch's warp folders and renders the
 // invocation's canonical cost sites once.
 func (li *launchInst) EndLaunch() {
-	for _, s := range li.slots {
-		if s == nil {
-			continue
-		}
-		for i := range s.warps {
-			if f := s.warps[i].folder; f != nil {
-				f.Release()
-				s.warps[i].folder = nil
-			}
+	for i := range li.warps {
+		if f := li.warps[i].folder; f != nil {
+			f.Release()
+			li.warps[i].folder = nil
 		}
 	}
-	s0 := li.slots[0]
-	for _, s := range li.slots[1:] {
-		if s == nil {
-			continue
-		}
-		s0.graph.Merge(s.graph)
-		adcfg.Recycle(s.graph)
-		if s.cost != nil {
-			s.cost.MergeInto(s0.cost)
-		}
-	}
-	if s0.cost != nil {
-		li.inv.Cost = s0.cost.Sites()
+	if li.cost != nil {
+		li.inv.Cost = li.cost.Sites()
 	}
 }
 
 // warpHooks adapts one warp's simt callbacks onto a WarpFolder. This is
 // the interpreter's hot path: both callbacks fold the event into the
-// slot's graph without retaining the addrs slice (the interpreter reuses
+// invocation graph without retaining the addrs slice (the interpreter reuses
 // one address buffer per warp) and without allocating beyond the graph's
 // own pooled node/histogram growth and the folder's pooled transition
 // states.
@@ -273,14 +229,14 @@ func (w *warpHooks) OnMemAccess(_, memIdx int, space isa.Space, store bool, addr
 }
 
 // EndWarp records the warp's End transition, adds its pending transition
-// counts to the slot's graph, and leaves the folder ready for the warp
-// with the same ID in the slot's next thread block.
+// counts to the invocation graph, and leaves the folder ready for the
+// warp with the same ID in the next thread block.
 func (w *warpHooks) EndWarp() { w.folder.Finish() }
 
 // costWarpHooks extends warpHooks with the cost-channel observables. It
 // is the only hooks type that satisfies simt.CostHooks, so the
 // interpreter fires OnRegWrite exclusively on cost-enabled runs. Memory
-// accesses feed both the A-DCFG folder and the slot's collector.
+// accesses feed both the A-DCFG folder and the launch's collector.
 type costWarpHooks struct {
 	warpHooks
 	cost *microarch.Collector

@@ -3,7 +3,6 @@ package tracer
 import (
 	"bytes"
 	"math/rand"
-	"reflect"
 	"slices"
 	"testing"
 
@@ -181,89 +180,19 @@ func TestRebaseLaneVector(t *testing.T) {
 	}
 }
 
-// TestParallelTracingDeterministic checks that a parallel launch, whose
-// blocks fold into per-slot graphs and cost collectors merged at launch
-// end, records the same trace as a sequential launch folding straight
-// into the invocation graph. The kernel spans more blocks than there are
-// slots, three warps per block with a partial last warp, block- and
-// warp-dependent control flow, and shared- and global-memory accesses
-// that feed every cost metric.
-func TestParallelTracingDeterministic(t *testing.T) {
-	b := kbuild.New("mixed", 1)
-	b.SetShared(128)
-	tid := b.Special(isa.SpecTidX)
-	block := b.Special(isa.SpecCtaidX)
-	gid := b.Tid()
-	own := b.Add(b.Param(0), b.Mul(gid, b.ConstR(2))) // two words per thread
-	b.Store(isa.SpaceShared, b.And(b.Mul(tid, b.Add(block, b.ConstR(1))), b.ConstR(127)), 0, gid)
-	b.Barrier()
-	b.If(b.CmpLT(b.Mod(block, b.ConstR(3)), b.ConstR(2)), func() {
-		v := b.Load(isa.SpaceShared, b.And(b.Add(tid, block), b.ConstR(127)), 0)
-		b.Store(isa.SpaceGlobal, own, 0, b.Xor(v, block))
-	}, func() {
-		b.ForConst(0, 2, func(i isa.Reg) {
-			b.Store(isa.SpaceGlobal, b.Add(own, i), 0, b.Add(i, tid))
-		})
-	})
-	b.Ret()
-	k := b.MustBuild()
-
-	record := func(parallel bool) *trace.ProgramTrace {
-		cfg := gpu.DefaultConfig()
-		cfg.Parallel = parallel
-		tr := New("prog", WithCost())
-		ctx, err := cuda.NewContext(cfg, rand.New(rand.NewSource(5)), tr)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ptr, err := ctx.Malloc(4096)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := 0; i < 2; i++ {
-			if err := ctx.Launch(k, gpu.D1(2*gpu.BlockWorkers+3), gpu.D1(80), int64(ptr)); err != nil {
-				t.Fatal(err)
-			}
-		}
-		return tr.Trace()
-	}
-	seq := record(false)
-	for _, inv := range seq.Invocations {
-		if inv.Graph.Warps != 3*(2*gpu.BlockWorkers+3) {
-			t.Fatalf("warps = %d", inv.Graph.Warps)
-		}
-		metrics := map[trace.CostMetric]bool{}
-		for _, c := range inv.Cost {
-			metrics[c.Metric] = true
-		}
-		if len(metrics) != 3 {
-			t.Fatalf("cost metrics = %v, want bank, coalesce and power", metrics)
-		}
-	}
-	for i := 0; i < 3; i++ {
-		if par := record(true); par.Hash() != seq.Hash() {
-			t.Fatal("parallel tracing produced a different trace")
-		}
-	}
-}
-
-// TestParallelLaunchHistogramsStayCells checks that merging the slot
-// graphs of a parallel launch leaves every histogram of the trace as
-// current cells, even one far past the small pool class (32 cells), for
-// the readers that take Cells as they are: Validate, the gob encoding
-// and the statistical engine. Each is run on the parallel traces before
-// anything settles them, and must match the sequential traces.
-func TestParallelLaunchHistogramsStayCells(t *testing.T) {
+// TestWideHistogramsStayCells checks that a traced launch leaves every
+// histogram of the trace as current cells, even one far past the small
+// pool class (32 cells), for the readers that take Cells as they are:
+// Validate, the gob encoding and the statistical engine.
+func TestWideHistogramsStayCells(t *testing.T) {
 	b := kbuild.New("wide_store", 1)
 	gid := b.Tid()
 	b.Store(isa.SpaceGlobal, b.Add(b.Param(0), gid), 0, gid)
 	b.Ret()
 	k := b.MustBuild()
-	record := func(parallel bool, blocks int) *trace.ProgramTrace {
-		cfg := gpu.DefaultConfig()
-		cfg.Parallel = parallel
+	record := func(blocks int) *trace.ProgramTrace {
 		tr := New("prog")
-		ctx, err := cuda.NewContext(cfg, rand.New(rand.NewSource(3)), tr)
+		ctx, err := cuda.NewContext(gpu.DefaultConfig(), rand.New(rand.NewSource(3)), tr)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -276,60 +205,36 @@ func TestParallelLaunchHistogramsStayCells(t *testing.T) {
 		}
 		return tr.Trace()
 	}
-	// run records two fixed-regime and two random-regime traces, whose
-	// grids differ so every memory site has a distribution, and reads them
-	// with the readers that do not settle histograms.
-	type result struct {
-		verdicts []evidence.Verdict
-		gob      [][32]byte // trace hashes after a gob round trip
-		traces   []*trace.ProgramTrace
-	}
-	run := func(parallel bool) result {
-		var res result
-		e := evidence.NewEngine(evidence.Config{})
-		for i, blocks := range []int{2*gpu.BlockWorkers + 3, 2*gpu.BlockWorkers + 2, gpu.BlockWorkers + 3, gpu.BlockWorkers + 1} {
-			tr := record(parallel, blocks)
-			if err := tr.Validate(); err != nil {
-				t.Fatal(err)
-			}
-			e.Observe(evidence.Regime(i/2), tr)
-			var buf bytes.Buffer
-			if err := tr.WriteGob(&buf); err != nil {
-				t.Fatal(err)
-			}
-			rt, err := trace.ReadGob(&buf)
-			if err != nil {
-				t.Fatal(err)
-			}
-			res.gob = append(res.gob, rt.Hash())
-			res.traces = append(res.traces, tr)
+	// Two fixed-regime and two random-regime traces, whose grids differ
+	// so every memory site has a distribution.
+	e := evidence.NewEngine(evidence.Config{})
+	for i, blocks := range []int{19, 18, 11, 9} {
+		tr := record(blocks)
+		if h := tr.Invocations[0].Graph.Nodes[0].Visits[0].Mems[0]; i == 0 && len(h.Cells) <= 32 {
+			t.Fatalf("fixture histogram holds %d cells, want more than 32", len(h.Cells))
 		}
-		res.verdicts = e.Verdicts()
-		return res
-	}
-	seq := run(false)
-	if h := seq.traces[0].Invocations[0].Graph.Nodes[0].Visits[0].Mems[0]; len(h.Cells) <= 32 {
-		t.Fatalf("fixture histogram holds %d cells, want more than 32", len(h.Cells))
+		if err := tr.Validate(); err != nil {
+			t.Fatal(err)
+		}
+		e.Observe(evidence.Regime(i/2), tr)
+		var buf bytes.Buffer
+		if err := tr.WriteGob(&buf); err != nil {
+			t.Fatal(err)
+		}
+		rt, err := trace.ReadGob(&buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rt.Hash() != tr.Hash() {
+			t.Fatalf("trace %d: the gob round trip changed the trace", i)
+		}
 	}
 	mem := false
-	for _, v := range seq.verdicts {
+	for _, v := range e.Verdicts() {
 		mem = mem || v.Kind == evidence.MemSite
 	}
 	if !mem {
-		t.Fatal("the engine saw no memory site in the sequential traces")
-	}
-	par := run(true)
-	if !reflect.DeepEqual(par.verdicts, seq.verdicts) {
-		t.Fatalf("engine verdicts of the parallel traces differ:\n%v\n%v", par.verdicts, seq.verdicts)
-	}
-	for i := range seq.traces {
-		want := seq.traces[i].Hash()
-		if seq.gob[i] != want || par.gob[i] != want {
-			t.Fatalf("trace %d: the gob round trip of the parallel trace differs from the sequential trace", i)
-		}
-		if par.traces[i].Hash() != want {
-			t.Fatalf("trace %d: parallel tracing produced a different trace", i)
-		}
+		t.Fatal("the engine saw no memory site in the traces")
 	}
 }
 
