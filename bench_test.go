@@ -283,10 +283,10 @@ func BenchmarkTable4DistributionTest(b *testing.B) {
 // streaming Runner contract.
 type materializingRunner struct{}
 
-func (materializingRunner) RecordStream(ctx context.Context, p cuda.Program, reqs []core.RunRequest, record core.RecordFn, sink core.TraceSink) error {
+func (materializingRunner) RecordStream(ctx context.Context, p cuda.Program, reqs []core.RunRequest, recipe core.Recipe, sink core.TraceSink) error {
 	out := make([]*trace.ProgramTrace, len(reqs))
 	for i, req := range reqs {
-		t, err := record(ctx, p, req.Input, req.Seed)
+		t, err := recipe.Record(ctx, p, req.Input, req.Seed)
 		if err != nil {
 			return err
 		}

@@ -26,7 +26,6 @@ import (
 	"owl/internal/experiments"
 	"owl/internal/gpu"
 	"owl/internal/htmlreport"
-	"owl/internal/isa"
 	"owl/internal/mitigate"
 	"owl/internal/obs"
 	"owl/internal/quantify"
@@ -163,9 +162,6 @@ func run(args []string) error {
 	if err != nil {
 		return err
 	}
-	// det is assigned before detection runs; the cluster runner's kernel
-	// hook feeds remotely harvested definitions back into it.
-	var det *core.Detector
 	if len(workerHosts) > 0 {
 		if *doMitigate {
 			return fmt.Errorf("-mitigate re-records hardened kernel variants that remote registries don't have; use a local recording strategy")
@@ -174,20 +170,11 @@ func run(args []string) error {
 		if err != nil {
 			return err
 		}
-		opts.Runner = fleet.Runner(cluster.RunnerConfig{
-			Device: opts.Device,
-			Rebase: opts.Rebase,
-			Cost:   opts.Evidence.CostEnabled(),
-			Kernel: func(k *isa.Kernel) {
-				if det != nil {
-					det.RegisterKernel(k)
-				}
-			},
-		})
+		opts.Runner = fleet.Runner(cluster.RunnerConfig{})
 	} else {
 		opts.Workers = workerCount
 	}
-	det, err = core.NewDetector(opts)
+	det, err := core.NewDetector(opts)
 	if err != nil {
 		return err
 	}

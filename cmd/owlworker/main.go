@@ -11,7 +11,7 @@
 //	curl -s localhost:8091/v1/readyz
 //	curl -s localhost:8091/v1/metrics/prometheus
 //
-// SIGINT/SIGTERM drains gracefully: /readyz flips to 503 so coordinators
+// SIGINT/SIGTERM drains gracefully: /v1/readyz flips to 503 so coordinators
 // stop dispatching, in-flight batches finish (bounded by -drain-timeout),
 // then the process exits.
 package main

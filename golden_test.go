@@ -298,7 +298,8 @@ func TestGoldenTraceHashes(t *testing.T) {
 		for i, in := range inputs {
 			var trs [2]*trace.ProgramTrace
 			for c, b := range []*strings.Builder{&plain, &withCost} {
-				tr, _, err := core.RecordRun(context.Background(), target.Program, opts.Device, opts.Rebase, c == 1, in, int64(i+1), nil)
+				recipe := core.Recipe{Device: opts.Device, Rebase: opts.Rebase, Cost: c == 1}
+				tr, err := recipe.Record(context.Background(), target.Program, in, int64(i+1))
 				if err != nil {
 					t.Fatalf("%s input %d (cost=%v): %v", target.Program.Name(), i, c == 1, err)
 				}

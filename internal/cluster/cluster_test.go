@@ -16,7 +16,6 @@ import (
 
 	"owl/internal/core"
 	"owl/internal/cuda"
-	"owl/internal/isa"
 	"owl/internal/workloads/gpucrypto"
 )
 
@@ -66,9 +65,9 @@ func detectOpts() core.Options {
 }
 
 // detectSequential is the local single-process reference detection.
-func detectSequential(t *testing.T, prog cuda.Program, inputs [][]byte, gen cuda.InputGen) *core.Report {
+func detectSequential(t *testing.T, opts core.Options, prog cuda.Program, inputs [][]byte, gen cuda.InputGen) *core.Report {
 	t.Helper()
-	det, err := core.NewDetector(detectOpts())
+	det, err := core.NewDetector(opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,26 +79,14 @@ func detectSequential(t *testing.T, prog cuda.Program, inputs [][]byte, gen cuda
 }
 
 // detectFleet runs the same detection with recording distributed over the
-// fleet, wiring the kernel hook exactly as owl/owld do.
-func detectFleet(t *testing.T, fleet *Fleet, prog cuda.Program, inputs [][]byte, gen cuda.InputGen, onRetry func(string)) *core.Report {
+// fleet, wiring the runner exactly as owl/owld do.
+func detectFleet(t *testing.T, fleet *Fleet, opts core.Options, prog cuda.Program, inputs [][]byte, gen cuda.InputGen, onRetry func(string)) *core.Report {
 	t.Helper()
-	opts := detectOpts()
-	var det *core.Detector
-	opts.Runner = fleet.Runner(RunnerConfig{
-		Device:  opts.Device,
-		Rebase:  opts.Rebase,
-		OnRetry: onRetry,
-		Kernel: func(k *isa.Kernel) {
-			if det != nil {
-				det.RegisterKernel(k)
-			}
-		},
-	})
-	d, err := core.NewDetector(opts)
+	opts.Runner = fleet.Runner(RunnerConfig{OnRetry: onRetry})
+	det, err := core.NewDetector(opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	det = d
 	rep, err := det.Detect(prog, inputs, gen)
 	if err != nil {
 		t.Fatal(err)
@@ -127,19 +114,24 @@ func reportJSON(t *testing.T, rep *core.Report) []byte {
 // TestFleetEquivalence proves the whole point of the wire protocol: a
 // 3-worker cluster detection serializes byte-identically to sequential
 // single-process detection, leak annotations included, for both crypto
-// workloads.
+// workloads under default options, and for aes128 under the recipe
+// options that travel with each batch — the cost channel (with evidence
+// mode both) and rebasing turned off.
 func TestFleetEquivalence(t *testing.T) {
 	fleet, _ := startWorkers(t, 3, Options{BatchSize: 4})
+	aes := func() cuda.Program { return gpucrypto.NewAES(gpucrypto.WithBlocks(16)) }
+	aesKeys := [][]byte{[]byte("0123456789abcdef"), []byte("fedcba9876543210")}
 	cases := []struct {
 		name   string
 		prog   func() cuda.Program
 		inputs [][]byte
 		gen    func() cuda.InputGen
+		opts   func(*core.Options)
 	}{
 		{
 			name:   "libgpucrypto/aes128",
-			prog:   func() cuda.Program { return gpucrypto.NewAES(gpucrypto.WithBlocks(16)) },
-			inputs: [][]byte{[]byte("0123456789abcdef"), []byte("fedcba9876543210")},
+			prog:   aes,
+			inputs: aesKeys,
 			gen:    gpucrypto.KeyGen,
 		},
 		{
@@ -148,16 +140,40 @@ func TestFleetEquivalence(t *testing.T) {
 			inputs: [][]byte{{0xff, 0x00, 0xff, 0x00, 0xff, 0x00, 0xff, 0x00}, {0x01, 0x02, 0x03, 0x04, 0x05, 0x06, 0x07, 0x08}},
 			gen:    gpucrypto.ExpGen,
 		},
+		{
+			name:   "libgpucrypto/aes128/both+cost",
+			prog:   aes,
+			inputs: aesKeys,
+			gen:    gpucrypto.KeyGen,
+			opts: func(o *core.Options) {
+				o.Evidence = core.EvidenceConfig{Mode: core.EvidenceBoth, Channels: []string{core.ChannelADCFG, core.ChannelCost}}
+			},
+		},
+		{
+			name:   "libgpucrypto/aes128/no-rebase",
+			prog:   aes,
+			inputs: aesKeys,
+			gen:    gpucrypto.KeyGen,
+			opts:   func(o *core.Options) { o.Rebase = false },
+		},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			want := reportJSON(t, detectSequential(t, tc.prog(), tc.inputs, tc.gen()))
-			got := reportJSON(t, detectFleet(t, fleet, tc.prog(), tc.inputs, tc.gen(), nil))
+			opts := detectOpts()
+			if tc.opts != nil {
+				tc.opts(&opts)
+			}
+			seq := detectSequential(t, opts, tc.prog(), tc.inputs, tc.gen())
+			want := reportJSON(t, seq)
+			got := reportJSON(t, detectFleet(t, fleet, opts, tc.prog(), tc.inputs, tc.gen(), nil))
 			if !bytes.Equal(want, got) {
 				t.Errorf("cluster report differs from sequential:\nseq: %s\ngot: %s", want, got)
 			}
 			if !bytes.Contains(want, []byte(`"Leaks":[{`)) {
 				t.Error("sequential report found no leaks; equivalence test is vacuous")
+			}
+			if opts.Evidence.CostEnabled() && seq.Count(core.CostLeak) == 0 {
+				t.Error("sequential report found no cost sites; the cost case is vacuous")
 			}
 		})
 	}
@@ -234,8 +250,8 @@ func TestFleetRebalanceOnFailure(t *testing.T) {
 	inputs := [][]byte{[]byte("0123456789abcdef"), []byte("fedcba9876543210")}
 
 	var retries atomic.Int64
-	want := reportJSON(t, detectSequential(t, prog(), inputs, gpucrypto.KeyGen()))
-	got := reportJSON(t, detectFleet(t, fleet, prog(), inputs, gpucrypto.KeyGen(), func(string) {
+	want := reportJSON(t, detectSequential(t, detectOpts(), prog(), inputs, gpucrypto.KeyGen()))
+	got := reportJSON(t, detectFleet(t, fleet, detectOpts(), prog(), inputs, gpucrypto.KeyGen(), func(string) {
 		retries.Add(1)
 	}))
 	if flaky.cut.Load() == 0 {
@@ -259,7 +275,7 @@ func (renamed) Name() string { return "no/such-program" }
 func TestFleetPermanentErrorFailsFast(t *testing.T) {
 	fleet, _ := startWorkers(t, 2, Options{BatchSize: 4})
 	opts := detectOpts()
-	opts.Runner = fleet.Runner(RunnerConfig{Device: opts.Device, Rebase: opts.Rebase})
+	opts.Runner = fleet.Runner(RunnerConfig{})
 	det, err := core.NewDetector(opts)
 	if err != nil {
 		t.Fatal(err)
@@ -310,6 +326,21 @@ func TestWorkerReadiness(t *testing.T) {
 	}
 	if rd.Ready() || rd.Status != "draining" {
 		t.Errorf("draining readiness = %+v", rd)
+	}
+}
+
+// TestWorkerServesOnlyV1 checks the worker API lives under /v1 alone:
+// an unversioned path is not an alias for its /v1 route.
+func TestWorkerServesOnlyV1(t *testing.T) {
+	srv := httptest.NewServer(NewWorkerWithPrograms(1, 0, nil).Handler())
+	t.Cleanup(srv.Close)
+	resp, err := http.Get(srv.URL + "/readyz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusNotFound {
+		t.Errorf("GET /readyz = %d, want 404", resp.StatusCode)
 	}
 }
 

@@ -24,7 +24,6 @@ import (
 
 	"owl/internal/core"
 	"owl/internal/experiments"
-	"owl/internal/isa"
 	"owl/internal/obs"
 )
 
@@ -171,7 +170,7 @@ func TestE2EClusterEquivalence(t *testing.T) {
 	for _, tgt := range e2eTargets(t) {
 		t.Run(tgt.Program.Name(), func(t *testing.T) {
 			want := reportJSON(t, detectLocal4(t, tgt))
-			got := reportJSON(t, detectFleet(t, fleet, tgt.Program, tgt.Inputs, tgt.Gen, nil))
+			got := reportJSON(t, detectFleet(t, fleet, detectOpts(), tgt.Program, tgt.Inputs, tgt.Gen, nil))
 			if !bytes.Equal(want, got) {
 				t.Errorf("cluster report differs from workers=4 single-process:\nlocal:   %s\ncluster: %s", want, got)
 			}
@@ -208,21 +207,11 @@ func TestE2EFleetTrace(t *testing.T) {
 	}
 
 	opts := detectOpts()
-	var det *core.Detector
-	opts.Runner = fleet.Runner(RunnerConfig{
-		Device: opts.Device,
-		Rebase: opts.Rebase,
-		Kernel: func(k *isa.Kernel) {
-			if det != nil {
-				det.RegisterKernel(k)
-			}
-		},
-	})
-	d, err := core.NewDetector(opts)
+	opts.Runner = fleet.Runner(RunnerConfig{})
+	det, err := core.NewDetector(opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	det = d
 	rec := obs.NewRecorder(1 << 14)
 	ctx := obs.WithRecorder(context.Background(), rec)
 	if _, err := det.DetectContext(ctx, tgt.Program, tgt.Inputs, tgt.Gen); err != nil {
@@ -309,10 +298,7 @@ func killWorkerScenario(t *testing.T, bin string, tgt experiments.Target, want [
 		retries  atomic.Int64
 	)
 	opts := detectOpts()
-	var det *core.Detector
 	opts.Runner = fleet.Runner(RunnerConfig{
-		Device: opts.Device,
-		Rebase: opts.Rebase,
 		OnRun: func(worker string) {
 			// First delivery picks the victim: its current batch normally
 			// still has undelivered runs in flight, so the SIGKILL severs
@@ -323,17 +309,11 @@ func killWorkerScenario(t *testing.T, bin string, tgt experiments.Target, want [
 			})
 		},
 		OnRetry: func(string) { retries.Add(1) },
-		Kernel: func(k *isa.Kernel) {
-			if det != nil {
-				det.RegisterKernel(k)
-			}
-		},
 	})
-	d, err := core.NewDetector(opts)
+	det, err := core.NewDetector(opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	det = d
 	rep, err := det.Detect(tgt.Program, tgt.Inputs, tgt.Gen)
 	if err != nil {
 		t.Fatalf("detection did not survive the worker kill: %v", err)

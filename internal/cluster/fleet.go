@@ -15,8 +15,6 @@ import (
 
 	"owl/internal/core"
 	"owl/internal/cuda"
-	"owl/internal/gpu"
-	"owl/internal/isa"
 	"owl/internal/obs"
 	"owl/internal/trace"
 )
@@ -98,36 +96,23 @@ func NewFleet(addrs []string, opts Options) (*Fleet, error) {
 // Workers lists the fleet's normalized worker base URLs.
 func (f *Fleet) Workers() []string { return append([]string(nil), f.addrs...) }
 
-// RunnerConfig parameterizes one Runner over a fleet: the simulated
-// device and rebase mode every remote recording must replicate (they come
-// from the detector's options — a mismatch would silently change traces),
-// plus the coordinator-side hooks.
+// RunnerConfig holds the coordinator-side hooks of one Runner over a
+// fleet; the run recipe arrives with each RecordStream call.
 type RunnerConfig struct {
-	// Device sizes the simulated GPU on every worker; required.
-	Device gpu.Config
-	// Rebase mirrors core.Options.Rebase.
-	Rebase bool
-	// Cost mirrors core.EvidenceConfig.CostEnabled(): collect the
-	// microarchitectural cost observables on every worker. Like Rebase it
-	// changes the recorded traces, so it must match the coordinator's
-	// evidence configuration.
-	Cost bool
 	// OnRun observes each delivered trace with the worker that recorded
 	// it — the per-worker throughput feed. May be nil.
 	OnRun func(worker string)
 	// OnRetry observes each batch rebalance with the worker that failed
 	// it. May be nil.
 	OnRetry func(worker string)
-	// Kernel observes device-kernel definitions harvested on workers, so
-	// the coordinator's detector can annotate leak reports. May be nil.
-	Kernel func(*isa.Kernel)
 }
 
 // Runner returns a streaming core.Runner that fans recording out across
-// the fleet. The local RecordFn handed to RecordStream is ignored —
-// recording happens on the workers — but traces are delivered to the
-// pipeline's sink strictly in request-index order, so reports stay
-// byte-identical to single-process runs.
+// the fleet. Each batch carries the recipe's device, rebase and cost
+// settings to the worker, and kernel definitions shipped back go to the
+// recipe's Harvest. Traces are delivered to the pipeline's sink strictly
+// in request-index order, so reports stay byte-identical to
+// single-process runs.
 func (f *Fleet) Runner(cfg RunnerConfig) core.Runner {
 	return &fleetRunner{fleet: f, cfg: cfg}
 }
@@ -334,12 +319,9 @@ func (d *delivery) undone(reqs []core.RunRequest) []core.RunRequest {
 // work-stolen by per-worker dispatch loops, traces stream back and merge
 // in request order, and batches on a dead or silent worker rebalance onto
 // the rest of the fleet with only their undelivered runs.
-func (r *fleetRunner) RecordStream(ctx context.Context, p cuda.Program, reqs []core.RunRequest, record core.RecordFn, sink core.TraceSink) error {
+func (r *fleetRunner) RecordStream(ctx context.Context, p cuda.Program, reqs []core.RunRequest, recipe core.Recipe, sink core.TraceSink) error {
 	if len(reqs) == 0 {
 		return nil
-	}
-	if r.cfg.Device.GlobalWords == 0 {
-		return fmt.Errorf("cluster: RunnerConfig.Device is unset; pass the detector's device config")
 	}
 	parent := ctx
 	ctx, cancel := context.WithCancel(ctx)
@@ -362,7 +344,7 @@ func (r *fleetRunner) RecordStream(ctx context.Context, p cuda.Program, reqs []c
 		workerWG.Add(1)
 		go func(addr string) {
 			defer workerWG.Done()
-			r.workerLoop(ctx, addr, p.Name(), q, d)
+			r.workerLoop(ctx, addr, p.Name(), recipe, q, d)
 		}(addr)
 	}
 
@@ -407,7 +389,7 @@ func (r *fleetRunner) RecordStream(ctx context.Context, p cuda.Program, reqs []c
 
 // workerLoop drives one worker: probe readiness, steal a batch sized to
 // the worker's idle capacity, dispatch it, and rebalance on failure.
-func (r *fleetRunner) workerLoop(ctx context.Context, addr, program string, q *workQueue, d *delivery) {
+func (r *fleetRunner) workerLoop(ctx context.Context, addr, program string, recipe core.Recipe, q *workQueue, d *delivery) {
 	opts := r.fleet.opts
 	for {
 		if ctx.Err() != nil {
@@ -446,7 +428,7 @@ func (r *fleetRunner) workerLoop(ctx context.Context, addr, program string, q *w
 			st.SetStr("to", addr)
 			st.End()
 		}
-		remaining, err := r.runBatch(sctx, sp, addr, program, seg.reqs, d)
+		remaining, err := r.runBatch(sctx, sp, addr, program, recipe, seg.reqs, d)
 		sp.End()
 		if err == nil {
 			continue
@@ -517,13 +499,13 @@ func (r *fleetRunner) probe(ctx context.Context, addr string) (Readiness, error)
 // as the worker's remote parent, and spans shipped back on the result
 // stream are merged under it — shifted onto sp's start offset, which
 // normalizes worker clocks to "the batch began at dispatch".
-func (r *fleetRunner) runBatch(ctx context.Context, sp *obs.Span, addr, program string, reqs []core.RunRequest, d *delivery) ([]core.RunRequest, error) {
+func (r *fleetRunner) runBatch(ctx context.Context, sp *obs.Span, addr, program string, recipe core.Recipe, reqs []core.RunRequest, d *delivery) ([]core.RunRequest, error) {
 	br := BatchRequest{
 		Protocol: ProtocolVersion,
 		Program:  program,
-		Rebase:   r.cfg.Rebase,
-		Cost:     r.cfg.Cost,
-		Device:   r.cfg.Device,
+		Rebase:   recipe.Rebase,
+		Cost:     recipe.Cost,
+		Device:   recipe.Device,
 		Reqs:     make([]WireRequest, len(reqs)),
 	}
 	rec := obs.FromContext(ctx)
@@ -593,9 +575,9 @@ func (r *fleetRunner) runBatch(ctx context.Context, sp *obs.Span, addr, program 
 			return reqs, errPermanent{fmt.Errorf("cluster: %s delivered run %d outside its batch", addr, res.Index)}
 		}
 		want[res.Index] = false
-		for _, k := range res.Kernels {
-			if r.cfg.Kernel != nil {
-				r.cfg.Kernel(k)
+		if recipe.Harvest != nil {
+			for _, k := range res.Kernels {
+				recipe.Harvest(k)
 			}
 		}
 		tr, err := trace.ReadGob(bytes.NewReader(res.Trace))

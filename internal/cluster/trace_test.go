@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"owl/internal/core"
-	"owl/internal/isa"
 	"owl/internal/obs"
 	"owl/internal/workloads/gpucrypto"
 )
@@ -16,21 +15,11 @@ import (
 func detectFleetTraced(t *testing.T, fleet *Fleet) (*core.Report, *obs.Recorder) {
 	t.Helper()
 	opts := detectOpts()
-	var det *core.Detector
-	opts.Runner = fleet.Runner(RunnerConfig{
-		Device: opts.Device,
-		Rebase: opts.Rebase,
-		Kernel: func(k *isa.Kernel) {
-			if det != nil {
-				det.RegisterKernel(k)
-			}
-		},
-	})
-	d, err := core.NewDetector(opts)
+	opts.Runner = fleet.Runner(RunnerConfig{})
+	det, err := core.NewDetector(opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	det = d
 	rec := obs.NewRecorder(1 << 14)
 	ctx := obs.WithRecorder(context.Background(), rec)
 	prog := gpucrypto.NewAES(gpucrypto.WithBlocks(16))
@@ -124,7 +113,7 @@ func TestFleetTracePropagation(t *testing.T) {
 // trace context and results come home without span payloads.
 func TestFleetUntracedShipsNoSpans(t *testing.T) {
 	fleet, _ := startWorkers(t, 2, Options{BatchSize: 4})
-	rep := detectFleet(t, fleet, gpucrypto.NewAES(gpucrypto.WithBlocks(16)),
+	rep := detectFleet(t, fleet, detectOpts(), gpucrypto.NewAES(gpucrypto.WithBlocks(16)),
 		[][]byte{keyA, keyB}, gpucrypto.KeyGen(), nil)
 	if rep == nil {
 		t.Fatal("no report")
@@ -134,7 +123,7 @@ func TestFleetUntracedShipsNoSpans(t *testing.T) {
 	// handleRecord only building a recorder when br.Trace != nil; here we
 	// assert the detection still serializes identically to the sequential
 	// reference, i.e. tracing never perturbed results.
-	seq := detectSequential(t, gpucrypto.NewAES(gpucrypto.WithBlocks(16)),
+	seq := detectSequential(t, detectOpts(), gpucrypto.NewAES(gpucrypto.WithBlocks(16)),
 		[][]byte{keyA, keyB}, gpucrypto.KeyGen())
 	if !bytes.Equal(reportJSON(t, rep), reportJSON(t, seq)) {
 		t.Fatal("untraced fleet report diverges from sequential reference")
@@ -147,7 +136,7 @@ func TestFleetTracedReportMatchesUntraced(t *testing.T) {
 	fleet, _ := startWorkers(t, 2, Options{BatchSize: 4})
 	traced, _ := detectFleetTraced(t, fleet)
 	fleet2, _ := startWorkers(t, 2, Options{BatchSize: 4})
-	plain := detectFleet(t, fleet2, gpucrypto.NewAES(gpucrypto.WithBlocks(16)),
+	plain := detectFleet(t, fleet2, detectOpts(), gpucrypto.NewAES(gpucrypto.WithBlocks(16)),
 		[][]byte{keyA, keyB}, gpucrypto.KeyGen(), nil)
 	if !bytes.Equal(reportJSON(t, traced), reportJSON(t, plain)) {
 		t.Fatal("traced fleet report diverges from untraced fleet report")

@@ -105,8 +105,7 @@ func (w *Worker) Readiness() Readiness {
 	return r
 }
 
-// Handler serves the worker's HTTP API, versioned under /v1 with
-// unversioned aliases matching the owld convention:
+// Handler serves the worker's HTTP API, all of it under /v1:
 //
 //	POST /v1/record        record a batch, stream gob WireResults back
 //	GET  /v1/readyz        Readiness JSON (503 while draining)
@@ -116,16 +115,8 @@ func (w *Worker) Readiness() Readiness {
 //	GET  /v1/metrics/prometheus  worker load in text exposition
 func (w *Worker) Handler() http.Handler {
 	mux := http.NewServeMux()
-	handle := func(pattern string, h http.HandlerFunc) {
-		method, path, ok := cutPattern(pattern)
-		if !ok {
-			panic("cluster: route pattern must be \"METHOD /path\": " + pattern)
-		}
-		mux.HandleFunc(method+" /v1"+path, h)
-		mux.HandleFunc(pattern, h)
-	}
-	handle("POST /record", w.handleRecord)
-	handle("GET /readyz", func(rw http.ResponseWriter, r *http.Request) {
+	mux.HandleFunc("POST /v1/record", w.handleRecord)
+	mux.HandleFunc("GET /v1/readyz", func(rw http.ResponseWriter, r *http.Request) {
 		rd := w.Readiness()
 		status := http.StatusOK
 		if !rd.Ready() {
@@ -133,10 +124,10 @@ func (w *Worker) Handler() http.Handler {
 		}
 		writeJSON(rw, status, rd)
 	})
-	handle("GET /healthz", func(rw http.ResponseWriter, r *http.Request) {
+	mux.HandleFunc("GET /v1/healthz", func(rw http.ResponseWriter, r *http.Request) {
 		writeJSON(rw, http.StatusOK, map[string]string{"status": "ok"})
 	})
-	handle("GET /cache/{key}", func(rw http.ResponseWriter, r *http.Request) {
+	mux.HandleFunc("GET /v1/cache/{key}", func(rw http.ResponseWriter, r *http.Request) {
 		rep, ok := w.cache.Get(r.PathValue("key"))
 		if !ok {
 			writeError(rw, http.StatusNotFound, fmt.Errorf("no cached report %q", r.PathValue("key")))
@@ -144,7 +135,7 @@ func (w *Worker) Handler() http.Handler {
 		}
 		writeJSON(rw, http.StatusOK, rep)
 	})
-	handle("PUT /cache/{key}", func(rw http.ResponseWriter, r *http.Request) {
+	mux.HandleFunc("PUT /v1/cache/{key}", func(rw http.ResponseWriter, r *http.Request) {
 		var rep core.Report
 		if err := json.NewDecoder(r.Body).Decode(&rep); err != nil {
 			writeError(rw, http.StatusBadRequest, fmt.Errorf("decoding report: %w", err))
@@ -153,7 +144,7 @@ func (w *Worker) Handler() http.Handler {
 		w.cache.Add(r.PathValue("key"), &rep)
 		writeJSON(rw, http.StatusOK, map[string]string{"status": "stored"})
 	})
-	handle("GET /metrics/prometheus", func(rw http.ResponseWriter, r *http.Request) {
+	mux.HandleFunc("GET /v1/metrics/prometheus", func(rw http.ResponseWriter, r *http.Request) {
 		rw.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 		rd := w.Readiness()
 		pw := obs.NewPromWriter(rw)
@@ -250,6 +241,7 @@ func (w *Worker) handleRecord(rw http.ResponseWriter, r *http.Request) {
 			flusher.Flush()
 		}
 	}
+	recipe := core.Recipe{Device: br.Device, Rebase: br.Rebase, Cost: br.Cost}
 	w.queued.Add(int64(len(br.Reqs)))
 	started := 0
 	for _, req := range br.Reqs {
@@ -271,13 +263,15 @@ func (w *Worker) handleRecord(rw http.ResponseWriter, r *http.Request) {
 
 			var kmu sync.Mutex
 			var kernels []*isa.Kernel
-			rctx, sp := obs.Start(ctx, "worker.record")
-			sp.SetInt("run_index", int64(req.Index))
-			tr, _, err := core.RecordRun(rctx, prog, br.Device, br.Rebase, br.Cost, req.Input, req.Seed, func(k *isa.Kernel) {
+			run := recipe
+			run.Harvest = func(k *isa.Kernel) {
 				kmu.Lock()
 				kernels = append(kernels, k)
 				kmu.Unlock()
-			})
+			}
+			rctx, sp := obs.Start(ctx, "worker.record")
+			sp.SetInt("run_index", int64(req.Index))
+			tr, err := run.Record(rctx, prog, req.Input, req.Seed)
 			res := WireResult{Index: req.Index}
 			if err != nil {
 				sp.SetStr("error", err.Error())
@@ -305,15 +299,6 @@ func (w *Worker) handleRecord(rw http.ResponseWriter, r *http.Request) {
 		}(req)
 	}
 	wg.Wait()
-}
-
-func cutPattern(pattern string) (method, path string, ok bool) {
-	for i := 0; i < len(pattern); i++ {
-		if pattern[i] == ' ' {
-			return pattern[:i], pattern[i+1:], true
-		}
-	}
-	return "", "", false
 }
 
 func writeJSON(w http.ResponseWriter, status int, v any) {

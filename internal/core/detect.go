@@ -100,11 +100,6 @@ type RunRequest struct {
 	Seed  int64
 }
 
-// RecordFn executes one instrumented run of p and returns its trace. It is
-// safe for concurrent use: every invocation builds a private simulated
-// device and context.
-type RecordFn func(ctx context.Context, p cuda.Program, input []byte, seed int64) (*trace.ProgramTrace, error)
-
 // RunResult is one completed instrumented execution: the request's index
 // in its batch plus the recorded trace.
 type RunResult struct {
@@ -122,15 +117,19 @@ type RunResult struct {
 // batch.
 type TraceSink func(ctx context.Context, res RunResult) error
 
-// Runner streams a batch of recording requests: execute each request via
-// record and deliver its trace to sink as soon as it completes. Runners
-// may record concurrently but must dispatch requests in index order —
-// the pipeline's ordered sinks rely on that to bound their reorder
-// window without deadlock. A Runner must stop early and return an error
-// when ctx is canceled; it must not return nil before every request's
-// trace has been accepted by the sink.
+// Runner streams a batch of recording requests: record each request
+// with recipe and deliver its trace to sink as soon as it completes. A
+// local runner calls recipe.Record; a remote one ships the recipe's
+// device, rebase and cost settings with the requests and hands the
+// kernel definitions it receives back to recipe.Harvest, so every run of
+// a detection is recorded alike wherever it executes. Runners may record
+// concurrently but must dispatch requests in index order — the
+// pipeline's ordered sinks rely on that to bound their reorder window
+// without deadlock. A Runner must stop early and return an error when
+// ctx is canceled; it must not return nil before every request's trace
+// has been accepted by the sink.
 type Runner interface {
-	RecordStream(ctx context.Context, p cuda.Program, reqs []RunRequest, record RecordFn, sink TraceSink) error
+	RecordStream(ctx context.Context, p cuda.Program, reqs []RunRequest, recipe Recipe, sink TraceSink) error
 }
 
 // Pipeline phases reported via Options.OnProgress.
@@ -152,13 +151,13 @@ type Progress struct {
 // run budget the round got, the evidence engine's current trajectory,
 // and the sequential-testing controller's early-stop state.
 type EvidenceSample struct {
-	Round        int     // 1-based recording round within the class
-	Runs         int     // runs recorded for this class so far (both regimes)
-	Sites        int     // sites with enough data to evaluate
-	LeakSites    int     // distinct screened locations currently leaking
-	MaxAbsT      float64 // strongest |t| across evaluated sites
-	StableChecks int     // consecutive checks with an unchanged signature
-	EarlyStopped bool    // this round's check stopped the class early
+	Round        int     `json:"round"`                   // 1-based recording round within the class
+	Runs         int     `json:"runs"`                    // runs recorded for this class so far (both regimes)
+	Sites        int     `json:"sites"`                   // sites with enough data to evaluate
+	LeakSites    int     `json:"leak_sites"`              // distinct screened locations currently leaking
+	MaxAbsT      float64 `json:"max_abs_t"`               // strongest |t| across evaluated sites
+	StableChecks int     `json:"stable_checks"`           // consecutive checks with an unchanged signature
+	EarlyStopped bool    `json:"early_stopped,omitempty"` // this round's check stopped the class early
 }
 
 // DefaultOptions mirrors the paper's evaluation setup.
@@ -185,6 +184,7 @@ type InputClass struct {
 // Detector runs Owl detections.
 type Detector struct {
 	opts    Options
+	recipe  Recipe
 	rng     *rand.Rand
 	kmu     sync.Mutex
 	kernels map[string]*isa.Kernel
@@ -223,6 +223,12 @@ func NewDetector(opts Options) (*Detector, error) {
 		kernels:    make(map[string]*isa.Kernel),
 		ramSamples: append([]metrics.Sample(nil), heapLiveSamples...),
 	}
+	d.recipe = Recipe{
+		Device:  opts.Device,
+		Rebase:  opts.Rebase,
+		Cost:    opts.Evidence.CostEnabled(),
+		Harvest: d.RegisterKernel,
+	}
 	d.runner = opts.Runner
 	if d.runner == nil {
 		d.runner = poolRunner{workers: opts.Workers}
@@ -253,10 +259,10 @@ func (d *Detector) notifyProgress() {
 // way each trace is delivered to the sink the moment its run completes.
 type poolRunner struct{ workers int }
 
-func (r poolRunner) RecordStream(ctx context.Context, p cuda.Program, reqs []RunRequest, record RecordFn, sink TraceSink) error {
+func (r poolRunner) RecordStream(ctx context.Context, p cuda.Program, reqs []RunRequest, recipe Recipe, sink TraceSink) error {
 	if r.workers <= 1 {
 		for _, req := range reqs {
-			t, err := record(ctx, p, req.Input, req.Seed)
+			t, err := recipe.Record(ctx, p, req.Input, req.Seed)
 			if err != nil {
 				return err
 			}
@@ -266,7 +272,7 @@ func (r poolRunner) RecordStream(ctx context.Context, p cuda.Program, reqs []Run
 		}
 		return nil
 	}
-	return StreamParallel(ctx, make(chan struct{}, r.workers), p, reqs, record, sink)
+	return StreamParallel(ctx, make(chan struct{}, r.workers), p, reqs, recipe, sink)
 }
 
 // kernelObserver wraps the tracer to hand each launched kernel's
@@ -284,10 +290,10 @@ func (k kernelObserver) OnLaunch(info cuda.LaunchInfo) gpu.Instrument {
 	return k.Tracer.OnLaunch(info)
 }
 
-// RegisterKernel records a kernel definition harvested outside the
-// detector's own launch observer — cluster runners use it to feed back
-// definitions collected on remote workers, so leak reports keep their
-// block labels and instruction annotations when recording is distributed.
+// RegisterKernel records a kernel definition, so leak reports keep their
+// block labels and instruction annotations. It is the Harvest of the
+// detector's recipe: local runs feed it at launch, and fleet runners feed
+// it the definitions shipped back by remote workers.
 func (d *Detector) RegisterKernel(k *isa.Kernel) {
 	if k == nil {
 		return
@@ -322,11 +328,11 @@ func (d *Detector) RecordOnce(p cuda.Program, input []byte) (*trace.ProgramTrace
 
 // recordSeeded is RecordOnce with an explicit per-run seed, plus
 // progress accounting for the direct-call paths (RecordOnce, the
-// no-filter ablation). Runner paths use recordRun and count at sink
-// delivery instead, so remote runners — which never invoke the local
-// record function — report progress identically.
+// no-filter ablation). Runner paths count at sink delivery instead, so
+// remote runners — which never call the recipe's Record — report
+// progress identically.
 func (d *Detector) recordSeeded(ctx context.Context, p cuda.Program, input []byte, seed int64) (*trace.ProgramTrace, error) {
-	t, err := d.recordRun(ctx, p, input, seed)
+	t, err := d.recipe.Record(ctx, p, input, seed)
 	if err != nil {
 		return nil, err
 	}
@@ -335,20 +341,61 @@ func (d *Detector) recordSeeded(ctx context.Context, p cuda.Program, input []byt
 	return t, nil
 }
 
-// recordRun executes one seeded instrumented run under a `run` span,
-// harvesting kernel definitions into the detector. Safe for concurrent
-// use; programs must not share mutable state across Run calls.
-func (d *Detector) recordRun(ctx context.Context, p cuda.Program, input []byte, seed int64) (*trace.ProgramTrace, error) {
+// Recipe is Owl's one run recipe: everything that decides how a run is
+// recorded. A detection builds its recipe once, from its options, and
+// hands it to its Runner, so every fixed- and random-input run is
+// recorded alike — locally, on a service pool, or on a remote worker.
+// A differential verdict between runs recorded with different recipes
+// would measure the recorder, not the secret.
+type Recipe struct {
+	// Device sizes the simulated GPU every run executes on.
+	Device gpu.Config
+	// Rebase converts traced global addresses to allocation-relative
+	// offsets (§V-C).
+	Rebase bool
+	// Cost collects the microarchitectural cost channel, whose sites join
+	// the trace's canonical encoding.
+	Cost bool
+	// Harvest, when non-nil, observes each kernel definition at launch.
+	// It is called concurrently from recording goroutines.
+	Harvest func(*isa.Kernel)
+}
+
+// Record executes one seeded instrumented run of p on a private simulated
+// device and returns its trace. The run reports under a `run` span in
+// ctx, with its kernel launches beneath it and, when Cost is on, a
+// microarch_cost_sites counter. Safe for concurrent use: every call
+// builds a private device and context, and programs must not share
+// mutable state across Run calls.
+func (r Recipe) Record(ctx context.Context, p cuda.Program, input []byte, seed int64) (*trace.ProgramTrace, error) {
 	rctx, sp := obs.Start(ctx, "run")
 	sp.SetInt("input_bytes", int64(len(input)))
 	defer sp.End()
-	costOn := d.opts.Evidence.CostEnabled()
-	t, instrs, err := RecordRun(rctx, p, d.opts.Device, d.opts.Rebase, costOn, input, seed, d.RegisterKernel)
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	var topts []tracer.Option
+	if !r.Rebase {
+		topts = append(topts, tracer.WithoutRebase())
+	}
+	if r.Cost {
+		topts = append(topts, tracer.WithCost())
+	}
+	tr := tracer.New(p.Name(), topts...)
+	cctx, err := cuda.NewContext(r.Device, rand.New(rand.NewSource(seed)), kernelObserver{Tracer: tr, harvest: r.Harvest})
 	if err != nil {
 		return nil, err
 	}
-	sp.SetInt("instructions", instrs)
-	if costOn {
+	// The trace captures everything the pipeline needs; the context's
+	// device arena goes back to the shared pool the moment the run ends.
+	defer cctx.Close()
+	cctx.SetObsContext(rctx)
+	if err := p.Run(cctx, input); err != nil {
+		return nil, fmt.Errorf("core: program %s: %w", p.Name(), err)
+	}
+	t := tr.Trace()
+	sp.SetInt("instructions", cctx.Stats().Instructions)
+	if r.Cost {
 		// The cost observables were folded inline during the run, so their
 		// time is the run span's; only the site count is recorded.
 		sites := 0
@@ -358,42 +405,6 @@ func (d *Detector) recordRun(ctx context.Context, p cuda.Program, input []byte, 
 		obs.Counter(rctx, "microarch_cost_sites", float64(sites))
 	}
 	return t, nil
-}
-
-// RecordRun executes one instrumented run of p on a private simulated
-// device and returns its trace and the number of simulated instructions
-// it executed. It is the one recording recipe of Owl: the detector and
-// cluster workers both call it, so a run recorded on a remote worker is
-// byte-identical to a local one. rebase converts global addresses to
-// allocation-relative offsets (§V-C); cost selects the microarchitectural
-// cost channel, whose sites join the trace's canonical encoding. harvest,
-// when non-nil, observes each kernel definition at launch. Kernel
-// launches report under the span in ctx when it carries a recorder. Safe
-// for concurrent use: every call builds a private device and context.
-func RecordRun(ctx context.Context, p cuda.Program, device gpu.Config, rebase, cost bool, input []byte, seed int64, harvest func(*isa.Kernel)) (*trace.ProgramTrace, int64, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, 0, err
-	}
-	var topts []tracer.Option
-	if !rebase {
-		topts = append(topts, tracer.WithoutRebase())
-	}
-	if cost {
-		topts = append(topts, tracer.WithCost())
-	}
-	tr := tracer.New(p.Name(), topts...)
-	cctx, err := cuda.NewContext(device, rand.New(rand.NewSource(seed)), kernelObserver{Tracer: tr, harvest: harvest})
-	if err != nil {
-		return nil, 0, err
-	}
-	// The trace captures everything the pipeline needs; the context's
-	// device arena goes back to the shared pool the moment the run ends.
-	defer cctx.Close()
-	cctx.SetObsContext(ctx)
-	if err := p.Run(cctx, input); err != nil {
-		return nil, 0, fmt.Errorf("core: program %s: %w", p.Name(), err)
-	}
-	return tr.Trace(), cctx.Stats().Instructions, nil
 }
 
 // countingSink advances the run counter as the pipeline accepts each
@@ -439,7 +450,7 @@ func (d *Detector) ClassifyContext(ctx context.Context, p cuda.Program, inputs [
 		classes = append(classes, InputClass{Hash: h, Rep: inputs[i], Members: 1, Trace: t})
 		return nil
 	})
-	if err := d.runner.RecordStream(ctx, p, reqs, d.recordRun, d.countingSink(sink.Sink)); err != nil {
+	if err := d.runner.RecordStream(ctx, p, reqs, d.recipe, d.countingSink(sink.Sink)); err != nil {
 		return nil, err
 	}
 	if n := sink.delivered(); n != len(inputs) {
@@ -612,7 +623,7 @@ func (d *Detector) analyzeClass(ctx context.Context, p cuda.Program, cls InputCl
 			d.trackRAM(ctx, report)
 			return nil
 		})
-		if err := d.runner.RecordStream(ctx, p, chunk, d.recordRun, d.countingSink(sink.Sink)); err != nil {
+		if err := d.runner.RecordStream(ctx, p, chunk, d.recipe, d.countingSink(sink.Sink)); err != nil {
 			return err
 		}
 		if got := sink.delivered(); got != n {

@@ -383,7 +383,7 @@ func TestCostRunRecordsSiteCounter(t *testing.T) {
 	}
 	rec := obs.NewRecorder(1 << 10)
 	ctx := obs.WithRecorder(context.Background(), rec)
-	tr, err := d.recordRun(ctx, dummy.New(), []byte{1, 2, 3, 4}, 1)
+	tr, err := d.recipe.Record(ctx, dummy.New(), []byte{1, 2, 3, 4}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -143,7 +143,7 @@ func OrderedSink(window int, consume func(idx int, t *trace.ProgramTrace) error)
 // job shares the bound. In-order dispatch is a hard requirement — ordered
 // sinks rely on it to stay deadlock-free. The first record or sink error
 // cancels the remaining work and is returned after in-flight runs unwind.
-func StreamParallel(ctx context.Context, slots chan struct{}, p cuda.Program, reqs []RunRequest, record RecordFn, sink TraceSink) error {
+func StreamParallel(ctx context.Context, slots chan struct{}, p cuda.Program, reqs []RunRequest, recipe Recipe, sink TraceSink) error {
 	parent := ctx
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
@@ -172,7 +172,7 @@ dispatch:
 		go func(req RunRequest) {
 			defer wg.Done()
 			defer func() { <-slots }()
-			t, err := record(ctx, p, req.Input, req.Seed)
+			t, err := recipe.Record(ctx, p, req.Input, req.Seed)
 			if err == nil {
 				err = sink(ctx, RunResult{Index: req.Index, Trace: t})
 			}

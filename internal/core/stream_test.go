@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"owl/internal/cuda"
+	"owl/internal/gpu"
 	"owl/internal/trace"
 )
 
@@ -114,9 +115,9 @@ func TestOrderedSinkContextCancel(t *testing.T) {
 // and deliver its trace straight to the sink.
 type seqStream struct{}
 
-func (seqStream) RecordStream(ctx context.Context, p cuda.Program, reqs []RunRequest, record RecordFn, sink TraceSink) error {
+func (seqStream) RecordStream(ctx context.Context, p cuda.Program, reqs []RunRequest, recipe Recipe, sink TraceSink) error {
 	for _, req := range reqs {
-		tr, err := record(ctx, p, req.Input, req.Seed)
+		tr, err := recipe.Record(ctx, p, req.Input, req.Seed)
 		if err != nil {
 			return err
 		}
@@ -127,22 +128,50 @@ func (seqStream) RecordStream(ctx context.Context, p cuda.Program, reqs []RunReq
 	return nil
 }
 
+// gateProgram launches nothing; it counts its runs and fails the run
+// whose input starts with failOn (0 never fails: inputs start at 1).
+type gateProgram struct {
+	mu     sync.Mutex
+	runs   int
+	failOn byte
+}
+
+var errGate = errors.New("gate")
+
+func (p *gateProgram) Name() string { return "gate" }
+
+func (p *gateProgram) Run(ctx *cuda.Context, input []byte) error {
+	p.mu.Lock()
+	p.runs++
+	p.mu.Unlock()
+	if p.failOn != 0 && input[0] == p.failOn {
+		return errGate
+	}
+	return nil
+}
+
+// gateReqs builds n requests whose inputs are their 1-based indices.
+func gateReqs(n int) []RunRequest {
+	reqs := make([]RunRequest, n)
+	for i := range reqs {
+		reqs[i] = RunRequest{Index: i, Input: []byte{byte(i + 1)}, Seed: int64(i)}
+	}
+	return reqs
+}
+
 // TestSeqStreamDeliversInOrder pins the reference Runner used across the
 // core tests: request order in, request order out.
 func TestSeqStreamDeliversInOrder(t *testing.T) {
-	record := func(ctx context.Context, p cuda.Program, input []byte, seed int64) (*trace.ProgramTrace, error) {
-		return mkTrace(int(seed)), nil
-	}
-	reqs := []RunRequest{{Index: 0, Seed: 0}, {Index: 1, Seed: 1}, {Index: 2, Seed: 2}}
-	var got []string
+	var got []int
 	sink := func(ctx context.Context, res RunResult) error {
-		got = append(got, res.Trace.Program)
+		got = append(got, res.Index)
 		return nil
 	}
-	if err := (seqStream{}).RecordStream(context.Background(), nil, reqs, record, sink); err != nil {
+	recipe := Recipe{Device: gpu.DefaultConfig(), Rebase: true}
+	if err := (seqStream{}).RecordStream(context.Background(), &gateProgram{}, gateReqs(3), recipe, sink); err != nil {
 		t.Fatal(err)
 	}
-	if want := []string{"t0", "t1", "t2"}; !reflect.DeepEqual(got, want) {
+	if want := []int{0, 1, 2}; !reflect.DeepEqual(got, want) {
 		t.Fatalf("streamed %v, want %v", got, want)
 	}
 }
@@ -170,30 +199,17 @@ func TestNewDetectorRejectsWorkersAndRunner(t *testing.T) {
 // TestStreamParallelFirstError checks the fan-out engine reports the
 // first failure and stops dispatching.
 func TestStreamParallelFirstError(t *testing.T) {
-	boom := errors.New("boom")
-	var recorded int
-	var mu sync.Mutex
-	record := func(ctx context.Context, p cuda.Program, input []byte, seed int64) (*trace.ProgramTrace, error) {
-		mu.Lock()
-		recorded++
-		mu.Unlock()
-		if seed == 3 {
-			return nil, boom
-		}
-		return mkTrace(int(seed)), nil
-	}
-	reqs := make([]RunRequest, 64)
-	for i := range reqs {
-		reqs[i] = RunRequest{Index: i, Seed: int64(i)}
-	}
+	p := &gateProgram{failOn: 4}
+	reqs := gateReqs(64)
 	sink := func(ctx context.Context, res RunResult) error { return nil }
-	err := StreamParallel(context.Background(), make(chan struct{}, 2), nil, reqs, record, sink)
-	if !errors.Is(err, boom) {
+	recipe := Recipe{Device: gpu.DefaultConfig(), Rebase: true}
+	err := StreamParallel(context.Background(), make(chan struct{}, 2), p, reqs, recipe, sink)
+	if !errors.Is(err, errGate) {
 		t.Fatalf("got %v, want the record error", err)
 	}
-	mu.Lock()
-	defer mu.Unlock()
-	if recorded == len(reqs) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if p.runs == len(reqs) {
 		t.Error("error did not stop dispatch")
 	}
 }

@@ -10,9 +10,8 @@ package gpu
 // use, not to the address-space ceiling times the run count.
 //
 // The backing store only grows from host-side calls (Alloc, WriteGlobal,
-// ReadGlobal) and at Launch entry, never during kernel execution: blocks
-// of a parallel launch share the arena concurrently, and growth would
-// race with their accesses.
+// ReadGlobal) and at Launch entry, never during kernel execution: warps
+// snapshot the arena's slice at setup for their direct-memory fast path.
 
 import "sync"
 

@@ -9,8 +9,8 @@ import (
 
 	"owl/internal/core"
 	"owl/internal/cuda"
+	"owl/internal/gpu"
 	"owl/internal/trace"
-	"owl/internal/workloads/dummy"
 )
 
 func TestCacheKeySensitivity(t *testing.T) {
@@ -81,19 +81,7 @@ func TestPoolOrderAndBound(t *testing.T) {
 	for i := range reqs {
 		reqs[i] = core.RunRequest{Index: i, Input: []byte{byte(i)}, Seed: int64(i + 1)}
 	}
-	var inFlight, peak atomic.Int64
-	record := func(ctx context.Context, p cuda.Program, input []byte, seed int64) (*trace.ProgramTrace, error) {
-		n := inFlight.Add(1)
-		for {
-			old := peak.Load()
-			if n <= old || peak.CompareAndSwap(old, n) {
-				break
-			}
-		}
-		time.Sleep(time.Millisecond)
-		inFlight.Add(-1)
-		return &trace.ProgramTrace{Program: string(input)}, nil
-	}
+	prog := &probeProgram{}
 	var (
 		mu     sync.Mutex
 		order  []int
@@ -106,7 +94,7 @@ func TestPoolOrderAndBound(t *testing.T) {
 		traces = append(traces, tr)
 		return nil
 	})
-	if err := runner.RecordStream(context.Background(), dummy.New(), reqs, record, sink); err != nil {
+	if err := runner.RecordStream(context.Background(), prog, reqs, testRecipe, sink); err != nil {
 		t.Fatal(err)
 	}
 	if len(traces) != len(reqs) {
@@ -116,11 +104,11 @@ func TestPoolOrderAndBound(t *testing.T) {
 		if order[i] != i {
 			t.Fatalf("sink consumed index %d at position %d", order[i], i)
 		}
-		if tr == nil || tr.Program != string([]byte{byte(i)}) {
+		if tr == nil || len(tr.Allocs) != 1 || tr.Allocs[0].Words != int64(i+1) {
 			t.Fatalf("trace %d missing or out of order", i)
 		}
 	}
-	if p := peak.Load(); p > 3 {
+	if p := prog.peak.Load(); p > 3 {
 		t.Errorf("peak concurrency %d exceeds pool bound 3", p)
 	}
 }
@@ -132,22 +120,40 @@ func TestPoolCancellation(t *testing.T) {
 	runner := pool.Runner(nil)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	reqs := []core.RunRequest{{Index: 0}, {Index: 1}}
-	record := func(ctx context.Context, p cuda.Program, input []byte, seed int64) (*trace.ProgramTrace, error) {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		return nil, nil
-	}
+	reqs := []core.RunRequest{{Index: 0, Input: []byte{0}}, {Index: 1, Input: []byte{1}}}
 	var delivered atomic.Int64
 	sink := func(ctx context.Context, res core.RunResult) error {
 		delivered.Add(1)
 		return nil
 	}
-	if err := runner.RecordStream(ctx, dummy.New(), reqs, record, sink); err == nil {
+	if err := runner.RecordStream(ctx, &probeProgram{}, reqs, testRecipe, sink); err == nil {
 		t.Fatal("canceled stream returned no error")
 	}
 	if n := delivered.Load(); n != 0 {
 		t.Errorf("canceled stream delivered %d traces", n)
 	}
+}
+
+// testRecipe records on the default device, as a detector would.
+var testRecipe = core.Recipe{Device: gpu.DefaultConfig(), Rebase: true}
+
+// probeProgram launches no kernel: each run tracks the pool's peak
+// concurrency, holds its slot for a millisecond, and allocates input[0]+1
+// words, so a trace names the request it was recorded for.
+type probeProgram struct{ inFlight, peak atomic.Int64 }
+
+func (p *probeProgram) Name() string { return "probe" }
+
+func (p *probeProgram) Run(ctx *cuda.Context, input []byte) error {
+	n := p.inFlight.Add(1)
+	for {
+		old := p.peak.Load()
+		if n <= old || p.peak.CompareAndSwap(old, n) {
+			break
+		}
+	}
+	time.Sleep(time.Millisecond)
+	p.inFlight.Add(-1)
+	_, err := ctx.Malloc(int64(input[0]) + 1)
+	return err
 }

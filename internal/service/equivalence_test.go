@@ -84,10 +84,10 @@ func TestParallelEquivalence(t *testing.T) {
 // before merge-on-arrival.
 type legacyBatch struct{}
 
-func (legacyBatch) RecordStream(ctx context.Context, p cuda.Program, reqs []core.RunRequest, record core.RecordFn, sink core.TraceSink) error {
+func (legacyBatch) RecordStream(ctx context.Context, p cuda.Program, reqs []core.RunRequest, recipe core.Recipe, sink core.TraceSink) error {
 	out := make([]*trace.ProgramTrace, len(reqs))
 	for i, req := range reqs {
-		t, err := record(ctx, p, req.Input, req.Seed)
+		t, err := recipe.Record(ctx, p, req.Input, req.Seed)
 		if err != nil {
 			return err
 		}

@@ -82,18 +82,7 @@ type JobEvent struct {
 	RunsDone  int `json:"runs_done,omitempty"`
 	RunsTotal int `json:"runs_total,omitempty"`
 
-	Evidence *EvidenceView `json:"evidence,omitempty"`
-}
-
-// EvidenceView is the JSON shape of one evidence-trajectory sample.
-type EvidenceView struct {
-	Round        int     `json:"round"`
-	Runs         int     `json:"runs"`
-	Sites        int     `json:"sites"`
-	LeakSites    int     `json:"leak_sites"`
-	MaxAbsT      float64 `json:"max_abs_t"`
-	StableChecks int     `json:"stable_checks"`
-	EarlyStopped bool    `json:"early_stopped,omitempty"`
+	Evidence *core.EvidenceSample `json:"evidence,omitempty"`
 }
 
 // jobEventBuffer bounds the replay buffer; once full, the oldest events

@@ -12,7 +12,6 @@ import (
 	"owl/internal/cluster"
 	"owl/internal/core"
 	"owl/internal/experiments"
-	"owl/internal/isa"
 	"owl/internal/mitigate"
 	"owl/internal/obs"
 	olog "owl/internal/obs/log"
@@ -433,15 +432,8 @@ func (m *Manager) execute(ctx context.Context, job *Job) error {
 	opts := job.Opts
 	fleet := m.cfg.Fleet
 	useFleet := fleet != nil && !job.Mitigate
-	// det is assigned before DetectContext runs; the fleet runner's kernel
-	// hook feeds remotely harvested definitions back into it so leak
-	// reports keep their annotations.
-	var det *core.Detector
 	if useFleet {
 		opts.Runner = fleet.Runner(cluster.RunnerConfig{
-			Device: opts.Device,
-			Rebase: opts.Rebase,
-			Cost:   opts.Evidence.CostEnabled(),
 			OnRun: func(worker string) {
 				m.metrics.Executions.Add(1)
 				m.metrics.WorkerRun(worker)
@@ -450,11 +442,6 @@ func (m *Manager) execute(ctx context.Context, job *Job) error {
 				job.mu.Unlock()
 			},
 			OnRetry: m.metrics.DispatchRetry,
-			Kernel: func(k *isa.Kernel) {
-				if det != nil {
-					det.RegisterKernel(k)
-				}
-			},
 		})
 	} else {
 		opts.Runner = m.pool.Runner(func() {
@@ -506,17 +493,9 @@ func (m *Manager) execute(ctx context.Context, job *Job) error {
 	opts.OnEvidence = func(s core.EvidenceSample) {
 		job.mu.Lock()
 		job.publishLocked(JobEvent{
-			Type:  "evidence",
-			State: job.state,
-			Evidence: &EvidenceView{
-				Round:        s.Round,
-				Runs:         s.Runs,
-				Sites:        s.Sites,
-				LeakSites:    s.LeakSites,
-				MaxAbsT:      s.MaxAbsT,
-				StableChecks: s.StableChecks,
-				EarlyStopped: s.EarlyStopped,
-			},
+			Type:     "evidence",
+			State:    job.state,
+			Evidence: &s,
 		})
 		job.mu.Unlock()
 	}
@@ -558,11 +537,10 @@ func (m *Manager) execute(ctx context.Context, job *Job) error {
 		}
 	}
 
-	d, err := core.NewDetector(opts)
+	det, err := core.NewDetector(opts)
 	if err != nil {
 		return err
 	}
-	det = d
 	report, err := det.DetectContext(ctx, target.Program, target.Inputs, target.Gen)
 	if err != nil {
 		return err

@@ -16,8 +16,8 @@ import (
 
 // Pool is a bounded execution-recording worker pool shared by every job
 // of a daemon. Each worker records one instrumented execution at a time
-// on its own simulated device and context (RecordFn builds a private
-// context per run), so concurrency never shares device state. Because
+// on its own simulated device and context (core.Recipe.Record builds a
+// private context per run), so concurrency never shares device state. Because
 // the pipeline draws inputs and per-run seeds sequentially before
 // dispatch and merges streamed traces through a reorder window, pool-
 // backed recording is bit-identical to the sequential path.
@@ -60,7 +60,7 @@ type poolRunner struct {
 // RecordStream implements core.Runner on core's one fan-out, holding a
 // pool slot per in-flight run so every job of the daemon shares the
 // bound.
-func (r *poolRunner) RecordStream(ctx context.Context, prog cuda.Program, reqs []core.RunRequest, record core.RecordFn, sink core.TraceSink) error {
+func (r *poolRunner) RecordStream(ctx context.Context, prog cuda.Program, reqs []core.RunRequest, recipe core.Recipe, sink core.TraceSink) error {
 	if r.onRun != nil {
 		deliver := sink
 		sink = func(ctx context.Context, res core.RunResult) error {
@@ -68,5 +68,5 @@ func (r *poolRunner) RecordStream(ctx context.Context, prog cuda.Program, reqs [
 			return deliver(ctx, res)
 		}
 	}
-	return core.StreamParallel(ctx, r.pool.sem, prog, reqs, record, sink)
+	return core.StreamParallel(ctx, r.pool.sem, prog, reqs, recipe, sink)
 }

@@ -743,7 +743,7 @@ func fusePair(p1, p2 *protoOp) bool {
 }
 
 // computeClearOffs returns the register-file offsets (slot*WarpWidth) that
-// NewWarpRun must zero before execution: the slots with at least one read
+// NewBlockRun must zero before execution: the slots with at least one read
 // that is not provably preceded by a write of the same (or wider) active
 // mask on every path. See the call site in lower for the soundness rule.
 func computeClearOffs(k *isa.Kernel, g *cfg.Graph, dom *domSets,

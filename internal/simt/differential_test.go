@@ -135,7 +135,7 @@ func TestRandomProgramsMatchReference(t *testing.T) {
 		mem := newMapMem()
 		wp := fullWarp()
 		wp.Lanes = wp.Lanes[:1]
-		if _, err := exec.RunWarp(wp, mem, nil); err != nil {
+		if _, err := runWarp(exec, wp, mem, nil); err != nil {
 			return false
 		}
 		for i := 0; i < numRegs; i++ {

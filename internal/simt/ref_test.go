@@ -200,7 +200,7 @@ func (s *refWarpState) refResume() (atBarrier bool, err error) {
 // refRunWarp executes one warp to completion with the reference per-lane
 // algorithm, using only e.kernel and e.graph from the executor (never the
 // decoded program). Barriers suspend and immediately resume, so a lone
-// warp sees them trivially satisfied, matching Executor.RunWarp.
+// warp sees them trivially satisfied, matching a one-warp BlockRun.
 func refRunWarp(e *Executor, wp WarpParams, mem Memory, hooks Hooks) (Stats, error) {
 	s, err := newRefWarpState(e, wp, mem, hooks)
 	if err != nil {

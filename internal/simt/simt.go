@@ -22,7 +22,6 @@ package simt
 
 import (
 	"fmt"
-	"sync"
 
 	"owl/internal/cfg"
 	"owl/internal/isa"
@@ -234,26 +233,6 @@ type simtEntry struct {
 	mask uint32
 }
 
-// RunWarp executes one warp to completion and recycles its state.
-// Barriers are trivially satisfied (single-warp view); use NewWarpRun for
-// multi-warp thread blocks with real __syncthreads semantics.
-func (e *Executor) RunWarp(wp WarpParams, mem Memory, hooks Hooks) (Stats, error) {
-	run, err := e.NewWarpRun(wp, mem, hooks)
-	if err != nil {
-		return Stats{}, err
-	}
-	for !run.Done() {
-		if _, err := run.Resume(); err != nil {
-			st := run.Stats()
-			run.Release()
-			return st, err
-		}
-	}
-	st := run.Stats()
-	run.Release()
-	return st, nil
-}
-
 // WarpRun is a resumable warp execution. Resume advances until the warp
 // retires or reaches a block-wide barrier (OpBarrier), letting the device
 // layer interleave the warps of a thread block with correct __syncthreads
@@ -266,11 +245,10 @@ type WarpRun struct {
 	cost     CostHooks // hooks' CostHooks extension, or nil (asserted once at setup)
 	nl       int
 	fullMask uint32
-	// SoA register file. A standalone warp owns regs outright (rsN=1,
-	// rsB=0, layout regs[slot*WarpWidth+lane]); a warp inside a BlockRun
-	// shares the block-wide [slot][warp][lane] file, viewing slot s at
-	// regs[s*WarpWidth*rsN + rsB] (rsN = warps in the block, rsB =
-	// warpIdx*WarpWidth). See block.go.
+	// SoA register file: the warp shares its BlockRun's block-wide
+	// [slot][warp][lane] file, viewing slot s at regs[s*WarpWidth*rsN +
+	// rsB] (rsN = warps in the block, rsB = warpIdx*WarpWidth; a one-warp
+	// block has rsN=1, rsB=0). See block.go.
 	regs   []int64
 	rsN    int
 	rsB    int
@@ -299,43 +277,6 @@ type WarpRun struct {
 	shfl    [WarpWidth]int64 // OpShfl pre-instruction value snapshot
 }
 
-// warpRunPool recycles WarpRun state — most importantly the register
-// file — across warps, keeping the steady-state warp loop allocation
-// free.
-var warpRunPool = sync.Pool{New: func() any { return new(WarpRun) }}
-
-// NewWarpRun prepares a suspended warp at its entry block. Release the
-// returned run (after it retires or is abandoned) to recycle its state.
-func (e *Executor) NewWarpRun(wp WarpParams, mem Memory, hooks Hooks) (*WarpRun, error) {
-	if err := checkWarpWidth(wp); err != nil {
-		return nil, err
-	}
-	r := warpRunPool.Get().(*WarpRun)
-	e.initWarpRun(r, wp, mem, hooks)
-
-	// Standalone SoA register file, reusing pooled backing when big
-	// enough. Sized by renumbered slots, not kernel registers: decode
-	// packs the live registers densely. Only the slots decode proved
-	// observable before their first write are zeroed (clearOffs, see
-	// computeClearOffs); the rest hold stale pool garbage no execution
-	// can read.
-	r.rsN, r.rsB = 1, 0
-	n := e.numSlots * WarpWidth
-	if cap(r.regs) >= n {
-		r.regs = r.regs[:n]
-		if len(e.clearOffs)*2 >= e.numSlots {
-			clear(r.regs)
-		} else {
-			for _, off := range e.clearOffs {
-				clear(r.regs[off : off+WarpWidth])
-			}
-		}
-	} else {
-		r.regs = make([]int64, n)
-	}
-	return r, nil
-}
-
 func checkWarpWidth(wp WarpParams) error {
 	if nl := len(wp.Lanes); nl == 0 || nl > WarpWidth {
 		return fmt.Errorf("simt: warp %d has %d lanes", wp.WarpID, nl)
@@ -344,8 +285,7 @@ func checkWarpWidth(wp WarpParams) error {
 }
 
 // initWarpRun fills every per-warp field except the register file, which
-// the caller provides (owned and pooled for standalone runs, a view into
-// the block-wide file for BlockRun warps).
+// the caller provides: a view into its BlockRun's block-wide file.
 func (e *Executor) initWarpRun(r *WarpRun, wp WarpParams, mem Memory, hooks Hooks) {
 	nl := len(wp.Lanes)
 	r.exec = e
@@ -395,21 +335,6 @@ func (r *WarpRun) Done() bool { return r.done }
 
 // Stats returns the accumulated execution statistics.
 func (r *WarpRun) Stats() Stats { return r.st }
-
-// Release returns the run's pooled state for reuse. The run must not be
-// used afterwards.
-func (r *WarpRun) Release() {
-	r.exec = nil
-	r.mem = nil
-	r.hooks = nil
-	r.cost = nil
-	r.wp = WarpParams{}
-	r.dGlobal, r.dConst, r.dShared, r.dLocal = nil, nil, nil, nil
-	for i := range r.uniErrs {
-		r.uniErrs[i] = nil
-	}
-	warpRunPool.Put(r)
-}
 
 // vec returns the 32-lane register vector at a decoded register offset.
 func (r *WarpRun) vec(off int32) *[WarpWidth]int64 {

@@ -103,7 +103,7 @@ func runKernel(t *testing.T, k *isa.Kernel, wp WarpParams, mem Memory) (*recHook
 	if mem == nil {
 		mem = newMapMem()
 	}
-	st, err := exec.RunWarp(wp, mem, h)
+	st, err := runWarp(exec, wp, mem, h)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -401,7 +401,7 @@ func TestInfiniteLoopGuard(t *testing.T) {
 		t.Fatal(err)
 	}
 	exec.SetMaxBlocks(100)
-	_, err = exec.RunWarp(fullWarp(), newMapMem(), nil)
+	_, err = runWarp(exec, fullWarp(), newMapMem(), nil)
 	if err == nil {
 		t.Error("infinite loop not caught")
 	}
@@ -419,7 +419,7 @@ func TestDivisionByZeroTraps(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := exec.RunWarp(fullWarp(), newMapMem(), nil); err == nil {
+		if _, err := runWarp(exec, fullWarp(), newMapMem(), nil); err == nil {
 			t.Errorf("%v by zero not trapped", op)
 		}
 	}
@@ -501,10 +501,10 @@ func TestBranchSelectEquivalence(t *testing.T) {
 		}
 		e1, _ := NewExecutor(branchy)
 		e2, _ := NewExecutor(selecty)
-		if _, err := e1.RunWarp(fullWarp(), m1, nil); err != nil {
+		if _, err := runWarp(e1, fullWarp(), m1, nil); err != nil {
 			return false
 		}
-		if _, err := e2.RunWarp(fullWarp(), m2, nil); err != nil {
+		if _, err := runWarp(e2, fullWarp(), m2, nil); err != nil {
 			return false
 		}
 		for i := 0; i < WarpWidth; i++ {
@@ -544,11 +544,11 @@ func TestInvalidWarpSizes(t *testing.T) {
 	}
 	wp := fullWarp()
 	wp.Lanes = nil
-	if _, err := exec.RunWarp(wp, newMapMem(), nil); err == nil {
+	if _, err := runWarp(exec, wp, newMapMem(), nil); err == nil {
 		t.Error("empty warp accepted")
 	}
 	wp.Lanes = make([]LaneInfo, WarpWidth+1)
-	if _, err := exec.RunWarp(wp, newMapMem(), nil); err == nil {
+	if _, err := runWarp(exec, wp, newMapMem(), nil); err == nil {
 		t.Error("oversized warp accepted")
 	}
 }
@@ -563,9 +563,36 @@ func TestParamOutOfRangeTraps(t *testing.T) {
 		t.Fatal(err)
 	}
 	wp := fullWarp(1) // only one param provided
-	if _, err := exec.RunWarp(wp, newMapMem(), nil); err == nil {
+	if _, err := runWarp(exec, wp, newMapMem(), nil); err == nil {
 		t.Error("missing kernel argument not trapped")
 	}
+}
+
+// runWarp executes one warp to completion through the production entry
+// point, a BlockRun, here of one warp. A one-warp block lays its
+// registers out as regs[slot*WarpWidth+lane] (rsN=1, rsB=0) and never
+// engages the lockstep driver, so its barriers are trivially satisfied.
+func runWarp(e *Executor, wp WarpParams, mem Memory, hooks Hooks) (Stats, error) {
+	br, err := e.NewBlockRun([]WarpParams{wp}, []Memory{mem}, []Hooks{hooks})
+	if err != nil {
+		return Stats{}, err
+	}
+	err = br.Run(nil)
+	st := br.WarpStats(0)
+	br.Release()
+	return st, err
+}
+
+// newWarpBlock prepares an untraced one-warp BlockRun whose warp a test
+// drives by hand through br.runs[0].Resume.
+func newWarpBlock(t *testing.T, e *Executor, wp WarpParams, mem Memory) *BlockRun {
+	t.Helper()
+	br, err := e.NewBlockRun([]WarpParams{wp}, []Memory{mem}, []Hooks{nil})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(br.Release)
+	return br
 }
 
 func TestBarrierResumable(t *testing.T) {
@@ -581,10 +608,8 @@ func TestBarrierResumable(t *testing.T) {
 		t.Fatal(err)
 	}
 	mem := newMapMem()
-	run, err := exec.NewWarpRun(fullWarp(), mem, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	br := newWarpBlock(t, exec, fullWarp(), mem)
+	run := br.runs[0]
 	atBar, err := run.Resume()
 	if err != nil {
 		t.Fatal(err)
@@ -622,10 +647,7 @@ func TestBarrierInDivergentFlowErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	run, err := exec.NewWarpRun(fullWarp(), newMapMem(), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	run := newWarpBlock(t, exec, fullWarp(), newMapMem()).runs[0]
 	for !run.Done() {
 		if _, err := run.Resume(); err != nil {
 			return // expected
@@ -647,7 +669,7 @@ func TestBarrierUniformBranchOK(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := exec.RunWarp(fullWarp(), newMapMem(), nil); err != nil {
+	if _, err := runWarp(exec, fullWarp(), newMapMem(), nil); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -678,7 +700,7 @@ func BenchmarkWarpThroughput(b *testing.B) {
 	var inst int64
 	b.ResetTimer()
 	for j := 0; j < b.N; j++ {
-		st, err := exec.RunWarp(fullWarp(1000), mem, nil)
+		st, err := runWarp(exec, fullWarp(1000), mem, nil)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -716,7 +738,7 @@ func TestShuffleButterflyReduction(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := exec.RunWarp(fullWarp(100), mem, nil); err != nil {
+	if _, err := runWarp(exec, fullWarp(100), mem, nil); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < WarpWidth; i++ {
@@ -749,7 +771,7 @@ func TestShuffleReadsPreInstructionValues(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := exec.RunWarp(fullWarp(100), mem, nil); err != nil {
+	if _, err := runWarp(exec, fullWarp(100), mem, nil); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < WarpWidth; i++ {
@@ -778,7 +800,7 @@ func TestShufflePartialWarpWraps(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := exec.RunWarp(wp, mem, nil); err != nil {
+	if _, err := runWarp(exec, wp, mem, nil); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 4; i++ {

@@ -83,8 +83,10 @@ type RunResult = core.RunResult
 // each delivered trace transfers to the sink.
 type TraceSink = core.TraceSink
 
-// RecordFn executes one instrumented run; safe for concurrent use.
-type RecordFn = core.RecordFn
+// Recipe is the one run recipe a detection hands its Runner: device,
+// rebasing, observables, and the kernel-definition harvest. Its Record
+// method executes one instrumented run; safe for concurrent use.
+type Recipe = core.Recipe
 
 // EvidenceConfig selects and configures the evidence channel(s) via
 // Options.Evidence: the paper's set-difference channel ("diff", the
