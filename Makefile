@@ -17,7 +17,7 @@ test:
 	$(GO) test ./...
 
 test-race:
-	$(GO) test -race ./internal/gpu/ ./internal/tracer/ ./internal/simt/ ./internal/core/ ./internal/service/ ./internal/obs/ ./internal/mitigate/ ./internal/attack/ ./internal/cluster/ ./internal/evidence/ ./internal/stats/ ./internal/microarch/ ./internal/adcfg/ ./internal/trace/ ./internal/workloads/...
+	$(GO) test -race ./internal/gpu/ ./internal/tracer/ ./internal/simt/ ./internal/core/ ./internal/service/ ./internal/obs/ ./internal/mitigate/ ./internal/attack/ ./internal/cluster/ ./internal/evidence/ ./internal/stats/ ./internal/microarch/ ./internal/adcfg/ ./internal/trace/ ./internal/quantify/ ./internal/workloads/...
 
 # cmd/owlperf is its own module, so `go test ./...` at the root skips it;
 # it compiles against the service and core APIs and must keep building.

@@ -233,7 +233,8 @@ func quantifyGoldenPath(program string) string {
 
 // TestGoldenQuantify pins every leakage estimate of aes128 and nvjpeg
 // encode, in report order, with each score written in full precision
-// (the shortest form that parses back to the same bits).
+// (the shortest form that parses back to the same bits). Sequential and
+// 4-worker recording must both match the one golden.
 func TestGoldenQuantify(t *testing.T) {
 	if testing.Short() {
 		t.Skip("quantify goldens record full evidence")
@@ -246,23 +247,28 @@ func TestGoldenQuantify(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			opts := core.DefaultOptions()
-			opts.Seed = 42
-			det, err := core.NewDetector(opts)
-			if err != nil {
-				t.Fatal(err)
+			for _, workers := range []int{1, 4} {
+				t.Run("workers="+string(rune('0'+workers)), func(t *testing.T) {
+					opts := core.DefaultOptions()
+					opts.Seed = 42
+					opts.Workers = workers
+					det, err := core.NewDetector(opts)
+					if err != nil {
+						t.Fatal(err)
+					}
+					rep, err := quantify.Quantify(det, target.Program, target.Inputs[0], target.Gen, runs)
+					if err != nil {
+						t.Fatal(err)
+					}
+					var b strings.Builder
+					full := func(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
+					for _, e := range rep.Estimates {
+						fmt.Fprintf(&b, "%s %s jsd=%s dh=%s hfix=%s hrnd=%s\n", e.Kind, e.Location(),
+							full(e.JSDBits), full(e.EntropyDeltaBits), full(e.FixEntropyBits), full(e.RndEntropyBits))
+					}
+					checkGolden(t, quantifyGoldenPath(name), []byte(b.String()))
+				})
 			}
-			rep, err := quantify.Quantify(det, target.Program, target.Inputs[0], target.Gen, runs)
-			if err != nil {
-				t.Fatal(err)
-			}
-			var b strings.Builder
-			full := func(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
-			for _, e := range rep.Estimates {
-				fmt.Fprintf(&b, "%s %s jsd=%s dh=%s hfix=%s hrnd=%s\n", e.Kind, e.Location(),
-					full(e.JSDBits), full(e.EntropyDeltaBits), full(e.FixEntropyBits), full(e.RndEntropyBits))
-			}
-			checkGolden(t, quantifyGoldenPath(name), []byte(b.String()))
 		})
 	}
 }

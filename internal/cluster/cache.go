@@ -20,9 +20,9 @@ import (
 	"owl/internal/isa"
 )
 
-// ReportCache is a mutex-guarded LRU of detection reports. Workers key it
-// by Fingerprint as their half of the fleet's shared content-addressed
-// report cache; owld's job manager keys it by service.CacheKey.
+// ReportCache is a mutex-guarded LRU of detection reports, keyed by
+// Fingerprint: workers hold it as their half of the fleet's shared
+// content-addressed report cache, and owld's job manager as its local one.
 type ReportCache struct {
 	mu      sync.Mutex
 	cap     int
@@ -152,10 +152,10 @@ func Fingerprint(ctx context.Context, p cuda.Program, inputs [][]byte, opts core
 }
 
 // OptionsKey renders every option that influences a detection report, the
-// options part of both report-cache keys (Fingerprint and
-// service.CacheKey). Workers and Runner are excluded on purpose: parallel
-// and sequential recording produce identical reports. A new option that
-// changes reports must join this string, or cached reports alias.
+// options part of Fingerprint. Workers and Runner are excluded on
+// purpose: parallel and sequential recording produce identical reports. A
+// new option that changes reports must join this string, or cached
+// reports alias.
 //
 // The device renders field by field in the form %+v gave gpu.Config when
 // it still had a Parallel field. Fleet and owld caches outlive the

@@ -42,8 +42,7 @@ func TestCacheDisabled(t *testing.T) {
 
 // TestFingerprintPinned pins the fleet cache's content key for one fixed
 // program, input and option set. Fleet caches span processes, so these
-// bytes must never move: the literal was computed before Fingerprint and
-// service.CacheKey came to share OptionsKey.
+// bytes must never move: the literal predates OptionsKey.
 func TestFingerprintPinned(t *testing.T) {
 	const want = "571584d68a86b550196dc12e31a1b6eb1d9eb64431823399797a063305b6a358"
 	opts := core.DefaultOptions()

@@ -3,6 +3,7 @@ package cluster
 import (
 	"bytes"
 	"context"
+	"encoding/gob"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -288,6 +289,62 @@ func TestFleetPermanentErrorFailsFast(t *testing.T) {
 	}
 	if !strings.Contains(err.Error(), "unknown program") {
 		t.Errorf("error does not surface the worker rejection: %v", err)
+	}
+}
+
+// failOnThree is a program whose run fails when its input is {3}.
+type failOnThree struct{}
+
+func (failOnThree) Name() string { return "fail-on-three" }
+
+func (failOnThree) Run(ctx *cuda.Context, input []byte) error {
+	if input[0] == 3 {
+		return errors.New("boom")
+	}
+	_, err := ctx.Malloc(4)
+	return err
+}
+
+// TestWorkerShipsFailingRunIndex posts a batch whose third run fails: the
+// stream must end with one error result that names that run's
+// coordinator index and carries the record error's text.
+func TestWorkerShipsFailingRunIndex(t *testing.T) {
+	w := NewWorkerWithPrograms(1, 0, map[string]cuda.Program{"fail-on-three": failOnThree{}})
+	srv := httptest.NewServer(w.Handler())
+	t.Cleanup(srv.Close)
+	br := BatchRequest{Protocol: ProtocolVersion, Program: "fail-on-three", Device: detectOpts().Device}
+	for i := 1; i <= 4; i++ {
+		br.Reqs = append(br.Reqs, WireRequest{Index: 10 + i, Input: []byte{byte(i)}, Seed: int64(i)})
+	}
+	body, err := json.Marshal(br)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.Post(srv.URL+"/v1/record", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var results []WireResult
+	dec := gob.NewDecoder(resp.Body)
+	for {
+		var res WireResult
+		if err := dec.Decode(&res); err != nil {
+			break
+		}
+		results = append(results, res)
+	}
+	if len(results) == 0 {
+		t.Fatal("empty result stream")
+	}
+	last := results[len(results)-1]
+	if last.Index != 13 || last.Err != "core: program fail-on-three: boom" {
+		t.Fatalf("last result = index %d, error %q; want run 13's record error", last.Index, last.Err)
+	}
+	for _, res := range results[:len(results)-1] {
+		if res.Err != "" || res.Index >= 13 {
+			t.Errorf("unexpected result before the failure: index %d, error %q", res.Index, res.Err)
+		}
 	}
 }
 

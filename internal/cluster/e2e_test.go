@@ -13,7 +13,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"os"
 	"os/exec"
 	"path/filepath"
 	"regexp"
@@ -57,13 +56,11 @@ type workerProc struct {
 // kill SIGKILLs the process — the crash the rebalance path exists for.
 func (p *workerProc) kill() { _ = p.cmd.Process.Kill() }
 
-// startWorkerProc spawns one owlworker on an ephemeral port, with env
-// added to its environment, parses the bound address off its log, and
-// waits until /readyz answers 200.
-func startWorkerProc(t *testing.T, bin string, slots int, env ...string) *workerProc {
+// startWorkerProc spawns one owlworker on an ephemeral port, parses the
+// bound address off its log, and waits until /readyz answers 200.
+func startWorkerProc(t *testing.T, bin string, slots int) *workerProc {
 	t.Helper()
 	cmd := exec.Command(bin, "-addr", "127.0.0.1:0", "-slots", fmt.Sprint(slots))
-	cmd.Env = append(os.Environ(), env...)
 	stderr, err := cmd.StderrPipe()
 	if err != nil {
 		t.Fatal(err)
@@ -183,7 +180,7 @@ func TestE2EClusterEquivalence(t *testing.T) {
 
 // TestE2EFleetTrace runs a traced aes128 detection over a real 3-process
 // owlworker fleet and validates the merged timeline: a single Chrome
-// trace whose dispatch spans parent worker-side record spans from at
+// trace whose dispatch spans parent worker-side run spans from at
 // least two distinct worker processes (the third may legitimately see no
 // batches on a small job), all passing the trace-event invariants.
 func TestE2EFleetTrace(t *testing.T) {
@@ -225,13 +222,13 @@ func TestE2EFleetTrace(t *testing.T) {
 	}
 	procs := make(map[string]bool)
 	for _, s := range spans {
-		if s.Name != "worker.record" {
+		if s.Name != "run" {
 			continue
 		}
 		procs[s.Proc] = true
 		parent, ok := byID[s.Parent]
 		if !ok || parent.Name != "cluster.dispatch" {
-			t.Fatalf("worker.record span not parented under a dispatch span (parent %d)", s.Parent)
+			t.Fatalf("worker run span not parented under a dispatch span (parent %d)", s.Parent)
 		}
 	}
 	if len(procs) < 2 {
@@ -260,56 +257,68 @@ func TestE2EFleetTrace(t *testing.T) {
 	}
 }
 
-// killWorkerScenario runs one aes128 detection over a fresh 3-process
-// fleet, SIGKILLing whichever worker delivers the first trace. Whatever
-// the kill's timing, the report must stay byte-identical to the
-// single-process reference — no run lost or double-counted. It returns
-// how many batch rebalances the crash forced: zero is possible when the
-// victim's remaining results were already in flight to the coordinator
-// when the kill landed, so the caller retries the scenario until the
-// kill severs a live stream.
-func killWorkerScenario(t *testing.T, bin string, tgt experiments.Target, want []byte) int64 {
-	t.Helper()
-	procs := make([]*workerProc, 3)
+// killOnStream is the coordinator's HTTP transport in the kill test: the
+// first record stream to open — its response headers are in, none of its
+// runs can have finished yet — SIGKILLs the worker serving it.
+type killOnStream struct {
+	once sync.Once
+	kill func(addr string)
+}
+
+func (k *killOnStream) RoundTrip(req *http.Request) (*http.Response, error) {
+	resp, err := http.DefaultTransport.RoundTrip(req)
+	if err == nil && req.Method == http.MethodPost && req.URL.Path == "/v1/record" {
+		k.once.Do(func() { k.kill("http://" + req.URL.Host) })
+	}
+	return resp, err
+}
+
+// TestE2EKillWorkerMidJob SIGKILLs one of three workers in the middle of
+// a batch. The coordinator must rebalance the dead worker's batch onto
+// the survivors with no run lost or double-counted, and the final report
+// must still match single-process byte for byte. The victim is the first
+// worker whose record stream opens, killed as the stream opens; the
+// target is mea/mlp-inference, whose runs take about 15 ms each, so the
+// victim still has every run of its batch unfinished when the kill lands
+// and the broken stream forces a rebalance.
+func TestE2EKillWorkerMidJob(t *testing.T) {
+	if testing.Short() {
+		t.Skip("e2e: builds a binary and spawns worker processes")
+	}
+	bin := buildOwlworker(t)
+	tgt, err := experiments.FindTarget("mea/mlp-inference")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := reportJSON(t, detectLocal4(t, tgt))
+
 	addrs := make([]string, 3)
 	byAddr := make(map[string]*workerProc, 3)
-	for i := range procs {
-		// 4 slots → 4-run batches, so the kill usually lands mid-stream.
-		// One OS thread per worker finishes a batch's runs one after
-		// another rather than all at once, which keeps the stream open
-		// after the first delivery.
-		procs[i] = startWorkerProc(t, bin, 4, "GOMAXPROCS=1")
-		addrs[i] = procs[i].addr
-		byAddr[procs[i].addr] = procs[i]
+	for i := range addrs {
+		p := startWorkerProc(t, bin, 4)
+		addrs[i] = p.addr
+		byAddr[p.addr] = p
 	}
+	var (
+		killed  atomic.Value // string: the victim's address
+		retries atomic.Int64
+	)
+	transport := &killOnStream{kill: func(addr string) {
+		killed.Store(addr)
+		byAddr[addr].kill()
+	}}
 	fleet, err := NewFleet(addrs, Options{
 		BatchSize:     4,
 		ProbeInterval: 50 * time.Millisecond,
 		ResultTimeout: 30 * time.Second,
 		StallTimeout:  2 * time.Minute,
+		Client:        &http.Client{Transport: transport},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	var (
-		killOnce sync.Once
-		killed   atomic.Value // string: the victim's address
-		retries  atomic.Int64
-	)
 	opts := detectOpts()
-	opts.Runner = fleet.Runner(RunnerConfig{
-		OnRun: func(worker string) {
-			// First delivery picks the victim: its current batch normally
-			// still has undelivered runs in flight, so the SIGKILL severs
-			// a live stream and forces a rebalance.
-			killOnce.Do(func() {
-				killed.Store(worker)
-				byAddr[worker].kill()
-			})
-		},
-		OnRetry: func(string) { retries.Add(1) },
-	})
+	opts.Runner = fleet.Runner(RunnerConfig{OnRetry: func(string) { retries.Add(1) }})
 	det, err := core.NewDetector(opts)
 	if err != nil {
 		t.Fatal(err)
@@ -321,41 +330,11 @@ func killWorkerScenario(t *testing.T, bin string, tgt experiments.Target, want [
 	if killed.Load() == nil {
 		t.Fatal("no worker was killed; the scenario never exercised the crash path")
 	}
-	t.Logf("killed %s after its first delivery; %d batch retries", killed.Load(), retries.Load())
+	t.Logf("killed %s as its first batch opened; %d batch retries", killed.Load(), retries.Load())
+	if retries.Load() == 0 {
+		t.Error("the kill forced no rebalance")
+	}
 	if got := reportJSON(t, rep); !bytes.Equal(want, got) {
 		t.Errorf("post-crash report differs from single-process:\nlocal:   %s\ncluster: %s", want, got)
 	}
-	for _, p := range procs {
-		p.kill()
-	}
-	return retries.Load()
-}
-
-// TestE2EKillWorkerMidJob SIGKILLs one of three workers mid-aes128. The
-// coordinator must rebalance the dead worker's in-flight batch onto the
-// survivors and the final report must still match single-process byte
-// for byte. Every attempt asserts byte-identity; at least one attempt
-// must observe an actual rebalance (the kill can race the stream's tail
-// into the coordinator's buffers, in which case the batch completes and
-// the scenario reruns).
-func TestE2EKillWorkerMidJob(t *testing.T) {
-	if testing.Short() {
-		t.Skip("e2e: builds a binary and spawns worker processes")
-	}
-	bin := buildOwlworker(t)
-	var tgt experiments.Target
-	for _, cand := range e2eTargets(t) {
-		if cand.Program.Name() == "libgpucrypto/aes128" {
-			tgt = cand
-		}
-	}
-	want := reportJSON(t, detectLocal4(t, tgt))
-
-	for attempt := 1; attempt <= 4; attempt++ {
-		if killWorkerScenario(t, bin, tgt, want) > 0 {
-			return
-		}
-		t.Logf("attempt %d: kill landed after the batch was fully in flight; retrying", attempt)
-	}
-	t.Error("no rebalance observed across 4 SIGKILLs of active workers")
 }

@@ -580,7 +580,10 @@ func (r *fleetRunner) runBatch(ctx context.Context, sp *obs.Span, addr, program 
 				recipe.Harvest(k)
 			}
 		}
+		_, dsp := obs.Start(ctx, "wire.decode")
+		dsp.SetInt("run_index", int64(res.Index))
 		tr, err := trace.ReadGob(bytes.NewReader(res.Trace))
+		dsp.End()
 		if err != nil {
 			return d.undone(reqs), fmt.Errorf("cluster: %s run %d: corrupt trace: %w", addr, res.Index, err)
 		}

@@ -39,7 +39,9 @@ var (
 // workers and checks the tentpole invariants end to end: worker-side
 // spans come home, land as children of the dispatch spans that carried
 // their batches, are stamped with the originating worker, and the merged
-// timeline exports as a valid multi-process Chrome trace.
+// timeline exports as a valid multi-process Chrome trace. Each run's
+// wire encoding (worker side) and decoding (coordinator side) shows as
+// its own span under the dispatch.
 func TestFleetTracePropagation(t *testing.T) {
 	fleet, servers := startWorkers(t, 2, Options{BatchSize: 4})
 	_, rec := detectFleetTraced(t, fleet)
@@ -49,38 +51,41 @@ func TestFleetTracePropagation(t *testing.T) {
 	for _, s := range spans {
 		byID[s.ID] = s
 	}
-	var dispatches, workerSpans int
+	count := make(map[string]int)
 	procs := make(map[string]bool)
 	for _, s := range spans {
+		count[s.Name]++
 		switch s.Name {
-		case "cluster.dispatch":
-			dispatches++
+		case "cluster.dispatch", "wire.decode":
 			if s.Proc != "" {
-				t.Fatalf("dispatch span stamped with remote proc %q", s.Proc)
+				t.Fatalf("%s span stamped with remote proc %q", s.Name, s.Proc)
 			}
-		case "worker.record":
-			workerSpans++
+		case "run", "wire.encode":
 			if s.Proc == "" {
-				t.Fatal("worker.record span missing its originating process")
+				t.Fatalf("%s span missing its originating process", s.Name)
 			}
 			procs[s.Proc] = true
-			parent, ok := byID[s.Parent]
-			if !ok {
-				t.Fatalf("worker.record parent %d not in the timeline", s.Parent)
-			}
-			if parent.Name != "cluster.dispatch" {
-				t.Fatalf("worker.record parented under %q, want cluster.dispatch", parent.Name)
-			}
-			if s.Start < parent.Start {
-				t.Fatalf("worker.record starts at %v, before its dispatch at %v (clock normalization)", s.Start, parent.Start)
-			}
+		default:
+			continue
+		}
+		if s.Name == "cluster.dispatch" {
+			continue
+		}
+		parent, ok := byID[s.Parent]
+		if !ok {
+			t.Fatalf("%s parent %d not in the timeline", s.Name, s.Parent)
+		}
+		if parent.Name != "cluster.dispatch" {
+			t.Fatalf("%s parented under %q, want cluster.dispatch", s.Name, parent.Name)
+		}
+		if s.Start < parent.Start {
+			t.Fatalf("%s starts at %v, before its dispatch at %v (clock normalization)", s.Name, s.Start, parent.Start)
 		}
 	}
-	if dispatches == 0 {
-		t.Fatal("no cluster.dispatch spans recorded")
-	}
-	if workerSpans == 0 {
-		t.Fatal("no worker.record spans merged from the fleet")
+	for _, name := range []string{"cluster.dispatch", "run", "wire.encode", "wire.decode"} {
+		if count[name] == 0 {
+			t.Fatalf("no %s spans in the fleet timeline", name)
+		}
 	}
 	if len(procs) != len(servers) {
 		t.Fatalf("worker spans from %d process(es), want %d", len(procs), len(servers))

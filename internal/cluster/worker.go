@@ -2,8 +2,10 @@ package cluster
 
 import (
 	"bytes"
+	"context"
 	"encoding/gob"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"log/slog"
 	"net/http"
@@ -31,8 +33,7 @@ type Worker struct {
 	slots    chan struct{}
 	cache    *ReportCache
 
-	queued       atomic.Int64 // accepted, waiting for a slot
-	active       atomic.Int64 // recording right now
+	unfinished   atomic.Int64 // accepted runs not yet streamed back or abandoned
 	runs         atomic.Int64 // completed recordings, ever
 	spansShipped atomic.Int64 // span records streamed back, ever
 	draining     atomic.Bool
@@ -85,16 +86,14 @@ func (w *Worker) SetDraining(v bool) { w.draining.Store(v) }
 
 // Readiness snapshots the worker's load for /readyz: queue depth plus
 // active and idle slot counts, the inputs of the coordinator's
-// backpressure-aware batch sizing.
+// backpressure-aware batch sizing. A held slot is an active run, and an
+// unfinished run without a slot is queued.
 func (w *Worker) Readiness() Readiness {
-	active := int(w.active.Load())
+	active := len(w.slots)
 	slots := cap(w.slots)
-	if active > slots {
-		active = slots
-	}
 	r := Readiness{
 		Status:      "ready",
-		QueueDepth:  int(w.queued.Load()),
+		QueueDepth:  max(int(w.unfinished.Load())-active, 0),
 		ActiveSlots: active,
 		IdleSlots:   slots - active,
 		Slots:       slots,
@@ -164,10 +163,12 @@ func (w *Worker) Handler() http.Handler {
 	return mux
 }
 
-// handleRecord streams a record batch: requests run concurrently on the
-// slot pool and each WireResult is gob-encoded onto the response the
-// moment its run completes, in completion order. A client disconnect
-// cancels the remaining runs via the request context.
+// handleRecord streams a record batch: core.StreamParallel records the
+// requests on the worker's slots, and each WireResult is gob-encoded onto
+// the response the moment its run completes, in completion order. The
+// first failing run ends the batch and ships as an error result naming
+// its index. A client disconnect cancels the remaining runs via the
+// request context.
 func (w *Worker) handleRecord(rw http.ResponseWriter, r *http.Request) {
 	var br BatchRequest
 	if err := json.NewDecoder(r.Body).Decode(&br); err != nil {
@@ -213,92 +214,65 @@ func (w *Worker) handleRecord(rw http.ResponseWriter, r *http.Request) {
 	}
 
 	var (
-		mu          sync.Mutex // serializes the gob stream and kernel dedup
-		enc         = gob.NewEncoder(rw)
-		sentKernels = make(map[string]bool)
-		wg          sync.WaitGroup
+		mu      sync.Mutex // serializes the gob stream and the kernel queue
+		enc     = gob.NewEncoder(rw)
+		shipped = make(map[string]bool)
+		kernels []*isa.Kernel // first launched in this batch, not yet sent
 	)
-	// send streams one result; kernels not yet shipped in this batch ride
-	// along so the coordinator can annotate leak reports, and any spans
-	// completed since the last send ship home with it.
-	send := func(res WireResult, kernels []*isa.Kernel) {
+	// send streams one result; queued kernels ride along so the
+	// coordinator can annotate leak reports, and any spans completed since
+	// the last send ship home with it.
+	send := func(res WireResult) error {
 		mu.Lock()
 		defer mu.Unlock()
-		for _, k := range kernels {
-			if !sentKernels[k.Name] {
-				sentKernels[k.Name] = true
-				res.Kernels = append(res.Kernels, k)
-			}
-		}
+		res.Kernels, kernels = kernels, nil
 		if rec != nil {
 			res.Spans, res.Counters = rec.Drain()
 			w.spansShipped.Add(int64(len(res.Spans)))
 		}
 		if err := enc.Encode(&res); err != nil {
-			return // client gone; the context cancel unwinds the batch
+			return err // client gone; StreamParallel unwinds the batch
 		}
 		if flusher != nil {
 			flusher.Flush()
 		}
+		return nil
 	}
-	recipe := core.Recipe{Device: br.Device, Rebase: br.Rebase, Cost: br.Cost}
-	w.queued.Add(int64(len(br.Reqs)))
-	started := 0
-	for _, req := range br.Reqs {
-		select {
-		case w.slots <- struct{}{}:
-		case <-ctx.Done():
-			w.queued.Add(int64(started - len(br.Reqs)))
-			wg.Wait()
-			return
+	recipe := core.Recipe{Device: br.Device, Rebase: br.Rebase, Cost: br.Cost, Harvest: func(k *isa.Kernel) {
+		mu.Lock()
+		if !shipped[k.Name] {
+			shipped[k.Name] = true
+			kernels = append(kernels, k)
 		}
-		started++
-		wg.Add(1)
-		go func(req WireRequest) {
-			defer wg.Done()
-			defer func() { <-w.slots }()
-			w.queued.Add(-1)
-			w.active.Add(1)
-			defer w.active.Add(-1)
-
-			var kmu sync.Mutex
-			var kernels []*isa.Kernel
-			run := recipe
-			run.Harvest = func(k *isa.Kernel) {
-				kmu.Lock()
-				kernels = append(kernels, k)
-				kmu.Unlock()
-			}
-			rctx, sp := obs.Start(ctx, "worker.record")
-			sp.SetInt("run_index", int64(req.Index))
-			tr, err := run.Record(rctx, prog, req.Input, req.Seed)
-			res := WireResult{Index: req.Index}
-			if err != nil {
-				sp.SetStr("error", err.Error())
-				sp.End()
-				if ctx.Err() != nil {
-					return // disconnect, not a program failure
-				}
-				res.Err = err.Error()
-				send(res, nil)
-				return
-			}
-			var buf bytes.Buffer
-			if err := tr.WriteGob(&buf); err != nil {
-				sp.SetStr("error", err.Error())
-				sp.End()
-				res.Err = err.Error()
-				send(res, nil)
-				return
-			}
-			trace.Release(tr) // encoded; recycle its buffers right away
-			res.Trace = buf.Bytes()
-			w.runs.Add(1)
-			sp.End() // completed before send so the span ships with its own result
-			send(res, kernels)
-		}(req)
+		mu.Unlock()
+	}}
+	reqs := make([]core.RunRequest, len(br.Reqs))
+	for i, req := range br.Reqs {
+		reqs[i] = core.RunRequest{Index: req.Index, Input: req.Input, Seed: req.Seed}
 	}
-	wg.Wait()
+	var streamed atomic.Int64
+	w.unfinished.Add(int64(len(reqs)))
+	sink := func(ctx context.Context, res core.RunResult) error {
+		_, sp := obs.Start(ctx, "wire.encode")
+		sp.SetInt("run_index", int64(res.Index))
+		var buf bytes.Buffer
+		err := res.Trace.WriteGob(&buf)
+		trace.Release(res.Trace) // encoded; recycle its buffers right away
+		sp.End()                 // before send, so the span ships with its own result
+		if err != nil {
+			return &core.RunError{Index: res.Index, Err: err}
+		}
+		w.runs.Add(1)
+		streamed.Add(1)
+		w.unfinished.Add(-1)
+		return send(WireResult{Index: res.Index, Trace: buf.Bytes()})
+	}
+	err := core.StreamParallel(ctx, w.slots, prog, reqs, recipe, sink)
+	w.unfinished.Add(streamed.Load() - int64(len(reqs)))
+	var runErr *core.RunError
+	if errors.As(err, &runErr) && ctx.Err() == nil {
+		_ = send(WireResult{Index: runErr.Index, Err: runErr.Error()})
+	}
 }
 
 func writeJSON(w http.ResponseWriter, status int, v any) {

@@ -254,25 +254,14 @@ func (d *Detector) notifyProgress() {
 	})
 }
 
-// poolRunner is the built-in streaming Runner: a per-batch goroutine pool
-// bounded by workers, or a plain sequential loop for workers <= 1. Either
-// way each trace is delivered to the sink the moment its run completes.
+// poolRunner is the built-in streaming Runner: StreamParallel over a
+// per-batch set of workers slots, one slot (sequential recording) for
+// workers <= 1. Each trace is delivered to the sink the moment its run
+// completes.
 type poolRunner struct{ workers int }
 
 func (r poolRunner) RecordStream(ctx context.Context, p cuda.Program, reqs []RunRequest, recipe Recipe, sink TraceSink) error {
-	if r.workers <= 1 {
-		for _, req := range reqs {
-			t, err := recipe.Record(ctx, p, req.Input, req.Seed)
-			if err != nil {
-				return err
-			}
-			if err := sink(ctx, RunResult{Index: req.Index, Trace: t}); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	return StreamParallel(ctx, make(chan struct{}, r.workers), p, reqs, recipe, sink)
+	return StreamParallel(ctx, make(chan struct{}, max(r.workers, 1)), p, reqs, recipe, sink)
 }
 
 // kernelObserver wraps the tracer to hand each launched kernel's
@@ -321,24 +310,52 @@ func (d *Detector) GenRNG() *rand.Rand {
 }
 
 // RecordOnce executes the program once under instrumentation and returns
-// its trace (phase 1 for one input).
-func (d *Detector) RecordOnce(p cuda.Program, input []byte) (*trace.ProgramTrace, error) {
-	return d.recordSeeded(context.Background(), p, input, d.rng.Int63())
+// its trace (phase 1 for one input). The run goes through the detector's
+// Runner like every other run.
+func (d *Detector) RecordOnce(p cuda.Program, input []byte) (t *trace.ProgramTrace, err error) {
+	err = d.RecordEach(context.Background(), p, [][]byte{input}, func(_ int, rt *trace.ProgramTrace) error { t = rt; return nil })
+	return t, err
 }
 
-// recordSeeded is RecordOnce with an explicit per-run seed, plus
-// progress accounting for the direct-call paths (RecordOnce, the
-// no-filter ablation). Runner paths count at sink delivery instead, so
-// remote runners — which never call the recipe's Record — report
-// progress identically.
-func (d *Detector) recordSeeded(ctx context.Context, p cuda.Program, input []byte, seed int64) (*trace.ProgramTrace, error) {
-	t, err := d.recipe.Record(ctx, p, input, seed)
-	if err != nil {
-		return nil, err
+// RecordEach records one run per input through the detector's Runner and
+// calls consume with each trace in input order, whatever order the runs
+// complete in. Each run's seed is drawn from the detector in input order
+// before dispatch, so the traces are the same for any Runner or worker
+// count. consume owns the trace it receives: it keeps it or hands it to
+// trace.Release. It runs serialized, and an error from it aborts the
+// batch.
+func (d *Detector) RecordEach(ctx context.Context, p cuda.Program, inputs [][]byte, consume func(i int, t *trace.ProgramTrace) error) error {
+	reqs := make([]RunRequest, len(inputs))
+	for i, in := range inputs {
+		reqs[i] = RunRequest{Input: in, Seed: d.rng.Int63()}
 	}
-	d.runs.Add(1)
-	d.notifyProgress()
-	return t, nil
+	return d.recordStream(ctx, p, reqs, consume)
+}
+
+// recordStream is every recording of a detector: it streams reqs through
+// the Runner into an ordered sink that counts each run, wherever it was
+// recorded, and calls consume for request 0, 1, 2, ...; then it checks
+// that the Runner delivered every trace. Request indexes are set to batch
+// positions, so any slice of a drawn request list is a self-contained
+// batch for the Runner.
+func (d *Detector) recordStream(ctx context.Context, p cuda.Program, reqs []RunRequest, consume func(i int, t *trace.ProgramTrace) error) error {
+	batch := make([]RunRequest, len(reqs))
+	for i, req := range reqs {
+		req.Index = i
+		batch[i] = req
+	}
+	sink := newOrderedSink(0, func(i int, t *trace.ProgramTrace) error {
+		d.runs.Add(1)
+		d.notifyProgress()
+		return consume(i, t)
+	})
+	if err := d.runner.RecordStream(ctx, p, batch, d.recipe, sink.Sink); err != nil {
+		return err
+	}
+	if n := sink.delivered(); n != len(reqs) {
+		return fmt.Errorf("core: runner delivered %d traces for %d requests", n, len(reqs))
+	}
+	return nil
 }
 
 // Recipe is Owl's one run recipe: everything that decides how a run is
@@ -407,19 +424,6 @@ func (r Recipe) Record(ctx context.Context, p cuda.Program, input []byte, seed i
 	return t, nil
 }
 
-// countingSink advances the run counter as the pipeline accepts each
-// trace, whether it was recorded by a local worker or a remote one.
-func (d *Detector) countingSink(sink TraceSink) TraceSink {
-	return func(ctx context.Context, res RunResult) error {
-		if err := sink(ctx, res); err != nil {
-			return err
-		}
-		d.runs.Add(1)
-		d.notifyProgress()
-		return nil
-	}
-}
-
 // Classify performs the duplicates-removing phase over the user inputs.
 func (d *Detector) Classify(p cuda.Program, inputs [][]byte) ([]InputClass, error) {
 	return d.ClassifyContext(context.Background(), p, inputs)
@@ -433,13 +437,9 @@ func (d *Detector) Classify(p cuda.Program, inputs [][]byte) ([]InputClass, erro
 // classification order — and therefore class representatives — identical
 // to sequential recording.
 func (d *Detector) ClassifyContext(ctx context.Context, p cuda.Program, inputs [][]byte) ([]InputClass, error) {
-	reqs := make([]RunRequest, len(inputs))
-	for i, in := range inputs {
-		reqs[i] = RunRequest{Index: i, Input: in, Seed: d.rng.Int63()}
-	}
 	var classes []InputClass
 	index := make(map[[32]byte]int)
-	sink := newOrderedSink(0, func(i int, t *trace.ProgramTrace) error {
+	err := d.RecordEach(ctx, p, inputs, func(i int, t *trace.ProgramTrace) error {
 		h := t.Hash()
 		if ci, ok := index[h]; ok {
 			classes[ci].Members++
@@ -450,11 +450,8 @@ func (d *Detector) ClassifyContext(ctx context.Context, p cuda.Program, inputs [
 		classes = append(classes, InputClass{Hash: h, Rep: inputs[i], Members: 1, Trace: t})
 		return nil
 	})
-	if err := d.runner.RecordStream(ctx, p, reqs, d.recipe, d.countingSink(sink.Sink)); err != nil {
+	if err != nil {
 		return nil, err
-	}
-	if n := sink.delivered(); n != len(inputs) {
-		return nil, fmt.Errorf("core: runner delivered %d traces for %d requests", n, len(inputs))
 	}
 	return classes, nil
 }
@@ -502,13 +499,13 @@ func (d *Detector) DetectContext(ctx context.Context, p cuda.Program, inputs [][
 
 	if !d.opts.FilterDuplicates {
 		// Ablation: analyze every input as its own class.
-		var all []InputClass
-		for _, in := range inputs {
-			t, err := d.recordSeeded(ctx, p, in, d.rng.Int63())
-			if err != nil {
-				return nil, err
-			}
-			all = append(all, InputClass{Rep: in, Members: 1, Trace: t})
+		all := make([]InputClass, len(inputs))
+		err := d.RecordEach(ctx, p, inputs, func(i int, t *trace.ProgramTrace) error {
+			all[i] = InputClass{Rep: inputs[i], Members: 1, Trace: t}
+			return nil
+		})
+		if err != nil {
+			return nil, err
 		}
 		classes = all
 	} else if len(classes) == 1 && len(inputs) > 1 {
@@ -585,10 +582,10 @@ func (d *Detector) analyzeClass(ctx context.Context, p cuda.Program, cls InputCl
 	}
 	genRNG := rand.New(rand.NewSource(d.rng.Int63()))
 	for i := range fixed.reqs {
-		fixed.reqs[i] = RunRequest{Index: i, Input: cls.Rep, Seed: d.rng.Int63()}
+		fixed.reqs[i] = RunRequest{Input: cls.Rep, Seed: d.rng.Int63()}
 	}
 	for i := range random.reqs {
-		random.reqs[i] = RunRequest{Index: i, Input: gen(genRNG), Seed: d.rng.Int63()}
+		random.reqs[i] = RunRequest{Input: gen(genRNG), Seed: d.rng.Int63()}
 	}
 
 	var (
@@ -596,15 +593,9 @@ func (d *Detector) analyzeClass(ctx context.Context, p cuda.Program, cls InputCl
 		merged    int // runs merged for this class, both regimes
 	)
 	// record streams the regime's next n requests through the runner into
-	// its consumers. Request indexes are rebased so every chunk is a
-	// self-contained batch for the Runner contract.
+	// its consumers.
 	record := func(ctx context.Context, rg *classRegime, n int) error {
-		chunk := make([]RunRequest, n)
-		for i, req := range rg.reqs[rg.used : rg.used+n] {
-			req.Index = i
-			chunk[i] = req
-		}
-		sink := newOrderedSink(0, func(_ int, t *trace.ProgramTrace) error {
+		err := d.recordStream(ctx, p, rg.reqs[rg.used:rg.used+n], func(_ int, t *trace.ProgramTrace) error {
 			// The span feeds owld's latency histograms; mergeTime feeds
 			// Report.Stats.EvidenceTime, which must work without a recorder.
 			_, msp := obs.Start(ctx, "evidence.merge")
@@ -623,11 +614,8 @@ func (d *Detector) analyzeClass(ctx context.Context, p cuda.Program, cls InputCl
 			d.trackRAM(ctx, report)
 			return nil
 		})
-		if err := d.runner.RecordStream(ctx, p, chunk, d.recipe, d.countingSink(sink.Sink)); err != nil {
+		if err != nil {
 			return err
-		}
-		if got := sink.delivered(); got != n {
-			return fmt.Errorf("core: runner delivered %d traces for %d requests", got, n)
 		}
 		rg.used += n
 		return nil

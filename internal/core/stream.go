@@ -9,6 +9,7 @@ package core
 import (
 	"context"
 	"sync"
+	"sync/atomic"
 
 	"owl/internal/cuda"
 	"owl/internal/obs"
@@ -136,13 +137,30 @@ func OrderedSink(window int, consume func(idx int, t *trace.ProgramTrace) error)
 	return newOrderedSink(window, consume).Sink
 }
 
-// StreamParallel is Owl's one recording fan-out: it dispatches requests
-// in index order, each onto a goroutine holding one of slots, and streams
-// each completed trace into sink. The built-in Workers runner passes a
-// per-batch slot set; service.Pool passes its daemon-wide one, so every
-// job shares the bound. In-order dispatch is a hard requirement — ordered
-// sinks rely on it to stay deadlock-free. The first record or sink error
-// cancels the remaining work and is returned after in-flight runs unwind.
+// RunError is the failure of one request of a StreamParallel batch. It
+// prints and unwraps as the underlying error and adds which request
+// failed, so a remote worker can name the failing run. StreamParallel
+// wraps every record error in one; a sink may return one for a failure
+// of the run it was handed.
+type RunError struct {
+	Index int // the failing request's RunRequest.Index
+	Err   error
+}
+
+func (e *RunError) Error() string { return e.Err.Error() }
+func (e *RunError) Unwrap() error { return e.Err }
+
+// StreamParallel is Owl's one recording fan-out, the only code that
+// dispatches runs: up to cap(slots) recording goroutines each take a
+// slot, then the next request in index order, record it and stream its
+// trace into sink, until the batch runs out. The built-in runner passes a
+// per-batch slot set (one slot records sequentially); service.Pool and
+// cluster workers pass their process-wide one, so every batch shares the
+// bound. In-order dispatch is a hard requirement — ordered sinks rely on
+// it to stay deadlock-free — and holds because a request is taken only by
+// a goroutine that already holds a slot. The first record or sink error
+// cancels the remaining work and is returned after in-flight runs unwind;
+// a record error comes back as a *RunError.
 func StreamParallel(ctx context.Context, slots chan struct{}, p cuda.Program, reqs []RunRequest, recipe Recipe, sink TraceSink) error {
 	parent := ctx
 	ctx, cancel := context.WithCancel(ctx)
@@ -151,6 +169,7 @@ func StreamParallel(ctx context.Context, slots chan struct{}, p cuda.Program, re
 	var (
 		wg       sync.WaitGroup
 		mu       sync.Mutex
+		next     atomic.Int64 // the next request to take
 		firstErr error
 	)
 	fail := func(err error) {
@@ -161,25 +180,31 @@ func StreamParallel(ctx context.Context, slots chan struct{}, p cuda.Program, re
 		mu.Unlock()
 		cancel()
 	}
-dispatch:
-	for _, req := range reqs {
-		select {
-		case slots <- struct{}{}:
-		case <-ctx.Done():
-			break dispatch
-		}
+	for range min(cap(slots), len(reqs)) {
 		wg.Add(1)
-		go func(req RunRequest) {
+		go func() {
 			defer wg.Done()
-			defer func() { <-slots }()
-			t, err := recipe.Record(ctx, p, req.Input, req.Seed)
-			if err == nil {
-				err = sink(ctx, RunResult{Index: req.Index, Trace: t})
+			for {
+				select {
+				case slots <- struct{}{}:
+				case <-ctx.Done():
+					return
+				}
+				i := int(next.Add(1)) - 1
+				if i >= len(reqs) {
+					<-slots
+					return
+				}
+				req := reqs[i]
+				t, err := recipe.Record(ctx, p, req.Input, req.Seed)
+				if err != nil {
+					fail(&RunError{Index: req.Index, Err: err})
+				} else if err := sink(ctx, RunResult{Index: req.Index, Trace: t}); err != nil {
+					fail(err)
+				}
+				<-slots
 			}
-			if err != nil {
-				fail(err)
-			}
-		}(req)
+		}()
 	}
 	wg.Wait()
 	mu.Lock()

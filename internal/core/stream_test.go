@@ -197,7 +197,8 @@ func TestNewDetectorRejectsWorkersAndRunner(t *testing.T) {
 }
 
 // TestStreamParallelFirstError checks the fan-out engine reports the
-// first failure and stops dispatching.
+// first failure, as a RunError naming its request that prints like the
+// record error, and stops dispatching.
 func TestStreamParallelFirstError(t *testing.T) {
 	p := &gateProgram{failOn: 4}
 	reqs := gateReqs(64)
@@ -206,6 +207,13 @@ func TestStreamParallelFirstError(t *testing.T) {
 	err := StreamParallel(context.Background(), make(chan struct{}, 2), p, reqs, recipe, sink)
 	if !errors.Is(err, errGate) {
 		t.Fatalf("got %v, want the record error", err)
+	}
+	var runErr *RunError
+	if !errors.As(err, &runErr) || runErr.Index != 3 {
+		t.Fatalf("got %#v, want a RunError for request 3", err)
+	}
+	if err.Error() != runErr.Err.Error() {
+		t.Errorf("RunError prints %q, the record error %q", err.Error(), runErr.Err.Error())
 	}
 	p.mu.Lock()
 	defer p.mu.Unlock()

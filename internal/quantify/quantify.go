@@ -12,10 +12,16 @@
 //     with the secret but is (nearly) pinned once the secret is fixed —
 //     i.e. the observation encodes the secret. The AES T-table lookups
 //     score close to 8 bits; constant-execution code scores ~0.
+//
+// Quantify records through the detector's Runner (Detector.RecordEach),
+// like every other recording, so the detector's Workers or Runner option
+// parallelizes it without changing an estimate, and each trace is
+// released as soon as it is merged.
 package quantify
 
 import (
 	"cmp"
+	"context"
 	"fmt"
 	"math"
 	"slices"
@@ -24,6 +30,7 @@ import (
 	"owl/internal/core"
 	"owl/internal/cuda"
 	"owl/internal/myers"
+	"owl/internal/trace"
 )
 
 // FeatureKind distinguishes quantified features.
@@ -88,7 +95,9 @@ func (r *Report) MaxJSD() float64 {
 }
 
 // Quantify records runs fixed-input and random-input executions through
-// det, merges them into evidence, and estimates per-feature leakage.
+// det, merges each trace into evidence as it arrives, and estimates
+// per-feature leakage. Seeds and inputs are drawn in one order for any
+// worker count, so the estimates are too.
 func Quantify(det *core.Detector, p cuda.Program, fixed []byte, gen cuda.InputGen, runs int) (*Report, error) {
 	if runs < 2 {
 		return nil, fmt.Errorf("quantify: need at least 2 runs, got %d", runs)
@@ -96,21 +105,28 @@ func Quantify(det *core.Detector, p cuda.Program, fixed []byte, gen cuda.InputGe
 	if gen == nil {
 		return nil, fmt.Errorf("quantify: nil input generator")
 	}
-	eFix, eRnd := core.NewEvidence(), core.NewEvidence()
-	for i := 0; i < runs; i++ {
-		tr, err := det.RecordOnce(p, fixed)
-		if err != nil {
-			return nil, err
+	ctx := context.Background()
+	merge := func(ev *core.Evidence) func(int, *trace.ProgramTrace) error {
+		return func(_ int, t *trace.ProgramTrace) error {
+			ev.AddRun(t)
+			trace.Release(t)
+			return nil
 		}
-		eFix.AddRun(tr)
+	}
+	inputs := make([][]byte, runs)
+	for i := range inputs {
+		inputs[i] = fixed
+	}
+	eFix, eRnd := core.NewEvidence(), core.NewEvidence()
+	if err := det.RecordEach(ctx, p, inputs, merge(eFix)); err != nil {
+		return nil, err
 	}
 	genRNG := det.GenRNG()
-	for i := 0; i < runs; i++ {
-		tr, err := det.RecordOnce(p, gen(genRNG))
-		if err != nil {
-			return nil, err
-		}
-		eRnd.AddRun(tr)
+	for i := range inputs {
+		inputs[i] = gen(genRNG)
+	}
+	if err := det.RecordEach(ctx, p, inputs, merge(eRnd)); err != nil {
+		return nil, err
 	}
 	return FromEvidence(p.Name(), eFix, eRnd), nil
 }

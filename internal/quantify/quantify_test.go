@@ -3,6 +3,7 @@ package quantify
 import (
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"owl/internal/adcfg"
@@ -45,6 +46,32 @@ func TestAESLookupsCarryKeyBits(t *testing.T) {
 	}
 	if !foundStrong {
 		t.Errorf("no strong memory feature among the top estimates: %+v", top)
+	}
+}
+
+// TestQuantifyWorkersAgree quantifies aes128 on one recording worker and
+// on four: the estimates must be equal, bit for bit.
+func TestQuantifyWorkersAgree(t *testing.T) {
+	aes := gpucrypto.NewAES(gpucrypto.WithBlocks(16))
+	var reps []*Report
+	for _, workers := range []int{1, 4} {
+		o := core.DefaultOptions()
+		o.Workers = workers
+		det, err := core.NewDetector(o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rep, err := Quantify(det, aes, []byte("0123456789abcdef"), gpucrypto.KeyGen(), 10)
+		if err != nil {
+			t.Fatal(err)
+		}
+		reps = append(reps, rep)
+	}
+	if len(reps[0].Estimates) == 0 {
+		t.Fatal("no estimates")
+	}
+	if !reflect.DeepEqual(reps[0], reps[1]) {
+		t.Errorf("4-worker estimates differ from sequential:\n1: %+v\n4: %+v", reps[0].Top(3), reps[1].Top(3))
 	}
 }
 

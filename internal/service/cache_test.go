@@ -7,26 +7,39 @@ import (
 	"testing"
 	"time"
 
+	"owl/internal/cluster"
 	"owl/internal/core"
 	"owl/internal/cuda"
 	"owl/internal/gpu"
 	"owl/internal/trace"
 )
 
+// TestCacheKeySensitivity checks the manager's report-cache key,
+// cluster.Fingerprint: the program and every option that shapes a report
+// move it, and the recording strategy does not.
 func TestCacheKeySensitivity(t *testing.T) {
+	prog := &probeProgram{}
+	key := func(p cuda.Program, opts core.Options) string {
+		t.Helper()
+		k, err := cluster.Fingerprint(context.Background(), p, [][]byte{{1}}, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return k
+	}
 	base := core.DefaultOptions()
-	k := CacheKey("p", base)
-	if CacheKey("q", base) == k {
+	k := key(prog, base)
+	if key(renamedProbe{prog}, base) == k {
 		t.Error("program name not in key")
 	}
 	changed := base
 	changed.Seed++
-	if CacheKey("p", changed) == k {
+	if key(prog, changed) == k {
 		t.Error("seed not in key")
 	}
 	changed = base
 	changed.FixedRuns++
-	if CacheKey("p", changed) == k {
+	if key(prog, changed) == k {
 		t.Error("fixed runs not in key")
 	}
 	// The cost channel changes the recorded traces (cost sites join the
@@ -35,12 +48,12 @@ func TestCacheKeySensitivity(t *testing.T) {
 	changed = base
 	changed.Evidence.Mode = core.EvidenceBoth
 	changed.Evidence.Channels = []string{core.ChannelADCFG, core.ChannelCost}
-	costKey := CacheKey("p", changed)
+	costKey := key(prog, changed)
 	if costKey == k {
 		t.Error("evidence channels not in key")
 	}
 	changed.Evidence.Channels = []string{core.ChannelADCFG}
-	if CacheKey("p", changed) == costKey {
+	if key(prog, changed) == costKey {
 		t.Error("channel list content not in key")
 	}
 	// Workers and Runner do not influence results, so they must not
@@ -48,25 +61,8 @@ func TestCacheKeySensitivity(t *testing.T) {
 	concurrent := base
 	concurrent.Workers = 8
 	concurrent.Runner = NewPool(2).Runner(nil)
-	if CacheKey("p", concurrent) != k {
+	if key(prog, concurrent) != k {
 		t.Error("recording strategy leaked into the cache key")
-	}
-}
-
-// TestCacheKeyPinned pins the manager's cache key for one program and a
-// both+cost, early-stopping option set. The literal was computed before
-// the key and cluster.Fingerprint came to share cluster.OptionsKey.
-func TestCacheKeyPinned(t *testing.T) {
-	const want = "b1169bae07ac1372449ea84f384097d5a6362abb7b279f8deaadaf459ca0abca"
-	opts := core.DefaultOptions()
-	opts.FixedRuns, opts.RandomRuns = 20, 20
-	opts.Evidence = core.EvidenceConfig{
-		Mode:      core.EvidenceBoth,
-		Channels:  []string{core.ChannelADCFG, core.ChannelCost},
-		EarlyStop: core.EarlyStopPolicy{Enabled: true},
-	}
-	if got := CacheKey("libgpucrypto/aes128", opts); got != want {
-		t.Errorf("CacheKey = %s, want %s", got, want)
 	}
 }
 
@@ -157,3 +153,8 @@ func (p *probeProgram) Run(ctx *cuda.Context, input []byte) error {
 	_, err := ctx.Malloc(int64(input[0]) + 1)
 	return err
 }
+
+// renamedProbe is probeProgram under another name.
+type renamedProbe struct{ *probeProgram }
+
+func (renamedProbe) Name() string { return "probe2" }

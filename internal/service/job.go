@@ -36,6 +36,10 @@ type Job struct {
 	// detection: detect, transform, verify, re-detect.
 	Mitigate bool
 
+	// cacheKey is the report's content address (cluster.Fingerprint),
+	// computed once at submission; empty for mitigate jobs and when the
+	// probe run failed.
+	cacheKey string
 	// timeout bounds the job's wall-clock; 0 inherits the manager default.
 	timeout time.Duration
 

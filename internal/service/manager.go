@@ -266,6 +266,13 @@ func (m *Manager) Submit(req JobRequest) (*Job, error) {
 	if _, err := core.NewDetector(opts); err != nil {
 		return nil, err
 	}
+	// The report-cache key is the result's content address, shared with
+	// the fleet cache. A probe failure leaves it empty: a miss, and no
+	// fill. Mitigate jobs bypass the caches.
+	var cacheKey string
+	if !req.Mitigate {
+		cacheKey, _ = cluster.Fingerprint(context.Background(), target.Program, target.Inputs, opts)
+	}
 
 	m.mu.Lock()
 	if m.draining {
@@ -278,6 +285,7 @@ func (m *Manager) Submit(req JobRequest) (*Job, error) {
 		Program:  target.Program.Name(),
 		Opts:     opts,
 		Mitigate: req.Mitigate,
+		cacheKey: cacheKey,
 		state:    StateQueued,
 		created:  time.Now(),
 		done:     make(chan struct{}),
@@ -296,7 +304,7 @@ func (m *Manager) Submit(req JobRequest) (*Job, error) {
 	m.metrics.JobTransition("", StateQueued)
 
 	if !job.Mitigate {
-		if cached, ok := m.cache.Get(CacheKey(job.Program, opts)); ok {
+		if cached, ok := m.cache.Get(cacheKey); ok {
 			m.metrics.CacheHits.Add(1)
 			job.mu.Lock()
 			job.cacheHit = true
@@ -519,21 +527,17 @@ func (m *Manager) execute(ctx context.Context, job *Job) error {
 
 	// Fleet jobs consult the shared content-addressed cache first: any
 	// node that already computed this (kernel hash, options) result
-	// answers for the whole fleet. Fingerprint failures just fall through
-	// to a normal detection.
-	var sharedKey string
-	if useFleet {
-		if key, err := cluster.Fingerprint(ctx, target.Program, target.Inputs, opts); err == nil {
-			sharedKey = key
-			if rep, ok := fleet.CacheGet(ctx, key); ok {
-				m.metrics.CacheHits.Add(1)
-				job.mu.Lock()
-				job.cacheHit = true
-				job.report = rep
-				job.classes = rep.Classes
-				job.mu.Unlock()
-				return nil
-			}
+	// answers for the whole fleet. A job without a key just runs.
+	key := job.cacheKey
+	if useFleet && key != "" {
+		if rep, ok := fleet.CacheGet(ctx, key); ok {
+			m.metrics.CacheHits.Add(1)
+			job.mu.Lock()
+			job.cacheHit = true
+			job.report = rep
+			job.classes = rep.Classes
+			job.mu.Unlock()
+			return nil
 		}
 	}
 
@@ -549,9 +553,11 @@ func (m *Manager) execute(ctx context.Context, job *Job) error {
 	job.mu.Lock()
 	job.report = report
 	job.mu.Unlock()
-	m.cache.Add(CacheKey(job.Program, job.Opts), report)
-	if useFleet && sharedKey != "" {
-		fleet.CachePut(ctx, sharedKey, report)
+	if key != "" {
+		m.cache.Add(key, report)
+		if useFleet {
+			fleet.CachePut(ctx, key, report)
+		}
 	}
 	return nil
 }

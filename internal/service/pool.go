@@ -2,8 +2,8 @@
 // batch-processing detection service: a bounded worker pool that
 // parallelizes trace recording (Runner/Pool), an in-memory job manager
 // with states, progress, cancellation and timeouts (Manager), an LRU
-// result cache keyed by workload and options, expvar metrics, and the
-// HTTP/JSON API served by cmd/owld.
+// result cache keyed by content (cluster.Fingerprint), expvar metrics,
+// and the HTTP/JSON API served by cmd/owld.
 package service
 
 import (
