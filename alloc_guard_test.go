@@ -1,18 +1,29 @@
 package owl_test
 
 // TestWarpInterpAllocsCostOff pins the per-execution allocation counts of
-// the untraced fast path. The microarchitectural cost channel rides the
-// same interpreter, so this guard is what keeps cost-off runs paying
-// nothing for it: a hook wired into the hot loop unconditionally, or a
-// collector allocated per warp regardless of the channel list, shows up
-// here as an extra alloc before it shows up as a benchgate regression.
+// the untraced fast path, both on one context reset between executions
+// (the way a recording goroutine reuses its run state) and on a new
+// context per execution (NewContext, as equivalence checking, baselines
+// and owlperf's replay use it: six allocations above the reset path, for
+// the Context and Device and the event-log, call-stack and
+// allocation-table backing arrays a reset context keeps). The
+// microarchitectural cost channel
+// rides the same interpreter, so this guard is what keeps cost-off runs
+// paying nothing for it: a hook wired into the hot loop unconditionally,
+// or a collector allocated per warp regardless of the channel list, shows
+// up here as an extra alloc before it shows up as a benchgate regression.
+// What remains is the programs' own host work (buffers, launch
+// parameters, device-to-host copies).
 
 import (
+	"context"
 	"math/rand"
+	"runtime/debug"
 	"testing"
 
 	"owl/internal/core"
 	"owl/internal/cuda"
+	"owl/internal/experiments"
 	"owl/internal/gpu"
 	"owl/internal/trace"
 	"owl/internal/tracer"
@@ -25,19 +36,22 @@ func TestWarpInterpAllocsCostOff(t *testing.T) {
 		name   string
 		prog   func() (cuda.Program, error)
 		input  []byte
-		allocs float64
+		allocs float64 // per execution on a reset context
+		fresh  float64 // per execution on a new context
 	}{
 		{
 			name:   "aes128",
 			prog:   func() (cuda.Program, error) { return gpucrypto.NewAES(gpucrypto.WithBlocks(16)), nil },
 			input:  []byte("0123456789abcdef"),
-			allocs: 5,
+			allocs: 3,
+			fresh:  11,
 		},
 		{
 			name:   "rsa",
 			prog:   func() (cuda.Program, error) { return gpucrypto.NewRSA(gpucrypto.WithMessages(16)), nil },
 			input:  []byte{0xff, 0x00, 0xff, 0x00, 0xff, 0x00, 0xff, 0x00},
-			allocs: 6,
+			allocs: 4,
+			fresh:  12,
 		},
 		{
 			name: "jpeg-encode",
@@ -46,7 +60,8 @@ func TestWarpInterpAllocsCostOff(t *testing.T) {
 				return enc, err
 			},
 			input:  jpeg.SynthImage(16, 16, 1),
-			allocs: 13,
+			allocs: 8,
+			fresh:  18,
 		},
 	}
 	for _, tc := range cases {
@@ -55,18 +70,37 @@ func TestWarpInterpAllocsCostOff(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			rng := rand.New(rand.NewSource(1))
-			// Warm once so pool priming and lazy program caches do not
-			// count against the steady state.
-			warm, err := cuda.NewContext(gpu.DefaultConfig(), rng, nil)
+			// One context reset for every execution, as a recording
+			// goroutine runs them; warm once so pool priming and lazy
+			// program caches do not count against the steady state.
+			ctx, err := cuda.NewSeededContext(gpu.DefaultConfig(), 1, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := p.Run(warm, tc.input); err != nil {
+			defer ctx.Close()
+			seed := int64(1)
+			run := func() {
+				seed++
+				if err := ctx.Reset(seed); err != nil {
+					t.Fatal(err)
+				}
+				if err := p.Run(ctx, tc.input); err != nil {
+					t.Fatal(err)
+				}
+			}
+			run()
+			got := testing.AllocsPerRun(50, run)
+			if got != tc.allocs {
+				t.Errorf("allocs/exec = %v, want %v (cost-off fast path regressed)", got, tc.allocs)
+			}
+		})
+		t.Run(tc.name+"-new-context", func(t *testing.T) {
+			p, err := tc.prog()
+			if err != nil {
 				t.Fatal(err)
 			}
-			warm.Close()
-			got := testing.AllocsPerRun(50, func() {
+			rng := rand.New(rand.NewSource(1))
+			run := func() {
 				ctx, err := cuda.NewContext(gpu.DefaultConfig(), rng, nil)
 				if err != nil {
 					t.Fatal(err)
@@ -75,29 +109,32 @@ func TestWarpInterpAllocsCostOff(t *testing.T) {
 					t.Fatal(err)
 				}
 				ctx.Close()
-			})
-			if got != tc.allocs {
-				t.Errorf("allocs/exec = %v, want %v (cost-off fast path regressed)", got, tc.allocs)
+			}
+			run() // prime the arena pool and lazy program caches
+			if got := testing.AllocsPerRun(50, run); got != tc.fresh {
+				t.Errorf("allocs/exec = %v, want %v (cost-off fast path regressed)", got, tc.fresh)
 			}
 		})
 	}
 }
 
-// TestTracedRunAllocs pins the allocations of one traced execution,
-// recorded and released the way detection records every run. Warps fold
-// straight into the invocation graph through pooled folders reused from
-// block to block, so the count does not grow with the warp count: a
-// per-warp graph or folder adds several allocations per warp (16 warps on
-// the wide aes128 cases, 2 on the others) and fails the wide plain case,
-// whose limit sits 20 above its steady state of 23-24. The cost-on cases
-// read 27-29 with the dense cost collector; both limits sit 11-13 above
-// that, like the narrow plain case's, so one allocation added per warp
-// (16 more) fails the wide cost case. The aes128 limits sit above the
-// steady state because a collection that empties the graph pools makes
-// the next runs refill them. nvjpeg/encode launches four kernels per
-// run; its limit sits a few allocations above its steady state of 77-78,
-// so a folder or transition-state buffer allocated per launch instead of
-// pooled fails it.
+// TestTracedRunAllocs pins the allocations of one traced execution on a
+// fresh tracer and seeded context, released the way detection releases
+// every trace: the whole setup a run on a new run state pays, the
+// context's lazily built generator included. Warps fold straight into
+// the invocation graph through pooled folders reused from block to block,
+// so the count does not grow with the warp count: a per-warp graph or
+// folder adds several allocations per warp (16 warps on the wide aes128
+// cases, 2 on the others) and fails the wide plain case, whose limit sits
+// 20 above its steady state of 21-22. The cost-on cases read 27-28 with
+// the dense cost collector; both limits sit 12-13 above that, like the
+// narrow plain case's, so one allocation added per warp (16 more) fails
+// the wide cost case. The aes128 limits sit above the steady state
+// because a collection that empties the graph pools makes the next runs
+// refill them. nvjpeg/encode launches four kernels per run; its limit
+// sits a few allocations above its steady state of 47-48, so a folder or
+// transition-state buffer allocated per launch instead of pooled fails
+// it, and so does a math/rand source seeded per run (two allocations).
 func TestTracedRunAllocs(t *testing.T) {
 	aes := func(blocks int) func() (cuda.Program, []byte) {
 		return func() (cuda.Program, []byte) {
@@ -123,16 +160,17 @@ func TestTracedRunAllocs(t *testing.T) {
 				}
 				return enc, jpeg.SynthImage(16, 16, 1)
 			},
-			max: 80,
+			max: 52,
 		},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			p, input := tc.prog()
-			rng := rand.New(rand.NewSource(1))
+			seed := int64(0)
 			run := func() {
+				seed++
 				tr := tracer.New(p.Name(), tc.opts...)
-				ctx, err := cuda.NewContext(gpu.DefaultConfig(), rng, tr)
+				ctx, err := cuda.NewSeededContext(gpu.DefaultConfig(), seed, tr)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -186,5 +224,56 @@ func TestEvidenceAddRunAllocs(t *testing.T) {
 	})
 	if got > limit {
 		t.Errorf("allocs/AddRun = %v, want at most %v (per-histogram work in the evidence merge?)", got, limit)
+	}
+}
+
+// TestRecordBatchAllocs pins the allocations per run of the detector's
+// own recording path: a core.StreamParallel batch of 64 runs through a
+// core.Recipe, one slot, every trace released as the evidence merge
+// releases it. The garbage collector is off, so a collection that drains
+// the pools mid-measurement cannot add noise. Both programs read 8.45:
+// eight allocations per run (the trace, its invocation, their two
+// slices, the program's own host buffers, and the cost sites or the
+// tokenizer's text) plus the batch's own setup spread over its runs. The
+// limit of 9 fails one allocation more per run, such as a context,
+// device, tracer or launch scratch built per run instead of reset.
+func TestRecordBatchAllocs(t *testing.T) {
+	cases := []struct {
+		name string
+		prog string
+		cost bool
+		max  float64
+	}{
+		{name: "shmem-leaky-cost", prog: "workloads/shmem-leaky", cost: true, max: 9},
+		{name: "tokenize", prog: "media/tokenize", max: 9},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			target, err := experiments.FindTarget(tc.prog)
+			if err != nil {
+				t.Fatal(err)
+			}
+			const runs = 64
+			gen := rand.New(rand.NewSource(1))
+			reqs := make([]core.RunRequest, runs)
+			for i := range reqs {
+				reqs[i] = core.RunRequest{Index: i, Input: target.Gen(gen), Seed: gen.Int63()}
+			}
+			recipe := core.Recipe{Device: gpu.DefaultConfig(), Rebase: true, Cost: tc.cost}
+			sink := func(_ context.Context, res core.RunResult) error {
+				trace.Release(res.Trace)
+				return nil
+			}
+			batch := func() {
+				if err := core.StreamParallel(context.Background(), make(chan struct{}, 1), target.Program, reqs, recipe, sink); err != nil {
+					t.Fatal(err)
+				}
+			}
+			batch() // prime the pools and the decoded-kernel cache
+			defer debug.SetGCPercent(debug.SetGCPercent(-1))
+			if got := testing.AllocsPerRun(4, batch) / runs; got > tc.max {
+				t.Errorf("allocs/run = %v, want at most %v (per-run setup crept back into the recording path?)", got, tc.max)
+			}
+		})
 	}
 }

@@ -183,6 +183,49 @@ func BenchmarkTable4TraceCollection(b *testing.B) {
 	b.ReportMetric(float64(bytes), "trace-bytes")
 }
 
+// BenchmarkRecordRun measures the detector's per-run recording path, the
+// fixed cost every run of a detection pays: runs stream through
+// core.StreamParallel on one slot, in batches of up to 64 through one
+// core.Recipe, and each trace is released as the evidence merge releases
+// it. One op is one run, so ns/op and allocs/op are per run. The two
+// small-kernel programs are the ones whose detections run 400-800 runs
+// per regime: shmem-leaky with the cost channel, and the tokenizer.
+func BenchmarkRecordRun(b *testing.B) {
+	for _, bc := range []struct {
+		name, prog string
+		cost       bool
+	}{
+		{"shmem-leaky-cost", "workloads/shmem-leaky", true},
+		{"tokenize", "media/tokenize", false},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			target, err := experiments.FindTarget(bc.prog)
+			if err != nil {
+				b.Fatal(err)
+			}
+			const batch = 64
+			gen := rand.New(rand.NewSource(1))
+			reqs := make([]core.RunRequest, batch)
+			for i := range reqs {
+				reqs[i] = core.RunRequest{Index: i, Input: target.Gen(gen), Seed: gen.Int63()}
+			}
+			recipe := core.Recipe{Device: gpu.DefaultConfig(), Rebase: true, Cost: bc.cost}
+			sink := func(_ context.Context, res core.RunResult) error {
+				trace.Release(res.Trace)
+				return nil
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for done := 0; done < b.N; done += batch {
+				n := min(batch, b.N-done)
+				if err := core.StreamParallel(context.Background(), make(chan struct{}, 1), target.Program, reqs[:n], recipe, sink); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
 // BenchmarkTable4EvidenceCollection merges pre-recorded fixed-input
 // aes128 runs into evidence: the evidence-merge layer alone. Its
 // histograms hold about 30 cells, so they stay cells; the Random and Both

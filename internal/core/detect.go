@@ -193,8 +193,10 @@ type Detector struct {
 	classes atomic.Int64 // input classes once known
 	phase   atomic.Value // current pipeline phase (string)
 
-	ramMu      sync.Mutex // serializes trackRAM's sample buffer
+	ramMu      sync.Mutex // serializes trackRAM's sample buffer and cache
 	ramSamples []metrics.Sample
+	ramCycles  uint64 // GC cycles completed at the last heap read
+	ramLive    uint64 // live heap bytes as of that read
 }
 
 // NewDetector validates options and returns a detector.
@@ -382,37 +384,46 @@ type Recipe struct {
 // device and returns its trace. The run reports under a `run` span in
 // ctx, with its kernel launches beneath it and, when Cost is on, a
 // microarch_cost_sites counter. Safe for concurrent use: every call
-// builds a private device and context, and programs must not share
-// mutable state across Run calls.
+// records on a fresh run state, and programs must not share mutable
+// state across Run calls. StreamParallel records the same way, on one
+// run state per recording goroutine.
 func (r Recipe) Record(ctx context.Context, p cuda.Program, input []byte, seed int64) (*trace.ProgramTrace, error) {
+	s := runState{recipe: r}
+	defer s.close()
+	return s.record(ctx, p, input, seed)
+}
+
+// runState is what one run is recorded on: a context, with its device and
+// arena, and the tracer observing it. A recording goroutine keeps one for
+// every run it records and resets it between runs, so a run costs little
+// more than the kernel work it traces. The zero value with a recipe is
+// ready; the first run builds the context and tracer.
+type runState struct {
+	recipe Recipe
+	ctx    *cuda.Context // nil until the first run
+	tr     *tracer.Tracer
+}
+
+// record is the run recipe: it executes one seeded instrumented run of p
+// on the state (see Recipe.Record) and returns its trace, which the state
+// no longer references.
+func (s *runState) record(ctx context.Context, p cuda.Program, input []byte, seed int64) (*trace.ProgramTrace, error) {
 	rctx, sp := obs.Start(ctx, "run")
 	sp.SetInt("input_bytes", int64(len(input)))
 	defer sp.End()
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	var topts []tracer.Option
-	if !r.Rebase {
-		topts = append(topts, tracer.WithoutRebase())
-	}
-	if r.Cost {
-		topts = append(topts, tracer.WithCost())
-	}
-	tr := tracer.New(p.Name(), topts...)
-	cctx, err := cuda.NewContext(r.Device, rand.New(rand.NewSource(seed)), kernelObserver{Tracer: tr, harvest: r.Harvest})
-	if err != nil {
+	if err := s.reset(p.Name(), seed); err != nil {
 		return nil, err
 	}
-	// The trace captures everything the pipeline needs; the context's
-	// device arena goes back to the shared pool the moment the run ends.
-	defer cctx.Close()
-	cctx.SetObsContext(rctx)
-	if err := p.Run(cctx, input); err != nil {
+	s.ctx.SetObsContext(rctx)
+	if err := p.Run(s.ctx, input); err != nil {
 		return nil, fmt.Errorf("core: program %s: %w", p.Name(), err)
 	}
-	t := tr.Trace()
-	sp.SetInt("instructions", cctx.Stats().Instructions)
-	if r.Cost {
+	t := s.tr.Trace()
+	sp.SetInt("instructions", s.ctx.Stats().Instructions)
+	if s.recipe.Cost {
 		// The cost observables were folded inline during the run, so their
 		// time is the run span's; only the site count is recorded.
 		sites := 0
@@ -422,6 +433,37 @@ func (r Recipe) Record(ctx context.Context, p cuda.Program, input []byte, seed i
 		obs.Counter(rctx, "microarch_cost_sites", float64(sites))
 	}
 	return t, nil
+}
+
+// reset readies the state for a run of program with seed: a fresh trace,
+// and a context as cuda.NewSeededContext leaves it.
+func (s *runState) reset(program string, seed int64) error {
+	if s.ctx != nil {
+		s.tr.Reset(program)
+		return s.ctx.Reset(seed)
+	}
+	var topts []tracer.Option
+	if !s.recipe.Rebase {
+		topts = append(topts, tracer.WithoutRebase())
+	}
+	if s.recipe.Cost {
+		topts = append(topts, tracer.WithCost())
+	}
+	s.tr = tracer.New(program, topts...)
+	cctx, err := cuda.NewSeededContext(s.recipe.Device, seed, kernelObserver{Tracer: s.tr, harvest: s.recipe.Harvest})
+	if err != nil {
+		return err
+	}
+	s.ctx = cctx
+	return nil
+}
+
+// close hands the state's device arena back to the shared pool; the
+// state's next run, if any, draws one again as its context resets.
+func (s *runState) close() {
+	if s.ctx != nil {
+		s.ctx.Device().Release()
+	}
 }
 
 // Classify performs the duplicates-removing phase over the user inputs.
@@ -689,10 +731,14 @@ func (d *Detector) analyzeClass(ctx context.Context, p cuda.Program, cls InputCl
 }
 
 // heapLiveSamples is the reusable runtime/metrics query of trackRAM:
-// live heap as of the last GC, plus the currently allocated object bytes
-// as a fallback before the first collection. Reading named metrics is
-// cheap (no stop-the-world), so sampling per merge is affordable.
+// completed GC cycles, live heap as of the last GC, and the currently
+// allocated object bytes as a fallback before the first collection. The
+// cycle count is cheap to read; the heap metrics need the runtime to sum
+// every P's heap statistics, so trackRAM reads them only when a cycle
+// has completed since its last read (live heap changes only then), or
+// while no GC has run yet.
 var heapLiveSamples = []metrics.Sample{
+	{Name: "/gc/cycles/total:gc-cycles"},
 	{Name: "/gc/heap/live:bytes"},
 	{Name: "/memory/classes/heap/objects:bytes"},
 }
@@ -700,14 +746,18 @@ var heapLiveSamples = []metrics.Sample{
 func (d *Detector) trackRAM(ctx context.Context, report *Report) {
 	d.ramMu.Lock()
 	defer d.ramMu.Unlock()
-	metrics.Read(d.ramSamples)
-	live := d.ramSamples[0].Value.Uint64()
-	if live == 0 {
-		// No GC cycle yet: fall back to allocated object bytes, an
-		// over-approximation (it includes garbage) that only matters for
-		// detections small enough never to trigger a collection.
-		live = d.ramSamples[1].Value.Uint64()
+	metrics.Read(d.ramSamples[:1])
+	if cycles := d.ramSamples[0].Value.Uint64(); cycles == 0 || cycles != d.ramCycles {
+		metrics.Read(d.ramSamples[1:])
+		d.ramCycles, d.ramLive = cycles, d.ramSamples[1].Value.Uint64()
+		if d.ramLive == 0 {
+			// No GC cycle yet: fall back to allocated object bytes, an
+			// over-approximation (it includes garbage) that only matters
+			// for detections small enough never to trigger a collection.
+			d.ramLive = d.ramSamples[2].Value.Uint64()
+		}
 	}
+	live := d.ramLive
 	if live > report.Stats.PeakAllocBytes {
 		report.Stats.PeakAllocBytes = live
 	}

@@ -184,11 +184,27 @@ func StreamParallel(ctx context.Context, slots chan struct{}, p cuda.Program, re
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			// The goroutine records every run it takes on one run state,
+			// built by its first run and reset for each next one. It holds
+			// the state's device arena only while it holds a slot: when the
+			// slot set is taken (other batches share a process-wide one), it
+			// closes the state before it waits, and the next run draws an
+			// arena again. So live arenas never outnumber slots.
+			st := runState{recipe: recipe}
+			defer st.close()
 			for {
+				if ctx.Err() != nil {
+					return
+				}
 				select {
 				case slots <- struct{}{}:
-				case <-ctx.Done():
-					return
+				default:
+					st.close()
+					select {
+					case slots <- struct{}{}:
+					case <-ctx.Done():
+						return
+					}
 				}
 				i := int(next.Add(1)) - 1
 				if i >= len(reqs) {
@@ -196,7 +212,7 @@ func StreamParallel(ctx context.Context, slots chan struct{}, p cuda.Program, re
 					return
 				}
 				req := reqs[i]
-				t, err := recipe.Record(ctx, p, req.Input, req.Seed)
+				t, err := st.record(ctx, p, req.Input, req.Seed)
 				if err != nil {
 					fail(&RunError{Index: req.Index, Err: err})
 				} else if err := sink(ctx, RunResult{Index: req.Index, Trace: t}); err != nil {

@@ -75,10 +75,13 @@ type Observer interface {
 	OnLaunch(info LaunchInfo) gpu.Instrument
 }
 
-// Context is the host-side runtime handle for one program execution.
+// Context is the host-side runtime handle for one program execution at a
+// time: Reset readies it for the next.
 type Context struct {
+	cfg       gpu.Config
 	dev       *gpu.Device
-	rng       *rand.Rand
+	seed      int64
+	rng       *rand.Rand // nil until Rand builds it from seed
 	obs       Observer
 	frames    []string
 	sites     []string // joined call-stack path per frame depth; sites[len(frames)-1] is current
@@ -100,24 +103,61 @@ func NewContext(cfg gpu.Config, seedRNG *rand.Rand, obs Observer) (*Context, err
 	if err != nil {
 		return nil, err
 	}
-	c, _ := ctxPool.Get().(*Context)
-	if c == nil {
-		c = new(Context)
-	}
-	// Reuse the event log and call-stack backing arrays (Events copies on
-	// read); outputs is never reused — see Close.
-	*c = Context{
-		dev: dev, rng: seedRNG, obs: obs,
-		frames: c.frames[:0], sites: c.sites[:0], events: c.events[:0],
+	return &Context{cfg: cfg, dev: dev, rng: seedRNG, obs: obs}, nil
+}
+
+// NewSeededContext creates a context over a fresh device whose
+// non-determinism derives from seed alone. It behaves exactly as
+// NewContext(cfg, rand.New(rand.NewSource(seed)), obs), but builds that
+// generator only when the execution draws from it: for the ASLR slide
+// when cfg.ASLR is on, or when the program calls Rand. Seeding a
+// math/rand source costs more than many short kernel runs, and most
+// executions never draw.
+func NewSeededContext(cfg gpu.Config, seed int64, obs Observer) (*Context, error) {
+	c := &Context{cfg: cfg, obs: obs}
+	if err := c.Reset(seed); err != nil {
+		return nil, err
 	}
 	return c, nil
 }
 
-// Contexts are recycled through a pool: detection creates one per
-// instrumented execution, hundreds per run.
-var ctxPool sync.Pool
+// Reset readies the context for its next execution, as though
+// NewSeededContext had just made it with seed and the same device
+// configuration and observer: empty event log, call stack and
+// statistics, no kernel overrides, outputs or observability context,
+// and a device with no allocations whose memory reads as zero. The
+// device keeps its arena, so a context reset for every run allocates
+// none per run; a device whose arena was released draws one from the
+// pool. Slices the previous execution handed out (Outputs,
+// Events) stay valid; DevPtrs from it do not.
+func (c *Context) Reset(seed int64) error {
+	var rng *rand.Rand
+	if c.cfg.ASLR {
+		// The slide is the generator's first draw; Rand hands the program
+		// the same generator, positioned after it.
+		rng = rand.New(rand.NewSource(seed))
+	}
+	dev := c.dev
+	if dev == nil {
+		var err error
+		if dev, err = gpu.NewDevice(c.cfg, rng); err != nil {
+			return err
+		}
+	} else if err := dev.Reset(rng); err != nil {
+		return err
+	}
+	// Reuse the event log and call-stack backing arrays (Events copies on
+	// read); outputs is never reused, since Outputs hands out the live
+	// slice.
+	*c = Context{
+		cfg: c.cfg, dev: dev, seed: seed, rng: rng, obs: c.obs,
+		frames: c.frames[:0], sites: c.sites[:0], events: c.events[:0],
+	}
+	return nil
+}
 
-// Device exposes the underlying device (tests, baselines).
+// Device exposes the underlying device (tests, baselines, and the
+// detector, which releases a waiting run state's arena through it).
 func (c *Context) Device() *gpu.Device { return c.dev }
 
 // SetObsContext attaches an observability context (see internal/obs) to
@@ -129,9 +169,8 @@ func (c *Context) SetObsContext(ctx context.Context) { c.dev.SetObsContext(ctx) 
 
 // Close releases the context's simulated device memory back to the shared
 // arena pool. Neither the context nor any DevPtr obtained from it may be
-// used afterwards. Close is optional — an unclosed context is collected
-// as garbage — but the detection pipeline closes every per-run context to
-// bound its live heap.
+// used afterwards. Close is optional: an unclosed context is collected
+// as garbage.
 func (c *Context) Close() {
 	if c.dev == nil {
 		return
@@ -139,16 +178,21 @@ func (c *Context) Close() {
 	c.dev.Release()
 	c.dev = nil
 	// Outputs() hands callers the live slice, and captured outputs may be
-	// held long after Close (equivalence checking does); drop the backing
-	// array instead of reusing it.
+	// held long after Close (equivalence checking does).
 	c.outputs = nil
-	ctxPool.Put(c)
 }
 
 // Rand returns the program's non-determinism source. Repeated fixed-input
 // executions draw different values from it, which is exactly the noise
-// Owl's distribution test must refuse to flag (§VII).
-func (c *Context) Rand() *rand.Rand { return c.rng }
+// Owl's distribution test must refuse to flag (§VII). A seeded context
+// builds it on first call; with ASLR on it is the generator the slide
+// was drawn from.
+func (c *Context) Rand() *rand.Rand {
+	if c.rng == nil {
+		c.rng = rand.New(rand.NewSource(c.seed))
+	}
+	return c.rng
+}
 
 // Events returns the chronological host API log.
 func (c *Context) Events() []Event {
@@ -200,9 +244,10 @@ func (c *Context) site() string {
 	return c.sites[len(c.frames)-1]
 }
 
-// Call-stack paths repeat across the hundreds of contexts a detection run
-// creates, so the joined strings are interned process-wide: steady-state
-// site() is a slice index and Call allocates nothing.
+// Call-stack paths repeat across the hundreds of runs of a detection, so
+// the joined strings — and the launch stack IDs built the same way — are
+// interned process-wide: steady-state site() is a slice index, and
+// neither Call nor a launch's stack ID allocates.
 var (
 	siteMu     sync.Mutex
 	siteIntern = map[[2]string]string{}
@@ -228,7 +273,7 @@ func (c *Context) nextSeq() int {
 
 // addEvent appends to the host API log, sizing it once up front: typical
 // programs log a handful of events, and growing from nil costs several
-// reallocations per context at detection's hundreds of contexts per run.
+// reallocations; a reset context keeps the grown log.
 func (c *Context) addEvent(e Event) {
 	if c.events == nil {
 		c.events = make([]Event, 0, 16)
@@ -287,7 +332,7 @@ func (c *Context) Launch(k *isa.Kernel, grid, block gpu.Dim3, params ...int64) e
 	if ov := c.overrides[k.Name]; ov != nil {
 		k = ov
 	}
-	stackID := c.site() + "/" + k.Name
+	stackID := internSite(c.site(), k.Name)
 	seq := c.nextSeq()
 	c.addEvent(Event{
 		Kind: EventLaunch, Seq: seq, Site: c.site(), Kernel: k.Name,

@@ -69,7 +69,7 @@ type Config struct {
 
 // DefaultConfig returns a 2 Mi-word (16 MiB) device without ASLR — ample
 // for the evaluated workloads while keeping per-execution setup cheap
-// (detection re-creates the device for every one of its hundreds of runs).
+// (detection resets the device for every one of its hundreds of runs).
 func DefaultConfig() Config {
 	return Config{GlobalWords: 1 << 21, ConstWords: 1 << 16}
 }
@@ -91,7 +91,7 @@ type Device struct {
 	// be copied before any in-place write and never returned to the pool.
 	constShared bool
 
-	// released guards against double-Release returning the device to the
+	// released guards against double-Release returning the arena to the
 	// pool twice.
 	released bool
 	cursor   int64
@@ -116,26 +116,44 @@ func NewDevice(cfg Config, rng *rand.Rand) (*Device, error) {
 	if cfg.GlobalWords <= 0 || cfg.ConstWords < 0 {
 		return nil, fmt.Errorf("gpu: invalid config %+v", cfg)
 	}
-	if cfg.ASLR && rng == nil {
-		return nil, fmt.Errorf("gpu: ASLR requires an rng")
-	}
-	d, _ := devicePool.Get().(*Device)
-	if d == nil {
-		d = new(Device)
-	}
-	*d = Device{
-		cfg:      cfg,
-		global:   newArena(),
-		constant: newConstArena(),
-		allocs:   d.allocs[:0],
-	}
-	if cfg.ASLR {
-		// Slide allocations into the upper half, page (4 KiB = 512 word)
-		// aligned, leaving the lower half for growth.
-		pages := cfg.GlobalWords / 2 / 512
-		d.slide = rng.Int63n(pages) * 512
+	d := &Device{cfg: cfg}
+	if err := d.Reset(rng); err != nil {
+		return nil, err
 	}
 	return d, nil
+}
+
+// Reset returns the device to the state NewDevice leaves it in, so one
+// device can serve execution after execution: no allocations, memory
+// that reads as zero, no observability context, and an ASLR slide drawn
+// from rng (used only when ASLR is on, and may be nil otherwise). The
+// global arena keeps its backing array, which is zeroed as it is
+// materialized again; a released device takes one from the pool.
+func (d *Device) Reset(rng *rand.Rand) error {
+	if d.cfg.ASLR && rng == nil {
+		return fmt.Errorf("gpu: ASLR requires an rng")
+	}
+	if d.global == nil {
+		d.global = newArena()
+	} else {
+		d.global = d.global[:0]
+	}
+	if d.constShared || d.constant == nil {
+		d.constant, d.constShared = newConstArena(), false
+	} else {
+		d.constant = d.constant[:0]
+	}
+	d.released = false
+	d.cursor, d.slide = 0, 0
+	d.allocs = d.allocs[:0]
+	d.obsCtx = nil
+	if d.cfg.ASLR {
+		// Slide allocations into the upper half, page (4 KiB = 512 word)
+		// aligned, leaving the lower half for growth.
+		pages := d.cfg.GlobalWords / 2 / 512
+		d.slide = rng.Int63n(pages) * 512
+	}
+	return nil
 }
 
 // Alloc reserves words of global memory and returns its record.

@@ -3,11 +3,12 @@ package gpu
 // The global-memory arena of a simulated device is addressable up to
 // Config.GlobalWords (16 MiB at the default sizing) but materialized
 // lazily: backing memory grows to the high-water mark the program
-// actually allocates or the host actually touches, and is recycled
-// between devices through a shared pool. Detection creates one device
-// per instrumented execution — hundreds per run — so together these keep
-// the recording phase's live heap proportional to the memory programs
-// use, not to the address-space ceiling times the run count.
+// actually allocates or the host actually touches. A device keeps its
+// arena across Reset, so a recording goroutine that resets one device
+// for every run it records allocates no arena per run; Release hands
+// the arena to a shared pool the next device draws from. Together these
+// keep the recording phase's live heap proportional to the memory
+// programs use, not to the address-space ceiling times the run count.
 //
 // The backing store only grows from host-side calls (Alloc, WriteGlobal,
 // ReadGlobal) and at Launch entry, never during kernel execution: warps
@@ -172,15 +173,12 @@ func (d *Device) ensure(words int64) {
 	d.global = grown
 }
 
-// Devices themselves are recycled too: detection creates one per
-// instrumented execution.
-var devicePool sync.Pool
-
-// Release returns the device's global-memory arena to the shared pool,
-// and the device struct itself to the device pool. The device — and every
-// pointer into its memory — must not be used afterwards; callers release
-// only once no observer or trace references device memory. Release is
-// optional: an unreleased device is simply collected as garbage.
+// Release returns the device's global-memory arena to the shared pool.
+// Neither the device's memory nor any pointer into it may be used
+// afterwards, until a Reset gives the device a fresh arena; callers
+// release only once no observer or trace references device memory.
+// Release is optional: an unreleased device is simply collected as
+// garbage.
 func (d *Device) Release() {
 	if d.released {
 		return
@@ -198,9 +196,5 @@ func (d *Device) Release() {
 		d.constant = nil
 		d.constShared = false
 	}
-	// Keep the allocation-record backing array for the next device from the
-	// pool (records are returned by value; nothing aliases the slice).
-	d.allocs = d.allocs[:0]
 	d.obsCtx = nil
-	devicePool.Put(d)
 }

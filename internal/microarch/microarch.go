@@ -123,8 +123,9 @@ func (e *cell) add(cost int64) {
 // memory instruction and the power metric one per code instruction, each
 // in (block, instruction) order, so recording an observation is one
 // indexed add. Aggregation only adds, so any number of warps may record
-// into one Collector in any order, but not concurrently: the tracer gives
-// each launch its own, and thread blocks run one at a time.
+// into one Collector in any order, but not concurrently: a launch has its
+// tracer's collector of the kernel to itself, and thread blocks run one at
+// a time.
 type Collector struct {
 	// memOff[b] is the first memory site of block b and codeOff[b] its
 	// first code site; the last entry of each is the kernel's total.
@@ -160,6 +161,13 @@ func NewCollector(k *isa.Kernel) *Collector {
 		coalesce: cells[nMem : 2*nMem : 2*nMem],
 		power:    cells[2*nMem:],
 	}
+}
+
+// Reset empties the collector for the next invocation of its kernel.
+func (c *Collector) Reset() {
+	clear(c.bank)
+	clear(c.coalesce)
+	clear(c.power)
 }
 
 // RecordMem folds one warp memory access in: shared-space accesses feed

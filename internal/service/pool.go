@@ -15,9 +15,10 @@ import (
 )
 
 // Pool is a bounded execution-recording worker pool shared by every job
-// of a daemon. Each worker records one instrumented execution at a time
-// on its own simulated device and context (core.Recipe.Record builds a
-// private context per run), so concurrency never shares device state. Because
+// of a daemon. Each recording goroutine records one instrumented
+// execution at a time on its own run state (core.StreamParallel resets
+// one simulated device and context per goroutine between runs), so
+// concurrency never shares device state. Because
 // the pipeline draws inputs and per-run seeds sequentially before
 // dispatch and merges streamed traces through a reorder window, pool-
 // backed recording is bit-identical to the sequential path.

@@ -9,10 +9,10 @@
 package tracer
 
 import (
+	"cmp"
 	"math"
 	"slices"
 	"sort"
-	"sync"
 
 	"owl/internal/adcfg"
 	"owl/internal/cuda"
@@ -43,18 +43,35 @@ func WithCost() Option {
 	return func(t *Tracer) { t.cost = true }
 }
 
-// Tracer records one program execution into a ProgramTrace.
+// Tracer records one program execution at a time into a ProgramTrace;
+// Reset starts the next. It observes one context and is not safe for
+// concurrent use: a context's allocations and launches are host calls
+// in program order, and a launch runs to completion before the next host
+// call.
 type Tracer struct {
-	mu     sync.Mutex
 	rebase bool
 	cost   bool
 	allocs []gpu.AllocRecord // sorted by Base
 	result *trace.ProgramTrace
+	// launches counts the execution's launches; with len(allocs), it
+	// sizes the next trace's slices, since runs of one program repeat
+	// their host calls.
+	launches           int
+	allocHint, invHint int
+
+	// Per-launch scratch, reused launch to launch and run to run: nothing
+	// holds a launch's instrumentation past its EndLaunch.
+	li       launchInst
+	rebaseFn adcfg.Rebaser // rebaseLanes, bound once
+	// costKernel's collector is the last launch's, emptied and reused when
+	// the next launch runs the same kernel.
+	costKernel *isa.Kernel
+	costColl   *microarch.Collector
 }
 
 var _ cuda.Observer = (*Tracer)(nil)
 
-// New creates a tracer for one execution of the named program.
+// New creates a tracer whose first execution is of the named program.
 func New(program string, opts ...Option) *Tracer {
 	t := &Tracer{
 		rebase: true,
@@ -63,18 +80,33 @@ func New(program string, opts ...Option) *Tracer {
 	for _, o := range opts {
 		o(t)
 	}
+	t.rebaseFn = t.rebaseLanes
 	return t
+}
+
+// Reset starts the trace of the next execution, of the named program.
+// The previous trace belongs to whoever took it from Trace and is left
+// untouched; the tracer keeps only its scratch.
+func (t *Tracer) Reset(program string) {
+	t.allocHint, t.invHint = len(t.allocs), t.launches
+	t.allocs, t.launches = t.allocs[:0], 0
+	t.result = &trace.ProgramTrace{Program: program}
 }
 
 // Trace returns the recorded program trace.
 func (t *Tracer) Trace() *trace.ProgramTrace { return t.result }
 
-// OnAlloc implements cuda.Observer.
+// OnAlloc implements cuda.Observer. The bump allocator hands out
+// ascending bases, so the table grows at its end; the binary search
+// keeps it sorted for any order.
 func (t *Tracer) OnAlloc(rec gpu.AllocRecord, site string) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.allocs = append(t.allocs, rec)
-	sort.Slice(t.allocs, func(i, j int) bool { return t.allocs[i].Base < t.allocs[j].Base })
+	i, _ := slices.BinarySearchFunc(t.allocs, rec.Base, func(a gpu.AllocRecord, base int64) int {
+		return cmp.Compare(a.Base, base)
+	})
+	t.allocs = slices.Insert(t.allocs, i, rec)
+	if t.result.Allocs == nil {
+		t.result.Allocs = make([]trace.Alloc, 0, t.allocHint)
+	}
 	t.result.Allocs = append(t.result.Allocs, trace.Alloc{ID: rec.ID, Words: rec.Words, Site: site})
 }
 
@@ -89,47 +121,67 @@ func (t *Tracer) OnLaunch(info cuda.LaunchInfo) gpu.Instrument {
 		Block:   info.Block,
 		Graph:   adcfg.NewGraph(info.Kernel.Name),
 	}
-	t.mu.Lock()
-	t.result.Invocations = append(t.result.Invocations, inv)
-	rebase := t.rebaser()
-	t.mu.Unlock()
-	li := &launchInst{
-		inv:    inv,
-		rebase: rebase,
-		warps:  make([]costWarpHooks, (info.Block.Count()+simt.WarpWidth-1)/simt.WarpWidth),
+	if t.result.Invocations == nil {
+		t.result.Invocations = make([]*trace.Invocation, 0, t.invHint)
 	}
+	t.result.Invocations = append(t.result.Invocations, inv)
+	t.launches++
+	li := &t.li
+	warps := li.warps
+	n := (info.Block.Count() + simt.WarpWidth - 1) / simt.WarpWidth
+	if cap(warps) >= n {
+		warps = warps[:n]
+		clear(warps)
+	} else {
+		warps = make([]costWarpHooks, n)
+	}
+	*li = launchInst{inv: inv, rebase: t.rebaser(), warps: warps}
 	if t.cost {
-		li.cost = microarch.NewCollector(info.Kernel)
+		li.cost = t.collector(info.Kernel)
 	}
 	return li
 }
 
-// rebaser snapshots the allocation table into a lane rebaser. Global
-// addresses map to (allocation ID + 1) << 40 | offset; addresses outside
-// any allocation keep their raw value with the top bit set. Other spaces
-// are already layout-independent and pass through unchanged. The rebaser
-// resolves the first lane's region of the address space and reuses its
-// bounds for the following lanes, searching the table again only when a
-// lane falls outside them.
+// collector returns an empty cost collector for a launch of k: the last
+// launch's when it ran k too, a new one otherwise.
+func (t *Tracer) collector(k *isa.Kernel) *microarch.Collector {
+	if k == t.costKernel {
+		t.costColl.Reset()
+	} else {
+		t.costKernel, t.costColl = k, microarch.NewCollector(k)
+	}
+	return t.costColl
+}
+
+// rebaser returns the lane rebaser of the current allocation table, or
+// nil when rebasing is off. Global addresses map to (allocation ID + 1)
+// << 40 | offset; addresses outside any allocation keep their raw value
+// with the top bit set. Other spaces are already layout-independent and
+// pass through unchanged. The rebaser reads the live table: host calls,
+// and so allocations, wait for a launch to finish.
 func (t *Tracer) rebaser() adcfg.Rebaser {
 	if !t.rebase {
 		return nil
 	}
-	allocs := slices.Clone(t.allocs)
-	return func(space isa.Space, addrs []int64, keys []uint64) {
-		if space != isa.SpaceGlobal {
-			for i, a := range addrs {
-				keys[i] = uint64(a)
-			}
-			return
-		}
-		var r region
+	return t.rebaseFn
+}
+
+// rebaseLanes is the lane rebaser. It resolves the first lane's region of
+// the address space and reuses its bounds for the following lanes,
+// searching the table again only when a lane falls outside them.
+func (t *Tracer) rebaseLanes(space isa.Space, addrs []int64, keys []uint64) {
+	if space != isa.SpaceGlobal {
 		for i, a := range addrs {
-			if i == 0 || a < r.lo || a >= r.hi {
-				r = regionOf(allocs, a)
-			}
-			keys[i] = r.tag | uint64(a-r.base)
+			keys[i] = uint64(a)
 		}
+		return
+	}
+	var r region
+	for i, a := range addrs {
+		if i == 0 || a < r.lo || a >= r.hi {
+			r = regionOf(t.allocs, a)
+		}
+		keys[i] = r.tag | uint64(a-r.base)
 	}
 }
 
