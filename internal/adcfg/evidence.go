@@ -1,5 +1,7 @@
 package adcfg
 
+import "math"
+
 // EvidenceHist is the address histogram of one memory instruction merged
 // over the runs of an evidence regime (§VII-A). Merging a run into cells
 // walks every accumulated cell, so a run would cost O(accumulated) even
@@ -13,8 +15,8 @@ package adcfg
 // span denseSpan or more converts back to cells once; that span only
 // grows, so it never switches again.
 //
-// The zero value is an empty histogram. Cells is the only read path, so
-// no reader sees the dense counts.
+// The zero value is an empty histogram. It is read through Cells, or in
+// place by KSDistance; no other reader sees the dense counts.
 type EvidenceHist struct {
 	cells  []Cell  // strictly ascending; nil in the dense state
 	dense  []int64 // counts of keys base, base+1, ...; nil in the cell state
@@ -148,6 +150,101 @@ func (e *EvidenceHist) cover(lo, hi uint64) bool {
 func (e *EvidenceHist) toCells() {
 	e.cells = e.Cells()
 	e.dense, e.base, e.lo, e.hi = nil, 0, 0, 0
+}
+
+// KSDistance returns the two-sample Kolmogorov-Smirnov statistic D
+// (Eq. 2) between the count-weighted key distributions of a and b, and
+// their total counts n and m. It is one ascending merge walk that reads
+// each histogram in place, in either state, and allocates nothing;
+// stats.KSFromD completes the test. The ECDF steps are taken over keys
+// as float64, in ascending order, each by its count over the total, as
+// stats.KSTestEff steps over a weighted sample of the cells: keys below
+// 2^53 are exact, and distinct keys above it that round to one float64
+// step as one, by their summed count, as that sample merges them. D is
+// then bit-identical to stats.KSTestEff's over the same cells.
+func KSDistance(a, b *EvidenceHist) (d float64, n, m int64) {
+	x, n := a.steps()
+	y, m := b.steps()
+	nf, mf := float64(n), float64(m)
+	var fx, fy float64
+	vx, cx := x.next()
+	vy, cy := y.next()
+	for cx > 0 || cy > 0 {
+		switch {
+		case cy == 0 || cx > 0 && vx < vy:
+			fx += float64(cx) / nf
+			vx, cx = x.next()
+		case cx == 0 || vy < vx:
+			fy += float64(cy) / mf
+			vy, cy = y.next()
+		default:
+			fx += float64(cx) / nf
+			fy += float64(cy) / mf
+			vx, cx = x.next()
+			vy, cy = y.next()
+		}
+		if diff := math.Abs(fx - fy); diff > d {
+			d = diff
+		}
+	}
+	return d, n, m
+}
+
+// histSteps reads a histogram's counted keys in ascending order, in
+// place: its cells, or its dense counts from the lowest counted key to
+// the highest, skipping keys never counted.
+type histSteps struct {
+	cells []Cell  // cell state
+	dense []int64 // dense state: the counts of keys base, base+1, ...
+	base  uint64
+	i     int // the next cell or count to read
+}
+
+// steps returns a reader of the histogram's steps and its total count.
+func (e *EvidenceHist) steps() (histSteps, int64) {
+	var t int64
+	if e.dense != nil {
+		counts := e.dense[e.lo-e.base : e.hi-e.base+1]
+		for _, c := range counts {
+			t += c
+		}
+		return histSteps{dense: counts, base: e.lo}, t
+	}
+	for _, c := range e.cells {
+		t += c.Count
+	}
+	return histSteps{cells: e.cells}, t
+}
+
+// next returns the next step of the ECDF: the next key as float64, and
+// the summed count of the keys that equal it as float64; a count of 0
+// when every key has been read.
+func (s *histSteps) next() (float64, int64) {
+	var v float64
+	var c int64
+	if s.dense != nil {
+		if s.i == len(s.dense) {
+			return 0, 0
+		}
+		v = float64(s.base + uint64(s.i))
+		for s.i < len(s.dense) && float64(s.base+uint64(s.i)) == v {
+			c += s.dense[s.i]
+			s.i++
+		}
+		for s.i < len(s.dense) && s.dense[s.i] == 0 {
+			s.i++
+		}
+		return v, c
+	}
+	if s.i == len(s.cells) {
+		return 0, 0
+	}
+	v = float64(s.cells[s.i].Addr)
+	for s.i < len(s.cells) && float64(s.cells[s.i].Addr) == v {
+		c += s.cells[s.i].Count
+		s.i++
+	}
+	return v, c
 }
 
 // Summary returns the run-level features of one run's strictly ascending

@@ -11,11 +11,12 @@
 package core
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"math/rand"
 	"runtime/metrics"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -192,6 +193,10 @@ type Detector struct {
 	runs    atomic.Int64 // instrumented executions recorded
 	classes atomic.Int64 // input classes once known
 	phase   atomic.Value // current pipeline phase (string)
+
+	// scratch is the per-run KS tests' sort buffer, reused from test to
+	// test; analysis runs on the detecting goroutine.
+	scratch []float64
 
 	ramMu      sync.Mutex // serializes trackRAM's sample buffer and cache
 	ramSamples []metrics.Sample
@@ -764,22 +769,32 @@ func (d *Detector) trackRAM(ctx context.Context, report *Report) {
 	obs.Counter(ctx, "live_heap_bytes", float64(live))
 }
 
-// reject runs the configured distribution test over two per-run sample
-// vectors and reports (reject?, p, D).
-func (d *Detector) reject(x, y []float64) (bool, float64, float64, error) {
-	sx, sy := stats.NewSample(x), stats.NewSample(y)
-	return d.rejectSamples(sx, sy)
-}
-
-func (d *Detector) rejectSamples(sx, sy *stats.Sample) (bool, float64, float64, error) {
+// reject runs the configured distribution test over two per-run
+// samples and reports (reject?, p, D). Each sample is its values plus
+// zeros observations of 0, counted rather than stored: a pair sample's
+// runs without the transition. The KS test copies both samples into
+// d.scratch, sorts them there and walks them in order, so once the
+// scratch has grown a test allocates nothing.
+func (d *Detector) reject(x []float64, xZeros int, y []float64, yZeros int) (bool, float64, float64, error) {
 	if d.opts.UseWelch {
+		sx, sy := stats.NewSample(x), stats.NewSample(y)
+		for range xZeros {
+			sx.Add(0, 1)
+		}
+		for range yZeros {
+			sy.Add(0, 1)
+		}
 		r, err := stats.WelchT(sx, sy)
 		if err != nil {
 			return false, 1, 0, err
 		}
 		return r.Reject, 0, r.T, nil
 	}
-	r, err := stats.KSTest(sx, sy, d.opts.Confidence)
+	d.scratch = append(append(d.scratch[:0], x...), y...)
+	xs, ys := d.scratch[:len(x)], d.scratch[len(x):]
+	slices.Sort(xs)
+	slices.Sort(ys)
+	r, err := stats.KSTestSorted(xs, xZeros, ys, yZeros, d.opts.Confidence)
 	if err != nil {
 		return false, 1, 0, err
 	}
@@ -828,7 +843,7 @@ func (d *Detector) leakageTests(eFix, eRnd *Evidence, leaks *leakSet) error {
 func (d *Detector) testInvocation(fi, ri *InvEvidence, leaks *leakSet) error {
 	// Kernel-leak test on per-run presence (aligned invocations with
 	// differing invocation counts, §VII-C).
-	rej, p, dd, err := d.reject(fi.Presence, ri.Presence)
+	rej, p, dd, err := d.reject(fi.Presence, 0, ri.Presence, 0)
 	if err != nil {
 		return err
 	}
@@ -855,9 +870,8 @@ func (d *Detector) testInvocation(fi, ri *InvEvidence, leaks *leakSet) error {
 		fp := fi.PairSamples[b]
 		rp := ri.PairSamples[b]
 		for _, pk := range unionPairs(fp, rp) {
-			x := pad(copyOrNil(fp[pk]), eRuns(fi))
-			y := pad(copyOrNil(rp[pk]), eRuns(ri))
-			rej, p, dd, err := d.reject(x, y)
+			x, y := fp[pk], rp[pk]
+			rej, p, dd, err := d.reject(x, eRuns(fi)-len(x), y, eRuns(ri)-len(y))
 			if err != nil {
 				return err
 			}
@@ -888,15 +902,8 @@ func (d *Detector) testInvocation(fi, ri *InvEvidence, leaks *leakSet) error {
 			memKeys = append(memKeys, key)
 		}
 	}
-	sort.Slice(memKeys, func(i, j int) bool {
-		a, b := memKeys[i], memKeys[j]
-		if a.Block != b.Block {
-			return a.Block < b.Block
-		}
-		if a.Visit != b.Visit {
-			return a.Visit < b.Visit
-		}
-		return a.Mem < b.Mem
+	slices.SortFunc(memKeys, func(a, b evidence.MemKey) int {
+		return cmp.Or(cmp.Compare(a.Block, b.Block), cmp.Compare(a.Visit, b.Visit), cmp.Compare(a.Mem, b.Mem))
 	})
 	for _, key := range memKeys {
 		ff := fi.Mems[key]
@@ -924,23 +931,24 @@ func (d *Detector) testInvocation(fi, ri *InvEvidence, leaks *leakSet) error {
 }
 
 // rejectMem runs the data-flow distribution tests for one instruction and
-// returns the strongest rejection.
+// returns the strongest rejection: the one with the smallest p among the
+// rejecting tests, or among all when none rejects.
 func (d *Detector) rejectMem(ff, rf *MemFeature) (bool, float64, float64, error) {
-	type verdict struct {
-		rej  bool
-		p, D float64
-	}
-	var best *verdict
-	consider := func(rej bool, p, dd float64) {
-		v := verdict{rej: rej, p: p, D: dd}
-		if best == nil || (v.rej && !best.rej) || (v.rej == best.rej && v.p < best.p) {
-			best = &v
+	var (
+		have     bool
+		rej      bool
+		p, dStat float64
+	)
+	consider := func(r bool, pv, dv float64) {
+		if !have || (r && !rej) || (r == rej && pv < p) {
+			have, rej, p, dStat = true, r, pv, dv
 		}
 	}
 
 	if !d.opts.UseWelch {
 		// Pooled offset distributions with run-based effective sizes.
-		res, err := stats.KSTestEff(histSample(ff.Hist.Cells()), histSample(rf.Hist.Cells()), d.opts.Confidence,
+		dist, n, m := adcfg.KSDistance(&ff.Hist, &rf.Hist)
+		res, err := stats.KSFromD(dist, float64(n), float64(m), d.opts.Confidence,
 			float64(ff.Runs()), float64(rf.Runs()))
 		if err != nil {
 			return false, 1, 0, err
@@ -950,40 +958,26 @@ func (d *Detector) rejectMem(ff, rf *MemFeature) (bool, float64, float64, error)
 
 	// Run-level summary features (skipped when a side has too few runs to
 	// support the test).
-	for _, pair := range [][2][]float64{
+	for _, pair := range [...][2][]float64{
 		{ff.Means, rf.Means},
 		{ff.Spreads, rf.Spreads},
 	} {
 		if len(pair[0]) < 2 || len(pair[1]) < 2 {
 			continue
 		}
-		rej, p, dd, err := d.reject(pair[0], pair[1])
+		r, pv, dv, err := d.reject(pair[0], 0, pair[1], 0)
 		if err != nil {
 			return false, 1, 0, err
 		}
-		consider(rej, p, dd)
+		consider(r, pv, dv)
 	}
-	if best == nil {
+	if !have {
 		return false, 1, 0, nil
 	}
-	return best.rej, best.p, best.D, nil
+	return rej, p, dStat, nil
 }
 
 func eRuns(inv *InvEvidence) int { return len(inv.Presence) }
-
-func copyOrNil(xs []float64) []float64 {
-	out := make([]float64, len(xs))
-	copy(out, xs)
-	return out
-}
-
-func histSample(cells []adcfg.Cell) *stats.Sample {
-	s := stats.NewWeightedSample(len(cells))
-	for _, c := range cells {
-		s.Add(float64(c.Addr), float64(c.Count))
-	}
-	return s
-}
 
 func storeName(store bool) string {
 	if store {
@@ -1031,7 +1025,7 @@ func unionBlocks(fi, ri *InvEvidence) []int {
 	for b := range set {
 		out = append(out, b)
 	}
-	sortInts(out)
+	slices.Sort(out)
 	return out
 }
 
@@ -1047,17 +1041,8 @@ func unionPairs(a, b map[adcfg.PairKey][]float64) []adcfg.PairKey {
 	for pk := range set {
 		out = append(out, pk)
 	}
-	sortPairs(out)
-	return out
-}
-
-func sortInts(xs []int) { sort.Ints(xs) }
-
-func sortPairs(xs []adcfg.PairKey) {
-	sort.Slice(xs, func(i, j int) bool {
-		if xs[i].Src != xs[j].Src {
-			return xs[i].Src < xs[j].Src
-		}
-		return xs[i].Dst < xs[j].Dst
+	slices.SortFunc(out, func(a, b adcfg.PairKey) int {
+		return cmp.Or(cmp.Compare(a.Src, b.Src), cmp.Compare(a.Dst, b.Dst))
 	})
+	return out
 }

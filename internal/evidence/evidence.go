@@ -371,7 +371,12 @@ func (e *Engine) tOf(x, y stats.Welford) (float64, bool) {
 // dst), then memory sites sorted by (block, visit, mem). Verdicts are
 // ranked data, not state: calling Verdicts never perturbs the
 // accumulators.
-func (e *Engine) Verdicts() []Verdict {
+func (e *Engine) Verdicts() []Verdict { return e.verdicts(true) }
+
+// verdicts is Verdicts, with the memory and cost sites' MI estimates only
+// when withMI is set: a per-cell logarithm that the trajectory, which
+// reads no MI, would throw away every round.
+func (e *Engine) verdicts(withMI bool) []Verdict {
 	var out []Verdict
 	abs := func(t float64) float64 {
 		if t < 0 {
@@ -429,7 +434,9 @@ func (e *Engine) Verdicts() []Verdict {
 			v := base
 			v.Kind = MemSite
 			v.Mem = key
-			v.MI = m.mi.Bits()
+			if withMI {
+				v.MI = m.mi.Bits()
+			}
 			emit(v, t, feature)
 		}
 
@@ -443,7 +450,9 @@ func (e *Engine) Verdicts() []Verdict {
 			v.Kind = CostSite
 			v.Cost = key
 			v.Block = key.Block
-			v.MI = c.mi.Bits()
+			if withMI {
+				v.MI = c.mi.Bits()
+			}
 			emit(v, t, "cost "+key.Metric.String())
 		}
 	}
@@ -523,14 +532,15 @@ type Trajectory struct {
 	Signature string
 }
 
-// Trajectory evaluates every site once and summarizes the result. Like
+// Trajectory evaluates every site's t statistic once and summarizes the
+// result; it leaves out the MI estimates, which it does not read. Like
 // Verdicts it is ranked data, not state: sampling never perturbs the
 // accumulators.
 func (e *Engine) Trajectory() Trajectory {
 	var tr Trajectory
 	var sig []byte
 	seen := make(map[string]bool)
-	for _, v := range e.Verdicts() {
+	for _, v := range e.verdicts(false) {
 		tr.Sites++
 		t := v.TStat
 		if t < 0 {

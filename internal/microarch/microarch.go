@@ -58,21 +58,36 @@ func Transactions(addrs []int64) int {
 // duplicates never conflict: a uniform access has degree 1, a stride-1
 // access degree 1, a stride-2 access degree 2, and a same-bank scatter of
 // k distinct words degree k (worst case 32). An empty access has degree 0.
+// addrs holds at most one warp's lanes, simt.WarpWidth of them.
+//
+// Duplicates are found in one pass: the words counted so far form an
+// open-addressed set of 64 slots, twice the warp's width, flagged in the
+// bits of used. An access costs about one probe per lane whatever its
+// shape.
 func BankConflictDegree(addrs []int64) int {
-	var perBank [NumBanks]int8
+	if len(addrs) > simt.WarpWidth {
+		panic("microarch: bank-conflict degree of more than one warp's lanes")
+	}
+	var (
+		seen    [64]int64
+		used    uint64
+		perBank [NumBanks]int8
+	)
 	deg := 0
-	for i, a := range addrs {
-		dup := false
-		for _, p := range addrs[:i] {
-			if p == a {
-				dup = true
-				break
-			}
+	for k, a := range addrs {
+		if k > 0 && a == addrs[k-1] {
+			continue // the previous lane's word: broadcast
 		}
-		if dup {
-			continue
+		i := uint64(a) * 0x9e3779b97f4a7c15 >> 58 // Fibonacci hash onto the 64 slots
+		for used&(1<<i) != 0 && seen[i] != a {
+			i = (i + 1) & 63
 		}
-		b := int(((a % NumBanks) + NumBanks) % NumBanks)
+		if used&(1<<i) != 0 {
+			continue // a word already counted: broadcast
+		}
+		used |= 1 << i
+		seen[i] = a
+		b := a & (NumBanks - 1) // a mod NumBanks, negative words included
 		perBank[b]++
 		if d := int(perBank[b]); d > deg {
 			deg = d

@@ -71,16 +71,42 @@ func bankDegreeRef(addrs []int64) int {
 
 func TestBankConflictDegreeProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
-	for iter := 0; iter < 2000; iter++ {
+	for iter := 0; iter < 4000; iter++ {
 		n := 1 + rng.Intn(simt.WarpWidth)
 		addrs := make([]int64, n)
-		for i := range addrs {
-			// Small ranges force collisions; occasional large values probe
-			// wrap behaviour.
+		switch iter % 4 {
+		case 0, 1:
+			for i := range addrs {
+				// Small ranges force collisions; occasional large values probe
+				// wrap behaviour.
+				if rng.Intn(8) == 0 {
+					addrs[i] = rng.Int63n(1 << 40)
+				} else {
+					addrs[i] = int64(rng.Intn(96))
+				}
+			}
+		case 2:
+			// Heavy duplicates: every lane picks one of a few words, spread
+			// over banks or stacked in one bank, negative words included.
+			words := make([]int64, 1+rng.Intn(4))
+			for i := range words {
+				words[i] = int64(rng.Intn(8)-4) * int64(1+rng.Intn(2)*(NumBanks-1))
+			}
+			for i := range addrs {
+				addrs[i] = words[rng.Intn(len(words))]
+			}
+		case 3:
+			// Broadcast: every lane reads one word, some at a word in the
+			// same bank, or a whole warp of distinct same-bank words.
+			w := rng.Int63n(1<<40) - 1<<39
+			for i := range addrs {
+				addrs[i] = w
+				if rng.Intn(4) == 0 {
+					addrs[i] = w + int64(rng.Intn(3))*NumBanks
+				}
+			}
 			if rng.Intn(8) == 0 {
-				addrs[i] = rng.Int63n(1 << 40)
-			} else {
-				addrs[i] = int64(rng.Intn(96))
+				addrs = seq(int(w%1000), NumBanks, simt.WarpWidth)
 			}
 		}
 		got, want := BankConflictDegree(addrs), bankDegreeRef(addrs)

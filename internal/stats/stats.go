@@ -133,16 +133,11 @@ func KSTest(x, y *Sample, alpha float64) (KSResult, error) {
 // correlated observations — the accesses of one instruction within a
 // single execution move together, so the run count, not the raw access
 // count, carries the statistical weight.
+//
+// KSTestEff and KSTest are the reference the ordered walks are tested
+// against: KSTestSorted over per-run samples and, through KSFromD, the
+// evidence histograms' merge walk (adcfg.KSDistance).
 func KSTestEff(x, y *Sample, alpha, nEff, mEff float64) (KSResult, error) {
-	if x.N() == 0 || y.N() == 0 {
-		return KSResult{}, fmt.Errorf("stats: KS test requires non-empty samples (n=%v, m=%v)", x.N(), y.N())
-	}
-	if nEff <= 0 || mEff <= 0 {
-		return KSResult{}, fmt.Errorf("stats: effective sizes must be positive (n=%v, m=%v)", nEff, mEff)
-	}
-	if alpha <= 0 || alpha >= 1 {
-		return KSResult{}, fmt.Errorf("stats: confidence alpha %v outside (0,1)", alpha)
-	}
 	xv, xw := x.sorted()
 	yv, yw := y.sorted()
 	n, m := x.N(), y.N()
@@ -172,21 +167,103 @@ func KSTestEff(x, y *Sample, alpha, nEff, mEff float64) (KSResult, error) {
 			d = diff
 		}
 	}
+	return KSFromD(d, n, m, alpha, nEff, mEff)
+}
 
+// KSFromD completes a two-sample KS test from its statistic d (Eq. 2),
+// computed over samples of total weights n and m: the threshold D_{n,m}
+// (Eq. 3) and the p-value (Eq. 4) at the effective sizes nEff and mEff,
+// and the verdict at confidence alpha. It is the one place Eq. 3-4 are
+// evaluated, whichever walk computed d. An empty sample, a non-positive
+// effective size or an alpha outside (0,1) is an error.
+func KSFromD(d, n, m, alpha, nEff, mEff float64) (KSResult, error) {
+	if n == 0 || m == 0 {
+		return KSResult{}, fmt.Errorf("stats: KS test requires non-empty samples (n=%v, m=%v)", n, m)
+	}
+	if nEff <= 0 || mEff <= 0 {
+		return KSResult{}, fmt.Errorf("stats: effective sizes must be positive (n=%v, m=%v)", nEff, mEff)
+	}
+	if alpha <= 0 || alpha >= 1 {
+		return KSResult{}, fmt.Errorf("stats: confidence alpha %v outside (0,1)", alpha)
+	}
 	ne := nEff * mEff / (nEff + mEff)
-	thresh := math.Sqrt(-math.Log((1-alpha)/2)/2) * math.Sqrt((nEff+mEff)/(nEff*mEff))
 	p := 2 * math.Exp(-2*d*d*ne)
 	if p > 1 {
 		p = 1
 	}
 	return KSResult{
 		D:         d,
-		Threshold: thresh,
+		Threshold: KSThreshold(alpha, nEff, mEff),
 		P:         p,
 		N:         nEff,
 		M:         mEff,
 		Reject:    p < (1 - alpha),
 	}, nil
+}
+
+// KSTestSorted is KSTest over two plain samples read in order: x and y
+// ascending, each sample also holding xZeros (yZeros) observations of 0
+// that are counted rather than stored. It allocates nothing. A run of
+// equal values steps the ECDF once, by its count over n, as Sample.sorted
+// merges duplicate weights, so D and the p-value are bit-identical to
+// KSTest over NewSample of the same observations in any order.
+func KSTestSorted(x []float64, xZeros int, y []float64, yZeros int, alpha float64) (KSResult, error) {
+	xs, ys := sortedSteps{x, xZeros}, sortedSteps{y, yZeros}
+	n, m := float64(len(x)+xZeros), float64(len(y)+yZeros)
+	var d, fx, fy float64
+	vx, cx := xs.next()
+	vy, cy := ys.next()
+	for cx > 0 || cy > 0 {
+		switch {
+		case cy == 0 || cx > 0 && vx < vy:
+			fx += float64(cx) / n
+			vx, cx = xs.next()
+		case cx == 0 || vy < vx:
+			fy += float64(cy) / m
+			vy, cy = ys.next()
+		default:
+			fx += float64(cx) / n
+			fy += float64(cy) / m
+			vx, cx = xs.next()
+			vy, cy = ys.next()
+		}
+		if diff := math.Abs(fx - fy); diff > d {
+			d = diff
+		}
+	}
+	return KSFromD(d, n, m, alpha, n, m)
+}
+
+// sortedSteps reads a plain sample, ascending values plus zeros counted
+// apart, as the steps of its ECDF.
+type sortedSteps struct {
+	xs    []float64 // the values not yet read, ascending
+	zeros int       // the zero observations not yet read
+}
+
+// next returns the smallest value not yet read and the count of the
+// observations equal to it, and reads them; a count of 0 when every
+// observation has been read.
+func (s *sortedSteps) next() (float64, int) {
+	var v float64
+	switch {
+	case s.zeros > 0 && (len(s.xs) == 0 || s.xs[0] >= 0):
+		v = 0
+	case len(s.xs) > 0:
+		v = s.xs[0]
+	default:
+		return 0, 0
+	}
+	c := 0
+	if v == 0 {
+		c, s.zeros = s.zeros, 0
+	}
+	i := 0
+	for i < len(s.xs) && s.xs[i] == v {
+		i++
+	}
+	s.xs = s.xs[i:]
+	return v, c + i
 }
 
 // TResult is the outcome of a Welch's t-test.

@@ -3,6 +3,7 @@ package stats
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -154,6 +155,65 @@ func TestKSValidation(t *testing.T) {
 		t.Error("empty sample accepted")
 	}
 	if _, err := KSTest(x, x, 1.5); err == nil {
+		t.Error("alpha=1.5 accepted")
+	}
+}
+
+// TestKSTestSortedMatchesKSTest runs the ordered walk against KSTest over
+// the same observations in their original order, zeros appended as
+// padding: per-run vectors with many ties, values on both sides of zero,
+// zero padding up to all-zero sides, and single observations. D, p and
+// the verdict must be bit-identical.
+func TestKSTestSortedMatchesKSTest(t *testing.T) {
+	r := rand.New(rand.NewSource(3))
+	side := func() ([]float64, int) {
+		xs := make([]float64, r.Intn(60))
+		levels := 1 + r.Intn(6) // few levels: many ties
+		for i := range xs {
+			switch r.Intn(4) {
+			case 0:
+				xs[i] = r.NormFloat64() * 100 // distinct values
+			case 1:
+				xs[i] = 0
+			default:
+				xs[i] = float64(r.Intn(levels)-1) * 0.25
+			}
+		}
+		zeros := 0
+		if r.Intn(3) == 0 || len(xs) == 0 {
+			zeros = 1 + r.Intn(40)
+		}
+		return xs, zeros
+	}
+	padded := func(xs []float64, zeros int) *Sample {
+		return NewSample(append(slices.Clone(xs), make([]float64, zeros)...))
+	}
+	for iter := 0; iter < 3000; iter++ {
+		x, xz := side()
+		y, yz := side()
+		if iter%10 == 0 { // a single observation
+			x, xz = []float64{float64(r.Intn(3) - 1)}, 0
+		}
+		want, err := KSTest(padded(x, xz), padded(y, yz), 0.95)
+		if err != nil {
+			t.Fatal(err)
+		}
+		xs, ys := slices.Clone(x), slices.Clone(y)
+		slices.Sort(xs)
+		slices.Sort(ys)
+		got, err := KSTestSorted(xs, xz, ys, yz, 0.95)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if math.Float64bits(got.D) != math.Float64bits(want.D) || math.Float64bits(got.P) != math.Float64bits(want.P) ||
+			math.Float64bits(got.Threshold) != math.Float64bits(want.Threshold) || got.Reject != want.Reject {
+			t.Fatalf("iteration %d: KSTestSorted %v, reference %v\nx %v + %d zeros\ny %v + %d zeros", iter, got, want, x, xz, y, yz)
+		}
+	}
+	if _, err := KSTestSorted(nil, 0, []float64{1}, 0, 0.95); err == nil {
+		t.Error("empty sample accepted")
+	}
+	if _, err := KSTestSorted([]float64{1}, 0, nil, 3, 1.5); err == nil {
 		t.Error("alpha=1.5 accepted")
 	}
 }
