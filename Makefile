@@ -55,7 +55,9 @@ fuzz-mitigate:
 # stored as they are taken): random block walks and lane vectors over
 # interleaved, reused and released folders must encode the same A-DCFG,
 # and the edges the folded graph derives from its pairs must equal the
-# reference's stored edges.
+# reference's stored edges. Each script folds a second time into a graph
+# reset from the previous script's, the way the tracer reuses a released
+# trace's graphs, and must encode the same bytes.
 fuzz-fold:
 	$(GO) test -run=NONE -fuzz=FuzzWarpFold -fuzztime=60s ./internal/adcfg/
 

@@ -121,20 +121,18 @@ func TestWarpInterpAllocsCostOff(t *testing.T) {
 // TestTracedRunAllocs pins the allocations of one traced execution on a
 // fresh tracer and seeded context, released the way detection releases
 // every trace: the whole setup a run on a new run state pays, the
-// context's lazily built generator included. Warps fold straight into
-// the invocation graph through pooled folders reused from block to block,
-// so the count does not grow with the warp count: a per-warp graph or
-// folder adds several allocations per warp (16 warps on the wide aes128
-// cases, 2 on the others) and fails the wide plain case, whose limit sits
-// 20 above its steady state of 21-22. The cost-on cases read 27-28 with
-// the dense cost collector; both limits sit 12-13 above that, like the
-// narrow plain case's, so one allocation added per warp (16 more) fails
-// the wide cost case. The aes128 limits sit above the steady state
-// because a collection that empties the graph pools makes the next runs
-// refill them. nvjpeg/encode launches four kernels per run; its limit
-// sits a few allocations above its steady state of 47-48, so a folder or
-// transition-state buffer allocated per launch instead of pooled fails
-// it, and so does a math/rand source seeded per run (two allocations).
+// context's lazily built generator included. The tracer records into a
+// released trace and reuses its invocations, graphs and cost sites, and
+// warps fold straight into the invocation graph through pooled folders
+// reused from block to block, so the count grows with neither the graph
+// nor the warp count. The plain cases read 16-17 and the cost-on cases
+// 19-20, with the dense cost collector; their limits sit 7-8 above, so
+// one allocation added per warp (16 more on the wide aes128 cases, 2 on
+// the others) fails both wide cases. nvjpeg/encode launches four kernels
+// per run and reads 35-39: a collection that empties the trace pool makes
+// the next run build a whole trace again, which weighs more on its four
+// graphs than on aes128's one. Its limit of 44 fails a folder or
+// transition-state buffer allocated per warp instead of pooled.
 func TestTracedRunAllocs(t *testing.T) {
 	aes := func(blocks int) func() (cuda.Program, []byte) {
 		return func() (cuda.Program, []byte) {
@@ -147,10 +145,10 @@ func TestTracedRunAllocs(t *testing.T) {
 		opts []tracer.Option
 		max  float64
 	}{
-		{name: "aes128", prog: aes(64), max: 36},
-		{name: "aes128-wide", prog: aes(512), max: 44},
-		{name: "aes128-cost", prog: aes(64), opts: []tracer.Option{tracer.WithCost()}, max: 40},
-		{name: "aes128-wide-cost", prog: aes(512), opts: []tracer.Option{tracer.WithCost()}, max: 40},
+		{name: "aes128", prog: aes(64), max: 24},
+		{name: "aes128-wide", prog: aes(512), max: 24},
+		{name: "aes128-cost", prog: aes(64), opts: []tracer.Option{tracer.WithCost()}, max: 27},
+		{name: "aes128-wide-cost", prog: aes(512), opts: []tracer.Option{tracer.WithCost()}, max: 27},
 		{
 			name: "nvjpeg-encode",
 			prog: func() (cuda.Program, []byte) {
@@ -160,7 +158,7 @@ func TestTracedRunAllocs(t *testing.T) {
 				}
 				return enc, jpeg.SynthImage(16, 16, 1)
 			},
-			max: 52,
+			max: 44,
 		},
 	}
 	for _, tc := range cases {
@@ -231,12 +229,13 @@ func TestEvidenceAddRunAllocs(t *testing.T) {
 // own recording path: a core.StreamParallel batch of 64 runs through a
 // core.Recipe, one slot, every trace released as the evidence merge
 // releases it. The garbage collector is off, so a collection that drains
-// the pools mid-measurement cannot add noise. Both programs read 8.45:
-// eight allocations per run (the trace, its invocation, their two
-// slices, the program's own host buffers, and the cost sites or the
-// tokenizer's text) plus the batch's own setup spread over its runs. The
-// limit of 9 fails one allocation more per run, such as a context,
-// device, tracer or launch scratch built per run instead of reset.
+// the trace pool mid-measurement cannot add noise. A run records into a
+// released trace, reusing its invocation, graph and cost sites, so what
+// it allocates is the program's own host work (buffers, a call
+// closure): three for shmem-leaky, four for the tokenizer. They read
+// 3.41 and 4.41 with the batch's own setup spread over its runs. Each
+// limit fails one allocation more per run, such as a context, device,
+// tracer, launch scratch or trace built per run instead of reset.
 func TestRecordBatchAllocs(t *testing.T) {
 	cases := []struct {
 		name string
@@ -244,8 +243,8 @@ func TestRecordBatchAllocs(t *testing.T) {
 		cost bool
 		max  float64
 	}{
-		{name: "shmem-leaky-cost", prog: "workloads/shmem-leaky", cost: true, max: 9},
-		{name: "tokenize", prog: "media/tokenize", max: 9},
+		{name: "shmem-leaky-cost", prog: "workloads/shmem-leaky", cost: true, max: 4},
+		{name: "tokenize", prog: "media/tokenize", max: 5},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -190,6 +190,8 @@ func BenchmarkTable4TraceCollection(b *testing.B) {
 // it. One op is one run, so ns/op and allocs/op are per run. The two
 // small-kernel programs are the ones whose detections run 400-800 runs
 // per regime: shmem-leaky with the cost channel, and the tokenizer.
+// nvjpeg/encode launches four kernels per run, each recorded into the
+// invocation and graph its launch position held in the released trace.
 func BenchmarkRecordRun(b *testing.B) {
 	for _, bc := range []struct {
 		name, prog string
@@ -197,6 +199,7 @@ func BenchmarkRecordRun(b *testing.B) {
 	}{
 		{"shmem-leaky-cost", "workloads/shmem-leaky", true},
 		{"tokenize", "media/tokenize", false},
+		{"nvjpeg-encode", "nvjpeg/encode", false},
 	} {
 		b.Run(bc.name, func(b *testing.B) {
 			target, err := experiments.FindTarget(bc.prog)

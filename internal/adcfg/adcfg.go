@@ -10,7 +10,9 @@
 // per access, and the warp's pair counts land when it finishes),
 // eliminating cross-thread redundancy — the property that gives Owl its
 // scalability (RQ2). Folders are pooled: the tracer releases a launch's
-// folders when the launch ends.
+// folders when the launch ends. Graphs are reused whole: Graph.Reset
+// keeps a graph's nodes, visits and histograms, emptied, as spares that
+// its next folds take before they allocate.
 package adcfg
 
 import (
@@ -64,12 +66,6 @@ type MemHist struct {
 	Cells []Cell
 }
 
-func newMemHist(space isa.Space, store bool) *MemHist {
-	h := histPool.Get().(*MemHist)
-	h.Space, h.Store = space, store
-	return h
-}
-
 // Total returns the total access count in the histogram.
 func (h *MemHist) Total() int64 {
 	var n int64
@@ -111,8 +107,7 @@ func addCounts(cells, o []Cell) (missing int) {
 // added the counts of o's other cells.
 func insert(dst *[]Cell, o []Cell, missing int) {
 	n := len(*dst)
-	reserve(dst, n+missing)
-	cells := (*dst)[:n+missing]
+	cells := slices.Grow(*dst, missing)[:n+missing]
 	i, w := n-1, n+missing-1
 	for j := len(o) - 1; w > i; j-- {
 		c := o[j]
@@ -168,14 +163,6 @@ type Node struct {
 	Pairs map[PairKey]int64
 }
 
-func newNode(block int) *Node {
-	n := nodePool.Get().(*Node)
-	n.Block = block
-	return n
-}
-
-func newVisit() *Visit { return visitPool.Get().(*Visit) }
-
 // TotalVisits returns the number of times any warp entered the block.
 func (n *Node) TotalVisits() int64 {
 	var t int64
@@ -205,23 +192,90 @@ type Graph struct {
 	Kernel string
 	Nodes  map[int]*Node
 	Warps  int64 // number of warp traces folded in
+	// The nodes, visits and histograms the last Reset emptied, taken
+	// before new ones are allocated.
+	spareNodes  []*Node
+	spareVisits []*Visit
+	spareHists  []*MemHist
 }
 
-// NewGraph returns an empty graph for the named kernel, reusing a
-// recycled graph when one is pooled (see Recycle).
+// NewGraph returns an empty graph for the named kernel.
 func NewGraph(kernel string) *Graph {
-	g := graphPool.Get().(*Graph)
-	g.Kernel = kernel
-	return g
+	return &Graph{Kernel: kernel, Nodes: make(map[int]*Node)}
+}
+
+// Reset empties g for an invocation of the named kernel. Its nodes,
+// visits and histograms, each emptied with its buffers kept, become
+// spares that the graph's next folds and merges take before they
+// allocate. The caller must hold the only reference to g and everything
+// it owns. Reset also readies a zero Graph, or a decoded one with nil
+// maps, for folding.
+func (g *Graph) Reset(kernel string) {
+	for _, n := range g.Nodes {
+		for _, v := range n.Visits {
+			for _, h := range v.Mems {
+				if h != nil {
+					h.Cells = h.Cells[:0]
+					g.spareHists = append(g.spareHists, h)
+				}
+			}
+			clear(v.Mems)
+			v.Mems, v.Count = v.Mems[:0], 0
+			g.spareVisits = append(g.spareVisits, v)
+		}
+		clear(n.Visits)
+		n.Visits = n.Visits[:0]
+		if n.Pairs == nil {
+			n.Pairs = make(map[PairKey]int64)
+		}
+		clear(n.Pairs)
+		g.spareNodes = append(g.spareNodes, n)
+	}
+	if g.Nodes == nil {
+		g.Nodes = make(map[int]*Node)
+	}
+	clear(g.Nodes)
+	g.Kernel, g.Warps = kernel, 0
+}
+
+// pop takes the last spare of *s, or returns nil when there is none.
+func pop[T any](s *[]*T) *T {
+	n := len(*s)
+	if n == 0 {
+		return nil
+	}
+	x := (*s)[n-1]
+	(*s)[n-1] = nil
+	*s = (*s)[:n-1]
+	return x
 }
 
 func (g *Graph) node(block int) *Node {
 	n := g.Nodes[block]
 	if n == nil {
-		n = newNode(block)
+		if n = pop(&g.spareNodes); n == nil {
+			n = &Node{Pairs: make(map[PairKey]int64)}
+		}
+		n.Block = block
 		g.Nodes[block] = n
 	}
 	return n
+}
+
+func (g *Graph) visit() *Visit {
+	if v := pop(&g.spareVisits); v != nil {
+		return v
+	}
+	return &Visit{}
+}
+
+func (g *Graph) hist(space isa.Space, store bool) *MemHist {
+	h := pop(&g.spareHists)
+	if h == nil {
+		h = &MemHist{}
+	}
+	h.Space, h.Store = space, store
+	return h
 }
 
 // nodeIDs returns the graph's block IDs in ascending order.
@@ -445,7 +499,7 @@ func (f *WarpFolder) EnterBlock(b int) {
 	f.visits[b] = j + 1
 	n := f.states[f.at].node
 	for len(n.Visits) <= j {
-		n.Visits = append(n.Visits, newVisit())
+		n.Visits = append(n.Visits, f.g.visit())
 	}
 	f.cur = n.Visits[j]
 	f.cur.Count++
@@ -463,7 +517,7 @@ func (f *WarpFolder) MemAccess(memIdx int, space isa.Space, store bool, addrs []
 	}
 	h := f.cur.Mems[memIdx]
 	if h == nil {
-		h = newMemHist(space, store)
+		h = f.g.hist(space, store)
 		f.cur.Mems[memIdx] = h
 	}
 	for len(addrs) > 0 {
@@ -494,8 +548,7 @@ func (f *WarpFolder) fold(h *MemHist, space isa.Space, addrs []int64) {
 	first := len(h.Cells) == 0
 	lanes := f.lanes[:0]
 	if first {
-		reserve(&h.Cells, len(keys))
-		lanes = h.Cells
+		lanes = slices.Grow(h.Cells, len(keys))
 	}
 	if hi-lo < laneSpan {
 		for _, k := range keys {
@@ -560,7 +613,7 @@ func (g *Graph) Merge(o *Graph) {
 		n := g.node(id)
 		for j, ov := range on.Visits {
 			for len(n.Visits) <= j {
-				n.Visits = append(n.Visits, newVisit())
+				n.Visits = append(n.Visits, g.visit())
 			}
 			v := n.Visits[j]
 			v.Count += ov.Count
@@ -572,7 +625,7 @@ func (g *Graph) Merge(o *Graph) {
 					v.Mems = append(v.Mems, nil)
 				}
 				if v.Mems[mi] == nil {
-					v.Mems[mi] = newMemHist(oh.Space, oh.Store)
+					v.Mems[mi] = g.hist(oh.Space, oh.Store)
 				}
 				v.Mems[mi].add(oh.Cells)
 			}

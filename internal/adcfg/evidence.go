@@ -24,6 +24,10 @@ type EvidenceHist struct {
 	lo, hi uint64 // the lowest and highest key counted in dense
 }
 
+// smallHist is the most cells an evidence histogram holds before it may
+// switch to dense counts.
+const smallHist = 32
+
 // denseSpan bounds the key span of a dense histogram.
 const denseSpan = 4096
 

@@ -90,7 +90,7 @@ func (f *refFolder) EnterBlock(b int) {
 	f.visits[b] = j + 1
 	n := g.node(b)
 	for len(n.Visits) <= j {
-		n.Visits = append(n.Visits, newVisit())
+		n.Visits = append(n.Visits, &Visit{})
 	}
 	f.cur = n.Visits[j]
 	f.cur.Count++
@@ -106,7 +106,7 @@ func (f *refFolder) MemAccess(memIdx int, space isa.Space, store bool, addrs []i
 	}
 	h := f.cur.Mems[memIdx]
 	if h == nil {
-		h = newMemHist(space, store)
+		h = &MemHist{Space: space, Store: store}
 		f.cur.Mems[memIdx] = h
 	}
 	for len(addrs) > 0 {
@@ -249,14 +249,14 @@ type folder interface {
 	Finish()
 }
 
-// runFoldScript folds the script into a fresh graph, through WarpFolders
-// (reference false) or refFolders, and returns the graph's encoding and
-// its edges: those the graph derives, or those the refFolders stored.
-// Every folder is finished at the end, and WarpFolders are released.
-func runFoldScript(data []byte, reference bool) ([]byte, []Edge) {
+// runFoldScript folds the script into g, an empty graph of kernel "k",
+// through WarpFolders (reference false) or refFolders, and returns the
+// graph's encoding and its edges: those the graph derives, or those the
+// refFolders stored. Every folder is finished at the end, and
+// WarpFolders are released.
+func runFoldScript(g *Graph, data []byte, reference bool) ([]byte, []Edge) {
 	r := &scriptReader{data: data}
 	hdr := r.next()
-	g := NewGraph("k")
 	stored := refEdges{}
 	var rebase Rebaser
 	var refRebase func(isa.Space, int64) uint64
@@ -306,7 +306,6 @@ func runFoldScript(data []byte, reference bool) ([]byte, []Edge) {
 	if reference {
 		edges = stored.sorted()
 	}
-	Recycle(g)
 	return enc, edges
 }
 
@@ -407,16 +406,23 @@ func foldSeeds() [][]byte {
 
 // FuzzWarpFold checks WarpFolder against the reference folder on fold
 // scripts: both must encode the same graph, and the edges the folded
-// graph derives must equal the reference's stored edges, folded fresh
-// and again through folders taken from the pool after a release.
+// graph derives must equal the reference's stored edges. Each script
+// folds into a fresh graph, then again, through folders taken from the
+// pool after a release, into a graph reset from the previous script's.
 func FuzzWarpFold(f *testing.F) {
 	for _, s := range foldSeeds() {
 		f.Add(s)
 	}
+	reused := NewGraph("k") // the last script's graph
 	f.Fuzz(func(t *testing.T, data []byte) {
-		want, wantEdges := runFoldScript(data, true)
+		want, wantEdges := runFoldScript(NewGraph("k"), data, true)
 		for pass := 0; pass < 2; pass++ {
-			got, edges := runFoldScript(data, false)
+			g := NewGraph("k")
+			if pass == 1 {
+				reused.Reset("k")
+				g = reused
+			}
+			got, edges := runFoldScript(g, data, false)
 			if !bytes.Equal(got, want) {
 				t.Fatalf("pass %d: folded graph differs from the reference (%d vs %d bytes) for script %x", pass, len(got), len(want), data)
 			}
@@ -499,7 +505,6 @@ func BenchmarkWarpFold(b *testing.B) {
 				f.Finish()
 			}
 			f.Release()
-			Recycle(g)
 		})
 	}
 }

@@ -261,7 +261,6 @@ func TestHistDifferential(t *testing.T) {
 				checkSummaries(t, o, oref)
 				g.Merge(o)
 				ref.addAll(oref)
-				Recycle(o)
 			}
 			if most := checkAgainstRef(t, g, ref); most > smallHist {
 				promoted = true
@@ -303,7 +302,6 @@ func TestHistDifferential(t *testing.T) {
 		if string(again) != string(data) {
 			t.Fatalf("seed %d: JSON round-trip changed the bytes", seed)
 		}
-		Recycle(g)
 	}
 	if !promoted {
 		t.Fatal("no histogram outgrew the small class; test is vacuous")
@@ -368,7 +366,6 @@ func keyRange(lo, hi int64) []int64 {
 func addRun(e *EvidenceHist, ref map[uint64]int64, addrs ...int64) {
 	o := runGraph(addrs...)
 	e.Add(o.Nodes[0].Visits[0].Mems[0].Cells)
-	Recycle(o)
 	for _, a := range addrs {
 		ref[uint64(a)]++
 	}
@@ -475,7 +472,6 @@ func TestDenseHistDifferential(t *testing.T) {
 				}
 			}
 			ref.addAll(oref)
-			Recycle(o)
 			for k, h := range ev {
 				base, was := bases[k]
 				switch {

@@ -106,7 +106,7 @@ func (g *Graph) UnmarshalJSON(data []byte) error {
 					v.Mems = append(v.Mems, nil)
 					continue
 				}
-				h := newMemHist(mj.Space, mj.Store)
+				h := g.hist(mj.Space, mj.Store)
 				for a, c := range mj.Addrs {
 					h.Cells = append(h.Cells, Cell{Addr: a, Count: c})
 				}

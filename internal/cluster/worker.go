@@ -257,7 +257,7 @@ func (w *Worker) handleRecord(rw http.ResponseWriter, r *http.Request) {
 		sp.SetInt("run_index", int64(res.Index))
 		var buf bytes.Buffer
 		err := res.Trace.WriteGob(&buf)
-		trace.Release(res.Trace) // encoded; recycle its buffers right away
+		trace.Release(res.Trace) // encoded; the next run records into it
 		sp.End()                 // before send, so the span ships with its own result
 		if err != nil {
 			return &core.RunError{Index: res.Index, Err: err}

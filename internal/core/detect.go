@@ -479,7 +479,7 @@ func (d *Detector) Classify(p cuda.Program, inputs [][]byte) ([]InputClass, erro
 // ClassifyContext is Classify honoring cancellation between executions.
 // Recording streams through the configured Runner and classes inputs on
 // arrival: each trace is hashed as it completes, duplicates are released
-// back to the buffer pools immediately, and only one representative trace
+// to the trace pool immediately, and only one representative trace
 // per class stays resident. A reorder window keyed by request index keeps
 // classification order — and therefore class representatives — identical
 // to sequential recording.

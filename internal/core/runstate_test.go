@@ -3,6 +3,7 @@ package core_test
 import (
 	"context"
 	"math/rand"
+	"runtime"
 	"slices"
 	"sync"
 	"testing"
@@ -157,6 +158,48 @@ func TestReusedRunStateMatchesFresh(t *testing.T) {
 			if !slices.Equal(got[b], want) {
 				t.Errorf("batch %d on a shared slot traced differently from fresh states", b)
 			}
+		}
+	})
+
+	// One state records different programs in turn, each run into the
+	// trace the last one released: tokenize's single launch, aes128's,
+	// nvjpeg's four, and tokenize again. The reference traces are
+	// recorded first, each after two collections have emptied the trace
+	// pool, and are never released, so each is built from nothing.
+	t.Run("cross-program", func(t *testing.T) {
+		recipe := core.Recipe{Device: dev, Rebase: true}
+		type run struct {
+			p     cuda.Program
+			input []byte
+			want  [32]byte
+		}
+		var runs []run
+		for i, name := range []string{"media/tokenize", "libgpucrypto/aes128", "nvjpeg/encode", "media/tokenize"} {
+			tg, err := experiments.FindTarget(name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			r := run{p: tg.Program, input: tg.Inputs[i%len(tg.Inputs)]}
+			runtime.GC()
+			runtime.GC()
+			fresh, err := recipe.Record(context.Background(), r.p, r.input, int64(i))
+			if err != nil {
+				t.Fatal(err)
+			}
+			r.want = fresh.Hash()
+			runs = append(runs, r)
+		}
+		record, done := core.RunStateRecorder(recipe)
+		defer done()
+		for i, r := range runs {
+			tr, err := record(context.Background(), r.p, r.input, int64(i))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := tr.Hash(); got != r.want {
+				t.Errorf("run %d (%s): reused state traced %x, fresh %x", i, r.p.Name(), got[:6], r.want[:6])
+			}
+			trace.Release(tr)
 		}
 	})
 

@@ -202,7 +202,21 @@ func TestNewDetectorRejectsWorkersAndRunner(t *testing.T) {
 func TestStreamParallelFirstError(t *testing.T) {
 	p := &gateProgram{failOn: 4}
 	reqs := gateReqs(64)
-	sink := func(ctx context.Context, res RunResult) error { return nil }
+	// A run after the failing one blocks in the sink, as an ordered
+	// sink's backpressure does, until the failure cancels the batch, so
+	// the other goroutine cannot drain the batch first; giveUp bounds the
+	// wait should the batch never be cancelled.
+	giveUp := make(chan struct{})
+	defer time.AfterFunc(5*time.Second, func() { close(giveUp) }).Stop()
+	sink := func(ctx context.Context, res RunResult) error {
+		if res.Index > 3 {
+			select {
+			case <-ctx.Done():
+			case <-giveUp:
+			}
+		}
+		return nil
+	}
 	recipe := Recipe{Device: gpu.DefaultConfig(), Rebase: true}
 	err := StreamParallel(context.Background(), make(chan struct{}, 2), p, reqs, recipe, sink)
 	if !errors.Is(err, errGate) {

@@ -71,7 +71,7 @@ func BenchmarkCostCollector(b *testing.B) {
 				c.RecordRegWrite(e.block, e.idx, &e.vals, e.mask)
 			}
 		}
-		sites = len(c.Sites())
+		sites = len(c.Sites(nil))
 	}
 	var writes, full int
 	for _, e := range log.events {

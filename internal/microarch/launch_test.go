@@ -43,7 +43,7 @@ func coalesceSites(t *testing.T, d *gpu.Device, k *isa.Kernel, block int, params
 		t.Fatal(err)
 	}
 	var out []trace.CostSite
-	for _, s := range c.Sites() {
+	for _, s := range c.Sites(nil) {
 		if s.Metric == trace.CostCoalesce {
 			out = append(out, s)
 		}

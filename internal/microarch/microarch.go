@@ -15,6 +15,7 @@ package microarch
 
 import (
 	"math/bits"
+	"slices"
 
 	"owl/internal/isa"
 	"owl/internal/simt"
@@ -213,13 +214,14 @@ func (c *Collector) RecordRegWrite(block, instr int, vals *[simt.WarpWidth]int64
 // Sites renders the aggregate as canonical trace cost sites: every site
 // observed at least once, sorted by (Metric, Block, Instr). The cells
 // are walked in exactly that order, so the result needs no sort; it is
-// nil when nothing was observed.
-func (c *Collector) Sites() []trace.CostSite {
+// nil when nothing was observed. The sites are written over dst's
+// buffer, which may be nil, when it is large enough.
+func (c *Collector) Sites(dst []trace.CostSite) []trace.CostSite {
 	n := hits(c.bank) + hits(c.coalesce) + hits(c.power)
 	if n == 0 {
 		return nil
 	}
-	out := make([]trace.CostSite, 0, n)
+	out := slices.Grow(dst[:0], n)
 	out = appendSites(out, trace.CostBank, c.memOff, c.bank)
 	out = appendSites(out, trace.CostCoalesce, c.memOff, c.coalesce)
 	return appendSites(out, trace.CostPower, c.codeOff, c.power)

@@ -227,7 +227,7 @@ func testKernel(blocks ...string) *isa.Kernel {
 func TestCollectorAggregation(t *testing.T) {
 	k := testKernel("am", "", "mamamaa")
 	c := NewCollector(k)
-	if sites := c.Sites(); sites != nil {
+	if sites := c.Sites(nil); sites != nil {
 		t.Fatalf("new collector has sites %+v", sites)
 	}
 	// Two shared accesses at the same site: degrees 1 and 4.
@@ -244,7 +244,7 @@ func TestCollectorAggregation(t *testing.T) {
 	}
 	c.RecordRegWrite(2, 5, &vals, 0xF)
 
-	sites := c.Sites()
+	sites := c.Sites(nil)
 	want := []trace.CostSite{
 		{Block: 2, Instr: 0, Metric: trace.CostBank, Events: 2, Total: 5},
 		{Block: 2, Instr: 1, Metric: trace.CostCoalesce, Events: 1, Total: 2},
@@ -375,7 +375,7 @@ func TestCollectorMatchesMapReference(t *testing.T) {
 			}
 		}
 		for i := range dense {
-			got, want := dense[i].Sites(), ref[i].Sites()
+			got, want := dense[i].Sites(nil), ref[i].Sites()
 			if !slices.Equal(got, want) || (got == nil) != (want == nil) {
 				t.Fatalf("iter %d kernel %q collector %d: sites\n%+v\nwant\n%+v", iter, blocks, i, got, want)
 			}

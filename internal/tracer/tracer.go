@@ -43,21 +43,16 @@ func WithCost() Option {
 	return func(t *Tracer) { t.cost = true }
 }
 
-// Tracer records one program execution at a time into a ProgramTrace;
-// Reset starts the next. It observes one context and is not safe for
-// concurrent use: a context's allocations and launches are host calls
-// in program order, and a launch runs to completion before the next host
-// call.
+// Tracer records one program execution at a time into a ProgramTrace
+// taken from trace.New; Reset starts the next. It observes one context
+// and is not safe for concurrent use: a context's allocations and
+// launches are host calls in program order, and a launch runs to
+// completion before the next host call.
 type Tracer struct {
 	rebase bool
 	cost   bool
 	allocs []gpu.AllocRecord // sorted by Base
 	result *trace.ProgramTrace
-	// launches counts the execution's launches; with len(allocs), it
-	// sizes the next trace's slices, since runs of one program repeat
-	// their host calls.
-	launches           int
-	allocHint, invHint int
 
 	// Per-launch scratch, reused launch to launch and run to run: nothing
 	// holds a launch's instrumentation past its EndLaunch.
@@ -75,7 +70,7 @@ var _ cuda.Observer = (*Tracer)(nil)
 func New(program string, opts ...Option) *Tracer {
 	t := &Tracer{
 		rebase: true,
-		result: &trace.ProgramTrace{Program: program},
+		result: trace.New(program),
 	}
 	for _, o := range opts {
 		o(t)
@@ -88,13 +83,25 @@ func New(program string, opts ...Option) *Tracer {
 // The previous trace belongs to whoever took it from Trace and is left
 // untouched; the tracer keeps only its scratch.
 func (t *Tracer) Reset(program string) {
-	t.allocHint, t.invHint = len(t.allocs), t.launches
-	t.allocs, t.launches = t.allocs[:0], 0
-	t.result = &trace.ProgramTrace{Program: program}
+	t.allocs = t.allocs[:0]
+	t.result = trace.New(program)
 }
 
-// Trace returns the recorded program trace.
-func (t *Tracer) Trace() *trace.ProgramTrace { return t.result }
+// Trace hands the recorded program trace to the caller and forgets it:
+// the tracer records nothing more until Reset. A list the run left empty
+// is nil, as in a trace built from nothing, so the trace's JSON does not
+// depend on the released trace it was recorded into.
+func (t *Tracer) Trace() *trace.ProgramTrace {
+	r := t.result
+	t.result = nil
+	if len(r.Allocs) == 0 {
+		r.Allocs = nil
+	}
+	if len(r.Invocations) == 0 {
+		r.Invocations = nil
+	}
+	return r
+}
 
 // OnAlloc implements cuda.Observer. The bump allocator hands out
 // ascending bases, so the table grows at its end; the binary search
@@ -104,28 +111,37 @@ func (t *Tracer) OnAlloc(rec gpu.AllocRecord, site string) {
 		return cmp.Compare(a.Base, base)
 	})
 	t.allocs = slices.Insert(t.allocs, i, rec)
-	if t.result.Allocs == nil {
-		t.result.Allocs = make([]trace.Alloc, 0, t.allocHint)
-	}
 	t.result.Allocs = append(t.result.Allocs, trace.Alloc{ID: rec.ID, Words: rec.Words, Site: site})
 }
 
 // OnLaunch implements cuda.Observer: it registers the invocation and
-// returns the device-side instrumentation for it.
+// returns the device-side instrumentation for it. A pooled trace keeps
+// the invocations of the run it last recorded, and runs of one program
+// launch the same kernels in the same order, so the invocation at this
+// launch's position is reset and reused with its graph and cost sites.
 func (t *Tracer) OnLaunch(info cuda.LaunchInfo) gpu.Instrument {
-	inv := &trace.Invocation{
+	invs := t.result.Invocations
+	i := len(invs)
+	if i == cap(invs) || invs[:i+1][i] == nil {
+		invs = append(invs, &trace.Invocation{})
+	}
+	invs = invs[:i+1]
+	t.result.Invocations = invs
+	inv := invs[i]
+	g, cost := inv.Graph, inv.Cost[:0]
+	if g == nil {
+		g = adcfg.NewGraph(info.Kernel.Name)
+	} else {
+		g.Reset(info.Kernel.Name)
+	}
+	*inv = trace.Invocation{
 		Seq:     info.Seq,
 		StackID: info.StackID,
 		Kernel:  info.Kernel.Name,
 		Grid:    info.Grid,
 		Block:   info.Block,
-		Graph:   adcfg.NewGraph(info.Kernel.Name),
+		Graph:   g,
 	}
-	if t.result.Invocations == nil {
-		t.result.Invocations = make([]*trace.Invocation, 0, t.invHint)
-	}
-	t.result.Invocations = append(t.result.Invocations, inv)
-	t.launches++
 	li := &t.li
 	warps := li.warps
 	n := (info.Block.Count() + simt.WarpWidth - 1) / simt.WarpWidth
@@ -138,6 +154,7 @@ func (t *Tracer) OnLaunch(info cuda.LaunchInfo) gpu.Instrument {
 	*li = launchInst{inv: inv, rebase: t.rebaser(), warps: warps}
 	if t.cost {
 		li.cost = t.collector(info.Kernel)
+		inv.Cost = cost
 	}
 	return li
 }
@@ -220,7 +237,9 @@ func regionOf(allocs []gpu.AllocRecord, a int64) region {
 // the invocation's A-DCFG and cost collector, with no lock. The hooks of
 // warp w are reused from block to block, since every warp retires before
 // the next block begins; their folders come from adcfg's folder pool, and
-// EndLaunch releases them.
+// EndLaunch releases them. The invocation, its graph and its cost-site
+// buffer are the ones this launch position held in the released trace
+// the run records into, so a steady-state launch allocates nothing.
 type launchInst struct {
 	inv    *trace.Invocation
 	rebase adcfg.Rebaser
@@ -256,16 +275,16 @@ func (li *launchInst) EndLaunch() {
 		}
 	}
 	if li.cost != nil {
-		li.inv.Cost = li.cost.Sites()
+		li.inv.Cost = li.cost.Sites(li.inv.Cost)
 	}
 }
 
 // warpHooks adapts one warp's simt callbacks onto a WarpFolder. This is
 // the interpreter's hot path: both callbacks fold the event into the
 // invocation graph without retaining the addrs slice (the interpreter reuses
-// one address buffer per warp) and without allocating beyond the graph's
-// own pooled node/histogram growth and the folder's pooled transition
-// states.
+// one address buffer per warp). They allocate only when the graph outgrows
+// the spare nodes, visits and histograms its Reset kept, or the folder its
+// pooled transition states.
 type warpHooks struct {
 	folder *adcfg.WarpFolder
 }
