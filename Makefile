@@ -53,11 +53,12 @@ fuzz-mitigate:
 # Differential fuzzing of the tracer's warp folder against the reference
 # folder (a map operation per block entry, a sort per access, edges
 # stored as they are taken): random block walks and lane vectors over
-# interleaved, reused and released folders must encode the same A-DCFG,
+# interleaved, reused and reset folders must encode the same A-DCFG,
 # and the edges the folded graph derives from its pairs must equal the
 # reference's stored edges. Each script folds a second time into a graph
-# reset from the previous script's, the way the tracer reuses a released
-# trace's graphs, and must encode the same bytes.
+# reset from the previous script's, through that graph's own folders
+# reset for it, the way the tracer reuses a released trace's graphs and
+# their folders, and must encode the same bytes.
 fuzz-fold:
 	$(GO) test -run=NONE -fuzz=FuzzWarpFold -fuzztime=60s ./internal/adcfg/
 

@@ -122,17 +122,17 @@ func TestWarpInterpAllocsCostOff(t *testing.T) {
 // fresh tracer and seeded context, released the way detection releases
 // every trace: the whole setup a run on a new run state pays, the
 // context's lazily built generator included. The tracer records into a
-// released trace and reuses its invocations, graphs and cost sites, and
-// warps fold straight into the invocation graph through pooled folders
-// reused from block to block, so the count grows with neither the graph
-// nor the warp count. The plain cases read 16-17 and the cost-on cases
+// released trace and reuses its invocations, graphs, the graphs' warp
+// folders and cost sites, and warps fold straight into the invocation
+// graph through folders reused from block to block, so the count grows
+// with neither the graph nor the warp count. The plain cases read 16-17 and the cost-on cases
 // 19-20, with the dense cost collector; their limits sit 7-8 above, so
 // one allocation added per warp (16 more on the wide aes128 cases, 2 on
 // the others) fails both wide cases. nvjpeg/encode launches four kernels
 // per run and reads 35-39: a collection that empties the trace pool makes
 // the next run build a whole trace again, which weighs more on its four
 // graphs than on aes128's one. Its limit of 44 fails a folder or
-// transition-state buffer allocated per warp instead of pooled.
+// transition-state buffer allocated per warp instead of reused.
 func TestTracedRunAllocs(t *testing.T) {
 	aes := func(blocks int) func() (cuda.Program, []byte) {
 		return func() (cuda.Program, []byte) {

@@ -272,7 +272,7 @@ func BenchmarkTable4EvidenceCollectionBoth(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		eFix, eRnd := core.NewEvidence(), core.NewEvidence()
-		engine := evidence.NewEngine(evidence.Config{})
+		engine := evidence.NewEngine(evidence.Config{TThreshold: evidence.DefaultTThreshold, MIBins: evidence.DefaultMIBins})
 		for _, t := range fixed {
 			eFix.AddRun(t)
 			engine.Observe(evidence.Fixed, t)

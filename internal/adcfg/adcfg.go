@@ -9,10 +9,10 @@
 // its invocation's graph as it executes (see WarpFolder: histograms grow
 // per access, and the warp's pair counts land when it finishes),
 // eliminating cross-thread redundancy — the property that gives Owl its
-// scalability (RQ2). Folders are pooled: the tracer releases a launch's
-// folders when the launch ends. Graphs are reused whole: Graph.Reset
-// keeps a graph's nodes, visits and histograms, emptied, as spares that
-// its next folds take before they allocate.
+// scalability (RQ2). Graphs are reused whole: Graph.Reset keeps a graph's
+// nodes, visits and histograms, emptied, as spares that its next folds
+// take before they allocate, and the graph keeps the warp folders that
+// fold into it (Graph.Folder), each reset for the next launch.
 package adcfg
 
 import (
@@ -22,7 +22,6 @@ import (
 	"fmt"
 	"math/bits"
 	"slices"
-	"sync"
 
 	"owl/internal/isa"
 )
@@ -197,6 +196,8 @@ type Graph struct {
 	spareNodes  []*Node
 	spareVisits []*Visit
 	spareHists  []*MemHist
+	// folders[w] folds warp w's launches into the graph; see Folder.
+	folders []*WarpFolder
 }
 
 // NewGraph returns an empty graph for the named kernel.
@@ -236,6 +237,24 @@ func (g *Graph) Reset(kernel string) {
 	}
 	clear(g.Nodes)
 	g.Kernel, g.Warps = kernel, 0
+}
+
+// Folder returns the folder of warp w, ready to fold into g through
+// rebase: a new one the first time, then the same one reset. A graph
+// keeps its folders through Reset, as it keeps its emptied nodes, so a
+// launch recorded into a reused graph folds through reused folders.
+func (g *Graph) Folder(w int, rebase Rebaser) *WarpFolder {
+	if w >= len(g.folders) {
+		g.folders = append(g.folders, make([]*WarpFolder, w+1-len(g.folders))...)
+	}
+	f := g.folders[w]
+	if f == nil {
+		f = NewWarpFolder(g, rebase)
+		g.folders[w] = f
+	} else {
+		f.reset(g, rebase)
+	}
+	return f
 }
 
 // pop takes the last spare of *s, or returns nil when there is none.
@@ -352,8 +371,9 @@ const laneSpan = 512
 // retires: its block transitions stay pending in the folder until then.
 // Folding only adds to the graph's counts, so several folders may target
 // one graph as long as their calls do not run concurrently, and a
-// finished folder can fold the next warp into the same graph. Release
-// returns a folder that will fold no more warps to a pool.
+// finished folder can fold the next warp into the same graph. A graph
+// keeps the folders of its warps (see Graph.Folder) and resets them for
+// each launch, with their buffers kept.
 //
 // Every event folds in one pass without a map operation in the common
 // case. The folder keeps one state per edge it has taken: the edge's
@@ -400,23 +420,18 @@ type foldSucc struct {
 // succRef locates one successor of one state.
 type succRef struct{ state, succ int32 }
 
-var folderPool = sync.Pool{New: func() any {
-	return &WarpFolder{index: make(map[EdgeKey]int32)}
-}}
-
-// NewWarpFolder returns a folder targeting g, reusing a released one when
-// one is pooled. rebase converts raw device addresses to stable keys; a
-// nil rebase keeps raw addresses.
+// NewWarpFolder returns a folder targeting g. rebase converts raw device
+// addresses to stable keys; a nil rebase keeps raw addresses.
 func NewWarpFolder(g *Graph, rebase Rebaser) *WarpFolder {
-	f := folderPool.Get().(*WarpFolder)
-	f.g, f.rebase = g, rebase
-	f.newState(Start, Start, nil)
+	f := &WarpFolder{index: make(map[EdgeKey]int32)}
+	f.reset(g, rebase)
 	return f
 }
 
-// Release returns f to the folder pool. Transitions of an unfinished warp
-// are dropped; f must not be used afterwards.
-func (f *WarpFolder) Release() {
+// reset readies f to fold warps into g with rebase, as NewWarpFolder
+// would, keeping its state, successor and visit buffers. Transitions of
+// an unfinished warp are dropped.
+func (f *WarpFolder) reset(g *Graph, rebase Rebaser) {
 	for i := range f.states {
 		s := &f.states[i]
 		clear(s.succ)
@@ -427,13 +442,13 @@ func (f *WarpFolder) Release() {
 	clear(f.index)
 	f.pending = f.pending[:0]
 	clear(f.visits)
-	f.g, f.rebase, f.cur = nil, nil, nil
+	f.g, f.rebase, f.cur = g, rebase, nil
 	f.at, f.started = 0, false
-	folderPool.Put(f)
+	f.newState(Start, Start, nil)
 }
 
 // newState appends the state of edge from→block, keeping the successor
-// buffer a released folder left in the slot.
+// buffer a reset folder left in the slot.
 func (f *WarpFolder) newState(from, block int, n *Node) int32 {
 	i := len(f.states)
 	if i < cap(f.states) {

@@ -174,10 +174,10 @@ func laneRebase(space isa.Space, addrs []int64, keys []uint64) {
 // Each op byte then holds the action in its low two bits and the folder
 // in the rest, followed by the action's operands.
 const (
-	opEnter   = iota // block
-	opAccess         // mem, space and lane kind, lane count, base (2 bytes), lane bytes
-	opFinish         // (none)
-	opRelease        // (none): finish, release, and take a folder from the pool
+	opEnter  = iota // block
+	opAccess        // mem, space and lane kind, lane count, base (2 bytes), lane bytes
+	opFinish        // (none)
+	opReset         // (none): finish, and reset the folder for the same graph
 )
 
 // Lane kinds of an access: how its lane addresses spread from the base.
@@ -252,8 +252,9 @@ type folder interface {
 // runFoldScript folds the script into g, an empty graph of kernel "k",
 // through WarpFolders (reference false) or refFolders, and returns the
 // graph's encoding and its edges: those the graph derives, or those the
-// refFolders stored. Every folder is finished at the end, and
-// WarpFolders are released.
+// refFolders stored. The WarpFolders are g's own (Graph.Folder), so a
+// reused graph folds through its reused folders; every folder is
+// finished at the end.
 func runFoldScript(g *Graph, data []byte, reference bool) ([]byte, []Edge) {
 	r := &scriptReader{data: data}
 	hdr := r.next()
@@ -263,21 +264,13 @@ func runFoldScript(g *Graph, data []byte, reference bool) ([]byte, []Edge) {
 	if hdr&4 == 0 {
 		rebase, refRebase = laneRebase, foldKey
 	}
-	newFolder := func() folder {
-		if reference {
-			return newRefFolder(g, stored, refRebase)
-		}
-		return NewWarpFolder(g, rebase)
-	}
-	release := func(f folder) {
-		f.Finish()
-		if wf, ok := f.(*WarpFolder); ok {
-			wf.Release()
-		}
-	}
 	folders := make([]folder, 1+hdr%3)
 	for i := range folders {
-		folders[i] = newFolder()
+		if reference {
+			folders[i] = newRefFolder(g, stored, refRebase)
+		} else {
+			folders[i] = g.Folder(i, rebase)
+		}
 	}
 	for r.more() {
 		op := r.next()
@@ -294,13 +287,17 @@ func runFoldScript(g *Graph, data []byte, reference bool) ([]byte, []Edge) {
 			f.MemAccess(mem, space, mem == 2, r.lanes(sk/3%numLaneKinds, n, base))
 		case opFinish:
 			f.Finish()
-		case opRelease:
-			release(f)
-			folders[i] = newFolder()
+		case opReset:
+			f.Finish()
+			if reference {
+				folders[i] = newRefFolder(g, stored, refRebase)
+			} else {
+				folders[i] = g.Folder(i, rebase)
+			}
 		}
 	}
 	for _, f := range folders {
-		release(f)
+		f.Finish()
 	}
 	enc, edges := g.Encode(), g.Edges()
 	if reference {
@@ -336,14 +333,14 @@ func (s *scriptBuilder) finish(f int) *scriptBuilder {
 	return s
 }
 
-func (s *scriptBuilder) release(f int) *scriptBuilder {
-	*s = append(*s, byte(f<<2|opRelease))
+func (s *scriptBuilder) reset(f int) *scriptBuilder {
+	*s = append(*s, byte(f<<2|opReset))
 	return s
 }
 
 // randomScript draws a script of random block walks and accesses over
-// interleaved folders, with folders finished, reused and released along
-// the way.
+// interleaved folders, with folders finished, reused and reset along the
+// way.
 func randomScript(r *rand.Rand) []byte {
 	s := newScript(1+r.Intn(3), r.Intn(4) != 0)
 	for steps := 10 + r.Intn(120); steps > 0; steps-- {
@@ -358,7 +355,7 @@ func randomScript(r *rand.Rand) []byte {
 		case p < 19:
 			s.finish(f)
 		default:
-			s.release(f)
+			s.reset(f)
 		}
 	}
 	return *s
@@ -366,7 +363,7 @@ func randomScript(r *rand.Rand) []byte {
 
 // foldSeeds is the seed corpus of FuzzWarpFold: each lane kind at warp,
 // partial-warp and wider-than-warp lane counts, in every space, then
-// random walks over interleaved, reused and released folders.
+// random walks over interleaved, reused and reset folders.
 func foldSeeds() [][]byte {
 	var seeds [][]byte
 	pattern := make([]byte, 96)
@@ -386,7 +383,7 @@ func foldSeeds() [][]byte {
 		}
 	}
 	// Two folders interleaved over one graph through a loop, with a
-	// release between warps.
+	// reset between warps.
 	s := newScript(2, true)
 	for w := 0; w < 3; w++ {
 		for step, b := range []int{0, 1, 2, 1, 2, 3} {
@@ -394,7 +391,7 @@ func foldSeeds() [][]byte {
 				s.enter(f, (b+f*w)%4).access(f, step%2, isa.SpaceGlobal, lanesNear, 32, uint16(8*w), pattern[step:]...)
 			}
 		}
-		s.finish(0).release(1)
+		s.finish(0).reset(1)
 	}
 	seeds = append(seeds, *s)
 	r := rand.New(rand.NewSource(1))
@@ -407,8 +404,9 @@ func foldSeeds() [][]byte {
 // FuzzWarpFold checks WarpFolder against the reference folder on fold
 // scripts: both must encode the same graph, and the edges the folded
 // graph derives must equal the reference's stored edges. Each script
-// folds into a fresh graph, then again, through folders taken from the
-// pool after a release, into a graph reset from the previous script's.
+// folds into a fresh graph through new folders, then again into a graph
+// reset from the previous script's, through that graph's folders reset
+// for it, as the tracer reuses graphs and folders from launch to launch.
 func FuzzWarpFold(f *testing.F) {
 	for _, s := range foldSeeds() {
 		f.Add(s)
@@ -504,7 +502,6 @@ func BenchmarkWarpFold(b *testing.B) {
 				}
 				f.Finish()
 			}
-			f.Release()
 		})
 	}
 }

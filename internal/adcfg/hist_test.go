@@ -349,7 +349,6 @@ func runGraph(addrs ...int64) *Graph {
 	f.EnterBlock(0)
 	f.MemAccess(0, isa.SpaceGlobal, false, addrs)
 	f.Finish()
-	f.Release()
 	return g
 }
 

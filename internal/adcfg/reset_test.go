@@ -7,10 +7,8 @@ import (
 )
 
 // foldWalk folds two warps that walk blocks, each entry accessing two
-// addresses from base, into g.
-func foldWalk(g *Graph, base int64, blocks ...int) {
-	f := NewWarpFolder(g, nil)
-	defer f.Release()
+// addresses from base, through f into its graph.
+func foldWalk(f *WarpFolder, base int64, blocks ...int) {
 	for range 2 {
 		for i, b := range blocks {
 			f.EnterBlock(b)
@@ -23,18 +21,20 @@ func foldWalk(g *Graph, base int64, blocks ...int) {
 // TestResetFoldsLikeFreshGraph resets a populated graph of another
 // kernel and checks that folding and merging into it encode exactly what
 // a fresh graph does: every node, visit and histogram the new walk takes
-// from the spares must come back empty.
+// from the spares must come back empty. The walks into it go through the
+// graph's own folder, reset for each, as the tracer's launches do; the
+// reference walks go through new folders.
 func TestResetFoldsLikeFreshGraph(t *testing.T) {
 	g := NewGraph("other")
-	foldWalk(g, 0x40, 1, 2, 3, 2, 3, 4)
+	foldWalk(g.Folder(0, nil), 0x40, 1, 2, 3, 2, 3, 4)
 	if len(g.Nodes) != 4 {
 		t.Fatalf("folder built %d nodes, want 4; test is vacuous", len(g.Nodes))
 	}
 	for round := range 2 {
 		g.Reset("k")
-		foldWalk(g, 0x80, 3, 1, 3)
+		foldWalk(g.Folder(0, nil), 0x80, 3, 1, 3)
 		want := NewGraph("k")
-		foldWalk(want, 0x80, 3, 1, 3)
+		foldWalk(NewWarpFolder(want, nil), 0x80, 3, 1, 3)
 		if g.Hash() != want.Hash() {
 			t.Fatalf("round %d: reset graph folds to %v, a fresh one to %v", round, g, want)
 		}
@@ -44,7 +44,7 @@ func TestResetFoldsLikeFreshGraph(t *testing.T) {
 	}
 
 	o := NewGraph("k")
-	foldWalk(o, 0x100, 1, 4, 4)
+	foldWalk(NewWarpFolder(o, nil), 0x100, 1, 4, 4)
 	g.Reset("k")
 	g.Merge(o)
 	if g.Hash() != o.Hash() {
@@ -58,12 +58,12 @@ func TestResetFoldsLikeFreshGraph(t *testing.T) {
 func resetFoldsFresh(t *testing.T, graphs map[string]*Graph) {
 	t.Helper()
 	want := NewGraph("k")
-	foldWalk(want, 0, 1, 2)
+	foldWalk(NewWarpFolder(want, nil), 0, 1, 2)
 	for name, g := range graphs {
 		g.Reset("k")
 		g.node(7).Pairs[PairKey{}]++ // must not panic on a nil map
 		g.Reset("k")
-		foldWalk(g, 0, 1, 2)
+		foldWalk(g.Folder(0, nil), 0, 1, 2)
 		if g.Hash() != want.Hash() {
 			t.Errorf("%s: reset graph folds to %v, a fresh one to %v", name, g, want)
 		}

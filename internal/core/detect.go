@@ -150,7 +150,7 @@ type Progress struct {
 // EvidenceSample is one per-round snapshot of the statistical channel's
 // convergence, reported via Options.OnEvidence: how far into the class's
 // run budget the round got, the evidence engine's current trajectory,
-// and the sequential-testing controller's early-stop state.
+// and the early-stop state of the class's round loop.
 type EvidenceSample struct {
 	Round        int     `json:"round"`                   // 1-based recording round within the class
 	Runs         int     `json:"runs"`                    // runs recorded for this class so far (both regimes)
@@ -596,14 +596,18 @@ type classRegime struct {
 	ev   *Evidence // diff-channel evidence; nil when the diff channel is off
 }
 
+// remaining reports whether either regime has requests left to record.
+func remaining(fixed, random *classRegime) bool {
+	return fixed.used < len(fixed.reqs) || random.used < len(random.reqs)
+}
+
 // analyzeClass runs the leakage-analysis phase for one input class,
 // adding its leaks to the detection's report. One round loop records both
 // regimes and merges each run on arrival into whichever evidence
 // consumers are on: the diff channel's E_fix/E_rnd and the statistical
 // channel's engine. Without the statistical channel each regime records
-// as one chunk; with it, rounds of CheckEvery runs per regime let the
-// sequential-testing controller cancel the remaining budget (and feed
-// the live telemetry).
+// as one chunk; with it, rounds of CheckEvery runs per regime let early
+// stop cancel the remaining budget (and feed the live telemetry).
 //
 // Inputs and per-run seeds are drawn sequentially up front — the
 // generator seed first, then the fixed-regime seeds, then the random
@@ -614,13 +618,9 @@ type classRegime struct {
 func (d *Detector) analyzeClass(ctx context.Context, p cuda.Program, cls InputClass, gen cuda.InputGen, leaks *leakSet) error {
 	report := leaks.report
 	cfg := d.opts.Evidence
-	var (
-		engine *evidence.Engine
-		ctrl   *evidence.Controller
-	)
+	var engine *evidence.Engine
 	if cfg.statEnabled() {
-		engine = evidence.NewEngine(cfg.engineConfig())
-		ctrl = evidence.NewController(engine, cfg.stopPolicy())
+		engine = evidence.NewEngine(evidence.Config{TThreshold: cfg.TVLAThreshold, MIBins: cfg.MIBins})
 	}
 	fixed := &classRegime{span: "record.fixed", r: evidence.Fixed, reqs: make([]RunRequest, d.opts.FixedRuns)}
 	random := &classRegime{span: "record.random", r: evidence.Random, reqs: make([]RunRequest, d.opts.RandomRuns)}
@@ -677,11 +677,11 @@ func (d *Detector) analyzeClass(ctx context.Context, p cuda.Program, cls InputCl
 	rounds := engine != nil && (cfg.EarlyStop.Enabled || d.opts.OnEvidence != nil || obs.FromContext(ctx) != nil)
 	step := max(d.opts.FixedRuns, d.opts.RandomRuns)
 	if rounds {
-		step = ctrl.Policy().CheckEvery
+		step = cfg.EarlyStop.CheckEvery
 	}
-	remaining := func() bool { return fixed.used < len(fixed.reqs) || random.used < len(random.reqs) }
+	var stop stopState
 	earlyStopped := false
-	for round := 1; !earlyStopped && remaining(); round++ {
+	for round := 1; !earlyStopped && remaining(fixed, random); round++ {
 		for _, rg := range [2]*classRegime{fixed, random} {
 			n := min(step, len(rg.reqs)-rg.used)
 			if n == 0 {
@@ -697,7 +697,7 @@ func (d *Detector) analyzeClass(ctx context.Context, p cuda.Program, cls InputCl
 			}
 		}
 		if rounds {
-			earlyStopped = d.checkRound(rctx, engine, ctrl, round, merged, remaining())
+			earlyStopped = d.checkRound(rctx, engine, &stop, round, fixed, random)
 		}
 	}
 	rsp.SetInt("runs_used", int64(merged))

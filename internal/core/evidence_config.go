@@ -96,7 +96,8 @@ var (
 )
 
 // normalized returns the config with defaults filled, or an error when it
-// is unusable.
+// is unusable. It is the one place evidence settings are defaulted; the
+// engine and the round loop take them as given.
 func (c EvidenceConfig) normalized() (EvidenceConfig, error) {
 	switch c.Mode {
 	case "":
@@ -138,16 +139,16 @@ func (c EvidenceConfig) normalized() (EvidenceConfig, error) {
 		return c, fmt.Errorf("%w: early stopping requires mode %q or %q (the stop signal is the statistical channel's leak signature)",
 			ErrInvalidEvidenceConfig, EvidenceTVLA, EvidenceBoth)
 	}
-	if c.EarlyStop.Enabled {
-		p := evidence.StopPolicy{
-			Enabled:      true,
-			MinRuns:      c.EarlyStop.MinRuns,
-			CheckEvery:   c.EarlyStop.CheckEvery,
-			StableChecks: c.EarlyStop.StableChecks,
-		}.WithDefaults()
-		c.EarlyStop.MinRuns = p.MinRuns
-		c.EarlyStop.CheckEvery = p.CheckEvery
-		c.EarlyStop.StableChecks = p.StableChecks
+	// The knobs are filled with early stop off too: telemetry rounds are
+	// CheckEvery runs per regime either way.
+	if c.EarlyStop.MinRuns == 0 {
+		c.EarlyStop.MinRuns = 8
+	}
+	if c.EarlyStop.CheckEvery == 0 {
+		c.EarlyStop.CheckEvery = 4
+	}
+	if c.EarlyStop.StableChecks == 0 {
+		c.EarlyStop.StableChecks = 1
 	}
 	return c, nil
 }
@@ -172,19 +173,4 @@ func (c EvidenceConfig) statEnabled() bool {
 // diffEnabled reports whether the set-difference channel runs.
 func (c EvidenceConfig) diffEnabled() bool {
 	return c.Mode == EvidenceDiff || c.Mode == EvidenceBoth || c.Mode == ""
-}
-
-// stopPolicy converts the public policy to the engine's form.
-func (c EvidenceConfig) stopPolicy() evidence.StopPolicy {
-	return evidence.StopPolicy{
-		Enabled:      c.EarlyStop.Enabled,
-		MinRuns:      c.EarlyStop.MinRuns,
-		CheckEvery:   c.EarlyStop.CheckEvery,
-		StableChecks: c.EarlyStop.StableChecks,
-	}
-}
-
-// engineConfig converts to the engine's config.
-func (c EvidenceConfig) engineConfig() evidence.Config {
-	return evidence.Config{TThreshold: c.TVLAThreshold, MIBins: c.MIBins}
 }

@@ -133,15 +133,15 @@ type Report struct {
 	// and absent from JSON — for the default A-DCFG-only pipeline.
 	Channels []string `json:",omitempty"`
 	// RunsBudget and RunsUsed total the configured and actually recorded
-	// analysis runs across classes; EarlyStopped reports whether the
-	// sequential-testing controller cancelled any remaining budget.
+	// analysis runs across classes; EarlyStopped reports whether early
+	// stop cancelled any remaining budget.
 	RunsBudget   int  `json:",omitempty"`
 	RunsUsed     int  `json:",omitempty"`
 	EarlyStopped bool `json:",omitempty"`
 }
 
-// RunsSaved returns the analysis runs the sequential-testing controller
-// avoided recording (0 without early stopping).
+// RunsSaved returns the analysis runs early stop avoided recording (0
+// without early stopping).
 func (r *Report) RunsSaved() int {
 	if r.RunsBudget <= r.RunsUsed {
 		return 0
@@ -217,13 +217,11 @@ func (r *Report) Summary() string {
 // applies before Table III ("some leaks at different basic blocks point to
 // the same code location", §VIII-B).
 func (r *Report) Screened() []Leak {
-	byLoc := make(map[string]Leak)
-	var order []string
+	byLoc := make(map[leakKey]Leak)
+	var order []leakKey
 	for _, l := range r.Leaks {
-		k := fmt.Sprintf("%d|%s|%d|%d", l.Kind, l.StackID, l.Block, l.MemIndex)
-		if l.Kind == CostLeak {
-			k = fmt.Sprintf("%s|%s|%d", k, l.Metric, l.Instr)
-		}
+		k := l.key()
+		k.visit = 0
 		if prev, ok := byLoc[k]; !ok {
 			byLoc[k] = l
 			order = append(order, k)

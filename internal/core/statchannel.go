@@ -1,6 +1,6 @@
 // The statistical channel's side of the analysis phase: the per-round
-// check that feeds the sequential-testing controller and the live
-// telemetry, and the mapping of the engine's verdicts onto the report.
+// check that feeds early stop and the live telemetry, and the mapping of
+// the engine's verdicts onto the report.
 // The recording loop itself is analyzeClass, shared with the diff
 // channel.
 package core
@@ -15,26 +15,54 @@ import (
 	"owl/internal/trace"
 )
 
+// stopState is the early-stop state of one class's round loop: the leak
+// signature of the previous check, whether there was one, and how many
+// consecutive checks have seen it unchanged.
+type stopState struct {
+	sig    string
+	primed bool
+	stable int
+}
+
+// check folds one check's leak signature into s, given the runs recorded
+// per regime, and reports whether the signature has been stable for
+// StableChecks consecutive checks. A disabled policy never stops and
+// leaves s as it is; below MinRuns runs per regime, verdicts are too
+// noisy to trust, so s is left as it is too. The first counted check
+// only primes s.
+func (s *stopState) check(p EarlyStopPolicy, sig string, fixedRuns, randomRuns int) bool {
+	if !p.Enabled || fixedRuns < p.MinRuns || randomRuns < p.MinRuns {
+		return false
+	}
+	if s.primed && sig == s.sig {
+		s.stable++
+	} else {
+		s.stable = 0
+	}
+	s.sig, s.primed = sig, true
+	return s.stable >= p.StableChecks
+}
+
 // checkRound evaluates the statistical channel after recording round
-// `round` of a class (runs merged so far, both regimes): one site
-// evaluation feeds both the early-stop decision and the telemetry
-// sample. more reports whether budget remains; it reports whether the
-// class stops early.
-func (d *Detector) checkRound(ctx context.Context, engine *evidence.Engine, ctrl *evidence.Controller, round, runs int, more bool) bool {
+// `round` of a class: one site evaluation feeds both the early-stop
+// decision and the telemetry sample. The check runs after the last round
+// too, so its sample reports the final count, but the class stops early
+// only while budget remains.
+func (d *Detector) checkRound(ctx context.Context, engine *evidence.Engine, st *stopState, round int, fixed, random *classRegime) bool {
 	traj := engine.Trajectory()
-	stop := d.opts.Evidence.EarlyStop.Enabled && ctrl.CheckTrajectory(traj) && more
+	stop := st.check(d.opts.Evidence.EarlyStop, traj.Signature, fixed.used, random.used) && remaining(fixed, random)
 	obs.Counter(ctx, "evidence_sites", float64(traj.Sites))
 	obs.Counter(ctx, "evidence_leak_sites", float64(traj.LeakSites))
 	obs.Counter(ctx, "evidence_max_t", traj.MaxAbsT)
-	obs.Counter(ctx, "evidence_stable_checks", float64(ctrl.Stable()))
+	obs.Counter(ctx, "evidence_stable_checks", float64(st.stable))
 	if d.opts.OnEvidence != nil {
 		d.opts.OnEvidence(EvidenceSample{
 			Round:        round,
-			Runs:         runs,
+			Runs:         fixed.used + random.used,
 			Sites:        traj.Sites,
 			LeakSites:    traj.LeakSites,
 			MaxAbsT:      traj.MaxAbsT,
-			StableChecks: ctrl.Stable(),
+			StableChecks: st.stable,
 			EarlyStopped: stop,
 		})
 	}

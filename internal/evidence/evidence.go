@@ -2,8 +2,9 @@
 // set-difference detector: streaming per-site accumulators (Welford
 // mean/variance feeding Welch's t, capped-histogram mutual-information
 // estimates) that attach to the trace-sink path at O(sites) memory, a
-// confidence-ranked verdict model, and a sequential-testing controller
-// that stops recording once every site's verdict has stabilized.
+// confidence-ranked verdict model, and a per-round trajectory whose leak
+// signature the detector watches to stop recording once the set of
+// leaking code locations has stabilized.
 //
 // The engine observes traces run by run — each trace labelled with its
 // input regime (fixed or random) — and never retains trace references, so
@@ -44,23 +45,13 @@ const DefaultTThreshold = 4.5
 // DefaultMIBins is the histogram cap of the per-site MI estimators.
 const DefaultMIBins = 64
 
-// Config parameterizes the engine.
+// Config parameterizes the engine. Both values are taken as given; the
+// detector's evidence options fill the defaults above.
 type Config struct {
-	// TThreshold is the |t| rejection threshold (<= 0 selects
-	// DefaultTThreshold).
+	// TThreshold is the |t| rejection threshold.
 	TThreshold float64
-	// MIBins caps the per-site MI histograms (<= 0 selects DefaultMIBins).
+	// MIBins caps the per-site MI histograms.
 	MIBins int
-}
-
-func (c Config) withDefaults() Config {
-	if c.TThreshold <= 0 {
-		c.TThreshold = DefaultTThreshold
-	}
-	if c.MIBins <= 0 {
-		c.MIBins = DefaultMIBins
-	}
-	return c
 }
 
 // MemKey identifies one memory-instruction occurrence inside an
@@ -136,28 +127,14 @@ type Verdict struct {
 	Leak bool
 }
 
-// Key renders the stable per-feature site identity.
-func (v Verdict) Key() string {
-	switch v.Kind {
-	case PresenceSite:
-		return fmt.Sprintf("presence|%s#%d", v.Stack, v.Occ)
-	case PairSite:
-		return fmt.Sprintf("pair|%s#%d|%d|%d>%d", v.Stack, v.Occ, v.Block, v.Pair.Src, v.Pair.Dst)
-	case CostSite:
-		return fmt.Sprintf("cost|%s#%d|%s|%d.%d", v.Stack, v.Occ, v.Cost.Metric, v.Cost.Block, v.Cost.Instr)
-	default:
-		return fmt.Sprintf("mem|%s#%d|%d.%d.%d", v.Stack, v.Occ, v.Mem.Block, v.Mem.Visit, v.Mem.Mem)
-	}
-}
-
 // SiteKey renders the screened code-location identity: occurrence and
 // visit indices collapse, exactly as the report's screening step
 // collapses loop iterations of one instruction to one entry. The leak
-// signature is built from site keys rather than feature keys — as runs
+// signature is built from site keys rather than per-visit keys — as runs
 // accumulate, Welch's t crosses the threshold at ever-later loop visits
 // of an already-flagged instruction, and a visit-level signature would
-// keep growing (and the sequential controller would never stop) long
-// after the set of leaking code locations has stabilized.
+// keep growing (and early stop would never fire) long after the set of
+// leaking code locations has stabilized.
 func (v Verdict) SiteKey() string {
 	switch v.Kind {
 	case PresenceSite:
@@ -241,13 +218,10 @@ type Engine struct {
 	occ map[string]int
 }
 
-// NewEngine builds an engine with cfg (zero values select defaults).
+// NewEngine builds an engine with cfg.
 func NewEngine(cfg Config) *Engine {
-	return &Engine{cfg: cfg.withDefaults(), idx: make(map[invID]int), occ: make(map[string]int)}
+	return &Engine{cfg: cfg, idx: make(map[invID]int), occ: make(map[string]int)}
 }
-
-// Runs returns the number of runs observed under regime r.
-func (e *Engine) Runs(r Regime) int { return e.runs[r] }
 
 // Observe folds one run's trace into the accumulators under regime r. The
 // trace is read, never retained: callers may release it immediately
@@ -515,7 +489,7 @@ func (a *invAcc) sortSites() {
 // per-round sample the live-telemetry channel publishes while a
 // detection converges: every evaluated site, the screened locations
 // currently over threshold, the strongest |t| seen, and the canonical
-// leak signature the sequential-testing controller watches.
+// leak signature early stop watches.
 type Trajectory struct {
 	// Sites is the number of sites with enough data to evaluate.
 	Sites int
@@ -525,8 +499,7 @@ type Trajectory struct {
 	// MaxAbsT is the strongest |t| across all evaluated sites.
 	MaxAbsT float64
 	// Signature renders the leaking code locations as a canonical
-	// string — the quantity the sequential-testing controller watches for
-	// stability. Locations are screened site keys (see Verdict.SiteKey):
+	// string — the quantity early stop watches for stability. Locations are screened site keys (see Verdict.SiteKey):
 	// verdicts for later visits or occurrences of an already-leaking
 	// instruction do not change the signature.
 	Signature string

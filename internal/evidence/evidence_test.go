@@ -29,6 +29,11 @@ func mkTrace(invs ...*trace.Invocation) *trace.ProgramTrace {
 	return &trace.ProgramTrace{Program: "p", Invocations: invs}
 }
 
+// newEngine builds an engine at the default threshold and bin cap.
+func newEngine() *Engine {
+	return NewEngine(Config{TThreshold: DefaultTThreshold, MIBins: DefaultMIBins})
+}
+
 // find returns the first verdict matching kind (and stack).
 func find(vs []Verdict, kind SiteKind, stack string) (Verdict, bool) {
 	for _, v := range vs {
@@ -43,7 +48,7 @@ func find(vs []Verdict, kind SiteKind, stack string) (Verdict, bool) {
 // and no random run is a presence leak; an always-present invocation is
 // not.
 func TestEnginePresenceLeak(t *testing.T) {
-	e := NewEngine(Config{})
+	e := newEngine()
 	for i := 0; i < 12; i++ {
 		e.Observe(Fixed, mkTrace(
 			mkInvocation("base", []int{0, 1}, nil),
@@ -71,7 +76,7 @@ func TestEnginePresenceLeak(t *testing.T) {
 // TestEnginePairLeak: a block whose successor depends on the regime
 // yields a leaking pair verdict; input-independent control flow does not.
 func TestEnginePairLeak(t *testing.T) {
-	e := NewEngine(Config{})
+	e := newEngine()
 	for i := 0; i < 16; i++ {
 		e.Observe(Fixed, mkTrace(mkInvocation("k", []int{0, 1, 3}, nil)))
 		e.Observe(Random, mkTrace(mkInvocation("k", []int{0, 2, 3}, nil)))
@@ -92,7 +97,7 @@ func TestEnginePairLeak(t *testing.T) {
 	}
 
 	// Control: identical paths in both regimes → no pair leak at all.
-	e = NewEngine(Config{})
+	e = newEngine()
 	for i := 0; i < 16; i++ {
 		e.Observe(Fixed, mkTrace(mkInvocation("k", []int{0, 1, 3}, nil)))
 		e.Observe(Random, mkTrace(mkInvocation("k", []int{0, 1, 3}, nil)))
@@ -108,7 +113,7 @@ func TestEnginePairLeak(t *testing.T) {
 // under the fixed input, spread under random inputs) yields a leaking mem
 // verdict with positive MI; a fixed-stride load does not.
 func TestEngineMemLeak(t *testing.T) {
-	e := NewEngine(Config{})
+	e := newEngine()
 	for i := 0; i < 20; i++ {
 		e.Observe(Fixed, mkTrace(mkInvocation("k", []int{0, 1}, []int64{64})))
 		e.Observe(Random, mkTrace(mkInvocation("k", []int{0, 1}, []int64{int64(8 * (i % 2))})))
@@ -128,7 +133,7 @@ func TestEngineMemLeak(t *testing.T) {
 	}
 
 	// Control: same fixed access pattern both regimes.
-	e = NewEngine(Config{})
+	e = newEngine()
 	for i := 0; i < 20; i++ {
 		e.Observe(Fixed, mkTrace(mkInvocation("k", []int{0, 1}, []int64{0, 16, 32})))
 		e.Observe(Random, mkTrace(mkInvocation("k", []int{0, 1}, []int64{0, 16, 32})))
@@ -146,7 +151,7 @@ func TestEngineMemLeak(t *testing.T) {
 // per run aligns by occurrence index — a leak in the second launch only
 // must attribute to Occ 1.
 func TestEngineOccurrenceAlignment(t *testing.T) {
-	e := NewEngine(Config{})
+	e := newEngine()
 	for i := 0; i < 16; i++ {
 		e.Observe(Fixed, mkTrace(
 			mkInvocation("k", []int{0, 1}, []int64{0}),
@@ -175,7 +180,7 @@ func TestEngineOccurrenceAlignment(t *testing.T) {
 // regime is padded with zeros for the absent runs, mirroring the diff
 // channel's normalization.
 func TestEngineAbsentRunsPadZero(t *testing.T) {
-	e := NewEngine(Config{})
+	e := newEngine()
 	// Fixed: path 0→1→3 every run. Random: alternate 0→1→3 and 0→2→3, so
 	// block 1's pair is absent (zero) in half the random runs.
 	for i := 0; i < 40; i++ {
@@ -201,7 +206,7 @@ func TestEngineAbsentRunsPadZero(t *testing.T) {
 // every verdict bit for bit, including the MI estimates.
 func TestEngineDeterministic(t *testing.T) {
 	build := func() []Verdict {
-		e := NewEngine(Config{MIBins: 4}) // small cap exercises the rebin
+		e := NewEngine(Config{TThreshold: DefaultTThreshold, MIBins: 4}) // small cap exercises the rebin
 		for i := 0; i < 24; i++ {
 			addrs := []int64{int64(i % 5), int64(10 + i%7), int64(100 + i%3)}
 			e.Observe(Fixed, mkTrace(mkInvocation("k", []int{0, 1, 3}, []int64{64, 65, 66})))
@@ -221,7 +226,7 @@ func TestEngineDeterministic(t *testing.T) {
 // TestEngineDoesNotRetainTraces: accumulators survive the caller zeroing
 // the observed trace, proving no references are kept.
 func TestEngineDoesNotRetainTraces(t *testing.T) {
-	e := NewEngine(Config{})
+	e := newEngine()
 	for i := 0; i < 4; i++ {
 		tr := mkTrace(mkInvocation("k", []int{0, 1}, []int64{int64(i)}))
 		e.Observe(Fixed, tr)
@@ -239,106 +244,19 @@ func TestEngineDoesNotRetainTraces(t *testing.T) {
 	}
 }
 
-func TestControllerStopsOnStableSignature(t *testing.T) {
-	e := NewEngine(Config{})
-	c := NewController(e, StopPolicy{Enabled: true, MinRuns: 4, CheckEvery: 2, StableChecks: 1})
-
-	observeRound := func(n int) {
-		for i := 0; i < n; i++ {
-			e.Observe(Fixed, mkTrace(mkInvocation("k", []int{0, 1, 3}, []int64{64})))
-			e.Observe(Random, mkTrace(mkInvocation("k", []int{0, 2, 3}, []int64{int64(8 * (i % 4))})))
-		}
-	}
-
-	observeRound(2)
-	if c.CheckTrajectory(e.Trajectory()) {
-		t.Fatal("stopped below MinRuns")
-	}
-	observeRound(2)
-	if c.CheckTrajectory(e.Trajectory()) {
-		t.Fatal("stopped on the priming check — no previous signature to compare")
-	}
-	observeRound(2)
-	if !c.CheckTrajectory(e.Trajectory()) {
-		t.Fatal("signature stable across consecutive checks but controller did not stop")
-	}
-}
-
-func TestControllerSignatureChangeResetsStability(t *testing.T) {
-	e := NewEngine(Config{})
-	c := NewController(e, StopPolicy{Enabled: true, MinRuns: 2, CheckEvery: 2, StableChecks: 2})
-
-	quiet := func() {
-		e.Observe(Fixed, mkTrace(mkInvocation("k", []int{0, 1, 3}, nil)))
-		e.Observe(Random, mkTrace(mkInvocation("k", []int{0, 1, 3}, nil)))
-	}
-	leaky := func(i int) {
-		e.Observe(Fixed, mkTrace(mkInvocation("k", []int{0, 1, 3}, []int64{64})))
-		e.Observe(Random, mkTrace(mkInvocation("k", []int{0, 2, 3}, []int64{int64(8 * (i % 4))})))
-	}
-
-	quiet()
-	quiet()
-	if c.CheckTrajectory(e.Trajectory()) {
-		t.Fatal("priming check stopped")
-	}
-	// The leak emerges: signature flips from empty to non-empty and the
-	// stability count must restart.
-	for i := 0; i < 8; i++ {
-		leaky(i)
-	}
-	if c.CheckTrajectory(e.Trajectory()) {
-		t.Fatal("stopped on a signature change")
-	}
-	for i := 0; i < 2; i++ {
-		leaky(i)
-	}
-	if c.CheckTrajectory(e.Trajectory()) {
-		t.Fatal("stopped after one stable check; policy requires two")
-	}
-	for i := 0; i < 2; i++ {
-		leaky(i)
-	}
-	if !c.CheckTrajectory(e.Trajectory()) {
-		t.Fatal("two consecutive stable checks must stop")
-	}
-}
-
-func TestControllerDisabledNeverStops(t *testing.T) {
-	e := NewEngine(Config{})
-	c := NewController(e, StopPolicy{})
-	for i := 0; i < 40; i++ {
-		e.Observe(Fixed, mkTrace(mkInvocation("k", []int{0, 1}, nil)))
-		e.Observe(Random, mkTrace(mkInvocation("k", []int{0, 1}, nil)))
-		if c.CheckTrajectory(e.Trajectory()) {
-			t.Fatal("disabled controller stopped")
-		}
-	}
-}
-
-func TestStopPolicyDefaults(t *testing.T) {
-	p := StopPolicy{Enabled: true}.WithDefaults()
-	if p.MinRuns != DefaultMinRuns || p.CheckEvery != DefaultCheckEvery || p.StableChecks != DefaultStableChecks {
-		t.Fatalf("defaults: %+v", p)
-	}
-	q := StopPolicy{Enabled: true, MinRuns: 3, CheckEvery: 5, StableChecks: 2}.WithDefaults()
-	if q.MinRuns != 3 || q.CheckEvery != 5 || q.StableChecks != 2 {
-		t.Fatalf("explicit knobs clobbered: %+v", q)
-	}
-}
-
-// TestVerdictKeysStable locks the signature key grammar (the controller
-// compares signatures textually across checks).
+// TestVerdictKeysStable locks the signature key grammar (early stop
+// compares signatures textually across checks): occurrence and visit
+// indices collapse.
 func TestVerdictKeysStable(t *testing.T) {
 	vs := []Verdict{
 		{Kind: PresenceSite, Stack: "s", Occ: 2},
 		{Kind: PairSite, Stack: "s", Occ: 0, Block: 4, Pair: adcfg.PairKey{Src: 1, Dst: 7}},
-		{Kind: MemSite, Stack: "s", Occ: 1, Mem: MemKey{Block: 3, Visit: 0, Mem: 2}},
-		{Kind: CostSite, Stack: "s", Occ: 0, Cost: CostKey{Metric: trace.CostBank, Block: 2, Instr: 5}},
+		{Kind: MemSite, Stack: "s", Occ: 1, Mem: MemKey{Block: 3, Visit: 5, Mem: 2}},
+		{Kind: CostSite, Stack: "s", Occ: 3, Cost: CostKey{Metric: trace.CostBank, Block: 2, Instr: 5}},
 	}
-	want := []string{"presence|s#2", "pair|s#0|4|1>7", "mem|s#1|3.0.2", "cost|s#0|bank|2.5"}
+	want := []string{"presence|s", "pair|s|4|1>7", "mem|s|3.2", "cost|s|bank|2.5"}
 	for i, v := range vs {
-		if got := v.Key(); got != want[i] {
+		if got := v.SiteKey(); got != want[i] {
 			t.Fatalf("key %d = %q, want %q", i, got, want[i])
 		}
 	}
@@ -357,7 +275,7 @@ func costTrace(degree int64) *trace.ProgramTrace {
 // a leaking cost verdict; a regime-independent cost profile yields no
 // verdict at all — the property that clears a padded kernel.
 func TestEngineCostLeak(t *testing.T) {
-	e := NewEngine(Config{})
+	e := newEngine()
 	degrees := []int64{1, 2, 4, 4} // random-regime stride mix
 	for i := 0; i < 24; i++ {
 		e.Observe(Fixed, costTrace(1))
@@ -379,7 +297,7 @@ func TestEngineCostLeak(t *testing.T) {
 
 	// Control: identical cost profile in both regimes — the verdict must
 	// be a clean t=0 non-leak, the property that clears a padded kernel.
-	e = NewEngine(Config{})
+	e = newEngine()
 	for i := 0; i < 24; i++ {
 		e.Observe(Fixed, costTrace(1))
 		e.Observe(Random, costTrace(1))
@@ -397,7 +315,7 @@ func TestEngineCostLeak(t *testing.T) {
 // runs is zero-padded for the earlier ones, keeping the two regimes'
 // sample counts aligned.
 func TestEngineCostAbsentRunsPadZero(t *testing.T) {
-	e := NewEngine(Config{})
+	e := newEngine()
 	for i := 0; i < 16; i++ {
 		e.Observe(Fixed, mkTrace(mkInvocation("k", []int{0, 1}, nil)))
 		if i < 4 {
@@ -412,44 +330,5 @@ func TestEngineCostAbsentRunsPadZero(t *testing.T) {
 	}
 	if !v.Leak {
 		t.Fatalf("late-appearing cost site not flagged: %+v", v)
-	}
-}
-
-// TestControllerCostSignature: cost sites participate in the sequential
-// controller's leak signature — a cost-only leak (A-DCFG identical across
-// regimes) must both reset stability when it emerges and stop recording
-// once stable.
-func TestControllerCostSignature(t *testing.T) {
-	e := NewEngine(Config{})
-	c := NewController(e, StopPolicy{Enabled: true, MinRuns: 4, CheckEvery: 2, StableChecks: 1})
-
-	observeRound := func(n int) {
-		for i := 0; i < n; i++ {
-			e.Observe(Fixed, costTrace(1))
-			e.Observe(Random, costTrace(int64(4+i%2)))
-		}
-	}
-
-	observeRound(2)
-	if c.CheckTrajectory(e.Trajectory()) {
-		t.Fatal("stopped below MinRuns")
-	}
-	observeRound(2)
-	if c.CheckTrajectory(e.Trajectory()) {
-		t.Fatal("stopped on the priming check")
-	}
-	observeRound(2)
-	if !c.CheckTrajectory(e.Trajectory()) {
-		t.Fatal("stable cost-only signature did not stop the controller")
-	}
-	// The signature the controller converged on must name the cost site.
-	found := false
-	for _, v := range e.Verdicts() {
-		if v.Kind == CostSite && v.Leak {
-			found = true
-		}
-	}
-	if !found {
-		t.Fatal("controller stopped without a leaking cost site in the signature")
 	}
 }

@@ -152,8 +152,8 @@ type JobView struct {
 	// the full result.
 	Leaks *int `json:"leaks,omitempty"`
 	// Statistical-evidence outcome, populated once done for tvla/both
-	// jobs: the channel mode, whether the sequential-testing controller
-	// stopped recording early, and how many budgeted runs it saved.
+	// jobs: the channel mode, whether early stop ended recording before
+	// the budget, and how many budgeted runs it saved.
 	EvidenceMode string `json:"evidence_mode,omitempty"`
 	EarlyStopped bool   `json:"early_stopped,omitempty"`
 	RunsSaved    int    `json:"runs_saved,omitempty"`

@@ -61,8 +61,8 @@ type Metrics struct {
 	CacheHits   expvar.Int
 	CacheMisses expvar.Int
 
-	// Sequential-testing outcomes: jobs whose recording the controller
-	// cancelled early, and the total run budget those cancellations saved.
+	// Sequential-testing outcomes: jobs whose recording early stop
+	// cancelled, and the total run budget those cancellations saved.
 	EarlyStops expvar.Int
 	RunsSaved  expvar.Int
 

@@ -55,7 +55,7 @@ func WritePrometheus(w io.Writer, m *Metrics, rec *obs.Recorder) error {
 	pw.Sample("owld_cache_misses_total", float64(m.CacheMisses.Value()))
 
 	pw.Header("owld_early_stops_total",
-		"Jobs whose recording the sequential-testing controller stopped early.", "counter")
+		"Jobs whose recording early stop ended before the run budget.", "counter")
 	pw.Sample("owld_early_stops_total", float64(m.EarlyStops.Value()))
 	pw.Header("owld_runs_saved_total",
 		"Budgeted analysis runs never recorded thanks to early stopping.", "counter")

@@ -175,7 +175,7 @@ func TestWelchTWelfordMatchesSampleWelch(t *testing.T) {
 // ≈ 1.1000 — under threshold; each value repeated 10x (n = 100/class)
 // t ≈ 3.6484 — still under; repeated 20x (n = 200/class) t ≈ 5.1727 —
 // crosses 4.5 and the verdict flips, the sequential-trace TVLA story the
-// early-stop controller exploits.
+// early stop exploits.
 func TestWelchTWelfordTVLAFixture(t *testing.T) {
 	accum := func(xs []float64) Welford {
 		var w Welford

@@ -147,7 +147,6 @@ func (t *Tracer) OnLaunch(info cuda.LaunchInfo) gpu.Instrument {
 	n := (info.Block.Count() + simt.WarpWidth - 1) / simt.WarpWidth
 	if cap(warps) >= n {
 		warps = warps[:n]
-		clear(warps)
 	} else {
 		warps = make([]costWarpHooks, n)
 	}
@@ -155,6 +154,9 @@ func (t *Tracer) OnLaunch(info cuda.LaunchInfo) gpu.Instrument {
 	if t.cost {
 		li.cost = t.collector(info.Kernel)
 		inv.Cost = cost
+	}
+	for i := range warps {
+		warps[i] = costWarpHooks{warpHooks{g.Folder(i, li.rebase)}, li.cost}
 	}
 	return li
 }
@@ -236,10 +238,10 @@ func regionOf(allocs []gpu.AllocRecord, a int64) region {
 // time, so every warp folds each observation exactly once, straight into
 // the invocation's A-DCFG and cost collector, with no lock. The hooks of
 // warp w are reused from block to block, since every warp retires before
-// the next block begins; their folders come from adcfg's folder pool, and
-// EndLaunch releases them. The invocation, its graph and its cost-site
-// buffer are the ones this launch position held in the released trace
-// the run records into, so a steady-state launch allocates nothing.
+// the next block begins. The invocation, its graph, the graph's warp
+// folders and its cost-site buffer are the ones this launch position
+// held in the released trace the run records into, so a steady-state
+// launch allocates nothing.
 type launchInst struct {
 	inv    *trace.Invocation
 	rebase adcfg.Rebaser
@@ -255,25 +257,14 @@ var _ gpu.Instrument = (*launchInst)(nil)
 // pay the register-write callback.
 func (li *launchInst) BeginWarp(_ gpu.Dim3, warpID int) simt.Hooks {
 	w := &li.warps[warpID]
-	if w.folder == nil {
-		w.folder = adcfg.NewWarpFolder(li.inv.Graph, li.rebase)
-		w.cost = li.cost
-	}
 	if li.cost != nil {
 		return w
 	}
 	return &w.warpHooks
 }
 
-// EndLaunch releases the launch's warp folders and renders the
-// invocation's canonical cost sites once.
+// EndLaunch renders the invocation's canonical cost sites once.
 func (li *launchInst) EndLaunch() {
-	for i := range li.warps {
-		if f := li.warps[i].folder; f != nil {
-			f.Release()
-			li.warps[i].folder = nil
-		}
-	}
 	if li.cost != nil {
 		li.inv.Cost = li.cost.Sites(li.inv.Cost)
 	}
@@ -283,8 +274,8 @@ func (li *launchInst) EndLaunch() {
 // the interpreter's hot path: both callbacks fold the event into the
 // invocation graph without retaining the addrs slice (the interpreter reuses
 // one address buffer per warp). They allocate only when the graph outgrows
-// the spare nodes, visits and histograms its Reset kept, or the folder its
-// pooled transition states.
+// the spare nodes, visits and histograms its Reset kept, or the folder the
+// transition states it kept from the graph's earlier launches.
 type warpHooks struct {
 	folder *adcfg.WarpFolder
 }

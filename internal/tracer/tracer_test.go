@@ -207,7 +207,7 @@ func TestWideHistogramsStayCells(t *testing.T) {
 	}
 	// Two fixed-regime and two random-regime traces, whose grids differ
 	// so every memory site has a distribution.
-	e := evidence.NewEngine(evidence.Config{})
+	e := evidence.NewEngine(evidence.Config{TThreshold: evidence.DefaultTThreshold, MIBins: evidence.DefaultMIBins})
 	for i, blocks := range []int{19, 18, 11, 9} {
 		tr := record(blocks)
 		if h := tr.Invocations[0].Graph.Nodes[0].Visits[0].Mems[0]; i == 0 && len(h.Cells) <= 32 {
