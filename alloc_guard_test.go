@@ -23,6 +23,7 @@ import (
 
 	"owl/internal/core"
 	"owl/internal/cuda"
+	"owl/internal/evidence"
 	"owl/internal/experiments"
 	"owl/internal/gpu"
 	"owl/internal/trace"
@@ -190,38 +191,64 @@ func TestTracedRunAllocs(t *testing.T) {
 // random-input aes128 run into evidence whose T-table records have passed
 // the small class, the steady state of the random regime. Their
 // adcfg.EvidenceHist histograms hold dense counts: one indexed add per
-// run cell, with no buffer allocated or widened per run. What remains is
-// the run's alignment and bookkeeping (the Myers diff, the merged
+// run cell, with no buffer allocated or widened per run. What remains of
+// the diff merge is the run's alignment (the Myers diff, the merged
 // invocation list) and the amortized growth of the per-run feature
-// vectors: 15 per run over these 200 merges. A merge that allocates per
-// dense histogram (its counts reallocated every run) reads about 175.
+// vectors: 13 per run over these 200 merges, under a limit of 15. A merge
+// that allocates per dense histogram (its counts reallocated every run)
+// reads about 175. The both-cost case merges each run, recorded with the
+// cost channel, in the one walk that feeds the diff evidence and the
+// statistical engine. The engine finds its sites by index, reuses its
+// scratch, and folds a histogram into an MI estimator that has rebinned
+// without allocating, so it adds nothing: 13 per run, and the limit is
+// one more.
 func TestEvidenceAddRunAllocs(t *testing.T) {
-	const limit = 15
-	det, err := core.NewDetector(core.DefaultOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	p := gpucrypto.NewAES(gpucrypto.WithBlocks(16))
-	gen, rng := gpucrypto.KeyGen(), rand.New(rand.NewSource(1))
-	var runs []*trace.ProgramTrace
-	for i := 0; i < 10; i++ {
-		tr, err := det.RecordOnce(p, gen(rng))
-		if err != nil {
-			t.Fatal(err)
-		}
-		runs = append(runs, tr)
-	}
-	ev := core.NewEvidence()
-	for _, tr := range runs {
-		ev.AddRun(tr) // the histograms pass the small class
-	}
-	i := 0
-	got := testing.AllocsPerRun(200, func() {
-		ev.AddRun(runs[i%len(runs)])
-		i++
-	})
-	if got > limit {
-		t.Errorf("allocs/AddRun = %v, want at most %v (per-histogram work in the evidence merge?)", got, limit)
+	for _, tc := range []struct {
+		name  string
+		both  bool
+		limit float64
+	}{
+		{"diff", false, 15},
+		{"both-cost", true, 14},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			opts := core.DefaultOptions()
+			var engine *evidence.Engine
+			if tc.both {
+				opts.Evidence = core.EvidenceConfig{Mode: core.EvidenceBoth, Channels: []string{core.ChannelADCFG, core.ChannelCost}}
+				engine = evidence.NewEngine(evidence.Config{TThreshold: evidence.DefaultTThreshold, MIBins: evidence.DefaultMIBins})
+			}
+			det, err := core.NewDetector(opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			p := gpucrypto.NewAES(gpucrypto.WithBlocks(16))
+			gen, rng := gpucrypto.KeyGen(), rand.New(rand.NewSource(1))
+			var runs []*trace.ProgramTrace
+			for i := 0; i < 10; i++ {
+				tr, err := det.RecordOnce(p, gen(rng))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if tc.both && len(tr.Invocations[0].Cost) == 0 {
+					t.Fatal("no cost sites recorded")
+				}
+				runs = append(runs, tr)
+			}
+			ev := evidence.NewDiff()
+			for _, tr := range runs {
+				// The histograms pass the small class, and the MI estimators rebin.
+				evidence.Merge(evidence.Random, tr, ev, engine)
+			}
+			i := 0
+			got := testing.AllocsPerRun(200, func() {
+				evidence.Merge(evidence.Random, runs[i%len(runs)], ev, engine)
+				i++
+			})
+			if got > tc.limit {
+				t.Errorf("allocs/merge = %v, want at most %v (per-site work in the evidence merge?)", got, tc.limit)
+			}
+		})
 	}
 }
 

@@ -238,7 +238,7 @@ func BenchmarkTable4EvidenceCollection(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		ev := core.NewEvidence()
+		ev := evidence.NewDiff()
 		for _, t := range fixed {
 			ev.AddRun(t)
 		}
@@ -253,7 +253,7 @@ func BenchmarkTable4EvidenceCollectionRandom(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		ev := core.NewEvidence()
+		ev := evidence.NewDiff()
 		for _, t := range random {
 			ev.AddRun(t)
 		}
@@ -261,9 +261,9 @@ func BenchmarkTable4EvidenceCollectionRandom(b *testing.B) {
 }
 
 // BenchmarkTable4EvidenceCollectionBoth is evidence mode both with the
-// cost channel: every fixed and random run merges into its regime's diff
-// evidence and is observed by the statistical engine, the two
-// accumulators of one both-mode recording loop.
+// cost channel: every fixed and random run merges, in one walk, into its
+// regime's diff evidence and the statistical engine, the two consumers
+// of one both-mode recording loop.
 func BenchmarkTable4EvidenceCollectionBoth(b *testing.B) {
 	opts := benchOptions()
 	opts.Evidence = core.EvidenceConfig{Mode: core.EvidenceBoth, Channels: []string{core.ChannelADCFG, core.ChannelCost}}
@@ -271,15 +271,13 @@ func BenchmarkTable4EvidenceCollectionBoth(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		eFix, eRnd := core.NewEvidence(), core.NewEvidence()
+		eFix, eRnd := evidence.NewDiff(), evidence.NewDiff()
 		engine := evidence.NewEngine(evidence.Config{TThreshold: evidence.DefaultTThreshold, MIBins: evidence.DefaultMIBins})
 		for _, t := range fixed {
-			eFix.AddRun(t)
-			engine.Observe(evidence.Fixed, t)
+			evidence.Merge(evidence.Fixed, t, eFix, engine)
 		}
 		for _, t := range random {
-			eRnd.AddRun(t)
-			engine.Observe(evidence.Random, t)
+			evidence.Merge(evidence.Random, t, eRnd, engine)
 		}
 	}
 }

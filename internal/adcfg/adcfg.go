@@ -41,6 +41,11 @@ type PairKey struct {
 	Src, Dst int
 }
 
+// Compare orders pairs by (Src, Dst).
+func (p PairKey) Compare(o PairKey) int {
+	return cmp.Or(cmp.Compare(p.Src, o.Src), cmp.Compare(p.Dst, o.Dst))
+}
+
 // EdgeKey identifies a directed transition between two blocks.
 type EdgeKey struct {
 	Src, Dst int
@@ -313,9 +318,7 @@ func sortedPairs(m map[PairKey]int64) []PairKey {
 	for pk := range m {
 		pairs = append(pairs, pk)
 	}
-	slices.SortFunc(pairs, func(a, b PairKey) int {
-		return cmp.Or(cmp.Compare(a.Src, b.Src), cmp.Compare(a.Dst, b.Dst))
-	})
+	slices.SortFunc(pairs, PairKey.Compare)
 	return pairs
 }
 

@@ -44,7 +44,7 @@ func TestEvidenceMatchesMerge(t *testing.T) {
 		{"nvjpeg encode random", enc, jpeg.GenImage(8, 8)},
 	} {
 		rng := rand.New(rand.NewSource(1))
-		ev := core.NewEvidence()
+		ev := evidence.NewDiff()
 		var ref []*adcfg.Graph
 		var stacks []string
 		for run := 0; run < 12; run++ {
@@ -80,7 +80,7 @@ func TestEvidenceMatchesMerge(t *testing.T) {
 						}
 						hists++
 						key := evidence.MemKey{Block: block, Visit: j, Mem: mi}
-						f := inv.Mems[key]
+						f := inv.Sites.Mem(key)
 						if f == nil {
 							t.Fatalf("%s: no record for %v", tc.name, key)
 						}
@@ -100,23 +100,36 @@ func TestEvidenceMatchesMerge(t *testing.T) {
 						}
 					}
 				}
-				pairs := inv.PairSamples[block]
+				pairs := inv.Sites.Block(block).Pairs
 				if len(pairs) != len(n.Pairs) {
 					t.Fatalf("%s: block %d has %d sampled pairs, Merge gives %d", tc.name, block, len(pairs), len(n.Pairs))
 				}
-				for pk, c := range n.Pairs {
+				for _, p := range pairs {
 					var sum float64
-					for _, x := range pairs[pk] {
+					for _, x := range p.Rec {
 						sum += x
 					}
-					if sum != float64(c) {
-						t.Fatalf("%s: block %d pair %v sums to %v, Merge gives %d", tc.name, block, pk, sum, c)
+					if c := n.Pairs[p.Pair]; sum != float64(c) {
+						t.Fatalf("%s: block %d pair %v sums to %v, Merge gives %d", tc.name, block, p.Pair, sum, c)
 					}
 				}
 			}
-			if hists != len(inv.Mems) || len(g.Nodes) != len(inv.PairSamples) {
+			records, blocks := 0, 0
+			for _, blk := range inv.Sites {
+				if len(blk.Pairs) > 0 || len(blk.Mems) > 0 {
+					blocks++
+				}
+				for _, visit := range blk.Mems {
+					for _, f := range visit {
+						if f != nil {
+							records++
+						}
+					}
+				}
+			}
+			if hists != records || len(g.Nodes) != blocks {
 				t.Fatalf("%s: %d records over %d blocks, Merge gives %d histograms over %d nodes",
-					tc.name, len(inv.Mems), len(inv.PairSamples), hists, len(g.Nodes))
+					tc.name, records, blocks, hists, len(g.Nodes))
 			}
 		}
 	}

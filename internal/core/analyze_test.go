@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"owl/internal/evidence"
 	"owl/internal/myers"
 	"owl/internal/trace"
 	"owl/internal/workloads/gpucrypto"
@@ -13,7 +14,7 @@ import (
 // aesEvidence records aes128 over 32 blocks, as in the evaluation suite,
 // 40 times under one key into E_fix and 40 times under random keys into
 // E_rnd, and returns them with the detector that recorded them.
-func aesEvidence(tb testing.TB) (*Detector, *Evidence, *Evidence) {
+func aesEvidence(tb testing.TB) (*Detector, *evidence.Diff, *evidence.Diff) {
 	tb.Helper()
 	opts := DefaultOptions()
 	opts.FixedRuns, opts.RandomRuns = 40, 40
@@ -30,7 +31,7 @@ func aesEvidence(tb testing.TB) (*Detector, *Evidence, *Evidence) {
 	for i := range random {
 		random[i] = gen(rng)
 	}
-	evs := [2]*Evidence{NewEvidence(), NewEvidence()}
+	evs := [2]*evidence.Diff{evidence.NewDiff(), evidence.NewDiff()}
 	for k, inputs := range [2][][]byte{fixed, random} {
 		err := d.RecordEach(context.Background(), p, inputs, func(_ int, t *trace.ProgramTrace) error {
 			evs[k].AddRun(t)
@@ -64,15 +65,20 @@ func BenchmarkLeakageTests(b *testing.B) {
 // allocates nothing.
 func TestRejectMemAllocs(t *testing.T) {
 	d, fix, rnd := aesEvidence(t)
-	var pairs [][2]*MemFeature
-	for _, op := range myers.Diff(stackIDs(fix), stackIDs(rnd)) {
+	var pairs [][2]*evidence.MemFeature
+	for _, op := range myers.Diff(fix.Stacks(), rnd.Stacks()) {
 		if op.Kind != myers.Match {
 			continue
 		}
 		fi, ri := fix.Invs[op.AIdx], rnd.Invs[op.BIdx]
-		for key, ff := range fi.Mems {
-			if rf := ri.Mems[key]; rf != nil && ff.Runs() > 1 && rf.Runs() > 1 {
-				pairs = append(pairs, [2]*MemFeature{ff, rf})
+		for b, blk := range fi.Sites {
+			for j, visit := range blk.Mems {
+				for m, ff := range visit {
+					rf := ri.Sites.Mem(evidence.MemKey{Block: b, Visit: j, Mem: m})
+					if ff != nil && rf != nil && ff.Runs() > 1 && rf.Runs() > 1 {
+						pairs = append(pairs, [2]*evidence.MemFeature{ff, rf})
+					}
+				}
 			}
 		}
 	}
@@ -102,12 +108,4 @@ func TestRejectMemAllocs(t *testing.T) {
 	if allocs != 0 {
 		t.Errorf("rejectMem over %d records allocates %v times, want 0", len(pairs), allocs)
 	}
-}
-
-func stackIDs(e *Evidence) []string {
-	ids := make([]string, len(e.Invs))
-	for i, inv := range e.Invs {
-		ids[i] = inv.StackID
-	}
-	return ids
 }

@@ -11,24 +11,19 @@
 package core
 
 import (
-	"cmp"
 	"context"
 	"fmt"
 	"math/rand"
 	"runtime/metrics"
-	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
 
-	"owl/internal/adcfg"
 	"owl/internal/cuda"
 	"owl/internal/evidence"
 	"owl/internal/gpu"
 	"owl/internal/isa"
-	"owl/internal/myers"
 	"owl/internal/obs"
-	"owl/internal/stats"
 	"owl/internal/trace"
 	"owl/internal/tracer"
 )
@@ -586,26 +581,11 @@ func (d *Detector) DetectContext(ctx context.Context, p cuda.Program, inputs [][
 	return report, nil
 }
 
-// classRegime is one input regime of a class's leakage analysis: its
-// requests, drawn up front, and the consumers its runs feed.
-type classRegime struct {
-	span string          // recording span name
-	r    evidence.Regime // the statistical engine's regime
-	reqs []RunRequest
-	used int       // requests recorded so far
-	ev   *Evidence // diff-channel evidence; nil when the diff channel is off
-}
-
-// remaining reports whether either regime has requests left to record.
-func remaining(fixed, random *classRegime) bool {
-	return fixed.used < len(fixed.reqs) || random.used < len(random.reqs)
-}
-
 // analyzeClass runs the leakage-analysis phase for one input class,
 // adding its leaks to the detection's report. One round loop records both
-// regimes and merges each run on arrival into whichever evidence
-// consumers are on: the diff channel's E_fix/E_rnd and the statistical
-// channel's engine. Without the statistical channel each regime records
+// regimes and merges each run on arrival, in one walk (evidence.Merge),
+// into whichever evidence consumers are on: the diff channel's
+// E_fix/E_rnd and the statistical channel's engine. Without the statistical channel each regime records
 // as one chunk; with it, rounds of CheckEvery runs per regime let early
 // stop cancel the remaining budget (and feed the live telemetry).
 //
@@ -625,7 +605,7 @@ func (d *Detector) analyzeClass(ctx context.Context, p cuda.Program, cls InputCl
 	fixed := &classRegime{span: "record.fixed", r: evidence.Fixed, reqs: make([]RunRequest, d.opts.FixedRuns)}
 	random := &classRegime{span: "record.random", r: evidence.Random, reqs: make([]RunRequest, d.opts.RandomRuns)}
 	if cfg.diffEnabled() {
-		fixed.ev, random.ev = NewEvidence(), NewEvidence()
+		fixed.ev, random.ev = evidence.NewDiff(), evidence.NewDiff()
 	}
 	genRNG := rand.New(rand.NewSource(d.rng.Int63()))
 	for i := range fixed.reqs {
@@ -647,12 +627,7 @@ func (d *Detector) analyzeClass(ctx context.Context, p cuda.Program, cls InputCl
 			// Report.Stats.EvidenceTime, which must work without a recorder.
 			_, msp := obs.Start(ctx, "evidence.merge")
 			t0 := time.Now()
-			if engine != nil {
-				engine.Observe(rg.r, t)
-			}
-			if rg.ev != nil {
-				rg.ev.AddRun(t)
-			}
+			evidence.Merge(rg.r, t, rg.ev, engine)
 			mergeTime += time.Since(t0) // serialized by the sink's window lock
 			msp.End()
 			trace.Release(t)
@@ -767,282 +742,4 @@ func (d *Detector) trackRAM(ctx context.Context, report *Report) {
 		report.Stats.PeakAllocBytes = live
 	}
 	obs.Counter(ctx, "live_heap_bytes", float64(live))
-}
-
-// reject runs the configured distribution test over two per-run
-// samples and reports (reject?, p, D). Each sample is its values plus
-// zeros observations of 0, counted rather than stored: a pair sample's
-// runs without the transition. The KS test copies both samples into
-// d.scratch, sorts them there and walks them in order, so once the
-// scratch has grown a test allocates nothing.
-func (d *Detector) reject(x []float64, xZeros int, y []float64, yZeros int) (bool, float64, float64, error) {
-	if d.opts.UseWelch {
-		sx, sy := stats.NewSample(x), stats.NewSample(y)
-		for range xZeros {
-			sx.Add(0, 1)
-		}
-		for range yZeros {
-			sy.Add(0, 1)
-		}
-		r, err := stats.WelchT(sx, sy)
-		if err != nil {
-			return false, 1, 0, err
-		}
-		return r.Reject, 0, r.T, nil
-	}
-	d.scratch = append(append(d.scratch[:0], x...), y...)
-	xs, ys := d.scratch[:len(x)], d.scratch[len(x):]
-	slices.Sort(xs)
-	slices.Sort(ys)
-	r, err := stats.KSTestSorted(xs, xZeros, ys, yZeros, d.opts.Confidence)
-	if err != nil {
-		return false, 1, 0, err
-	}
-	return r.Reject, r.P, r.D, nil
-}
-
-// leakageTests compares E_fix with E_rnd (§VII-C).
-func (d *Detector) leakageTests(eFix, eRnd *Evidence, leaks *leakSet) error {
-	fixSeq := make([]string, len(eFix.Invs))
-	for i, inv := range eFix.Invs {
-		fixSeq[i] = inv.StackID
-	}
-	rndSeq := make([]string, len(eRnd.Invs))
-	for i, inv := range eRnd.Invs {
-		rndSeq[i] = inv.StackID
-	}
-	ops := myers.Diff(fixSeq, rndSeq)
-
-	for _, op := range ops {
-		switch op.Kind {
-		case myers.Delete:
-			inv := eFix.Invs[op.AIdx]
-			leaks.add(Leak{
-				Kind: KernelLeak, StackID: inv.StackID, Kernel: inv.Kernel,
-				P: 0, D: 1,
-				Detail: "invocation absent under random inputs",
-			})
-		case myers.Insert:
-			inv := eRnd.Invs[op.BIdx]
-			leaks.add(Leak{
-				Kind: KernelLeak, StackID: inv.StackID, Kernel: inv.Kernel,
-				P: 0, D: 1,
-				Detail: "invocation absent under fixed inputs",
-			})
-		case myers.Match:
-			fi, ri := eFix.Invs[op.AIdx], eRnd.Invs[op.BIdx]
-			if err := d.testInvocation(fi, ri, leaks); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
-}
-
-// testInvocation runs the per-kernel tests for one aligned invocation.
-func (d *Detector) testInvocation(fi, ri *InvEvidence, leaks *leakSet) error {
-	// Kernel-leak test on per-run presence (aligned invocations with
-	// differing invocation counts, §VII-C).
-	rej, p, dd, err := d.reject(fi.Presence, 0, ri.Presence, 0)
-	if err != nil {
-		return err
-	}
-	if rej {
-		leaks.add(Leak{
-			Kind: KernelLeak, StackID: fi.StackID, Kernel: fi.Kernel,
-			P: p, D: dd,
-			Detail: "invocation frequency depends on the input",
-		})
-	}
-
-	k := d.kernels[fi.Kernel]
-	blockLabel := func(b int) string {
-		if k != nil {
-			return k.BlockLabel(b)
-		}
-		return fmt.Sprintf("B%d", b)
-	}
-
-	// Device control-flow leaks: KS over the per-run transition-matrix
-	// entries of every node (Eq. 5-8).
-	blocks := unionBlocks(fi, ri)
-	for _, b := range blocks {
-		fp := fi.PairSamples[b]
-		rp := ri.PairSamples[b]
-		for _, pk := range unionPairs(fp, rp) {
-			x, y := fp[pk], rp[pk]
-			rej, p, dd, err := d.reject(x, eRuns(fi)-len(x), y, eRuns(ri)-len(y))
-			if err != nil {
-				return err
-			}
-			if rej {
-				leaks.add(Leak{
-					Kind: ControlFlowLeak, StackID: fi.StackID, Kernel: fi.Kernel,
-					Block: b, BlockLabel: blockLabel(b), Pair: pk,
-					P: p, D: dd,
-					Detail: fmt.Sprintf("transition (%s -> %s) distribution differs",
-						pairEnd(pk.Src, blockLabel), pairEnd(pk.Dst, blockLabel)),
-				})
-			}
-		}
-	}
-
-	// Device data-flow leaks: each memory instruction's address histograms
-	// are compared in access order (§VII-C). Accesses without a counterpart
-	// are control-flow effects and are excluded — their block-visit
-	// differences already surface in the pair test. Because the accesses
-	// within one execution all derive from the same secret, significance is
-	// computed at run granularity: the pooled offset ECDFs use run-based
-	// effective sizes, and the per-run mean/spread summaries are tested as
-	// independent run-level samples. This keeps input-independent
-	// randomness (e.g. ORAM-style random offsets) below threshold.
-	memKeys := make([]evidence.MemKey, 0, len(fi.Mems))
-	for key, f := range fi.Mems {
-		if f.Runs() > 0 {
-			memKeys = append(memKeys, key)
-		}
-	}
-	slices.SortFunc(memKeys, func(a, b evidence.MemKey) int {
-		return cmp.Or(cmp.Compare(a.Block, b.Block), cmp.Compare(a.Visit, b.Visit), cmp.Compare(a.Mem, b.Mem))
-	})
-	for _, key := range memKeys {
-		ff := fi.Mems[key]
-		rf := ri.Mems[key]
-		if rf == nil || rf.Runs() == 0 {
-			continue // no counterpart: control-flow effect
-		}
-		rej, p, dd, err := d.rejectMem(ff, rf)
-		if err != nil {
-			return err
-		}
-		if rej {
-			leaks.add(Leak{
-				Kind: DataFlowLeak, StackID: fi.StackID, Kernel: fi.Kernel,
-				Block: key.Block, BlockLabel: blockLabel(key.Block),
-				Visit: key.Visit, MemIndex: key.Mem,
-				Where: memAnnotation(k, key.Block, key.Mem),
-				P:     p, D: dd,
-				Detail: fmt.Sprintf("%s %s address distribution depends on the input",
-					ff.Space, storeName(ff.Store)),
-			})
-		}
-	}
-	return nil
-}
-
-// rejectMem runs the data-flow distribution tests for one instruction and
-// returns the strongest rejection: the one with the smallest p among the
-// rejecting tests, or among all when none rejects.
-func (d *Detector) rejectMem(ff, rf *MemFeature) (bool, float64, float64, error) {
-	var (
-		have     bool
-		rej      bool
-		p, dStat float64
-	)
-	consider := func(r bool, pv, dv float64) {
-		if !have || (r && !rej) || (r == rej && pv < p) {
-			have, rej, p, dStat = true, r, pv, dv
-		}
-	}
-
-	if !d.opts.UseWelch {
-		// Pooled offset distributions with run-based effective sizes.
-		dist, n, m := adcfg.KSDistance(&ff.Hist, &rf.Hist)
-		res, err := stats.KSFromD(dist, float64(n), float64(m), d.opts.Confidence,
-			float64(ff.Runs()), float64(rf.Runs()))
-		if err != nil {
-			return false, 1, 0, err
-		}
-		consider(res.Reject, res.P, res.D)
-	}
-
-	// Run-level summary features (skipped when a side has too few runs to
-	// support the test).
-	for _, pair := range [...][2][]float64{
-		{ff.Means, rf.Means},
-		{ff.Spreads, rf.Spreads},
-	} {
-		if len(pair[0]) < 2 || len(pair[1]) < 2 {
-			continue
-		}
-		r, pv, dv, err := d.reject(pair[0], 0, pair[1], 0)
-		if err != nil {
-			return false, 1, 0, err
-		}
-		consider(r, pv, dv)
-	}
-	if !have {
-		return false, 1, 0, nil
-	}
-	return rej, p, dStat, nil
-}
-
-func eRuns(inv *InvEvidence) int { return len(inv.Presence) }
-
-func storeName(store bool) string {
-	if store {
-		return "store"
-	}
-	return "load"
-}
-
-func pairEnd(b int, label func(int) string) string {
-	switch b {
-	case adcfg.Start:
-		return "START"
-	case adcfg.End:
-		return "END"
-	default:
-		return label(b)
-	}
-}
-
-func memAnnotation(k *isa.Kernel, block, memIdx int) string {
-	if k == nil || block < 0 || block >= len(k.Blocks) {
-		return ""
-	}
-	n := 0
-	for _, in := range k.Blocks[block].Code {
-		if in.IsMem() {
-			if n == memIdx {
-				return in.String()
-			}
-			n++
-		}
-	}
-	return ""
-}
-
-func unionBlocks(fi, ri *InvEvidence) []int {
-	set := make(map[int]struct{})
-	for b := range fi.PairSamples {
-		set[b] = struct{}{}
-	}
-	for b := range ri.PairSamples {
-		set[b] = struct{}{}
-	}
-	out := make([]int, 0, len(set))
-	for b := range set {
-		out = append(out, b)
-	}
-	slices.Sort(out)
-	return out
-}
-
-func unionPairs(a, b map[adcfg.PairKey][]float64) []adcfg.PairKey {
-	set := make(map[adcfg.PairKey]struct{})
-	for pk := range a {
-		set[pk] = struct{}{}
-	}
-	for pk := range b {
-		set[pk] = struct{}{}
-	}
-	out := make([]adcfg.PairKey, 0, len(set))
-	for pk := range set {
-		out = append(out, pk)
-	}
-	slices.SortFunc(out, func(a, b adcfg.PairKey) int {
-		return cmp.Or(cmp.Compare(a.Src, b.Src), cmp.Compare(a.Dst, b.Dst))
-	})
-	return out
 }

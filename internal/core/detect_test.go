@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"owl/internal/cuda"
+	"owl/internal/evidence"
 	"owl/internal/obs"
 	"owl/internal/workloads/dummy"
 	"owl/internal/workloads/mlp"
@@ -144,7 +145,7 @@ func TestEvidenceAddRunPadding(t *testing.T) {
 		t.Fatal(err)
 	}
 	p := dummy.New()
-	ev := NewEvidence()
+	ev := evidence.NewDiff()
 	for i := 0; i < 3; i++ {
 		tr, err := d.RecordOnce(p, []byte{byte(i)})
 		if err != nil {
@@ -159,10 +160,10 @@ func TestEvidenceAddRunPadding(t *testing.T) {
 		if len(inv.Presence) != 3 {
 			t.Errorf("presence length %d, want 3", len(inv.Presence))
 		}
-		for b, pairs := range inv.PairSamples {
-			for pk, xs := range pairs {
-				if len(xs) != 3 {
-					t.Errorf("block %d pair %v: %d samples, want 3", b, pk, len(xs))
+		for b, blk := range inv.Sites {
+			for _, p := range blk.Pairs {
+				if len(p.Rec) != 3 {
+					t.Errorf("block %d pair %v: %d samples, want 3", b, p.Pair, len(p.Rec))
 				}
 			}
 		}

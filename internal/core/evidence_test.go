@@ -33,13 +33,13 @@ func mkRun(stacks ...string) *trace.ProgramTrace {
 }
 
 func TestEvidenceAlignsInsertedInvocation(t *testing.T) {
-	ev := NewEvidence()
+	ev := evidence.NewDiff()
 	ev.AddRun(mkRun("a", "c"))
 	ev.AddRun(mkRun("a", "b", "c")) // "b" appears only in run 2
 	if len(ev.Invs) != 3 {
 		t.Fatalf("invs = %d, want 3", len(ev.Invs))
 	}
-	byStack := make(map[string]*InvEvidence)
+	byStack := make(map[string]*evidence.InvEvidence)
 	for _, inv := range ev.Invs {
 		byStack[inv.StackID] = inv
 	}
@@ -56,11 +56,11 @@ func TestEvidenceAlignsInsertedInvocation(t *testing.T) {
 }
 
 func TestEvidenceAbsentInvocationKeepsZeros(t *testing.T) {
-	ev := NewEvidence()
+	ev := evidence.NewDiff()
 	ev.AddRun(mkRun("a", "b"))
 	ev.AddRun(mkRun("a")) // "b" missing from run 2
 	ev.AddRun(mkRun("a", "b"))
-	byStack := make(map[string]*InvEvidence)
+	byStack := make(map[string]*evidence.InvEvidence)
 	for _, inv := range ev.Invs {
 		byStack[inv.StackID] = inv
 	}
@@ -68,7 +68,11 @@ func TestEvidenceAbsentInvocationKeepsZeros(t *testing.T) {
 		t.Errorf("b presence = %v", p)
 	}
 	// b's transition samples count only the two present runs.
-	if xs := byStack["b"].PairSamples[0][adcfg.PairKey{Src: adcfg.Start, Dst: 1}]; len(xs) != 3 || xs[0] != 1 || xs[1] != 0 || xs[2] != 1 {
+	pairs := byStack["b"].Sites.Block(0).Pairs
+	if len(pairs) != 1 || pairs[0].Pair != (adcfg.PairKey{Src: adcfg.Start, Dst: 1}) {
+		t.Fatalf("b pairs through block 0 = %v", pairs)
+	}
+	if xs := pairs[0].Rec; len(xs) != 3 || xs[0] != 1 || xs[1] != 0 || xs[2] != 1 {
 		t.Errorf("b samples of (START, 1) through block 0 = %v", xs)
 	}
 }
@@ -80,7 +84,7 @@ func TestEvidenceMemSamplesTrackRuns(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ev := NewEvidence()
+	ev := evidence.NewDiff()
 	for i := 0; i < 4; i++ {
 		tr, err := d.RecordOnce(dummy.New(), []byte{byte(i), 2, 3})
 		if err != nil {
@@ -91,13 +95,26 @@ func TestEvidenceMemSamplesTrackRuns(t *testing.T) {
 	if len(ev.Invs) != 1 {
 		t.Fatalf("invs = %d", len(ev.Invs))
 	}
-	for key, f := range ev.Invs[0].Mems {
-		if f.Runs() != 4 {
-			t.Errorf("mem %v present in %d runs, want 4", key, f.Runs())
+	records := 0
+	for b, blk := range ev.Invs[0].Sites {
+		for j, visit := range blk.Mems {
+			for m, f := range visit {
+				if f == nil {
+					continue
+				}
+				records++
+				key := evidence.MemKey{Block: b, Visit: j, Mem: m}
+				if f.Runs() != 4 {
+					t.Errorf("mem %v present in %d runs, want 4", key, f.Runs())
+				}
+				if len(f.Spreads) != len(f.Means) {
+					t.Errorf("mem %v: %d spreads vs %d means", key, len(f.Spreads), len(f.Means))
+				}
+			}
 		}
-		if len(f.Spreads) != len(f.Means) {
-			t.Errorf("mem %v: %d spreads vs %d means", key, len(f.Spreads), len(f.Means))
-		}
+	}
+	if records == 0 {
+		t.Fatal("no memory records")
 	}
 }
 
@@ -111,12 +128,13 @@ func TestHistSummary(t *testing.T) {
 	f.MemAccess(0, isa.SpaceGlobal, false, []int64{10, 20, 20, 20})
 	f.Finish()
 	g.Nodes[0].Visits[0].Mems = append(g.Nodes[0].Visits[0].Mems, &adcfg.MemHist{Space: isa.SpaceShared, Store: true})
-	inv := newInvEvidence("s", "k")
-	NewEvidence().mergeRunInvocation(inv, &trace.Invocation{StackID: "s", Kernel: "k", Graph: g}, 0)
-	if len(inv.Mems) != 2 {
-		t.Fatalf("records = %v, want two", inv.Mems)
+	ev := evidence.NewDiff()
+	ev.AddRun(&trace.ProgramTrace{Invocations: []*trace.Invocation{{StackID: "s", Kernel: "k", Graph: g}}})
+	inv := ev.Invs[0]
+	if mems := inv.Sites.Block(0).Mems; len(mems) != 1 || len(mems[0]) != 2 {
+		t.Fatalf("records = %v, want two", mems)
 	}
-	feat := inv.Mems[evidence.MemKey{Block: 0, Visit: 0, Mem: 0}]
+	feat := inv.Sites.Mem(evidence.MemKey{Block: 0, Visit: 0, Mem: 0})
 	if feat == nil || feat.Runs() != 1 {
 		t.Fatalf("record = %+v", feat)
 	}
@@ -129,7 +147,7 @@ func TestHistSummary(t *testing.T) {
 	if cells := feat.Hist.Cells(); len(cells) != 2 || cells[1] != (adcfg.Cell{Addr: 20, Count: 3}) {
 		t.Errorf("merged cells = %v", cells)
 	}
-	empty := inv.Mems[evidence.MemKey{Block: 0, Visit: 0, Mem: 1}]
+	empty := inv.Sites.Mem(evidence.MemKey{Block: 0, Visit: 0, Mem: 1})
 	if empty == nil || empty.Runs() != 0 || len(empty.Hist.Cells()) != 0 || empty.Space != isa.SpaceShared || !empty.Store {
 		t.Errorf("empty-histogram record = %+v", empty)
 	}

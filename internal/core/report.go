@@ -335,15 +335,21 @@ func (s *leakSet) find(l Leak) *Leak {
 }
 
 // add inserts l unless its location is already recorded, in which case
-// the smaller p wins.
-func (s *leakSet) add(l Leak) {
+// the smaller p wins. It returns the recorded leak when l was recorded,
+// for the caller to fill in the description it formats only then, and
+// nil when the leak already recorded stayed.
+func (s *leakSet) add(l Leak) *Leak {
 	k := l.key()
-	if i, ok := s.at[k]; ok {
-		if l.P < s.report.Leaks[i].P {
-			s.report.Leaks[i] = l
-		}
-		return
+	i, ok := s.at[k]
+	switch {
+	case !ok:
+		i = len(s.report.Leaks)
+		s.at[k] = i
+		s.report.Leaks = append(s.report.Leaks, l)
+	case l.P < s.report.Leaks[i].P:
+		s.report.Leaks[i] = l
+	default:
+		return nil
 	}
-	s.at[k] = len(s.report.Leaks)
-	s.report.Leaks = append(s.report.Leaks, l)
+	return &s.report.Leaks[i]
 }

@@ -73,10 +73,11 @@ func (d *Detector) checkRound(ctx context.Context, engine *evidence.Engine, st *
 // leaks already located by the diff channel are annotated with
 // t/MI/confidence, leaking verdicts with no diff counterpart become leaks
 // of their own, and every statistical leak carries the run count that
-// produced it.
+// produced it. A new leak's description is formatted only once it is
+// recorded.
 func (d *Detector) applyVerdicts(verdicts []evidence.Verdict, runsUsed int, leaks *leakSet) {
 	for _, v := range verdicts {
-		l := d.leakFromVerdict(v, runsUsed)
+		l := leakFromVerdict(v, runsUsed)
 		if existing := leaks.find(l); existing != nil {
 			// Annotate whichever channel found it first; keep the stronger
 			// |t| when both channels' verdicts collapse to one location.
@@ -91,23 +92,16 @@ func (d *Detector) applyVerdicts(verdicts []evidence.Verdict, runsUsed int, leak
 			continue
 		}
 		if v.Leak {
-			leaks.add(l)
+			d.describeVerdict(leaks.add(l), v)
 		}
 	}
 }
 
 // leakFromVerdict maps one statistical verdict to the report's leak
-// model. P carries 1-confidence so the existing smallest-p ranking and
-// screening order statistical leaks exactly like diff leaks.
-func (d *Detector) leakFromVerdict(v evidence.Verdict, runsUsed int) Leak {
-	cfg := d.opts.Evidence
-	k := d.KernelDef(v.Kernel)
-	blockLabel := func(b int) string {
-		if k != nil {
-			return k.BlockLabel(b)
-		}
-		return fmt.Sprintf("B%d", b)
-	}
+// model: its location and statistics, without the description. P carries
+// 1-confidence so the existing smallest-p ranking and screening order
+// statistical leaks exactly like diff leaks.
+func leakFromVerdict(v evidence.Verdict, runsUsed int) Leak {
 	l := Leak{
 		StackID:    v.Stack,
 		Kernel:     v.Kernel,
@@ -120,39 +114,52 @@ func (d *Detector) leakFromVerdict(v evidence.Verdict, runsUsed int) Leak {
 	switch v.Kind {
 	case evidence.PresenceSite:
 		l.Kind = KernelLeak
-		l.Detail = fmt.Sprintf("TVLA |t|=%.2f > %.1f (invocation presence depends on the input)", abs(v.TStat), cfg.TVLAThreshold)
 	case evidence.PairSite:
 		l.Kind = ControlFlowLeak
 		l.Block = v.Block
-		l.BlockLabel = blockLabel(v.Block)
 		l.Pair = v.Pair
-		l.Detail = fmt.Sprintf("TVLA |t|=%.2f > %.1f on transition (%s -> %s)",
-			abs(v.TStat), cfg.TVLAThreshold, pairEnd(v.Pair.Src, blockLabel), pairEnd(v.Pair.Dst, blockLabel))
 	case evidence.MemSite:
 		l.Kind = DataFlowLeak
 		l.Block = v.Mem.Block
-		l.BlockLabel = blockLabel(v.Mem.Block)
 		l.Visit = v.Mem.Visit
 		l.MemIndex = v.Mem.Mem
-		l.Where = memAnnotation(k, v.Mem.Block, v.Mem.Mem)
-		l.Detail = fmt.Sprintf("TVLA |t|=%.2f > %.1f (%s), MI=%.2f bits", abs(v.TStat), cfg.TVLAThreshold, v.Feature, v.MI)
 	case evidence.CostSite:
 		l.Kind = CostLeak
 		l.Block = v.Cost.Block
-		l.BlockLabel = blockLabel(v.Cost.Block)
 		l.Instr = v.Cost.Instr
 		l.Metric = v.Cost.Metric.String()
-		l.Where = costAnnotation(k, v.Cost)
-		l.Detail = fmt.Sprintf("TVLA |t|=%.2f > %.1f (%s: per-event cost differs by regime), MI=%.2f bits",
-			abs(v.TStat), cfg.TVLAThreshold, v.Feature, v.MI)
 	}
 	return l
 }
 
-// costAnnotation resolves a cost site's instruction to its source form.
+// describeVerdict fills in the block label, the instruction annotation
+// and the detail of l, the leak recorded for verdict v.
+func (d *Detector) describeVerdict(l *Leak, v evidence.Verdict) {
+	th := d.opts.Evidence.TVLAThreshold
+	k := d.KernelDef(v.Kernel)
+	if v.Kind != evidence.PresenceSite {
+		l.BlockLabel = blockLabel(k, l.Block)
+	}
+	switch v.Kind {
+	case evidence.PresenceSite:
+		l.Detail = fmt.Sprintf("TVLA |t|=%.2f > %.1f (invocation presence depends on the input)", abs(v.TStat), th)
+	case evidence.PairSite:
+		l.Detail = fmt.Sprintf("TVLA |t|=%.2f > %.1f on transition (%s -> %s)",
+			abs(v.TStat), th, pairEnd(k, v.Pair.Src), pairEnd(k, v.Pair.Dst))
+	case evidence.MemSite:
+		l.Where = memAnnotation(k, v.Mem.Block, v.Mem.Mem)
+		l.Detail = fmt.Sprintf("TVLA |t|=%.2f > %.1f (%s), MI=%.2f bits", abs(v.TStat), th, v.Feature, v.MI)
+	case evidence.CostSite:
+		l.Where = d.costWhere(k, v.Cost)
+		l.Detail = fmt.Sprintf("TVLA |t|=%.2f > %.1f (%s: per-event cost differs by regime), MI=%.2f bits",
+			abs(v.TStat), th, v.Feature, v.MI)
+	}
+}
+
+// costWhere resolves a cost site's instruction to its source form.
 // Bank and coalesce sites index the block's memory instructions (the
 // A-DCFG's addressing); power sites index the block's code directly.
-func costAnnotation(k *isa.Kernel, c evidence.CostKey) string {
+func (d *Detector) costWhere(k *isa.Kernel, c evidence.CostKey) string {
 	if c.Metric == trace.CostPower {
 		if k == nil || c.Block < 0 || c.Block >= len(k.Blocks) {
 			return ""

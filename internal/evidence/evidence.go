@@ -1,19 +1,25 @@
-// Package evidence is the statistical evidence channel beside the
-// set-difference detector: streaming per-site accumulators (Welford
-// mean/variance feeding Welch's t, capped-histogram mutual-information
-// estimates) that attach to the trace-sink path at O(sites) memory, a
-// confidence-ranked verdict model, and a per-round trajectory whose leak
-// signature the detector watches to stop recording once the set of
-// leaking code locations has stabilized.
+// Package evidence holds the evidence the detector merges its runs into
+// and the statistical channel beside the set-difference detector. The
+// diff channel's evidence (Diff: E_fix or E_rnd, §VII-A) keeps per-run
+// feature samples and merged address histograms for the distribution
+// tests. The statistical engine (Engine) keeps streaming per-site
+// accumulators (Welford mean/variance feeding Welch's t, capped-histogram
+// mutual-information estimates) at O(sites) memory, a confidence-ranked
+// verdict model, and a per-round trajectory whose leak signature the
+// detector watches to stop recording once the set of leaking code
+// locations has stabilized.
 //
-// The engine observes traces run by run — each trace labelled with its
-// input regime (fixed or random) — and never retains trace references, so
-// it composes with the pooling/release discipline of the streaming
-// pipeline. Kernel invocations align across runs by (stack identity,
-// occurrence index within the run): unlike the Myers alignment of the
-// merge channel this needs no materialized base sequence, and for the
-// deterministic launch sequences the detector records the two alignments
-// agree.
+// A run merges into whichever consumers are on with one walk over each
+// invocation's graph (Merge). Each consumer aligns invocations its own
+// way: the diff channel with the Myers algorithm over the merged
+// sequence, the engine by (stack identity, occurrence index within the
+// run), which needs no materialized base sequence. For the deterministic
+// launch sequences the detector records the two alignments agree; a
+// host-gated launch can make them differ. Within an invocation, both find
+// each site by its index in the run graph (Sites), so no site key is
+// hashed and sites are read in order without sorting. Neither consumer
+// retains trace references, so both compose with the pooling/release
+// discipline of the streaming pipeline.
 //
 // Determinism: observations must arrive in run order (the reorder window
 // of the streaming pipeline guarantees this for any worker count), and
@@ -23,8 +29,9 @@
 package evidence
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"owl/internal/adcfg"
 	"owl/internal/stats"
@@ -166,7 +173,7 @@ type pairAcc struct {
 // observation per run in which the instruction executed (matching the
 // diff channel's MemFeature: accesses within a run are correlated, so the
 // run is the unit); the MI estimator folds the full address histogram
-// weighted by access counts.
+// weighted by access counts. A site no run has reached has a nil mi.
 type memAcc struct {
 	mean   [2]stats.Welford
 	spread [2]stats.Welford
@@ -179,8 +186,9 @@ type memAcc struct {
 // timing/power probe integrates over the run. Padding is lazy like
 // pairAcc: a run in which the site never executed contributes 0.
 type costAcc struct {
-	w  [2]stats.Welford
-	mi *stats.MIEstimator
+	key CostKey
+	w   [2]stats.Welford
+	mi  *stats.MIEstimator
 }
 
 // invAcc holds every per-site accumulator of one aligned invocation.
@@ -189,20 +197,8 @@ type invAcc struct {
 	kernel  string
 	present [2]int
 
-	pairs map[int]map[adcfg.PairKey]*pairAcc
-	mems  map[MemKey]*memAcc
-	costs map[CostKey]*costAcc
-
-	// sorted site orders, rebuilt lazily for deterministic verdicts
-	dirty     bool
-	pairOrder []pairRef
-	memOrder  []MemKey
-	costOrder []CostKey
-}
-
-type pairRef struct {
-	block int
-	pair  adcfg.PairKey
+	sites Sites[pairAcc, memAcc]
+	costs []costAcc // ascending by (Metric, Block, Instr)
 }
 
 // Engine is the streaming statistical accumulator set. Not safe for
@@ -212,105 +208,71 @@ type Engine struct {
 	cfg  Config
 	runs [2]int
 	invs []*invAcc
-	idx  map[invID]int
+	idx  map[invID]*invAcc
 
-	// scratch reused across Observe calls
+	// scratch reused across runs
 	occ map[string]int
+	at  []*invAcc
 }
 
 // NewEngine builds an engine with cfg.
 func NewEngine(cfg Config) *Engine {
-	return &Engine{cfg: cfg, idx: make(map[invID]int), occ: make(map[string]int)}
+	return &Engine{cfg: cfg, idx: make(map[invID]*invAcc), occ: make(map[string]int)}
 }
 
 // Observe folds one run's trace into the accumulators under regime r. The
 // trace is read, never retained: callers may release it immediately
 // after.
-func (e *Engine) Observe(r Regime, t *trace.ProgramTrace) {
-	runIdx := e.runs[r]
+func (e *Engine) Observe(r Regime, t *trace.ProgramTrace) { Merge(r, t, nil, e) }
+
+// align returns the accumulators of each of t's invocations, aligned by
+// (stack identity, occurrence), adding those seen for the first time.
+func (e *Engine) align(t *trace.ProgramTrace) []*invAcc {
 	clear(e.occ)
+	e.at = e.at[:0]
 	for _, ti := range t.Invocations {
 		occ := e.occ[ti.StackID]
 		e.occ[ti.StackID] = occ + 1
 		id := invID{stack: ti.StackID, occ: occ}
-		i, ok := e.idx[id]
-		if !ok {
-			i = len(e.invs)
-			e.idx[id] = i
-			e.invs = append(e.invs, &invAcc{
-				id:     id,
-				kernel: ti.Kernel,
-				pairs:  make(map[int]map[adcfg.PairKey]*pairAcc),
-				mems:   make(map[MemKey]*memAcc),
-				costs:  make(map[CostKey]*costAcc),
-			})
+		a := e.idx[id]
+		if a == nil {
+			a = &invAcc{id: id, kernel: ti.Kernel}
+			e.idx[id] = a
+			e.invs = append(e.invs, a)
 		}
-		e.observeInvocation(e.invs[i], r, runIdx, ti)
+		e.at = append(e.at, a)
 	}
-	e.runs[r]++
+	return e.at
 }
 
-// observeInvocation folds one invocation's A-DCFG in.
-func (e *Engine) observeInvocation(a *invAcc, r Regime, runIdx int, ti *trace.Invocation) {
-	a.present[r]++
-	for block, node := range ti.Graph.Nodes {
-		for pk, c := range node.Pairs {
-			pairs := a.pairs[block]
-			if pairs == nil {
-				pairs = make(map[adcfg.PairKey]*pairAcc)
-				a.pairs[block] = pairs
-			}
-			p := pairs[pk]
-			if p == nil {
-				p = &pairAcc{}
-				pairs[pk] = p
-				a.dirty = true
-			}
-			w := &p.w[r]
-			w.AddZeros(runIdx - int(w.Count))
-			w.Add(float64(c))
-		}
-		for j, v := range node.Visits {
-			for mi, h := range v.Mems {
-				if h == nil || len(h.Cells) == 0 {
-					continue
-				}
-				key := MemKey{Block: block, Visit: j, Mem: mi}
-				m := a.mems[key]
-				if m == nil {
-					m = &memAcc{mi: stats.NewMIEstimator(e.cfg.MIBins)}
-					a.mems[key] = m
-					a.dirty = true
-				}
-				// The MI estimator takes the cells in ascending address
-				// order, which makes its rebin trigger, and so the
-				// estimate, deterministic. The mean and spread are the
-				// diff channel's per-run summary.
-				for _, c := range h.Cells {
-					m.mi.Observe(int(r), float64(c.Addr), float64(c.Count))
-				}
-				mean, spread := adcfg.Summary(h.Cells)
-				m.mean[r].Add(mean)
-				m.spread[r].Add(spread)
-			}
-		}
-	}
-	for _, s := range ti.Cost {
+// observeCosts folds one run's cost sites in under regime r, runIdx
+// being the run's index within the regime. Sites arrive in canonical
+// (Metric, Block, Instr) order, so a cursor finds each in one step once
+// the run's sites are known; a site the cursor misses is found by binary
+// search, and a new one is inserted in order.
+func (a *invAcc) observeCosts(r Regime, runIdx int, sites []trace.CostSite, bins int) {
+	i := 0
+	for _, s := range sites {
 		if s.Events <= 0 {
 			continue
 		}
 		key := CostKey{Metric: s.Metric, Block: s.Block, Instr: s.Instr}
-		c := a.costs[key]
-		if c == nil {
-			c = &costAcc{mi: stats.NewMIEstimator(e.cfg.MIBins)}
-			a.costs[key] = c
-			a.dirty = true
+		if i >= len(a.costs) || a.costs[i].key != key {
+			var found bool
+			i, found = slices.BinarySearchFunc(a.costs, key, func(c costAcc, k CostKey) int {
+				return cmp.Or(cmp.Compare(c.key.Metric, k.Metric), cmp.Compare(c.key.Block, k.Block), cmp.Compare(c.key.Instr, k.Instr))
+			})
+			if !found {
+				a.costs = slices.Insert(a.costs, i, costAcc{key: key, mi: stats.NewMIEstimator(bins)})
+			}
 		}
+		c := &a.costs[i]
 		v := float64(s.Total) / float64(s.Events)
 		w := &c.w[r]
 		w.AddZeros(runIdx - int(w.Count))
 		w.Add(v)
 		c.mi.Observe(int(r), v, 1)
+		i++
 	}
 }
 
@@ -366,7 +328,6 @@ func (e *Engine) verdicts(withMI bool) []Verdict {
 		out = append(out, v)
 	}
 	for _, a := range e.invs {
-		a.sortSites()
 		base := Verdict{Stack: a.id.stack, Kernel: a.kernel, Occ: a.id.occ}
 
 		// Presence: Bernoulli per regime over all runs of that regime.
@@ -378,111 +339,68 @@ func (e *Engine) verdicts(withMI bool) []Verdict {
 			}
 		}
 
-		for _, pr := range a.pairOrder {
-			p := a.pairs[pr.block][pr.pair]
-			t, ok := e.tOf(padded(p.w[Fixed], e.runs[Fixed]), padded(p.w[Random], e.runs[Random]))
-			if !ok {
-				continue
+		for b, blk := range a.sites {
+			for _, p := range blk.Pairs {
+				t, ok := e.tOf(padded(p.Rec.w[Fixed], e.runs[Fixed]), padded(p.Rec.w[Random], e.runs[Random]))
+				if !ok {
+					continue
+				}
+				v := base
+				v.Kind = PairSite
+				v.Block = b
+				v.Pair = p.Pair
+				emit(v, t, "pair")
 			}
-			v := base
-			v.Kind = PairSite
-			v.Block = pr.block
-			v.Pair = pr.pair
-			emit(v, t, "pair")
 		}
 
-		for _, key := range a.memOrder {
-			m := a.mems[key]
-			// The run is the unit: a regime with < 2 executing runs has no
-			// distribution to test — regime-dependent execution itself is
-			// the presence/pair channel's verdict.
-			tm, okM := e.tOf(m.mean[Fixed], m.mean[Random])
-			ts, okS := e.tOf(m.spread[Fixed], m.spread[Random])
-			if !okM && !okS {
-				continue
+		for b, blk := range a.sites {
+			for j, visit := range blk.Mems {
+				for mi := range visit {
+					m := &visit[mi]
+					if m.mi == nil {
+						continue
+					}
+					// The run is the unit: a regime with < 2 executing runs
+					// has no distribution to test — regime-dependent
+					// execution itself is the presence/pair channel's
+					// verdict.
+					tm, okM := e.tOf(m.mean[Fixed], m.mean[Random])
+					ts, okS := e.tOf(m.spread[Fixed], m.spread[Random])
+					if !okM && !okS {
+						continue
+					}
+					t, feature := tm, "mem mean"
+					if okS && (!okM || abs(ts) > abs(tm)) {
+						t, feature = ts, "mem spread"
+					}
+					v := base
+					v.Kind = MemSite
+					v.Mem = MemKey{Block: b, Visit: j, Mem: mi}
+					if withMI {
+						v.MI = m.mi.Bits()
+					}
+					emit(v, t, feature)
+				}
 			}
-			t, feature := tm, "mem mean"
-			if okS && (!okM || abs(ts) > abs(tm)) {
-				t, feature = ts, "mem spread"
-			}
-			v := base
-			v.Kind = MemSite
-			v.Mem = key
-			if withMI {
-				v.MI = m.mi.Bits()
-			}
-			emit(v, t, feature)
 		}
 
-		for _, key := range a.costOrder {
-			c := a.costs[key]
+		for i := range a.costs {
+			c := &a.costs[i]
 			t, ok := e.tOf(padded(c.w[Fixed], e.runs[Fixed]), padded(c.w[Random], e.runs[Random]))
 			if !ok {
 				continue
 			}
 			v := base
 			v.Kind = CostSite
-			v.Cost = key
-			v.Block = key.Block
+			v.Cost = c.key
+			v.Block = c.key.Block
 			if withMI {
 				v.MI = c.mi.Bits()
 			}
-			emit(v, t, "cost "+key.Metric.String())
+			emit(v, t, "cost "+c.key.Metric.String())
 		}
 	}
 	return out
-}
-
-// sortSites rebuilds the deterministic site orders if new sites appeared.
-func (a *invAcc) sortSites() {
-	if !a.dirty && a.pairOrder != nil {
-		return
-	}
-	a.pairOrder = a.pairOrder[:0]
-	for block, pairs := range a.pairs {
-		for pk := range pairs {
-			a.pairOrder = append(a.pairOrder, pairRef{block: block, pair: pk})
-		}
-	}
-	sort.Slice(a.pairOrder, func(i, j int) bool {
-		x, y := a.pairOrder[i], a.pairOrder[j]
-		if x.block != y.block {
-			return x.block < y.block
-		}
-		if x.pair.Src != y.pair.Src {
-			return x.pair.Src < y.pair.Src
-		}
-		return x.pair.Dst < y.pair.Dst
-	})
-	a.memOrder = a.memOrder[:0]
-	for key := range a.mems {
-		a.memOrder = append(a.memOrder, key)
-	}
-	sort.Slice(a.memOrder, func(i, j int) bool {
-		x, y := a.memOrder[i], a.memOrder[j]
-		if x.Block != y.Block {
-			return x.Block < y.Block
-		}
-		if x.Visit != y.Visit {
-			return x.Visit < y.Visit
-		}
-		return x.Mem < y.Mem
-	})
-	a.costOrder = a.costOrder[:0]
-	for key := range a.costs {
-		a.costOrder = append(a.costOrder, key)
-	}
-	sort.Slice(a.costOrder, func(i, j int) bool {
-		x, y := a.costOrder[i], a.costOrder[j]
-		if x.Metric != y.Metric {
-			return x.Metric < y.Metric
-		}
-		if x.Block != y.Block {
-			return x.Block < y.Block
-		}
-		return x.Instr < y.Instr
-	})
-	a.dirty = false
 }
 
 // Trajectory is one snapshot of the engine's statistical state — the

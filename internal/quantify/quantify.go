@@ -29,6 +29,7 @@ import (
 	"owl/internal/adcfg"
 	"owl/internal/core"
 	"owl/internal/cuda"
+	"owl/internal/evidence"
 	"owl/internal/myers"
 	"owl/internal/trace"
 )
@@ -106,7 +107,7 @@ func Quantify(det *core.Detector, p cuda.Program, fixed []byte, gen cuda.InputGe
 		return nil, fmt.Errorf("quantify: nil input generator")
 	}
 	ctx := context.Background()
-	merge := func(ev *core.Evidence) func(int, *trace.ProgramTrace) error {
+	merge := func(ev *evidence.Diff) func(int, *trace.ProgramTrace) error {
 		return func(_ int, t *trace.ProgramTrace) error {
 			ev.AddRun(t)
 			trace.Release(t)
@@ -117,7 +118,7 @@ func Quantify(det *core.Detector, p cuda.Program, fixed []byte, gen cuda.InputGe
 	for i := range inputs {
 		inputs[i] = fixed
 	}
-	eFix, eRnd := core.NewEvidence(), core.NewEvidence()
+	eFix, eRnd := evidence.NewDiff(), evidence.NewDiff()
 	if err := det.RecordEach(ctx, p, inputs, merge(eFix)); err != nil {
 		return nil, err
 	}
@@ -132,18 +133,10 @@ func Quantify(det *core.Detector, p cuda.Program, fixed []byte, gen cuda.InputGe
 }
 
 // FromEvidence estimates leakage from already-merged evidence.
-func FromEvidence(program string, eFix, eRnd *core.Evidence) *Report {
+func FromEvidence(program string, eFix, eRnd *evidence.Diff) *Report {
 	rep := &Report{Program: program}
 
-	fixSeq := make([]string, len(eFix.Invs))
-	for i, inv := range eFix.Invs {
-		fixSeq[i] = inv.StackID
-	}
-	rndSeq := make([]string, len(eRnd.Invs))
-	for i, inv := range eRnd.Invs {
-		rndSeq[i] = inv.StackID
-	}
-	for _, op := range myers.Diff(fixSeq, rndSeq) {
+	for _, op := range myers.Diff(eFix.Stacks(), eRnd.Stacks()) {
 		if op.Kind != myers.Match {
 			continue
 		}
@@ -159,39 +152,39 @@ func FromEvidence(program string, eFix, eRnd *core.Evidence) *Report {
 	return rep
 }
 
-func quantifyInvocation(rep *Report, fi, ri *core.InvEvidence) {
+func quantifyInvocation(rep *Report, fi, ri *evidence.InvEvidence) {
 	// Memory features: offset distributions per instruction occurrence.
-	for key, ff := range fi.Mems {
-		rf := ri.Mems[key]
-		if ff.Runs() == 0 || rf == nil {
-			continue
+	for b, blk := range fi.Sites {
+		for j, visit := range blk.Mems {
+			for m, ff := range visit {
+				rf := ri.Sites.Mem(evidence.MemKey{Block: b, Visit: j, Mem: m})
+				if ff == nil || ff.Runs() == 0 || rf == nil {
+					continue
+				}
+				fd := distFromHist(ff.Hist.Cells())
+				rd := distFromHist(rf.Hist.Cells())
+				rep.Estimates = append(rep.Estimates, Estimate{
+					Kind: MemoryFeature, StackID: fi.StackID, Kernel: fi.Kernel,
+					Block: b, Visit: j, MemIndex: m,
+					JSDBits:          jsd(fd, rd),
+					FixEntropyBits:   entropy(fd),
+					RndEntropyBits:   entropy(rd),
+					EntropyDeltaBits: entropy(rd) - entropy(fd),
+				})
+			}
 		}
-		fd := distFromHist(ff.Hist.Cells())
-		rd := distFromHist(rf.Hist.Cells())
-		rep.Estimates = append(rep.Estimates, Estimate{
-			Kind: MemoryFeature, StackID: fi.StackID, Kernel: fi.Kernel,
-			Block: key.Block, Visit: key.Visit, MemIndex: key.Mem,
-			JSDBits:          jsd(fd, rd),
-			FixEntropyBits:   entropy(fd),
-			RndEntropyBits:   entropy(rd),
-			EntropyDeltaBits: entropy(rd) - entropy(fd),
-		})
 	}
 
 	// Transition features: per-node (src,dst) pair distributions.
-	for block, fp := range fi.PairSamples {
-		rp := ri.PairSamples[block]
-		if rp == nil {
-			continue
-		}
-		fd := distFromPairs(fp)
-		rd := distFromPairs(rp)
+	for b, blk := range fi.Sites {
+		fd := distFromPairs(blk.Pairs)
+		rd := distFromPairs(ri.Sites.Block(b).Pairs)
 		if len(fd) == 0 || len(rd) == 0 {
 			continue
 		}
 		rep.Estimates = append(rep.Estimates, Estimate{
 			Kind: TransitionFeature, StackID: fi.StackID, Kernel: fi.Kernel,
-			Block:            block,
+			Block:            b,
 			JSDBits:          jsd(fd, rd),
 			FixEntropyBits:   entropy(fd),
 			RndEntropyBits:   entropy(rd),
@@ -230,16 +223,16 @@ func distFromHist(cells []adcfg.Cell) dist {
 // distFromPairs takes a node's per-run transition counts: each pair's
 // mass is its count summed over the runs. The counts are whole numbers,
 // so the sums are exact in any order.
-func distFromPairs(pairs map[adcfg.PairKey][]float64) dist {
+func distFromPairs(pairs []evidence.PairRecord[[]float64]) dist {
 	var total float64
 	d := make(dist, 0, len(pairs))
-	for pk, xs := range pairs {
+	for _, p := range pairs {
 		var c float64
-		for _, x := range xs {
+		for _, x := range p.Rec {
 			c += x
 		}
 		// Encode the pair as one symbol.
-		sym := uint64(uint32(int32(pk.Src)))<<32 | uint64(uint32(int32(pk.Dst)))
+		sym := uint64(uint32(int32(p.Pair.Src)))<<32 | uint64(uint32(int32(p.Pair.Dst)))
 		d = append(d, mass{sym, c})
 		total += c
 	}

@@ -8,6 +8,7 @@ import (
 
 	"owl/internal/adcfg"
 	"owl/internal/core"
+	"owl/internal/evidence"
 	"owl/internal/isa"
 	"owl/internal/trace"
 	"owl/internal/workloads/gpucrypto"
@@ -132,9 +133,9 @@ func TestDistFromHist(t *testing.T) {
 }
 
 func TestDistFromPairsEncodesNegatives(t *testing.T) {
-	d := distFromPairs(map[adcfg.PairKey][]float64{
-		{Src: adcfg.Start, Dst: 1}: {1, 0},
-		{Src: 1, Dst: adcfg.End}:   {0, 1},
+	d := distFromPairs([]evidence.PairRecord[[]float64]{
+		{Pair: adcfg.PairKey{Src: adcfg.Start, Dst: 1}, Rec: []float64{1, 0}},
+		{Pair: adcfg.PairKey{Src: 1, Dst: adcfg.End}, Rec: []float64{0, 1}},
 	})
 	if len(d) != 2 || d[0].sym >= d[1].sym {
 		t.Errorf("virtual block ids collided or out of order: %v", d)
@@ -169,11 +170,11 @@ func TestEstimateLocation(t *testing.T) {
 func TestFromEvidenceDeterministic(t *testing.T) {
 	det := newDet(t)
 	aes := gpucrypto.NewAES(gpucrypto.WithBlocks(16))
-	eFix, eRnd := core.NewEvidence(), core.NewEvidence()
+	eFix, eRnd := evidence.NewDiff(), evidence.NewDiff()
 	gen, rng := gpucrypto.KeyGen(), rand.New(rand.NewSource(1))
 	for i := 0; i < 10; i++ {
 		for _, in := range []struct {
-			ev  *core.Evidence
+			ev  *evidence.Diff
 			key []byte
 		}{{eFix, []byte("0123456789abcdef")}, {eRnd, gen(rng)}} {
 			tr, err := det.RecordOnce(aes, in.key)
@@ -228,7 +229,7 @@ func predicatedRun(addrs ...int64) *trace.ProgramTrace {
 // predicated off is scored against an empty distribution, and one whose
 // fixed runs did is not scored.
 func TestEmptyHistogramScored(t *testing.T) {
-	eFix, eRnd := core.NewEvidence(), core.NewEvidence()
+	eFix, eRnd := evidence.NewDiff(), evidence.NewDiff()
 	for i := 0; i < 3; i++ {
 		eFix.AddRun(predicatedRun(4, 4, 8))
 		eRnd.AddRun(predicatedRun())

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"log/slog"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -118,6 +119,7 @@ type Manager struct {
 	mu       sync.Mutex
 	jobs     map[string]*Job
 	order    []string // submission order, for listing
+	finished []string // terminal jobs still kept, oldest first
 	seq      int
 	started  bool
 	draining bool
@@ -562,11 +564,33 @@ func (m *Manager) execute(ctx context.Context, job *Job) error {
 	return nil
 }
 
-// transition moves a job to state s and the jobs gauge with it.
+// keptJobs is how many terminal jobs the manager keeps for Get and Jobs.
+// Older ones are forgotten, so a long-running daemon's job table stays
+// bounded: a finished job holds its report until it is evicted.
+const keptJobs = 64
+
+// transition moves a job to state s and the jobs gauge with it. A job
+// that becomes terminal joins the kept terminal jobs, evicting the oldest
+// beyond keptJobs.
 func (m *Manager) transition(job *Job, s State) {
-	if prev, ok := job.setState(s); ok {
-		m.metrics.JobTransition(prev, s)
+	prev, ok := job.setState(s)
+	if !ok {
+		return
 	}
+	m.metrics.JobTransition(prev, s)
+	if !s.Terminal() {
+		return
+	}
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	m.finished = append(m.finished, job.ID)
+	if len(m.finished) <= keptJobs {
+		return
+	}
+	old := m.finished[0]
+	m.finished = slices.Delete(m.finished, 0, 1)
+	delete(m.jobs, old)
+	m.order = slices.DeleteFunc(m.order, func(id string) bool { return id == old })
 }
 
 // finish makes a job's terminal transition and folds its report, if

@@ -205,6 +205,70 @@ func TestJobCancellation(t *testing.T) {
 	}
 }
 
+// TestFinishedJobsEvicted fills the manager with more than keptJobs
+// terminal jobs (result-cache hits, done on submission) while one job
+// runs and one waits in the queue. Only the newest keptJobs terminal jobs
+// stay: the oldest answer GET with the unknown-job 404 and drop out of
+// the listing, the running and queued jobs stay, and the jobs gauge
+// still counts every job ever submitted.
+func TestFinishedJobsEvicted(t *testing.T) {
+	_, srv := newTestServer(t, Config{Pool: NewPool(2), JobWorkers: 1})
+	hit := JobRequest{Program: "dummy", FixedRuns: 4, RandomRuns: 4, Seed: 3}
+	first, code := postJob(t, srv, hit)
+	if code != http.StatusAccepted {
+		t.Fatalf("POST /v1/jobs: status %d", code)
+	}
+	if final := waitState(t, srv, first.ID, StateDone); final.State != StateDone {
+		t.Fatalf("job finished %s (error %q)", final.State, final.Error)
+	}
+	running, _ := postJob(t, srv, JobRequest{Program: "libgpucrypto/aes128", FixedRuns: 400, RandomRuns: 400})
+	waitState(t, srv, running.ID, StateRecording)
+	queued, _ := postJob(t, srv, JobRequest{Program: "dummy", FixedRuns: 4, RandomRuns: 4, Seed: 4})
+
+	const hits = keptJobs + 5
+	var ids []string
+	for range hits {
+		view, code := postJob(t, srv, hit)
+		if code != http.StatusAccepted || view.State != StateDone {
+			t.Fatalf("cache-hit submit: status %d, state %s", code, view.State)
+		}
+		ids = append(ids, view.ID)
+	}
+	// The first job and the first 5 hits are the 6 oldest of 70 terminal jobs.
+	for _, id := range append([]string{first.ID}, ids[:5]...) {
+		if code := getJSON(t, srv.URL+"/v1/jobs/"+id, nil); code != http.StatusNotFound {
+			t.Errorf("GET evicted job %s: status %d, want %d", id, code, http.StatusNotFound)
+		}
+	}
+	for _, id := range []string{ids[5], ids[len(ids)-1], running.ID, queued.ID} {
+		if code := getJSON(t, srv.URL+"/v1/jobs/"+id, nil); code != http.StatusOK {
+			t.Errorf("GET kept job %s: status %d", id, code)
+		}
+	}
+	var all []JobView
+	if code := getJSON(t, srv.URL+"/v1/jobs", &all); code != http.StatusOK || len(all) != keptJobs+2 {
+		t.Errorf("GET /v1/jobs: status %d, %d jobs, want %d", code, len(all), keptJobs+2)
+	}
+	jobs := fetchMetrics(t, srv)["jobs"].(map[string]any)
+	var total float64
+	for _, n := range jobs {
+		total += n.(float64)
+	}
+	if total != hits+3 || jobs[string(StateDone)].(float64) != hits+1 {
+		t.Errorf("metrics jobs = %v, want %d in all and %d done", jobs, hits+3, hits+1)
+	}
+
+	for _, id := range []string{queued.ID, running.ID} {
+		req, _ := http.NewRequest(http.MethodDelete, srv.URL+"/v1/jobs/"+id, nil)
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+	}
+	waitState(t, srv, running.ID, StateCanceled)
+}
+
 // TestUnversionedAliases checks the retired unversioned routes answer
 // 404 with a Link header naming the /v1 successor, that the /v1 routes
 // still serve, and that the streaming metrics appear in the snapshot.

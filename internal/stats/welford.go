@@ -111,7 +111,7 @@ func TConfidence(t float64) float64 {
 // worker counts.
 //
 // The exact cells are kept in ascending value order, so no value is
-// hashed: each observation is a search that starts at the previous
+// hashed: each observation gallops forward from the previous
 // observation's cell when the value lies past it, which makes an
 // ascending stream (an address histogram's cells) a merge-join.
 type MIEstimator struct {
@@ -147,7 +147,11 @@ func (m *MIEstimator) Observe(class int, value, weight float64) {
 	}
 	m.classN[class] += weight
 	if !m.binned {
-		i := m.find(value)
+		from := 0
+		if m.at < len(m.exact) && m.exact[m.at].value <= value {
+			from = m.at
+		}
+		i := seekValue(m.exact, from, value)
 		switch {
 		case i < len(m.exact) && m.exact[i].value == value:
 			m.exact[i].w[class] += weight
@@ -164,20 +168,19 @@ func (m *MIEstimator) Observe(class int, value, weight float64) {
 	m.bins[m.binIdx(value)][class] += weight
 }
 
-// find returns the index of the first exact cell whose value is at least
-// v, searching only past the previous observation's cell when v does.
-func (m *MIEstimator) find(v float64) int {
-	lo, hi := 0, len(m.exact)
-	if m.at < hi {
-		if m.exact[m.at].value <= v {
-			lo = m.at
-		} else {
-			hi = m.at
-		}
+// seekValue returns the index of the first cell at or after from whose
+// value is at least v: it gallops forward from from, then binary-searches
+// the bracket, so a value a few cells on costs a few steps.
+func seekValue(c []miCell, from int, v float64) int {
+	lo, hi := from, from
+	for step := 1; hi < len(c) && c[hi].value < v; step <<= 1 {
+		lo = hi + 1
+		hi += step
 	}
+	hi = min(hi, len(c))
 	for lo < hi {
 		mid := int(uint(lo+hi) >> 1)
-		if m.exact[mid].value < v {
+		if c[mid].value < v {
 			lo = mid + 1
 		} else {
 			hi = mid

@@ -568,3 +568,55 @@ func TestMIEstimatorMatchesMapReference(t *testing.T) {
 		t.Fatal("no rebin fired in the middle of a histogram; test is vacuous")
 	}
 }
+
+// BenchmarkMIObserveRun folds runs shaped like an aes128 T-table
+// histogram into one estimator at the engine's 64-cell cap, one Observe
+// per cell in ascending order, as the evidence engine merges a run.
+// "fixed" repeats one run of 36 addresses, so every value finds its
+// exact cell, as under the fixed key. "random" draws 24 of a 256-entry
+// table per run, so the cells pass the cap and rebin within the first
+// runs, as under random keys. One op is one run; the estimator starts
+// afresh every 64 runs.
+func BenchmarkMIObserveRun(b *testing.B) {
+	type cell struct {
+		addr  uint64
+		count int64
+	}
+	rng := rand.New(rand.NewSource(1))
+	table := func(picked func(v int) bool) []cell {
+		var run []cell
+		for v := range 256 {
+			if picked(v) {
+				run = append(run, cell{uint64(4096 + 4*v), int64(1 + rng.Intn(4))})
+			}
+		}
+		return run
+	}
+	fixed := table(func(v int) bool { return v%8 < 1 || v%64 < 2 })
+	random := make([][]cell, 64)
+	for i := range random {
+		picked := rng.Perm(256)[:24]
+		random[i] = table(func(v int) bool { return slices.Contains(picked, v) })
+	}
+	shapes := []struct {
+		name string
+		run  func(i int) []cell
+	}{
+		{"fixed", func(int) []cell { return fixed }},
+		{"random", func(i int) []cell { return random[i%len(random)] }},
+	}
+	for _, sh := range shapes {
+		b.Run(sh.name, func(b *testing.B) {
+			var mi *MIEstimator
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if i%64 == 0 {
+					mi = NewMIEstimator(64)
+				}
+				for _, c := range sh.run(i) {
+					mi.Observe(i%2, float64(c.addr), float64(c.count))
+				}
+			}
+		})
+	}
+}

@@ -2,8 +2,14 @@ package trace
 
 import "fmt"
 
+// MaxBlockID bounds the block ID of a graph node. The evidence merge
+// indexes an invocation's sites by block ID, so a decoded node ID sizes
+// that index.
+const MaxBlockID = 1<<16 - 1
+
 // Validate checks the structural invariants the rest of the pipeline
-// assumes: no nil invocations, graphs, nodes, or visits; histogram
+// assumes: no nil invocations, graphs, nodes, or visits; node block IDs
+// in 0..MaxBlockID; histogram
 // cells in strictly ascending address order with positive counts (merge
 // walks them in order); cost sites in canonical order. Encode and Hash
 // index straight into these structures, so a trace decoded from
@@ -26,6 +32,9 @@ func (t *ProgramTrace) Validate() error {
 		for id, n := range inv.Graph.Nodes {
 			if n == nil {
 				return fmt.Errorf("trace: invocation %d: node %d is nil", i, id)
+			}
+			if id < 0 || id > MaxBlockID {
+				return fmt.Errorf("trace: invocation %d: node ID %d outside 0..%d", i, id, MaxBlockID)
 			}
 			for j, v := range n.Visits {
 				if v == nil {

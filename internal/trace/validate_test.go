@@ -54,6 +54,24 @@ func TestValidateRejectsNilParts(t *testing.T) {
 	}
 }
 
+// TestValidateRejectsBlockIDs checks the node ID bound: the evidence
+// merge sizes its site index by block ID, so a decoded trace must not
+// carry a negative ID or one past MaxBlockID.
+func TestValidateRejectsBlockIDs(t *testing.T) {
+	for _, id := range []int{-3, MaxBlockID + 1} {
+		tr := mkTrace()
+		tr.Invocations[0].Graph.Nodes[id] = &adcfg.Node{Block: id}
+		if err := tr.Validate(); err == nil {
+			t.Errorf("node ID %d accepted", id)
+		}
+	}
+	tr := mkTrace()
+	tr.Invocations[0].Graph.Nodes[MaxBlockID] = &adcfg.Node{Block: MaxBlockID}
+	if err := tr.Validate(); err != nil {
+		t.Errorf("node ID MaxBlockID rejected: %v", err)
+	}
+}
+
 // TestDecodersRejectInvalid proves both decoders run validation: a trace
 // whose graph pointer is lost in transit (gob omits nil pointer fields;
 // JSON carries an explicit null) must error at decode time instead of
