@@ -201,15 +201,20 @@ func TestTracedRunAllocs(t *testing.T) {
 // statistical engine. The engine finds its sites by index, reuses its
 // scratch, and folds a histogram into an MI estimator that has rebinned
 // without allocating, so it adds nothing: 13 per run, and the limit is
-// one more.
+// one more. The k10 case merges each run as ten counted copies in one
+// walk (evidence.MergeN): its histograms scale into the diff's scratch,
+// and the per-run vectors grow by ten samples a merge, so they reallocate
+// more often: 22 per merge of ten runs, and the limit is one more.
 func TestEvidenceAddRunAllocs(t *testing.T) {
 	for _, tc := range []struct {
 		name  string
 		both  bool
+		k     int
 		limit float64
 	}{
-		{"diff", false, 15},
-		{"both-cost", true, 14},
+		{"diff", false, 1, 15},
+		{"both-cost", true, 1, 14},
+		{"both-cost-k10", true, 10, 23},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			opts := core.DefaultOptions()
@@ -242,7 +247,7 @@ func TestEvidenceAddRunAllocs(t *testing.T) {
 			}
 			i := 0
 			got := testing.AllocsPerRun(200, func() {
-				evidence.Merge(evidence.Random, runs[i%len(runs)], ev, engine)
+				evidence.MergeN(evidence.Random, runs[i%len(runs)], ev, engine, tc.k)
 				i++
 			})
 			if got > tc.limit {

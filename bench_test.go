@@ -245,6 +245,25 @@ func BenchmarkTable4EvidenceCollection(b *testing.B) {
 	}
 }
 
+// BenchmarkTable4EvidenceRepeats is BenchmarkTable4EvidenceCollection
+// as a detection's fixed regime pays it: the same 10 fixed-input runs,
+// each compared with the first (trace.Equal), merge as one group of 10
+// counted copies in one walk (evidence.MergeN).
+func BenchmarkTable4EvidenceRepeats(b *testing.B) {
+	fixed, _ := evidenceRuns(b, benchOptions(), 10, 0)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		ev := evidence.NewDiff()
+		for _, t := range fixed {
+			if !t.Equal(fixed[0]) {
+				b.Fatal("fixed-input runs recorded different traces")
+			}
+		}
+		evidence.MergeN(evidence.Fixed, fixed[0], ev, nil, len(fixed))
+	}
+}
+
 // BenchmarkTable4EvidenceCollectionRandom merges random-input aes128 runs:
 // each adds a couple dozen table addresses, so the evidence histograms
 // pass the small class and merge as dense counts.

@@ -20,6 +20,7 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"fmt"
+	"maps"
 	"math/bits"
 	"slices"
 
@@ -728,8 +729,41 @@ func (g *Graph) Encode() []byte {
 // Hash returns the canonical SHA-256 of the graph.
 func (g *Graph) Hash() [32]byte { return sha256.Sum256(g.Encode()) }
 
-// Equal reports canonical equality of two graphs.
-func (g *Graph) Equal(o *Graph) bool { return g.Hash() == o.Hash() }
+// Equal reports canonical equality of two graphs: whether their
+// encodings, and so their hashes, agree. It walks the two graphs side by
+// side without encoding either: the edges are not compared, because they
+// derive from the pairs. A nil map or slice equals an empty one, as both
+// encode alike.
+func (g *Graph) Equal(o *Graph) bool {
+	if g.Kernel != o.Kernel || g.Warps != o.Warps || len(g.Nodes) != len(o.Nodes) {
+		return false
+	}
+	for id, n := range g.Nodes {
+		on := o.Nodes[id]
+		if on == nil || len(n.Visits) != len(on.Visits) || !maps.Equal(n.Pairs, on.Pairs) {
+			return false
+		}
+		for j, v := range n.Visits {
+			ov := on.Visits[j]
+			if v.Count != ov.Count || len(v.Mems) != len(ov.Mems) {
+				return false
+			}
+			for mi, h := range v.Mems {
+				oh := ov.Mems[mi]
+				if h == nil || oh == nil {
+					if h != oh {
+						return false
+					}
+					continue
+				}
+				if h.Space != oh.Space || h.Store != oh.Store || !slices.Equal(h.Cells, oh.Cells) {
+					return false
+				}
+			}
+		}
+	}
+	return true
+}
 
 // String summarizes the graph.
 func (g *Graph) String() string {

@@ -191,6 +191,34 @@ func TestHashDistinguishesContent(t *testing.T) {
 	}
 }
 
+// TestEqualNilAndEmpty checks that Equal, like the encoding, makes no
+// difference between a nil map or slice and an empty one, as a decoded
+// graph may hold either, and that it still tells a missing histogram from
+// a present one.
+func TestEqualNilAndEmpty(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		a, b *Graph
+	}{
+		{"nodes", &Graph{Kernel: "k"}, &Graph{Kernel: "k", Nodes: map[int]*Node{}}},
+		{"pairs and visits",
+			&Graph{Kernel: "k", Nodes: map[int]*Node{0: {}}},
+			&Graph{Kernel: "k", Nodes: map[int]*Node{0: {Visits: []*Visit{}, Pairs: map[PairKey]int64{}}}}},
+		{"mems and cells",
+			&Graph{Kernel: "k", Nodes: map[int]*Node{0: {Visits: []*Visit{{Count: 1}, {Mems: []*MemHist{{}}}}}}},
+			&Graph{Kernel: "k", Nodes: map[int]*Node{0: {Visits: []*Visit{{Count: 1, Mems: []*MemHist{}}, {Mems: []*MemHist{{Cells: []Cell{}}}}}}}}},
+	} {
+		if !tc.a.Equal(tc.b) || !tc.b.Equal(tc.a) || !slices.Equal(tc.a.Encode(), tc.b.Encode()) {
+			t.Errorf("%s: nil and empty are not Equal, or do not encode alike", tc.name)
+		}
+	}
+	a := &Graph{Kernel: "k", Nodes: map[int]*Node{0: {Visits: []*Visit{{Mems: []*MemHist{nil}}}}}}
+	b := &Graph{Kernel: "k", Nodes: map[int]*Node{0: {Visits: []*Visit{{Mems: []*MemHist{{}}}}}}}
+	if a.Equal(b) || b.Equal(a) {
+		t.Error("a missing histogram is Equal to a present empty one")
+	}
+}
+
 func TestRebaseFunction(t *testing.T) {
 	g := NewGraph("k")
 	rebase := func(space isa.Space, addrs []int64, keys []uint64) {

@@ -407,13 +407,23 @@ func foldSeeds() [][]byte {
 // folds into a fresh graph through new folders, then again into a graph
 // reset from the previous script's, through that graph's folders reset
 // for it, as the tracer reuses graphs and folders from launch to launch.
+// Graph.Equal must agree with the encodings: the folded graphs equal the
+// reference graph, and the reference graph equals the previous script's
+// exactly when their encodings are the same bytes.
 func FuzzWarpFold(f *testing.F) {
 	for _, s := range foldSeeds() {
 		f.Add(s)
 	}
 	reused := NewGraph("k") // the last script's graph
+	var prev *Graph         // the last script's reference graph
+	var prevEnc []byte
 	f.Fuzz(func(t *testing.T, data []byte) {
-		want, wantEdges := runFoldScript(NewGraph("k"), data, true)
+		ref := NewGraph("k")
+		want, wantEdges := runFoldScript(ref, data, true)
+		if prev != nil && prev.Equal(ref) != bytes.Equal(prevEnc, want) {
+			t.Fatalf("Equal with the previous script's graph = %v, but its encoding equal = %v, for script %x", prev.Equal(ref), bytes.Equal(prevEnc, want), data)
+		}
+		prev, prevEnc = ref, want
 		for pass := 0; pass < 2; pass++ {
 			g := NewGraph("k")
 			if pass == 1 {
@@ -423,6 +433,9 @@ func FuzzWarpFold(f *testing.F) {
 			got, edges := runFoldScript(g, data, false)
 			if !bytes.Equal(got, want) {
 				t.Fatalf("pass %d: folded graph differs from the reference (%d vs %d bytes) for script %x", pass, len(got), len(want), data)
+			}
+			if !g.Equal(ref) || !ref.Equal(g) {
+				t.Fatalf("pass %d: folded graph encodes as the reference but is not Equal to it, for script %x", pass, data)
 			}
 			if !reflect.DeepEqual(edges, wantEdges) {
 				t.Fatalf("pass %d: derived edges differ from the stored ones for script %x:\n got %v\nwant %v", pass, data, edges, wantEdges)

@@ -569,7 +569,8 @@ func (d *Detector) DetectContext(ctx context.Context, p cuda.Program, inputs [][
 		actx, asp := obs.Start(ctx, "class")
 		asp.SetInt("index", int64(i))
 		asp.SetInt("members", int64(cls.Members))
-		err := d.analyzeClass(actx, p, cls, gen, leaks)
+		repeats, err := d.analyzeClass(actx, p, cls, gen, leaks)
+		asp.SetInt("fixed_repeats", int64(repeats))
 		asp.End()
 		if err != nil {
 			return nil, err
@@ -595,7 +596,15 @@ func (d *Detector) DetectContext(ctx context.Context, p cuda.Program, inputs [][
 // sink. So for a given seed the recorded runs are identical whatever the
 // Runner or worker count, and an early-stopped detection analyzes a
 // prefix of precisely the runs the full budget would have recorded.
-func (d *Detector) analyzeClass(ctx context.Context, p cuda.Program, cls InputClass, gen cuda.InputGen, leaks *leakSet) error {
+//
+// A fixed-regime run whose trace equals the representative's (cls.Trace,
+// resident for the whole class) is released at once and counted: it
+// merges as one more copy of cls.Trace (evidence.MergeN), and the copies
+// counted in a row merge in one walk, before the next differing run
+// merges and at the end of every chunk. So every read between chunks
+// sees each run merged, exactly as if each had merged on arrival.
+// analyzeClass returns how many fixed runs merged as such copies.
+func (d *Detector) analyzeClass(ctx context.Context, p cuda.Program, cls InputClass, gen cuda.InputGen, leaks *leakSet) (int, error) {
 	report := leaks.report
 	cfg := d.opts.Evidence
 	var engine *evidence.Engine
@@ -618,16 +627,33 @@ func (d *Detector) analyzeClass(ctx context.Context, p cuda.Program, cls InputCl
 	var (
 		mergeTime time.Duration
 		merged    int // runs merged for this class, both regimes
+		repeats   int // fixed runs merged as copies of cls.Trace
+		copies    int // of those, the ones not merged yet
 	)
+	flush := func() {
+		if copies > 0 {
+			evidence.MergeN(evidence.Fixed, cls.Trace, fixed.ev, engine, copies)
+			copies = 0
+		}
+	}
 	// record streams the regime's next n requests through the runner into
 	// its consumers.
 	record := func(ctx context.Context, rg *classRegime, n int) error {
-		err := d.recordStream(ctx, p, rg.reqs[rg.used:rg.used+n], func(_ int, t *trace.ProgramTrace) error {
+		err := d.recordStream(ctx, p, rg.reqs[rg.used:rg.used+n], func(i int, t *trace.ProgramTrace) error {
 			// The span feeds owld's latency histograms; mergeTime feeds
 			// Report.Stats.EvidenceTime, which must work without a recorder.
 			_, msp := obs.Start(ctx, "evidence.merge")
 			t0 := time.Now()
-			evidence.Merge(rg.r, t, rg.ev, engine)
+			if rg == fixed && cls.Trace != nil && t.Equal(cls.Trace) {
+				copies++
+				repeats++
+			} else {
+				flush()
+				evidence.Merge(rg.r, t, rg.ev, engine)
+			}
+			if i == n-1 {
+				flush()
+			}
 			mergeTime += time.Since(t0) // serialized by the sink's window lock
 			msp.End()
 			trace.Release(t)
@@ -668,7 +694,7 @@ func (d *Detector) analyzeClass(ctx context.Context, p cuda.Program, cls InputCl
 			csp.End()
 			if err != nil {
 				rsp.End()
-				return err
+				return repeats, err
 			}
 		}
 		if rounds {
@@ -698,7 +724,7 @@ func (d *Detector) analyzeClass(ctx context.Context, p cuda.Program, cls InputCl
 	if fixed.ev != nil {
 		if err := d.leakageTests(fixed.ev, random.ev, leaks); err != nil {
 			tsp.End()
-			return err
+			return repeats, err
 		}
 	}
 	if engine != nil {
@@ -707,7 +733,7 @@ func (d *Detector) analyzeClass(ctx context.Context, p cuda.Program, cls InputCl
 	tsp.End()
 	report.Stats.TestTime += time.Since(t0)
 	d.trackRAM(ctx, report)
-	return nil
+	return repeats, nil
 }
 
 // heapLiveSamples is the reusable runtime/metrics query of trackRAM:

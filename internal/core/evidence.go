@@ -2,9 +2,10 @@
 // regime's runs merge on arrival into its evidence, E_fix or E_rnd, and
 // the Kolmogorov-Smirnov tests of §VII-C compare the two. The merge is
 // evidence.Merge, one walk per run over each invocation's graph that
-// feeds the diff evidence and, when it is on, the statistical engine.
-// The recording loop is analyzeClass, shared with the statistical
-// channel.
+// feeds the diff evidence and, when it is on, the statistical engine;
+// fixed runs that recorded the class representative's trace merge as
+// counted copies of it, one walk per group (evidence.MergeN). The
+// recording loop is analyzeClass, shared with the statistical channel.
 package core
 
 import (

@@ -21,6 +21,8 @@ type Diff struct {
 	// scratch reused across runs by align
 	stacks, seq []string
 	at          []*InvEvidence
+	// scratch reused by scale
+	scaled []adcfg.Cell
 }
 
 // NewDiff returns empty evidence.
@@ -75,8 +77,8 @@ func (d *Diff) Stacks() []string {
 // align aligns t's invocations with the merged sequence by the Myers
 // diff of their stack identities, merges the sequence, and returns the
 // record of each of t's invocations: a matched one, or a new one
-// inserted where the diff puts it.
-func (d *Diff) align(t *trace.ProgramTrace) []*InvEvidence {
+// inserted where the diff puts it. It reports whether it inserted any.
+func (d *Diff) align(t *trace.ProgramTrace) (at []*InvEvidence, inserted bool) {
 	d.stacks = d.stacks[:0]
 	for _, inv := range d.Invs {
 		d.stacks = append(d.stacks, inv.StackID)
@@ -101,16 +103,31 @@ func (d *Diff) align(t *trace.ProgramTrace) []*InvEvidence {
 			inv := &InvEvidence{StackID: ti.StackID, Kernel: ti.Kernel}
 			d.at[op.BIdx] = inv
 			merged = append(merged, inv)
+			inserted = true
 		}
 	}
 	d.Invs = merged
-	return d.at
+	return d.at, inserted
 }
 
-// endRun closes the run the walk merged: every sample vector ends it with
-// one sample per run.
-func (d *Diff) endRun() {
-	d.Runs++
+// scale returns cells with every count multiplied by n: the histogram n
+// runs of cells add up to. For n > 1 it is built in the diff's scratch,
+// valid until the next call.
+func (d *Diff) scale(cells []adcfg.Cell, n int) []adcfg.Cell {
+	if n == 1 {
+		return cells
+	}
+	d.scaled = d.scaled[:0]
+	for _, c := range cells {
+		d.scaled = append(d.scaled, adcfg.Cell{Addr: c.Addr, Count: c.Count * int64(n)})
+	}
+	return d.scaled
+}
+
+// endRuns closes the n runs the walk merged: every sample vector ends
+// them with one sample per run.
+func (d *Diff) endRuns(n int) {
+	d.Runs += n
 	for _, inv := range d.Invs {
 		inv.Presence = pad(inv.Presence, d.Runs)
 		for _, blk := range inv.Sites {

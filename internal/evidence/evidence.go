@@ -21,6 +21,13 @@
 // retains trace references, so both compose with the pooling/release
 // discipline of the streaming pipeline.
 //
+// Runs that recorded the same trace merge as counted copies of it in one
+// walk (MergeN): what a run adds per histogram cell is added once,
+// scaled by the count, and what it adds as a per-run sample or Welford
+// update is added once per copy. Weights are integers below 2^53, so
+// the scaled sums are exact, and the result is bit-identical to merging
+// each copy in turn.
+//
 // Determinism: observations must arrive in run order (the reorder window
 // of the streaming pipeline guarantees this for any worker count), and
 // per-histogram addresses are folded in sorted order, so every
@@ -245,12 +252,13 @@ func (e *Engine) align(t *trace.ProgramTrace) []*invAcc {
 	return e.at
 }
 
-// observeCosts folds one run's cost sites in under regime r, runIdx
-// being the run's index within the regime. Sites arrive in canonical
-// (Metric, Block, Instr) order, so a cursor finds each in one step once
-// the run's sites are known; a site the cursor misses is found by binary
-// search, and a new one is inserted in order.
-func (a *invAcc) observeCosts(r Regime, runIdx int, sites []trace.CostSite, bins int) {
+// observeCosts folds the cost sites of n runs in under regime r, each
+// run recording sites, runIdx being the first run's index within the
+// regime. Sites arrive in canonical (Metric, Block, Instr) order, so a
+// cursor finds each in one step once the run's sites are known; a site
+// the cursor misses is found by binary search, and a new one is inserted
+// in order.
+func (a *invAcc) observeCosts(r Regime, runIdx, n int, sites []trace.CostSite, bins int) {
 	i := 0
 	for _, s := range sites {
 		if s.Events <= 0 {
@@ -268,10 +276,8 @@ func (a *invAcc) observeCosts(r Regime, runIdx int, sites []trace.CostSite, bins
 		}
 		c := &a.costs[i]
 		v := float64(s.Total) / float64(s.Events)
-		w := &c.w[r]
-		w.AddZeros(runIdx - int(w.Count))
-		w.Add(v)
-		c.mi.Observe(int(r), v, 1)
+		addRuns(&c.w[r], runIdx, n, v)
+		c.mi.Observe(int(r), v, float64(n))
 		i++
 	}
 }

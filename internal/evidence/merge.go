@@ -16,41 +16,67 @@ import (
 // over each invocation's nodes, visits and histograms feeds the records
 // of both alignments: every site is found by index, and every histogram
 // is summarized once. The trace is read, never retained.
-func Merge(r Regime, t *trace.ProgramTrace, d *Diff, e *Engine) {
-	var dInvs []*InvEvidence
-	var eInvs []*invAcc
-	if d != nil {
-		dInvs = d.align(t)
-	}
-	if e != nil {
-		eInvs = e.align(t)
-	}
-	for i, ti := range t.Invocations {
-		var di *InvEvidence
-		var ea *invAcc
+func Merge(r Regime, t *trace.ProgramTrace, d *Diff, e *Engine) { MergeN(r, t, d, e, 1) }
+
+// MergeN folds k runs that each recorded t, as k calls of Merge would,
+// bit for bit, but aligns once and walks t once. What a run adds once
+// per cell is added once, scaled by k: the merged address histograms
+// take k times each count, and the MI estimators k times each weight.
+// Weights are integers below 2^53, so these sums are exact and do not
+// depend on their order. What a run adds as a sample is added k times:
+// the per-run samples are appended k times, and each Welford accumulator
+// takes its k updates in sequence, as there is no closed form for them.
+//
+// The engine's alignment of a trace does not depend on what was merged
+// before. The diff channel's does: when t's invocations insert new ones
+// into a non-empty merged sequence, the next copy may align differently,
+// so the first copy merges alone. After it the merged sequence holds t's
+// as a subsequence, every later copy aligns by matches only, the merged
+// sequence no longer changes, and the rest merge in one walk.
+func MergeN(r Regime, t *trace.ProgramTrace, d *Diff, e *Engine, k int) {
+	for k > 0 {
+		n := k
+		var dInvs []*InvEvidence
+		var eInvs []*invAcc
 		if d != nil {
-			di = dInvs[i]
-			di.Presence = append(pad(di.Presence, d.Runs), 1)
+			had := len(d.Invs)
+			var grew bool
+			dInvs, grew = d.align(t)
+			if grew && had > 0 {
+				n = 1
+			}
 		}
 		if e != nil {
-			ea = eInvs[i]
-			ea.present[r]++
-			ea.observeCosts(r, e.runs[r], ti.Cost, e.cfg.MIBins)
+			eInvs = e.align(t)
 		}
-		mergeGraph(ti.Graph, di, d, ea, e, r)
-	}
-	if d != nil {
-		d.endRun()
-	}
-	if e != nil {
-		e.runs[r]++
+		for i, ti := range t.Invocations {
+			var di *InvEvidence
+			var ea *invAcc
+			if d != nil {
+				di = dInvs[i]
+				di.Presence = appendN(pad(di.Presence, d.Runs), 1, n)
+			}
+			if e != nil {
+				ea = eInvs[i]
+				ea.present[r] += n
+				ea.observeCosts(r, e.runs[r], n, ti.Cost, e.cfg.MIBins)
+			}
+			mergeGraph(ti.Graph, di, d, ea, e, r, n)
+		}
+		if d != nil {
+			d.endRuns(n)
+		}
+		if e != nil {
+			e.runs[r] += n
+		}
+		k -= n
 	}
 }
 
-// mergeGraph is the walk of one invocation's graph g: it merges g into
-// the diff record di of d and the engine accumulators ea of e, those of
-// the consumers that are on.
-func mergeGraph(g *adcfg.Graph, di *InvEvidence, d *Diff, ea *invAcc, e *Engine, r Regime) {
+// mergeGraph is the walk of one invocation's graph g, recorded by n runs:
+// it merges g into the diff record di of d and the engine accumulators
+// ea of e, those of the consumers that are on.
+func mergeGraph(g *adcfg.Graph, di *InvEvidence, d *Diff, ea *invAcc, e *Engine, r Regime, n int) {
 	for block, node := range g.Nodes {
 		var db *BlockSites[[]float64, *MemFeature]
 		var eb *BlockSites[pairAcc, memAcc]
@@ -63,12 +89,10 @@ func mergeGraph(g *adcfg.Graph, di *InvEvidence, d *Diff, ea *invAcc, e *Engine,
 		for pk, c := range node.Pairs {
 			if db != nil {
 				xs := db.pair(pk)
-				*xs = append(pad(*xs, d.Runs), float64(c))
+				*xs = appendN(pad(*xs, d.Runs), float64(c), n)
 			}
 			if eb != nil {
-				w := &eb.pair(pk).w[r]
-				w.AddZeros(e.runs[r] - int(w.Count))
-				w.Add(float64(c))
+				addRuns(&eb.pair(pk).w[r], e.runs[r], n, float64(c))
 			}
 		}
 		for j, v := range node.Visits {
@@ -89,8 +113,8 @@ func mergeGraph(g *adcfg.Graph, di *InvEvidence, d *Diff, ea *invAcc, e *Engine,
 				}
 				mean, spread := adcfg.Summary(h.Cells)
 				if f != nil {
-					f.Hist.Add(h.Cells)
-					f.Means, f.Spreads = append(f.Means, mean), append(f.Spreads, spread)
+					f.Hist.Add(d.scale(h.Cells, n))
+					f.Means, f.Spreads = appendN(f.Means, mean, n), appendN(f.Spreads, spread, n)
 				}
 				if eb != nil {
 					m := eb.mem(j, mi)
@@ -99,14 +123,34 @@ func mergeGraph(g *adcfg.Graph, di *InvEvidence, d *Diff, ea *invAcc, e *Engine,
 					}
 					// Ascending cells make the rebin, and so the MI, deterministic.
 					for _, c := range h.Cells {
-						m.mi.Observe(int(r), float64(c.Addr), float64(c.Count))
+						m.mi.Observe(int(r), float64(c.Addr), float64(c.Count)*float64(n))
 					}
-					m.mean[r].Add(mean)
-					m.spread[r].Add(spread)
+					for range n {
+						m.mean[r].Add(mean)
+						m.spread[r].Add(spread)
+					}
 				}
 			}
 		}
 	}
+}
+
+// addRuns folds x into w as the observation of n consecutive runs, the
+// first of which is the run-th of its regime, each padded as Merge pads
+// it: runs before it in which the site was absent count as zeros.
+func addRuns(w *stats.Welford, run, n int, x float64) {
+	for i := range n {
+		w.AddZeros(run + i - int(w.Count))
+		w.Add(x)
+	}
+}
+
+// appendN appends n copies of x to xs.
+func appendN(xs []float64, x float64, n int) []float64 {
+	for range n {
+		xs = append(xs, x)
+	}
+	return xs
 }
 
 // Sites indexes one aligned invocation's per-site records of one channel

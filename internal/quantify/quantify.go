@@ -15,8 +15,10 @@
 //
 // Quantify records through the detector's Runner (Detector.RecordEach),
 // like every other recording, so the detector's Workers or Runner option
-// parallelizes it without changing an estimate, and each trace is
-// released as soon as it is merged.
+// parallelizes it without changing an estimate. Each trace is released
+// as soon as it is merged, except the first fixed-input run's: the fixed
+// runs equal to it merge as counted copies of it, so it is held until
+// the fixed-input loop ends.
 package quantify
 
 import (
@@ -107,26 +109,52 @@ func Quantify(det *core.Detector, p cuda.Program, fixed []byte, gen cuda.InputGe
 		return nil, fmt.Errorf("quantify: nil input generator")
 	}
 	ctx := context.Background()
-	merge := func(ev *evidence.Diff) func(int, *trace.ProgramTrace) error {
-		return func(_ int, t *trace.ProgramTrace) error {
-			ev.AddRun(t)
-			trace.Release(t)
-			return nil
-		}
-	}
 	inputs := make([][]byte, runs)
 	for i := range inputs {
 		inputs[i] = fixed
 	}
+	// A fixed run whose trace equals the first fixed run's merges as one
+	// more copy of it, and the copies counted in a row merge in one walk
+	// (evidence.MergeN) before the next differing run does.
 	eFix, eRnd := evidence.NewDiff(), evidence.NewDiff()
-	if err := det.RecordEach(ctx, p, inputs, merge(eFix)); err != nil {
+	var first *trace.ProgramTrace
+	copies := 0
+	flush := func() {
+		if copies > 0 {
+			evidence.MergeN(evidence.Fixed, first, eFix, nil, copies)
+			copies = 0
+		}
+	}
+	err := det.RecordEach(ctx, p, inputs, func(_ int, t *trace.ProgramTrace) error {
+		switch {
+		case first == nil:
+			first, copies = t, 1
+			return nil
+		case t.Equal(first):
+			copies++
+		default:
+			flush()
+			eFix.AddRun(t)
+		}
+		trace.Release(t)
+		return nil
+	})
+	if err != nil {
+		trace.Release(first)
 		return nil, err
 	}
+	flush()
+	trace.Release(first)
 	genRNG := det.GenRNG()
 	for i := range inputs {
 		inputs[i] = gen(genRNG)
 	}
-	if err := det.RecordEach(ctx, p, inputs, merge(eRnd)); err != nil {
+	err = det.RecordEach(ctx, p, inputs, func(_ int, t *trace.ProgramTrace) error {
+		eRnd.AddRun(t)
+		trace.Release(t)
+		return nil
+	})
+	if err != nil {
 		return nil, err
 	}
 	return FromEvidence(p.Name(), eFix, eRnd), nil

@@ -9,6 +9,7 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"fmt"
+	"slices"
 
 	"owl/internal/adcfg"
 	"owl/internal/gpu"
@@ -100,6 +101,25 @@ func (t *ProgramTrace) Encode() []byte {
 // Hash returns the canonical SHA-256 of the trace. Two inputs producing
 // equal hashes are in the same input class (§VI).
 func (t *ProgramTrace) Hash() [32]byte { return sha256.Sum256(t.Encode()) }
+
+// Equal reports whether t and o have the same canonical encoding, so
+// that Hash would agree, and the same invocation Kernel names: all an
+// evidence merge reads of a trace. It walks the two traces side by side
+// without encoding or hashing either. A nil slice equals an empty one.
+func (t *ProgramTrace) Equal(o *ProgramTrace) bool {
+	if t.Program != o.Program || !slices.Equal(t.Allocs, o.Allocs) || len(t.Invocations) != len(o.Invocations) {
+		return false
+	}
+	for i, inv := range t.Invocations {
+		oi := o.Invocations[i]
+		if inv.StackID != oi.StackID || inv.Kernel != oi.Kernel ||
+			inv.Grid.Count() != oi.Grid.Count() || inv.Block.Count() != oi.Block.Count() ||
+			!slices.Equal(inv.Cost, oi.Cost) || !inv.Graph.Equal(oi.Graph) {
+			return false
+		}
+	}
+	return true
+}
 
 // SizeBytes returns the canonical encoded trace size (Fig. 5 metric).
 func (t *ProgramTrace) SizeBytes() int { return len(t.Encode()) }
