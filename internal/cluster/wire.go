@@ -111,5 +111,5 @@ func (r Readiness) Ready() bool { return r.Status == "ready" }
 // versionError renders the mismatch a worker returns for a request from a
 // different protocol generation.
 func versionError(got int) error {
-	return fmt.Errorf("cluster: protocol version %d not supported (worker speaks %d); upgrade the fleet in lockstep", got, ProtocolVersion)
+	return fmt.Errorf("cluster: protocol version %d not supported (worker speaks %d); upgrade every worker and the coordinator together", got, ProtocolVersion)
 }

@@ -404,9 +404,8 @@ func (d *Device) launch(k *isa.Kernel, grid, block Dim3, params []int64, inst In
 			}
 		}
 
-		// Describe every warp of the thread block; the BlockRun decides
-		// whether they execute in lockstep or as barrier-synchronized
-		// rounds (see simt/block.go).
+		// Describe every warp of the thread block; the BlockRun runs them
+		// as barrier-synchronized rounds (see simt/block.go).
 		for w := 0; w < nWarps; w++ {
 			lo := w * simt.WarpWidth
 			hi := lo + simt.WarpWidth

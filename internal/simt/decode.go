@@ -48,14 +48,6 @@ package simt
 //     per warp (kernels built with throwaway constant registers drop to
 //     a fraction of their declared NumRegs).
 //
-// Lowering also decides lockstepSafe: whether a whole thread block may
-// execute uop-by-uop across its warps (see block.go). Reordering warp
-// execution at uop granularity is observably identical to the serial
-// rounds schedule only when cross-warp-visible memory cannot carry
-// information between warps mid-block: for each of the global and shared
-// spaces the kernel must either never store to it, or store through a
-// single non-re-executable instruction with no loads from that space.
-//
 // Lowering happens once per Executor; the lowered form is immutable and
 // shared by every warp of every launch of the kernel.
 
@@ -323,8 +315,6 @@ func (e *Executor) lower() {
 	}
 
 	dom := computeDominators(nb, e.graph)
-	cyclic := computeCyclic(nb, e.graph)
-	e.lockstepSafe = lockstepSafety(k, cyclic)
 
 	// --- Per-block lowering with constant/affine propagation ------------
 
@@ -1014,81 +1004,6 @@ func computeDominators(nb int, g interface{ Preds(int) []int }) *domSets {
 		}
 	}
 	return d
-}
-
-// computeCyclic reports, per block, whether the block can reach itself —
-// i.e. whether it may execute more than once per thread.
-func computeCyclic(nb int, g interface{ Succs(int) []int }) []bool {
-	cyclic := make([]bool, nb)
-	seen := make([]bool, nb)
-	stack := make([]int, 0, nb)
-	for b := 0; b < nb; b++ {
-		for i := range seen {
-			seen[i] = false
-		}
-		stack = append(stack[:0], g.Succs(b)...)
-		found := false
-		for len(stack) > 0 && !found {
-			n := stack[len(stack)-1]
-			stack = stack[:len(stack)-1]
-			if n == b {
-				found = true
-				break
-			}
-			if n < 0 || n >= nb || seen[n] {
-				continue
-			}
-			seen[n] = true
-			stack = append(stack, g.Succs(n)...)
-		}
-		cyclic[b] = found
-	}
-	return cyclic
-}
-
-// lockstepSafety decides whether warps of a block may execute this kernel
-// uop-by-uop in lockstep (block.go). For each cross-warp-visible space
-// (global, shared) the kernel must either never store to it, or store
-// only through one static instruction that cannot re-execute, with no
-// loads from that space — then no interleaving of warps at uop
-// granularity can change any load result or the final memory image.
-// Per-thread spaces (local) and read-only constant memory never gate.
-func lockstepSafety(k *isa.Kernel, cyclic []bool) bool {
-	type use struct {
-		loads, stores int
-		storeBlock    int
-	}
-	var global, shared use
-	for bi, b := range k.Blocks {
-		for ci := range b.Code {
-			in := &b.Code[ci]
-			if !in.IsMem() {
-				continue
-			}
-			var u *use
-			switch in.Space {
-			case isa.SpaceGlobal:
-				u = &global
-			case isa.SpaceShared:
-				u = &shared
-			default:
-				continue
-			}
-			if in.Op == isa.OpStore {
-				u.stores++
-				u.storeBlock = bi
-			} else {
-				u.loads++
-			}
-		}
-	}
-	safe := func(u use) bool {
-		if u.stores == 0 {
-			return true
-		}
-		return u.loads == 0 && u.stores == 1 && !cyclic[u.storeBlock]
-	}
-	return safe(global) && safe(shared)
 }
 
 // laneVecFor maps a special-register selector to its per-lane vector, or

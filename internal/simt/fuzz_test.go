@@ -169,7 +169,7 @@ func checkInterpEquivalence(t *testing.T, seed int64, nlRaw uint8, nParams uint8
 // blockWarpParams builds the per-warp launch parameters of one thread
 // block of nW warps, as the GPU launch layer would: warp w covers
 // threads [w*32, w*32+lanes), all warps sharing block geometry. lastLanes
-// trims the final warp (0 keeps it full), which disqualifies lockstep.
+// trims the final warp (0 keeps it full).
 func blockWarpParams(nW, lastLanes int, params []int64, blockIdx int) []WarpParams {
 	wps := make([]WarpParams, nW)
 	for w := 0; w < nW; w++ {
@@ -195,13 +195,12 @@ func blockWarpParams(nW, lastLanes int, params []int64, blockIdx int) []WarpPara
 }
 
 // checkBlockInterpEquivalence executes one generated kernel as a whole
-// multi-warp block on the block-batched driver and on the per-lane
-// reference's rounds schedule, and fails on any observable difference —
-// including after mid-flight lockstep fallbacks. traced attaches hooks
-// to every warp (forcing the rounds driver and checking event order);
-// untraced full-width blocks are lockstep-eligible, so this is the path
-// that differentially exercises the batched fast path against shared-
-// memory traffic and barriers.
+// multi-warp block through BlockRun and through the per-lane reference's
+// rounds schedule, and fails on any observable difference in errors,
+// stats, shared, global and local memory. traced attaches hooks to every
+// warp and trims the last one, so event order and partial warps are
+// checked too; untraced full-width blocks skip the address-buffer
+// bookkeeping, the path every untraced launch takes.
 func checkBlockInterpEquivalence(t *testing.T, seed int64, nWarpsRaw, nlRaw, nParams uint8, p0, p1 int64, traced bool) {
 	t.Helper()
 	r := rand.New(rand.NewSource(seed))
@@ -255,12 +254,12 @@ func checkBlockInterpEquivalence(t *testing.T, seed int64, nWarpsRaw, nlRaw, nPa
 
 	if (errNew == nil) != (errRef == nil) ||
 		(errNew != nil && errNew.Error() != errRef.Error()) {
-		t.Fatalf("seed %d (%d warps, traced=%v): error mismatch:\n  batched:   %v\n  reference: %v",
+		t.Fatalf("seed %d (%d warps, traced=%v): error mismatch:\n  block:     %v\n  reference: %v",
 			seed, nW, traced, errNew, errRef)
 	}
 	for w := 0; w < nW; w++ {
 		if stNew[w] != stRef[w] {
-			t.Fatalf("seed %d (%d warps, traced=%v): warp %d stats mismatch: batched %+v, reference %+v",
+			t.Fatalf("seed %d (%d warps, traced=%v): warp %d stats mismatch: block %+v, reference %+v",
 				seed, nW, traced, w, stNew[w], stRef[w])
 		}
 	}
@@ -268,11 +267,11 @@ func checkBlockInterpEquivalence(t *testing.T, seed int64, nWarpsRaw, nlRaw, nPa
 		for w := 0; w < nW; w++ {
 			hN, hR := hooks[w].(*recHooks), hooksRef[w].(*recHooks)
 			if !reflect.DeepEqual(hN.blocks, hR.blocks) || !reflect.DeepEqual(hN.masks, hR.masks) {
-				t.Fatalf("seed %d: warp %d block trace mismatch:\n  batched:   %v %v\n  reference: %v %v",
+				t.Fatalf("seed %d: warp %d block trace mismatch:\n  block:     %v %v\n  reference: %v %v",
 					seed, w, hN.blocks, hN.masks, hR.blocks, hR.masks)
 			}
 			if !reflect.DeepEqual(hN.mems, hR.mems) {
-				t.Fatalf("seed %d: warp %d memory trace mismatch:\n  batched:   %v\n  reference: %v",
+				t.Fatalf("seed %d: warp %d memory trace mismatch:\n  block:     %v\n  reference: %v",
 					seed, w, hN.mems, hR.mems)
 			}
 		}
@@ -282,21 +281,20 @@ func checkBlockInterpEquivalence(t *testing.T, seed int64, nWarpsRaw, nlRaw, nPa
 		"shared": {memNew.shared, memRef.shared},
 	} {
 		if !reflect.DeepEqual(pair[0], pair[1]) {
-			t.Fatalf("seed %d (%d warps, traced=%v): %s memory mismatch:\n  batched:   %v\n  reference: %v",
+			t.Fatalf("seed %d (%d warps, traced=%v): %s memory mismatch:\n  block:     %v\n  reference: %v",
 				seed, nW, traced, name, pair[0], pair[1])
 		}
 	}
 	if !reflect.DeepEqual(memNew.local, memRef.local) {
-		t.Fatalf("seed %d: local memory mismatch:\n  batched:   %v\n  reference: %v",
+		t.Fatalf("seed %d: local memory mismatch:\n  block:     %v\n  reference: %v",
 			seed, memNew.local, memRef.local)
 	}
 }
 
 // FuzzInterpEquivalence is the open-ended fuzz entry: `make fuzz-simt`.
 // Every input is checked three ways: single warp against the per-lane
-// reference, and a multi-warp block — traced (rounds schedule, hook
-// order included) and untraced (lockstep-eligible) — against the
-// reference's rounds schedule.
+// reference, and a multi-warp block — traced (hook order included) and
+// untraced — against the reference's rounds schedule.
 func FuzzInterpEquivalence(f *testing.F) {
 	for seed := int64(0); seed < 16; seed++ {
 		f.Add(seed, uint8(31), uint8(2), int64(7), int64(1), uint8(seed))
@@ -320,63 +318,12 @@ func TestInterpMatchesReference(t *testing.T) {
 
 // TestBlockInterpMatchesReference replays multi-warp fuzz seeds on every
 // test run: traced blocks pin the rounds schedule's hook order, untraced
-// blocks pin the lockstep fast path and its mid-flight fallbacks.
+// blocks pin the path without address-buffer bookkeeping.
 func TestBlockInterpMatchesReference(t *testing.T) {
 	for seed := int64(0); seed < 150; seed++ {
 		checkBlockInterpEquivalence(t, seed, uint8(seed), uint8(seed*7), uint8(seed), seed-5, seed*11, true)
 		checkBlockInterpEquivalence(t, seed, uint8(seed), uint8(seed*7), uint8(seed), seed-5, seed*11, false)
 	}
-}
-
-// TestBlockBatchOffMatchesOn checks that with the lockstep driver
-// disabled process-wide, a block produces identical memory and
-// statistics through the rounds driver.
-func TestBlockBatchOffMatchesOn(t *testing.T) {
-	defer blockBatch.Store(true)
-	for seed := int64(0); seed < 60; seed++ {
-		blockBatch.Store(true)
-		memOn := blockRunForSeed(t, seed, true)
-		blockBatch.Store(false)
-		memOff := blockRunForSeed(t, seed, false)
-		if !reflect.DeepEqual(memOn.global, memOff.global) ||
-			!reflect.DeepEqual(memOn.shared, memOff.shared) {
-			t.Fatalf("seed %d: block-batch on/off memory mismatch", seed)
-		}
-	}
-}
-
-// blockRunForSeed executes one generated kernel as an untraced 4-warp
-// block under the current block-batch setting and returns its memory.
-func blockRunForSeed(t *testing.T, seed int64, expectBatch bool) *mapMem {
-	t.Helper()
-	if blockBatch.Load() != expectBatch {
-		t.Fatalf("seed %d: block batch enabled = %v, want %v", seed, blockBatch.Load(), expectBatch)
-	}
-	r := rand.New(rand.NewSource(seed))
-	k, err := genFuzzKernel(r)
-	if err != nil {
-		t.Fatal(err)
-	}
-	exec, err := NewExecutor(k)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wps := blockWarpParams(4, 0, []int64{seed, seed * 3}, 0)
-	mem := newMapMem()
-	for i := int64(0); i < 32; i++ {
-		mem.consts[i] = i * 3
-	}
-	mems := make([]Memory, len(wps))
-	for w := range mems {
-		mems[w] = mem
-	}
-	br, err := exec.NewBlockRun(wps, mems, make([]Hooks, len(wps)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	_ = br.Run(nil) // errors are fine; on/off must still agree on memory
-	br.Release()
-	return mem
 }
 
 // sliceMem is a DirectMemory test double backed by plain slices.
@@ -517,39 +464,40 @@ func TestWarpLoopSteadyStateAllocs(t *testing.T) {
 	}
 }
 
-// TestBlockRunSteadyStateAllocs extends the steady-state claim to the
-// block-batched driver: once its pools are warm, preparing, running, and
-// releasing a whole multi-warp block — register file, warp runs, scratch
-// — allocates nothing, on both the lockstep and the rounds path.
+// TestBlockRunSteadyStateAllocs extends the steady-state claim to whole
+// blocks: once the pools are warm, preparing, running, and releasing a
+// multi-warp block — register windows, warp runs, scratch — allocates
+// nothing, with and without barriers between the warps.
 func TestBlockRunSteadyStateAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation disables inlining, defeating the escape analysis behind the zero-alloc claim")
 	}
-	// Lockstep-eligible: ALU loop over global loads with the result spilled
-	// to per-thread local memory — no cross-warp-visible stores at all.
-	bLock := kbuild.New("steady_lockstep", 0)
-	accL := bLock.ConstR(0)
-	bLock.ForConst(0, 64, func(i isa.Reg) {
-		v := bLock.Load(isa.SpaceGlobal, bLock.BinR(isa.OpAnd, i, bLock.ConstR(31)), 0)
-		bLock.Bin(isa.OpAdd, accL, accL, v)
+	// ALU loop over global loads with the result spilled to per-thread
+	// local memory: each warp runs to retirement in one round.
+	bPlain := kbuild.New("steady_no_barrier", 0)
+	accP := bPlain.ConstR(0)
+	bPlain.ForConst(0, 64, func(i isa.Reg) {
+		v := bPlain.Load(isa.SpaceGlobal, bPlain.BinR(isa.OpAnd, i, bPlain.ConstR(31)), 0)
+		bPlain.Bin(isa.OpAdd, accP, accP, v)
 	})
-	bLock.Store(isa.SpaceLocal, bLock.ConstR(0), 0, accL)
+	bPlain.Store(isa.SpaceLocal, bPlain.ConstR(0), 0, accP)
 
-	// Rounds-forcing: shared-memory stores make the kernel lockstep-unsafe.
-	bRounds := kbuild.New("steady_rounds", 0)
-	accR := bRounds.ConstR(0)
-	bRounds.ForConst(0, 64, func(i isa.Reg) {
-		v := bRounds.Load(isa.SpaceGlobal, bRounds.BinR(isa.OpAnd, i, bRounds.ConstR(31)), 0)
-		bRounds.Bin(isa.OpAdd, accR, accR, v)
-		bRounds.Store(isa.SpaceShared, bRounds.BinR(isa.OpAnd, i, bRounds.ConstR(15)), 0, accR)
-		bRounds.Barrier()
+	// Shared-memory stores and a barrier per iteration: every warp
+	// suspends and resumes once per loop trip.
+	bBar := kbuild.New("steady_shared_barrier", 0)
+	accB := bBar.ConstR(0)
+	bBar.ForConst(0, 64, func(i isa.Reg) {
+		v := bBar.Load(isa.SpaceGlobal, bBar.BinR(isa.OpAnd, i, bBar.ConstR(31)), 0)
+		bBar.Bin(isa.OpAdd, accB, accB, v)
+		bBar.Store(isa.SpaceShared, bBar.BinR(isa.OpAnd, i, bBar.ConstR(15)), 0, accB)
+		bBar.Barrier()
 	})
-	bRounds.Store(isa.SpaceGlobal, bRounds.ConstR(40), 0, accR)
+	bBar.Store(isa.SpaceGlobal, bBar.ConstR(40), 0, accB)
 
 	for _, tc := range []struct {
 		name string
 		b    *kbuild.Builder
-	}{{"lockstep", bLock}, {"rounds", bRounds}} {
+	}{{"no_barrier", bPlain}, {"shared_barrier", bBar}} {
 		t.Run(tc.name, func(t *testing.T) {
 			k, err := tc.b.Build()
 			if err != nil {
@@ -558,9 +506,6 @@ func TestBlockRunSteadyStateAllocs(t *testing.T) {
 			exec, err := NewExecutor(k)
 			if err != nil {
 				t.Fatal(err)
-			}
-			if tc.name == "lockstep" && !exec.lockstepSafe {
-				t.Fatal("lockstep kernel not lockstep-safe")
 			}
 			const nW = 4
 			mem := &sliceMem{global: make([]int64, 64), shared: make([]int64, 16)}
@@ -585,5 +530,107 @@ func TestBlockRunSteadyStateAllocs(t *testing.T) {
 				t.Errorf("steady-state block run allocates %.1f times per run, want 0", avg)
 			}
 		})
+	}
+}
+
+// TestBlockRunReusesRegisterWindows runs blocks of different widths
+// through one pooled BlockRun buffer that an earlier kernel left dirty.
+// The kernel under test reads a register that only one side of a
+// divergent branch writes, and its other slots are all written before
+// any read, so a reused buffer takes the partial clear of clearOffs in
+// each warp's window. Each block's global memory must equal the per-lane
+// reference's, which starts every register at zero.
+func TestBlockRunReusesRegisterWindows(t *testing.T) {
+	// dirty writes every slot of every lane, nonzero except lane 0's id.
+	bd := kbuild.New("dirty", 0)
+	lane := bd.Special(isa.SpecLaneID)
+	sum := bd.AddImm(lane, 1)
+	for i := 0; i < 24; i++ {
+		sum = bd.Add(sum, bd.AddImm(lane, int64(i+1)))
+	}
+	bd.Store(isa.SpaceGlobal, bd.Tid(), 0, sum)
+
+	// u is written only by lanes whose parity equals param 0; the other
+	// lanes read it unwritten after reconvergence.
+	b := kbuild.New("window_clear", 1)
+	tid := b.Tid()
+	u := b.Reg()
+	b.If(b.CmpEQ(b.And(tid, b.ConstR(1)), b.Param(0)), func() {
+		b.Bin(isa.OpAdd, u, tid, b.ConstR(100))
+	}, nil)
+	acc := b.AddImm(tid, 1)
+	for i := 0; i < 8; i++ {
+		acc = b.Xor(b.AddImm(acc, int64(i+2)), tid)
+	}
+	b.Store(isa.SpaceGlobal, tid, 0, b.Add(acc, u))
+
+	execOf := func(b *kbuild.Builder) *Executor {
+		k, err := b.Build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		exec, err := NewExecutor(k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return exec
+	}
+	dirty, exec := execOf(bd), execOf(b)
+	if n := len(exec.clearOffs); n == 0 || 2*n >= exec.numSlots {
+		t.Fatalf("kernel clears %d of %d slots; want a small nonzero share", n, exec.numSlots)
+	}
+	if dirty.numSlots < exec.numSlots {
+		t.Fatalf("dirty kernel has %d slots, fewer than the %d it must cover", dirty.numSlots, exec.numSlots)
+	}
+
+	// run executes one untraced nW-warp block and returns its memory and
+	// the first address of its register buffer.
+	run := func(e *Executor, nW int, params []int64) (*mapMem, *int64) {
+		t.Helper()
+		mem := newMapMem()
+		wps := blockWarpParams(nW, 0, params, 0)
+		mems := make([]Memory, nW)
+		for w := range mems {
+			mems[w] = mem
+		}
+		br, err := e.NewBlockRun(wps, mems, make([]Hooks, nW))
+		if err != nil {
+			t.Fatal(err)
+		}
+		base := &br.regs[0]
+		if err := br.Run(nil); err != nil {
+			t.Fatal(err)
+		}
+		br.Release()
+		return mem, base
+	}
+
+	reused := 0
+	for step, c := range []struct {
+		nW     int
+		parity int64
+	}{{4, 0}, {2, 1}, {4, 0}} {
+		params := []int64{c.parity}
+		_, dirtyBase := run(dirty, 4, nil)
+		mem, base := run(exec, c.nW, params)
+		if base == dirtyBase {
+			reused++
+		}
+		wps := blockWarpParams(c.nW, 0, params, 0)
+		ref := newMapMem()
+		mems := make([]Memory, c.nW)
+		for w := range mems {
+			mems[w] = ref
+		}
+		if _, err := refRunBlock(exec, wps, mems, make([]Hooks, c.nW)); err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(mem.global, ref.global) {
+			t.Fatalf("step %d (%d warps): global memory mismatch:\n  block:     %v\n  reference: %v",
+				step, c.nW, mem.global, ref.global)
+		}
+	}
+	if reused == 0 && !raceEnabled {
+		t.Fatal("no block reused the dirty kernel's register buffer; the partial clear never ran")
 	}
 }

@@ -35,9 +35,6 @@ import (
 // barrier (returns true). A barrier inside divergent control flow is an
 // error, as on real hardware.
 func (r *WarpRun) Resume() (atBarrier bool, err error) {
-	if r.pendingErr != nil {
-		return false, r.pendingErr
-	}
 	if r.done {
 		return false, nil
 	}

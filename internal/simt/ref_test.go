@@ -18,7 +18,7 @@ import (
 // registers, reconvergence stack, and statistics, advanced a barrier
 // interval at a time by refResume — the per-lane mirror of
 // WarpRun.Resume. refRunBlock drives several of these on the rounds
-// schedule to give the block-batched interpreter a multi-warp oracle.
+// schedule to give BlockRun a multi-warp oracle.
 type refWarpState struct {
 	e       *Executor
 	wp      WarpParams

@@ -203,11 +203,6 @@ type Executor struct {
 	uniSels   []int64 // warp-uniform special selectors, by slot
 	numSlots  int     // renumbered register slots (≤ kernel.NumRegs)
 	clearOffs []int32 // register-file offsets that must start zeroed
-	// lockstepSafe reports that the kernel's memory traffic cannot make
-	// one warp's loads observe another warp's stores within a block (see
-	// decode.go), so warps sharing a program position may execute each
-	// uop back to back instead of block by block.
-	lockstepSafe bool
 }
 
 // NewExecutor prepares a kernel for execution: it computes reconvergence
@@ -245,21 +240,13 @@ type WarpRun struct {
 	cost     CostHooks // hooks' CostHooks extension, or nil (asserted once at setup)
 	nl       int
 	fullMask uint32
-	// SoA register file: the warp shares its BlockRun's block-wide
-	// [slot][warp][lane] file, viewing slot s at regs[s*WarpWidth*rsN +
-	// rsB] (rsN = warps in the block, rsB = warpIdx*WarpWidth; a one-warp
-	// block has rsN=1, rsB=0). See block.go.
+	// SoA register file: the warp's [slot][lane] window of its BlockRun's
+	// pooled buffer, slot s's lanes at regs[s*WarpWidth:]. See block.go.
 	regs   []int64
-	rsN    int
-	rsB    int
 	stack  []simtEntry
 	resume int // >= 0: re-enter the current block at this decoded index
 	st     Stats
 	done   bool
-	// pendingErr holds an error detected while the warp was being driven
-	// by the block-lockstep engine (see block.go); the next Resume
-	// surfaces it.
-	pendingErr error
 
 	// Direct-memory fast paths, snapshotted from the Memory at setup.
 	direct  bool
@@ -285,7 +272,7 @@ func checkWarpWidth(wp WarpParams) error {
 }
 
 // initWarpRun fills every per-warp field except the register file, which
-// the caller provides: a view into its BlockRun's block-wide file.
+// the caller provides: the warp's window of its BlockRun's buffer.
 func (e *Executor) initWarpRun(r *WarpRun, wp WarpParams, mem Memory, hooks Hooks) {
 	nl := len(wp.Lanes)
 	r.exec = e
@@ -298,7 +285,6 @@ func (e *Executor) initWarpRun(r *WarpRun, wp WarpParams, mem Memory, hooks Hook
 	r.resume = -1
 	r.st = Stats{}
 	r.done = false
-	r.pendingErr = nil
 	r.stack = append(r.stack[:0], simtEntry{pc: 0, rpc: -1, mask: r.fullMask})
 
 	// Per-lane special vectors.
@@ -338,7 +324,7 @@ func (r *WarpRun) Stats() Stats { return r.st }
 
 // vec returns the 32-lane register vector at a decoded register offset.
 func (r *WarpRun) vec(off int32) *[WarpWidth]int64 {
-	return (*[WarpWidth]int64)(r.regs[int(off)*r.rsN+r.rsB:])
+	return (*[WarpWidth]int64)(r.regs[off:])
 }
 
 // errParamRange matches the diagnostic of a per-lane parameter read.

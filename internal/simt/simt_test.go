@@ -569,9 +569,8 @@ func TestParamOutOfRangeTraps(t *testing.T) {
 }
 
 // runWarp executes one warp to completion through the production entry
-// point, a BlockRun, here of one warp. A one-warp block lays its
-// registers out as regs[slot*WarpWidth+lane] (rsN=1, rsB=0) and never
-// engages the lockstep driver, so its barriers are trivially satisfied.
+// point, a BlockRun, here of one warp. A one-warp block has no other
+// warp to wait for, so its barriers are trivially satisfied.
 func runWarp(e *Executor, wp WarpParams, mem Memory, hooks Hooks) (Stats, error) {
 	br, err := e.NewBlockRun([]WarpParams{wp}, []Memory{mem}, []Hooks{hooks})
 	if err != nil {
