@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: all build test test-race perf-test bench tables paper fuzz fuzz-simt fuzz-mitigate fuzz-fold examples cover clean
+.PHONY: all build test test-race perf-test bench tables paper fuzz fuzz-simt fuzz-mitigate fuzz-fold fuzz-ks examples cover clean
 
 all: build test
 
@@ -61,6 +61,13 @@ fuzz-mitigate:
 # their folders, and must encode the same bytes.
 fuzz-fold:
 	$(GO) test -run=NONE -fuzz=FuzzWarpFold -fuzztime=60s ./internal/adcfg/
+
+# Differential fuzzing of the KS walk over counted samples against the
+# KS test over the samples expanded to one observation per run: entries
+# with zeros, repeats and negative zero, sorted as the detector sorts
+# them, must give the same D and p bits.
+fuzz-ks:
+	$(GO) test -run=NONE -fuzz=FuzzKSCounted -fuzztime=60s ./internal/stats/
 
 examples:
 	@for e in quickstart aes rsa torch scalability attack owlc nvjpeg; do \

@@ -191,20 +191,21 @@ func TestTracedRunAllocs(t *testing.T) {
 // random-input aes128 run into evidence whose T-table records have passed
 // the small class, the steady state of the random regime. Their
 // adcfg.EvidenceHist histograms hold dense counts: one indexed add per
-// run cell, with no buffer allocated or widened per run. What remains of
-// the diff merge is the run's alignment (the Myers diff, the merged
-// invocation list) and the amortized growth of the per-run feature
-// vectors: 13 per run over these 200 merges, under a limit of 15. A merge
-// that allocates per dense histogram (its counts reallocated every run)
-// reads about 175. The both-cost case merges each run, recorded with the
-// cost channel, in the one walk that feeds the diff evidence and the
-// statistical engine. The engine finds its sites by index, reuses its
-// scratch, and folds a histogram into an MI estimator that has rebinned
-// without allocating, so it adds nothing: 13 per run, and the limit is
-// one more. The k10 case merges each run as ten counted copies in one
-// walk (evidence.MergeN): its histograms scale into the diff's scratch,
-// and the per-run vectors grow by ten samples a merge, so they reallocate
-// more often: 22 per merge of ten runs, and the limit is one more.
+// run cell, with no buffer allocated or widened per run. The per-run
+// samples are counted runs, sized by the evidence's run budget when they
+// first grow, so they allocate nothing more either. What remains is the
+// run's alignment (the Myers diff, the merged invocation list): 5 per
+// run over these 200 merges, under a limit of 6. A merge that allocates
+// per dense histogram (its counts reallocated every run) reads about
+// 175, and one whose samples grow one append at a time reads 13. The
+// both-cost case merges each run, recorded with the cost channel, in the
+// one walk that feeds the diff evidence and the statistical engine. The
+// engine finds its sites by index, reuses its scratch, and folds a
+// histogram into an MI estimator that has rebinned without allocating,
+// so it adds nothing. The k10 case merges each run as ten counted copies
+// in one walk (evidence.MergeN): its histograms scale into the diff's
+// scratch, and each sample takes one entry for the ten runs, so it
+// allocates what one run does.
 func TestEvidenceAddRunAllocs(t *testing.T) {
 	for _, tc := range []struct {
 		name  string
@@ -212,9 +213,9 @@ func TestEvidenceAddRunAllocs(t *testing.T) {
 		k     int
 		limit float64
 	}{
-		{"diff", false, 1, 15},
-		{"both-cost", true, 1, 14},
-		{"both-cost-k10", true, 10, 23},
+		{"diff", false, 1, 6},
+		{"both-cost", true, 1, 6},
+		{"both-cost-k10", true, 10, 6},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			opts := core.DefaultOptions()
@@ -240,7 +241,8 @@ func TestEvidenceAddRunAllocs(t *testing.T) {
 				}
 				runs = append(runs, tr)
 			}
-			ev := evidence.NewDiff()
+			// AllocsPerRun merges once more than it measures.
+			ev := evidence.NewDiff(len(runs) + 201*tc.k)
 			for _, tr := range runs {
 				// The histograms pass the small class, and the MI estimators rebin.
 				evidence.Merge(evidence.Random, tr, ev, engine)

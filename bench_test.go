@@ -238,7 +238,7 @@ func BenchmarkTable4EvidenceCollection(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		ev := evidence.NewDiff()
+		ev := evidence.NewDiff(len(fixed))
 		for _, t := range fixed {
 			ev.AddRun(t)
 		}
@@ -254,7 +254,7 @@ func BenchmarkTable4EvidenceRepeats(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		ev := evidence.NewDiff()
+		ev := evidence.NewDiff(len(fixed))
 		for _, t := range fixed {
 			if !t.Equal(fixed[0]) {
 				b.Fatal("fixed-input runs recorded different traces")
@@ -272,7 +272,7 @@ func BenchmarkTable4EvidenceCollectionRandom(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		ev := evidence.NewDiff()
+		ev := evidence.NewDiff(len(random))
 		for _, t := range random {
 			ev.AddRun(t)
 		}
@@ -290,7 +290,7 @@ func BenchmarkTable4EvidenceCollectionBoth(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		eFix, eRnd := evidence.NewDiff(), evidence.NewDiff()
+		eFix, eRnd := evidence.NewDiff(len(fixed)), evidence.NewDiff(len(random))
 		engine := evidence.NewEngine(evidence.Config{TThreshold: evidence.DefaultTThreshold, MIBins: evidence.DefaultMIBins})
 		for _, t := range fixed {
 			evidence.Merge(evidence.Fixed, t, eFix, engine)

@@ -44,7 +44,7 @@ func TestEvidenceMatchesMerge(t *testing.T) {
 		{"nvjpeg encode random", enc, jpeg.GenImage(8, 8)},
 	} {
 		rng := rand.New(rand.NewSource(1))
-		ev := evidence.NewDiff()
+		ev := evidence.NewDiff(12)
 		var ref []*adcfg.Graph
 		var stacks []string
 		for run := 0; run < 12; run++ {
@@ -106,7 +106,7 @@ func TestEvidenceMatchesMerge(t *testing.T) {
 				}
 				for _, p := range pairs {
 					var sum float64
-					for _, x := range p.Rec {
+					for _, x := range p.Rec.AppendTo(nil) {
 						sum += x
 					}
 					if c := n.Pairs[p.Pair]; sum != float64(c) {

@@ -31,7 +31,7 @@ func aesEvidence(tb testing.TB) (*Detector, *evidence.Diff, *evidence.Diff) {
 	for i := range random {
 		random[i] = gen(rng)
 	}
-	evs := [2]*evidence.Diff{evidence.NewDiff(), evidence.NewDiff()}
+	evs := [2]*evidence.Diff{evidence.NewDiff(opts.FixedRuns), evidence.NewDiff(opts.RandomRuns)}
 	for k, inputs := range [2][][]byte{fixed, random} {
 		err := d.RecordEach(context.Background(), p, inputs, func(_ int, t *trace.ProgramTrace) error {
 			evs[k].AddRun(t)

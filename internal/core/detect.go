@@ -24,6 +24,7 @@ import (
 	"owl/internal/gpu"
 	"owl/internal/isa"
 	"owl/internal/obs"
+	"owl/internal/stats"
 	"owl/internal/trace"
 	"owl/internal/tracer"
 )
@@ -189,9 +190,9 @@ type Detector struct {
 	classes atomic.Int64 // input classes once known
 	phase   atomic.Value // current pipeline phase (string)
 
-	// scratch is the per-run KS tests' sort buffer, reused from test to
-	// test; analysis runs on the detecting goroutine.
-	scratch []float64
+	// scratch is the per-run KS tests' sort buffer of counted entries,
+	// reused from test to test; analysis runs on the detecting goroutine.
+	scratch []stats.Count
 
 	ramMu      sync.Mutex // serializes trackRAM's sample buffer and cache
 	ramSamples []metrics.Sample
@@ -614,7 +615,7 @@ func (d *Detector) analyzeClass(ctx context.Context, p cuda.Program, cls InputCl
 	fixed := &classRegime{span: "record.fixed", r: evidence.Fixed, reqs: make([]RunRequest, d.opts.FixedRuns)}
 	random := &classRegime{span: "record.random", r: evidence.Random, reqs: make([]RunRequest, d.opts.RandomRuns)}
 	if cfg.diffEnabled() {
-		fixed.ev, random.ev = evidence.NewDiff(), evidence.NewDiff()
+		fixed.ev, random.ev = evidence.NewDiff(d.opts.FixedRuns), evidence.NewDiff(d.opts.RandomRuns)
 	}
 	genRNG := rand.New(rand.NewSource(d.rng.Int63()))
 	for i := range fixed.reqs {

@@ -145,7 +145,7 @@ func TestEvidenceAddRunPadding(t *testing.T) {
 		t.Fatal(err)
 	}
 	p := dummy.New()
-	ev := evidence.NewDiff()
+	ev := evidence.NewDiff(3)
 	for i := 0; i < 3; i++ {
 		tr, err := d.RecordOnce(p, []byte{byte(i)})
 		if err != nil {
@@ -157,13 +157,13 @@ func TestEvidenceAddRunPadding(t *testing.T) {
 		t.Fatalf("Runs = %d", ev.Runs)
 	}
 	for _, inv := range ev.Invs {
-		if len(inv.Presence) != 3 {
-			t.Errorf("presence length %d, want 3", len(inv.Presence))
+		if p := inv.Presence.AppendTo(nil); len(p) != 3 {
+			t.Errorf("presence length %d, want 3", len(p))
 		}
 		for b, blk := range inv.Sites {
 			for _, p := range blk.Pairs {
-				if len(p.Rec) != 3 {
-					t.Errorf("block %d pair %v: %d samples, want 3", b, p.Pair, len(p.Rec))
+				if xs := p.Rec.AppendTo(nil); len(xs) != 3 {
+					t.Errorf("block %d pair %v: %d samples, want 3", b, p.Pair, len(xs))
 				}
 			}
 		}

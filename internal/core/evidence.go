@@ -35,30 +35,30 @@ func remaining(fixed, random *classRegime) bool {
 }
 
 // reject runs the configured distribution test over two per-run
-// samples and reports (reject?, p, D). Each sample is its values plus
-// zeros observations of 0, counted rather than stored: a pair sample's
-// runs without the transition. The KS test copies both samples into
-// d.scratch, sorts them there and walks them in order, so once the
-// scratch has grown a test allocates nothing.
-func (d *Detector) reject(x []float64, xZeros int, y []float64, yZeros int) (bool, float64, float64, error) {
+// samples, held as counted runs (stats.Counted), and reports (reject?,
+// p, D). Each sample is its entries plus zeros observations of 0,
+// counted rather than stored: a pair sample's runs without the
+// transition. The KS test copies both samples' entries, not their runs,
+// into d.scratch, sorts them there by value, the rest of the scratch
+// serving the sort, and walks them in order, so once the scratch has
+// grown a test allocates nothing. The Welch ablation reads the runs in
+// order.
+func (d *Detector) reject(x *stats.Counted, xZeros int, y *stats.Counted, yZeros int) (bool, float64, float64, error) {
 	if d.opts.UseWelch {
-		sx, sy := stats.NewSample(x), stats.NewSample(y)
-		for range xZeros {
-			sx.Add(0, 1)
-		}
-		for range yZeros {
-			sy.Add(0, 1)
-		}
+		sx := stats.NewSample(append(x.AppendTo(nil), make([]float64, xZeros)...))
+		sy := stats.NewSample(append(y.AppendTo(nil), make([]float64, yZeros)...))
 		r, err := stats.WelchT(sx, sy)
 		if err != nil {
 			return false, 1, 0, err
 		}
 		return r.Reject, 0, r.T, nil
 	}
-	d.scratch = append(append(d.scratch[:0], x...), y...)
-	xs, ys := d.scratch[:len(x)], d.scratch[len(x):]
-	slices.Sort(xs)
-	slices.Sort(ys)
+	nx, n := len(x.Counts), len(x.Counts)+len(y.Counts)
+	d.scratch = slices.Grow(d.scratch[:0], n+max(nx, n-nx))
+	d.scratch = append(append(d.scratch, x.Counts...), y.Counts...)
+	xs, ys, buf := d.scratch[:nx], d.scratch[nx:n], d.scratch[n:cap(d.scratch)]
+	stats.SortCounts(xs, buf)
+	stats.SortCounts(ys, buf)
 	r, err := stats.KSTestSorted(xs, xZeros, ys, yZeros, d.opts.Confidence)
 	if err != nil {
 		return false, 1, 0, err
@@ -100,7 +100,7 @@ func (d *Detector) leakageTests(eFix, eRnd *evidence.Diff, leaks *leakSet) error
 func (d *Detector) testInvocation(fi, ri *evidence.InvEvidence, leaks *leakSet) error {
 	// Kernel-leak test on per-run presence (aligned invocations with
 	// differing invocation counts, §VII-C).
-	rej, p, dd, err := d.reject(fi.Presence, 0, ri.Presence, 0)
+	rej, p, dd, err := d.reject(&fi.Presence, 0, &ri.Presence, 0)
 	if err != nil {
 		return err
 	}
@@ -121,7 +121,7 @@ func (d *Detector) testInvocation(fi, ri *evidence.InvEvidence, leaks *leakSet) 
 		fp, rp := fi.Sites.Block(b).Pairs, ri.Sites.Block(b).Pairs
 		for len(fp) > 0 || len(rp) > 0 {
 			var pk adcfg.PairKey
-			var x, y []float64
+			var x, y stats.Counted
 			switch {
 			case len(rp) == 0 || len(fp) > 0 && fp[0].Pair.Compare(rp[0].Pair) < 0:
 				pk, x, fp = fp[0].Pair, fp[0].Rec, fp[1:]
@@ -130,7 +130,7 @@ func (d *Detector) testInvocation(fi, ri *evidence.InvEvidence, leaks *leakSet) 
 			default:
 				pk, x, y, fp, rp = fp[0].Pair, fp[0].Rec, rp[0].Rec, fp[1:], rp[1:]
 			}
-			rej, p, dd, err := d.reject(x, eRuns(fi)-len(x), y, eRuns(ri)-len(y))
+			rej, p, dd, err := d.reject(&x, eRuns(fi)-x.N(), &y, eRuns(ri)-y.N())
 			if err != nil {
 				return err
 			}
@@ -217,11 +217,11 @@ func (d *Detector) rejectMem(ff, rf *evidence.MemFeature) (bool, float64, float6
 
 	// Run-level summary features (skipped when a side has too few runs to
 	// support the test).
-	for _, pair := range [...][2][]float64{
-		{ff.Means, rf.Means},
-		{ff.Spreads, rf.Spreads},
+	for _, pair := range [...][2]*stats.Counted{
+		{&ff.Means, &rf.Means},
+		{&ff.Spreads, &rf.Spreads},
 	} {
-		if len(pair[0]) < 2 || len(pair[1]) < 2 {
+		if pair[0].N() < 2 || pair[1].N() < 2 {
 			continue
 		}
 		r, pv, dv, err := d.reject(pair[0], 0, pair[1], 0)
@@ -236,7 +236,7 @@ func (d *Detector) rejectMem(ff, rf *evidence.MemFeature) (bool, float64, float6
 	return rej, p, dStat, nil
 }
 
-func eRuns(inv *evidence.InvEvidence) int { return len(inv.Presence) }
+func eRuns(inv *evidence.InvEvidence) int { return inv.Presence.N() }
 
 func storeName(store bool) string {
 	if store {

@@ -33,7 +33,7 @@ func mkRun(stacks ...string) *trace.ProgramTrace {
 }
 
 func TestEvidenceAlignsInsertedInvocation(t *testing.T) {
-	ev := evidence.NewDiff()
+	ev := evidence.NewDiff(2)
 	ev.AddRun(mkRun("a", "c"))
 	ev.AddRun(mkRun("a", "b", "c")) // "b" appears only in run 2
 	if len(ev.Invs) != 3 {
@@ -47,16 +47,16 @@ func TestEvidenceAlignsInsertedInvocation(t *testing.T) {
 	if ev.Invs[0].StackID != "a" || ev.Invs[1].StackID != "b" || ev.Invs[2].StackID != "c" {
 		t.Errorf("order = %v %v %v", ev.Invs[0].StackID, ev.Invs[1].StackID, ev.Invs[2].StackID)
 	}
-	if p := byStack["b"].Presence; len(p) != 2 || p[0] != 0 || p[1] != 1 {
+	if p := byStack["b"].Presence.AppendTo(nil); len(p) != 2 || p[0] != 0 || p[1] != 1 {
 		t.Errorf("b presence = %v", p)
 	}
-	if p := byStack["a"].Presence; len(p) != 2 || p[0] != 1 || p[1] != 1 {
+	if p := byStack["a"].Presence.AppendTo(nil); len(p) != 2 || p[0] != 1 || p[1] != 1 {
 		t.Errorf("a presence = %v", p)
 	}
 }
 
 func TestEvidenceAbsentInvocationKeepsZeros(t *testing.T) {
-	ev := evidence.NewDiff()
+	ev := evidence.NewDiff(3)
 	ev.AddRun(mkRun("a", "b"))
 	ev.AddRun(mkRun("a")) // "b" missing from run 2
 	ev.AddRun(mkRun("a", "b"))
@@ -64,7 +64,7 @@ func TestEvidenceAbsentInvocationKeepsZeros(t *testing.T) {
 	for _, inv := range ev.Invs {
 		byStack[inv.StackID] = inv
 	}
-	if p := byStack["b"].Presence; len(p) != 3 || p[0] != 1 || p[1] != 0 || p[2] != 1 {
+	if p := byStack["b"].Presence.AppendTo(nil); len(p) != 3 || p[0] != 1 || p[1] != 0 || p[2] != 1 {
 		t.Errorf("b presence = %v", p)
 	}
 	// b's transition samples count only the two present runs.
@@ -72,7 +72,7 @@ func TestEvidenceAbsentInvocationKeepsZeros(t *testing.T) {
 	if len(pairs) != 1 || pairs[0].Pair != (adcfg.PairKey{Src: adcfg.Start, Dst: 1}) {
 		t.Fatalf("b pairs through block 0 = %v", pairs)
 	}
-	if xs := pairs[0].Rec; len(xs) != 3 || xs[0] != 1 || xs[1] != 0 || xs[2] != 1 {
+	if xs := pairs[0].Rec.AppendTo(nil); len(xs) != 3 || xs[0] != 1 || xs[1] != 0 || xs[2] != 1 {
 		t.Errorf("b samples of (START, 1) through block 0 = %v", xs)
 	}
 }
@@ -84,7 +84,7 @@ func TestEvidenceMemSamplesTrackRuns(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ev := evidence.NewDiff()
+	ev := evidence.NewDiff(4)
 	for i := 0; i < 4; i++ {
 		tr, err := d.RecordOnce(dummy.New(), []byte{byte(i), 2, 3})
 		if err != nil {
@@ -107,8 +107,8 @@ func TestEvidenceMemSamplesTrackRuns(t *testing.T) {
 				if f.Runs() != 4 {
 					t.Errorf("mem %v present in %d runs, want 4", key, f.Runs())
 				}
-				if len(f.Spreads) != len(f.Means) {
-					t.Errorf("mem %v: %d spreads vs %d means", key, len(f.Spreads), len(f.Means))
+				if s, m := f.Spreads.AppendTo(nil), f.Means.AppendTo(nil); len(s) != len(m) {
+					t.Errorf("mem %v: %d spreads vs %d means", key, len(s), len(m))
 				}
 			}
 		}
@@ -128,7 +128,7 @@ func TestHistSummary(t *testing.T) {
 	f.MemAccess(0, isa.SpaceGlobal, false, []int64{10, 20, 20, 20})
 	f.Finish()
 	g.Nodes[0].Visits[0].Mems = append(g.Nodes[0].Visits[0].Mems, &adcfg.MemHist{Space: isa.SpaceShared, Store: true})
-	ev := evidence.NewDiff()
+	ev := evidence.NewDiff(1)
 	ev.AddRun(&trace.ProgramTrace{Invocations: []*trace.Invocation{{StackID: "s", Kernel: "k", Graph: g}}})
 	inv := ev.Invs[0]
 	if mems := inv.Sites.Block(0).Mems; len(mems) != 1 || len(mems[0]) != 2 {
@@ -138,10 +138,10 @@ func TestHistSummary(t *testing.T) {
 	if feat == nil || feat.Runs() != 1 {
 		t.Fatalf("record = %+v", feat)
 	}
-	if mean := feat.Means[0]; mean != (10+60)/4.0 {
+	if mean := feat.Means.AppendTo(nil)[0]; mean != (10+60)/4.0 {
 		t.Errorf("mean = %v", mean)
 	}
-	if spread := feat.Spreads[0]; spread != 10 {
+	if spread := feat.Spreads.AppendTo(nil)[0]; spread != 10 {
 		t.Errorf("spread = %v", spread)
 	}
 	if cells := feat.Hist.Cells(); len(cells) != 2 || cells[1] != (adcfg.Cell{Addr: 20, Count: 3}) {

@@ -4,6 +4,7 @@ import (
 	"owl/internal/adcfg"
 	"owl/internal/isa"
 	"owl/internal/myers"
+	"owl/internal/stats"
 	"owl/internal/trace"
 )
 
@@ -14,9 +15,18 @@ import (
 // each node's per-run transition counts, and one record per memory
 // instruction holding the address histogram merged over the runs and
 // each run's summary of it.
+//
+// A per-run sample is held as counted runs (stats.Counted): equal values
+// of consecutive runs share one entry, so k counted copies of a trace
+// add one entry, and a site that reads the same in every run costs one
+// entry. A sample whose value changes grows once past its first entry,
+// taking room for the rest of the regime's runs (its budget).
 type Diff struct {
 	Runs int
 	Invs []*InvEvidence
+
+	budget int           // the runs the regime records
+	slab   []stats.Count // room for new samples' first entries
 
 	// scratch reused across runs by align
 	stacks, seq []string
@@ -25,8 +35,9 @@ type Diff struct {
 	scaled []adcfg.Cell
 }
 
-// NewDiff returns empty evidence.
-func NewDiff() *Diff { return &Diff{} }
+// NewDiff returns empty evidence for a regime that records budget runs.
+// The budget only sizes the samples: evidence may merge more runs.
+func NewDiff(budget int) *Diff { return &Diff{budget: budget} }
 
 // AddRun merges one program trace as the next run.
 func (d *Diff) AddRun(t *trace.ProgramTrace) { Merge(Fixed, t, d, nil) }
@@ -35,13 +46,14 @@ func (d *Diff) AddRun(t *trace.ProgramTrace) { Merge(Fixed, t, d, nil) }
 type InvEvidence struct {
 	StackID string
 	Kernel  string
-	// Presence[r] is 1 when run r contained this invocation.
-	Presence []float64
+	// Presence holds, per run, 1 when the run contained this invocation
+	// and 0 when it did not.
+	Presence stats.Counted
 	// Sites holds, per block, the per-run (src,dst) transition counts of
 	// the node — the control-flow transition-matrix entries of Eq. 8,
-	// every entry padded to one sample per run — and one record per
-	// memory-instruction occurrence, nil where no run had one.
-	Sites Sites[[]float64, *MemFeature]
+	// every entry padded with zeros to one observation per run — and one
+	// record per memory-instruction occurrence, nil where no run had one.
+	Sites Sites[stats.Counted, *MemFeature]
 }
 
 // MemFeature is the evidence record of one memory-instruction occurrence.
@@ -53,16 +65,16 @@ type MemFeature struct {
 	Store bool
 	// Hist is the address histogram merged over every run.
 	Hist adcfg.EvidenceHist
-	// Means[i] is the count-weighted mean accessed offset in the i-th run
-	// in which the instruction accessed memory; Spreads[i] is that run's
+	// Means holds, per run in which the instruction accessed memory, the
+	// run's count-weighted mean accessed offset; Spreads that run's
 	// max-min offset range. A record whose runs all had every lane
 	// predicated off has none.
-	Means   []float64
-	Spreads []float64
+	Means   stats.Counted
+	Spreads stats.Counted
 }
 
 // Runs returns the number of runs in which the instruction accessed memory.
-func (f *MemFeature) Runs() int { return len(f.Means) }
+func (f *MemFeature) Runs() int { return f.Means.N() }
 
 // Stacks returns the stack identities of the merged invocation sequence,
 // the unit of the Myers alignment between E_fix and E_rnd.
@@ -124,24 +136,46 @@ func (d *Diff) scale(cells []adcfg.Cell, n int) []adcfg.Cell {
 	return d.scaled
 }
 
-// endRuns closes the n runs the walk merged: every sample vector ends
-// them with one sample per run.
+// room returns how many of the regime's runs are left after the n runs
+// being merged: the most entries a sample can gain after them.
+func (d *Diff) room(n int) int { return d.budget - d.Runs - n }
+
+// seed gives an empty sample room for its first entry, cut from a slab
+// the diff allocates many entries at a time: most samples never need a
+// second entry, and those allocate nothing of their own.
+func (d *Diff) seed(c *stats.Counted) {
+	if cap(c.Counts) > 0 {
+		return
+	}
+	if len(d.slab) == 0 {
+		d.slab = make([]stats.Count, 256)
+	}
+	c.Counts, d.slab = d.slab[:0:1], d.slab[1:]
+}
+
+// add adds the n runs being merged, each observing x, to a presence or
+// pair sample, after one zero entry for the runs before them that the
+// sample has not seen: those of a record this walk created.
+func (d *Diff) add(c *stats.Counted, x float64, n int) {
+	d.seed(c)
+	room := d.room(n)
+	c.Add(0, d.Runs-c.N(), room)
+	c.Add(x, n, room)
+}
+
+// endRuns closes the n runs the walk merged: every presence and pair
+// sample ends them with one observation per run, a sample the walk did
+// not reach with one zero entry.
 func (d *Diff) endRuns(n int) {
+	room := d.room(n)
 	d.Runs += n
 	for _, inv := range d.Invs {
-		inv.Presence = pad(inv.Presence, d.Runs)
+		inv.Presence.Add(0, d.Runs-inv.Presence.N(), room)
 		for _, blk := range inv.Sites {
 			for i := range blk.Pairs {
-				blk.Pairs[i].Rec = pad(blk.Pairs[i].Rec, d.Runs)
+				rec := &blk.Pairs[i].Rec
+				rec.Add(0, d.Runs-rec.N(), room)
 			}
 		}
 	}
-}
-
-// pad extends xs with zeros to length n.
-func pad(xs []float64, n int) []float64 {
-	for len(xs) < n {
-		xs = append(xs, 0)
-	}
-	return xs
 }

@@ -1,13 +1,14 @@
 // Package evidence holds the evidence the detector merges its runs into
 // and the statistical channel beside the set-difference detector. The
 // diff channel's evidence (Diff: E_fix or E_rnd, §VII-A) keeps per-run
-// feature samples and merged address histograms for the distribution
-// tests. The statistical engine (Engine) keeps streaming per-site
-// accumulators (Welford mean/variance feeding Welch's t, capped-histogram
-// mutual-information estimates) at O(sites) memory, a confidence-ranked
-// verdict model, and a per-round trajectory whose leak signature the
-// detector watches to stop recording once the set of leaking code
-// locations has stabilized.
+// feature samples, held as counted runs of equal values and sized by
+// the regime's run budget, and merged address histograms for the
+// distribution tests. The statistical engine (Engine) keeps streaming
+// per-site accumulators (Welford mean/variance feeding Welch's t,
+// capped-histogram mutual-information estimates) at O(sites) memory, a
+// confidence-ranked verdict model, and a per-round trajectory whose leak
+// signature the detector watches to stop recording once the set of
+// leaking code locations has stabilized.
 //
 // A run merges into whichever consumers are on with one walk over each
 // invocation's graph (Merge). Each consumer aligns invocations its own
@@ -23,10 +24,10 @@
 //
 // Runs that recorded the same trace merge as counted copies of it in one
 // walk (MergeN): what a run adds per histogram cell is added once,
-// scaled by the count, and what it adds as a per-run sample or Welford
-// update is added once per copy. Weights are integers below 2^53, so
-// the scaled sums are exact, and the result is bit-identical to merging
-// each copy in turn.
+// scaled by the count, what it adds as a per-run sample is one entry
+// counting the copies, and each Welford update is made once per copy.
+// Weights are integers below 2^53, so the scaled sums are exact, and
+// the result is bit-identical to merging each copy in turn.
 //
 // Determinism: observations must arrive in run order (the reorder window
 // of the streaming pipeline guarantees this for any worker count), and
@@ -218,8 +219,9 @@ type Engine struct {
 	idx  map[invID]*invAcc
 
 	// scratch reused across runs
-	occ map[string]int
-	at  []*invAcc
+	occ   map[string]int
+	at    []*invAcc
+	cells []stats.Weighted // one histogram's cells, as its MI estimator takes them
 }
 
 // NewEngine builds an engine with cfg.

@@ -24,8 +24,9 @@ func Merge(r Regime, t *trace.ProgramTrace, d *Diff, e *Engine) { MergeN(r, t, d
 // take k times each count, and the MI estimators k times each weight.
 // Weights are integers below 2^53, so these sums are exact and do not
 // depend on their order. What a run adds as a sample is added k times:
-// the per-run samples are appended k times, and each Welford accumulator
-// takes its k updates in sequence, as there is no closed form for them.
+// each per-run sample takes one entry counting k runs, and each Welford
+// accumulator takes its k updates in sequence, as there is no closed
+// form for them.
 //
 // The engine's alignment of a trace does not depend on what was merged
 // before. The diff channel's does: when t's invocations insert new ones
@@ -54,7 +55,7 @@ func MergeN(r Regime, t *trace.ProgramTrace, d *Diff, e *Engine, k int) {
 			var ea *invAcc
 			if d != nil {
 				di = dInvs[i]
-				di.Presence = appendN(pad(di.Presence, d.Runs), 1, n)
+				d.add(&di.Presence, 1, n)
 			}
 			if e != nil {
 				ea = eInvs[i]
@@ -78,7 +79,7 @@ func MergeN(r Regime, t *trace.ProgramTrace, d *Diff, e *Engine, k int) {
 // ea of e, those of the consumers that are on.
 func mergeGraph(g *adcfg.Graph, di *InvEvidence, d *Diff, ea *invAcc, e *Engine, r Regime, n int) {
 	for block, node := range g.Nodes {
-		var db *BlockSites[[]float64, *MemFeature]
+		var db *BlockSites[stats.Counted, *MemFeature]
 		var eb *BlockSites[pairAcc, memAcc]
 		if di != nil {
 			db = di.Sites.grow(block)
@@ -88,8 +89,7 @@ func mergeGraph(g *adcfg.Graph, di *InvEvidence, d *Diff, ea *invAcc, e *Engine,
 		}
 		for pk, c := range node.Pairs {
 			if db != nil {
-				xs := db.pair(pk)
-				*xs = appendN(pad(*xs, d.Runs), float64(c), n)
+				d.add(db.pair(pk), float64(c), n)
 			}
 			if eb != nil {
 				addRuns(&eb.pair(pk).w[r], e.runs[r], n, float64(c))
@@ -105,6 +105,8 @@ func mergeGraph(g *adcfg.Graph, di *InvEvidence, d *Diff, ea *invAcc, e *Engine,
 					p := db.mem(j, mi)
 					if *p == nil {
 						*p = &MemFeature{Space: h.Space, Store: h.Store}
+						d.seed(&(*p).Means)
+						d.seed(&(*p).Spreads)
 					}
 					f = *p
 				}
@@ -114,7 +116,8 @@ func mergeGraph(g *adcfg.Graph, di *InvEvidence, d *Diff, ea *invAcc, e *Engine,
 				mean, spread := adcfg.Summary(h.Cells)
 				if f != nil {
 					f.Hist.Add(d.scale(h.Cells, n))
-					f.Means, f.Spreads = appendN(f.Means, mean, n), appendN(f.Spreads, spread, n)
+					f.Means.Add(mean, n, d.room(n))
+					f.Spreads.Add(spread, n, d.room(n))
 				}
 				if eb != nil {
 					m := eb.mem(j, mi)
@@ -122,9 +125,11 @@ func mergeGraph(g *adcfg.Graph, di *InvEvidence, d *Diff, ea *invAcc, e *Engine,
 						m.mi = stats.NewMIEstimator(e.cfg.MIBins)
 					}
 					// Ascending cells make the rebin, and so the MI, deterministic.
+					e.cells = e.cells[:0]
 					for _, c := range h.Cells {
-						m.mi.Observe(int(r), float64(c.Addr), float64(c.Count)*float64(n))
+						e.cells = append(e.cells, stats.Weighted{Value: float64(c.Addr), Weight: float64(c.Count) * float64(n)})
 					}
+					m.mi.ObserveRun(int(r), e.cells)
 					for range n {
 						m.mean[r].Add(mean)
 						m.spread[r].Add(spread)
@@ -143,14 +148,6 @@ func addRuns(w *stats.Welford, run, n int, x float64) {
 		w.AddZeros(run + i - int(w.Count))
 		w.Add(x)
 	}
-}
-
-// appendN appends n copies of x to xs.
-func appendN(xs []float64, x float64, n int) []float64 {
-	for range n {
-		xs = append(xs, x)
-	}
-	return xs
 }
 
 // Sites indexes one aligned invocation's per-site records of one channel

@@ -48,7 +48,7 @@ func TestMergeConsumersIndependent(t *testing.T) {
 				var d [2]*evidence.Diff
 				var e *evidence.Engine
 				if diff {
-					d = [2]*evidence.Diff{evidence.NewDiff(), evidence.NewDiff()}
+					d = [2]*evidence.Diff{evidence.NewDiff(len(runs) / 2), evidence.NewDiff(len(runs) / 2)}
 				}
 				if stat {
 					e = evidence.NewEngine(evidence.Config{TThreshold: evidence.DefaultTThreshold, MIBins: evidence.DefaultMIBins})

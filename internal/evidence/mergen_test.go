@@ -12,6 +12,7 @@ import (
 	"owl/internal/core"
 	"owl/internal/evidence"
 	"owl/internal/experiments"
+	"owl/internal/stats"
 	"owl/internal/trace"
 )
 
@@ -102,7 +103,7 @@ func TestMergeNMatchesSequentialMerges(t *testing.T) {
 							var d [2]*evidence.Diff
 							var e *evidence.Engine
 							if mode.diff {
-								d = [2]*evidence.Diff{evidence.NewDiff(), evidence.NewDiff()}
+								d = [2]*evidence.Diff{evidence.NewDiff(len(prefix) + k + 1), evidence.NewDiff(len(prefix) + 1)}
 							}
 							if mode.stat {
 								e = evidence.NewEngine(evidence.Config{TThreshold: evidence.DefaultTThreshold, MIBins: evidence.DefaultMIBins})
@@ -191,9 +192,11 @@ func diffState(d *evidence.Diff) string {
 	return b.String()
 }
 
-func floatBits(xs []float64) string {
+// floatBits renders a counted sample expanded to its runs, each run's
+// value by its bits.
+func floatBits(c stats.Counted) string {
 	var b []byte
-	for _, x := range xs {
+	for _, x := range c.AppendTo(nil) {
 		b = strconv.AppendUint(b, math.Float64bits(x), 16)
 		b = append(b, ' ')
 	}

@@ -33,6 +33,7 @@ import (
 	"owl/internal/cuda"
 	"owl/internal/evidence"
 	"owl/internal/myers"
+	"owl/internal/stats"
 	"owl/internal/trace"
 )
 
@@ -116,7 +117,7 @@ func Quantify(det *core.Detector, p cuda.Program, fixed []byte, gen cuda.InputGe
 	// A fixed run whose trace equals the first fixed run's merges as one
 	// more copy of it, and the copies counted in a row merge in one walk
 	// (evidence.MergeN) before the next differing run does.
-	eFix, eRnd := evidence.NewDiff(), evidence.NewDiff()
+	eFix, eRnd := evidence.NewDiff(runs), evidence.NewDiff(runs)
 	var first *trace.ProgramTrace
 	copies := 0
 	flush := func() {
@@ -249,15 +250,16 @@ func distFromHist(cells []adcfg.Cell) dist {
 }
 
 // distFromPairs takes a node's per-run transition counts: each pair's
-// mass is its count summed over the runs. The counts are whole numbers,
-// so the sums are exact in any order.
-func distFromPairs(pairs []evidence.PairRecord[[]float64]) dist {
+// mass is its count summed over the runs, each counted entry adding its
+// value times its runs. The counts are whole numbers, so the products
+// and sums are exact in any order.
+func distFromPairs(pairs []evidence.PairRecord[stats.Counted]) dist {
 	var total float64
 	d := make(dist, 0, len(pairs))
 	for _, p := range pairs {
 		var c float64
-		for _, x := range p.Rec {
-			c += x
+		for _, x := range p.Rec.Counts {
+			c += x.Value * float64(x.N)
 		}
 		// Encode the pair as one symbol.
 		sym := uint64(uint32(int32(p.Pair.Src)))<<32 | uint64(uint32(int32(p.Pair.Dst)))

@@ -10,6 +10,7 @@ import (
 	"owl/internal/core"
 	"owl/internal/evidence"
 	"owl/internal/isa"
+	"owl/internal/stats"
 	"owl/internal/trace"
 	"owl/internal/workloads/gpucrypto"
 	"owl/internal/workloads/torch"
@@ -133,9 +134,15 @@ func TestDistFromHist(t *testing.T) {
 }
 
 func TestDistFromPairsEncodesNegatives(t *testing.T) {
-	d := distFromPairs([]evidence.PairRecord[[]float64]{
-		{Pair: adcfg.PairKey{Src: adcfg.Start, Dst: 1}, Rec: []float64{1, 0}},
-		{Pair: adcfg.PairKey{Src: 1, Dst: adcfg.End}, Rec: []float64{0, 1}},
+	runs := func(xs ...float64) (c stats.Counted) {
+		for _, x := range xs {
+			c.Add(x, 1, 0)
+		}
+		return c
+	}
+	d := distFromPairs([]evidence.PairRecord[stats.Counted]{
+		{Pair: adcfg.PairKey{Src: adcfg.Start, Dst: 1}, Rec: runs(1, 0)},
+		{Pair: adcfg.PairKey{Src: 1, Dst: adcfg.End}, Rec: runs(0, 1)},
 	})
 	if len(d) != 2 || d[0].sym >= d[1].sym {
 		t.Errorf("virtual block ids collided or out of order: %v", d)
@@ -170,7 +177,7 @@ func TestEstimateLocation(t *testing.T) {
 func TestFromEvidenceDeterministic(t *testing.T) {
 	det := newDet(t)
 	aes := gpucrypto.NewAES(gpucrypto.WithBlocks(16))
-	eFix, eRnd := evidence.NewDiff(), evidence.NewDiff()
+	eFix, eRnd := evidence.NewDiff(10), evidence.NewDiff(10)
 	gen, rng := gpucrypto.KeyGen(), rand.New(rand.NewSource(1))
 	for i := 0; i < 10; i++ {
 		for _, in := range []struct {
@@ -229,7 +236,7 @@ func predicatedRun(addrs ...int64) *trace.ProgramTrace {
 // predicated off is scored against an empty distribution, and one whose
 // fixed runs did is not scored.
 func TestEmptyHistogramScored(t *testing.T) {
-	eFix, eRnd := evidence.NewDiff(), evidence.NewDiff()
+	eFix, eRnd := evidence.NewDiff(3), evidence.NewDiff(3)
 	for i := 0; i < 3; i++ {
 		eFix.AddRun(predicatedRun(4, 4, 8))
 		eRnd.AddRun(predicatedRun())

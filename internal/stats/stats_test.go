@@ -1,6 +1,7 @@
 package stats
 
 import (
+	"cmp"
 	"math"
 	"math/rand"
 	"slices"
@@ -162,8 +163,10 @@ func TestKSValidation(t *testing.T) {
 // TestKSTestSortedMatchesKSTest runs the ordered walk against KSTest over
 // the same observations in their original order, zeros appended as
 // padding: per-run vectors with many ties, values on both sides of zero,
-// zero padding up to all-zero sides, and single observations. D, p and
-// the verdict must be bit-identical.
+// zero padding up to all-zero sides, and single observations. The walk
+// reads the sorted observations as counted entries, a run of equal
+// values split at random over neighbouring entries. D, p and the verdict
+// must be bit-identical.
 func TestKSTestSortedMatchesKSTest(t *testing.T) {
 	r := rand.New(rand.NewSource(3))
 	side := func() ([]float64, int) {
@@ -201,7 +204,7 @@ func TestKSTestSortedMatchesKSTest(t *testing.T) {
 		xs, ys := slices.Clone(x), slices.Clone(y)
 		slices.Sort(xs)
 		slices.Sort(ys)
-		got, err := KSTestSorted(xs, xz, ys, yz, 0.95)
+		got, err := KSTestSorted(countRuns(r, xs), xz, countRuns(r, ys), yz, 0.95)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -210,12 +213,26 @@ func TestKSTestSortedMatchesKSTest(t *testing.T) {
 			t.Fatalf("iteration %d: KSTestSorted %v, reference %v\nx %v + %d zeros\ny %v + %d zeros", iter, got, want, x, xz, y, yz)
 		}
 	}
-	if _, err := KSTestSorted(nil, 0, []float64{1}, 0, 0.95); err == nil {
+	if _, err := KSTestSorted(nil, 0, []Count{{1, 1}}, 0, 0.95); err == nil {
 		t.Error("empty sample accepted")
 	}
-	if _, err := KSTestSorted([]float64{1}, 0, nil, 3, 1.5); err == nil {
+	if _, err := KSTestSorted([]Count{{1, 1}}, 0, nil, 3, 1.5); err == nil {
 		t.Error("alpha=1.5 accepted")
 	}
+}
+
+// countRuns returns xs as counted entries: each run of equal values is
+// one entry, or, at random, split over neighbouring entries.
+func countRuns(r *rand.Rand, xs []float64) []Count {
+	var cs []Count
+	for i, x := range xs {
+		if i > 0 && x == xs[i-1] && r.Intn(3) > 0 {
+			cs[len(cs)-1].N++
+			continue
+		}
+		cs = append(cs, Count{x, 1})
+	}
+	return cs
 }
 
 func TestSampleMoments(t *testing.T) {
@@ -306,5 +323,112 @@ func TestWelchMissesShapeChange(t *testing.T) {
 	}
 	if wres.Reject {
 		t.Skipf("t-test happened to reject (t=%v); the KS advantage still holds", wres.T)
+	}
+}
+
+// FuzzKSCounted runs the counted walk against KSTest over the expanded
+// observations. Each input byte pair is one counted entry of x or y: a
+// value from a palette with zeros, negative zero, repeats and both signs,
+// and a count of 1 to 8. The entries are sorted with SortCounts, as the
+// detector sorts them, then walked with the extra zeros counted apart.
+// D, p and the verdict must be bit-identical, and an empty side must be
+// an error on both. The same entries added in order to a Counted must
+// expand to the same observations and stay coalesced.
+func FuzzKSCounted(f *testing.F) {
+	f.Add([]byte{0, 1, 3, 2, 5, 1, 2, 4}, uint8(0), uint8(0))
+	f.Add([]byte{2, 3, 4, 1, 6, 2, 7, 1, 8, 8, 1, 1}, uint8(3), uint8(0))
+	f.Add([]byte{0, 8, 2, 8, 1, 1}, uint8(0), uint8(5))
+	f.Add([]byte{}, uint8(2), uint8(2))
+	f.Add([]byte{4, 1, 6, 1, 4, 2, 6, 2, 4, 3, 6, 3, 4, 4, 6, 4, 4, 5, 6, 5, 4, 6, 6, 6, 4, 7, 6, 7, 4, 8, 6, 8}, uint8(0), uint8(1))
+	palette := []float64{0, math.Copysign(0, -1), 1, -1, 0.5, 2, -2.5, 3, 1e-300, -1e300}
+	f.Fuzz(func(t *testing.T, data []byte, xZeros, yZeros uint8) {
+		var sides [2][]Count
+		var counted [2]Counted
+		for i := 0; i+1 < len(data); i += 2 {
+			side := data[i] & 1
+			e := Count{palette[int(data[i]>>1)%len(palette)], 1 + int(data[i+1]%8)}
+			sides[side] = append(sides[side], e)
+			counted[side].Add(e.Value, e.N, 0)
+		}
+		zeros := [2]int{int(xZeros % 16), int(yZeros % 16)}
+		var samples [2]*Sample
+		for s := range sides {
+			var runs []float64
+			for _, e := range sides[s] {
+				for range e.N {
+					runs = append(runs, e.Value)
+				}
+			}
+			got := counted[s].AppendTo(nil)
+			if counted[s].N() != len(runs) || len(got) != len(runs) {
+				t.Fatalf("side %d: Counted holds %d observations, %d expanded, want %d", s, counted[s].N(), len(got), len(runs))
+			}
+			for i := range got {
+				if math.Float64bits(got[i]) != math.Float64bits(runs[i]) {
+					t.Fatalf("side %d: Counted expands to %v, want %v", s, got, runs)
+				}
+			}
+			for i, e := range counted[s].Counts {
+				if e.N < 1 || i > 0 && math.Float64bits(e.Value) == math.Float64bits(counted[s].Counts[i-1].Value) {
+					t.Fatalf("side %d: entries %v not coalesced", s, counted[s].Counts)
+				}
+			}
+			samples[s] = NewSample(append(runs, make([]float64, zeros[s])...))
+			buf := make([]Count, len(sides[s]))
+			SortCounts(sides[s], buf)
+			for i := 1; i < len(sides[s]); i++ {
+				if sides[s][i].Value < sides[s][i-1].Value {
+					t.Fatalf("side %d: SortCounts left %v", s, sides[s])
+				}
+			}
+		}
+		want, werr := KSTest(samples[0], samples[1], 0.95)
+		got, err := KSTestSorted(sides[0], zeros[0], sides[1], zeros[1], 0.95)
+		if (err != nil) != (werr != nil) {
+			t.Fatalf("KSTestSorted error %v, KSTest error %v", err, werr)
+		}
+		if err != nil {
+			return
+		}
+		if math.Float64bits(got.D) != math.Float64bits(want.D) || math.Float64bits(got.P) != math.Float64bits(want.P) ||
+			math.Float64bits(got.Threshold) != math.Float64bits(want.Threshold) || got.Reject != want.Reject {
+			t.Fatalf("KSTestSorted %v, KSTest %v\nx %v + %d zeros\ny %v + %d zeros", got, want, sides[0], zeros[0], sides[1], zeros[1])
+		}
+	})
+}
+
+// TestSortCounts checks SortCounts against slices.SortFunc at lengths
+// around its block size and its merge widths, with many ties.
+func TestSortCounts(t *testing.T) {
+	r := rand.New(rand.NewSource(5))
+	for n := range 200 {
+		cs := make([]Count, n)
+		for i := range cs {
+			cs[i] = Count{float64(r.Intn(n/3 + 1)), 1 + r.Intn(3)}
+		}
+		want := slices.Clone(cs)
+		slices.SortStableFunc(want, func(a, b Count) int { return cmp.Compare(a.Value, b.Value) })
+		SortCounts(cs, make([]Count, n))
+		// Entries of equal value may come in any order; their counts must
+		// add up to the same.
+		if !slices.EqualFunc(cs, want, func(a, b Count) bool { return a.Value == b.Value }) {
+			t.Fatalf("n=%d: SortCounts gives %v, want %v", n, cs, want)
+		}
+		if countN(cs) != countN(want) {
+			t.Fatalf("n=%d: counts %d, want %d", n, countN(cs), countN(want))
+		}
+		for v := range n/3 + 1 {
+			at := func(xs []Count) (c int) {
+				for _, x := range xs {
+					if x.Value == float64(v) {
+						c += x.N
+					}
+				}
+				return c
+			}
+			if at(cs) != at(want) {
+				t.Fatalf("n=%d: value %d counts %d, want %d", n, v, at(cs), at(want))
+			}
+		}
 	}
 }

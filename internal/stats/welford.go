@@ -140,8 +140,125 @@ func NewMIEstimator(maxBins int) *MIEstimator {
 	return &MIEstimator{maxBins: maxBins}
 }
 
-// Observe folds weight observations of value under class (0 or 1) in.
+// Weighted is Weight observations of Value.
+type Weighted struct {
+	Value, Weight float64
+}
+
+// Observe folds weight observations of value under class (0 or 1) in:
+// the one-cell case of ObserveRun.
 func (m *MIEstimator) Observe(class int, value, weight float64) {
+	m.ObserveRun(class, []Weighted{{value, weight}})
+}
+
+// ObserveRun folds one run's cells in under class, values ascending: an
+// address histogram's cells. With integral weights, as the estimator
+// expects, it leaves the estimator as one Observe per cell in order
+// would. Cells whose value has an exact cell add to it in
+// place, up to the first that has none. The rest fold in one merge walk
+// while the exact cells stay under the cap: the gallop counts the values
+// that have no cell, the cells grow once, and the rest merge in from the
+// back. When their new values would pass the cap, they fold cell by cell
+// instead, so the histogram rebins at the same cell as under Observe.
+func (m *MIEstimator) ObserveRun(class int, cells []Weighted) {
+	if m.binned {
+		for _, c := range cells {
+			m.observe(class, c.Value, c.Weight)
+		}
+		return
+	}
+	// The first cells, while each value has its cell.
+	at := 0
+	for len(cells) > 0 {
+		c := cells[0]
+		if c.Weight <= 0 {
+			cells = cells[1:]
+			continue
+		}
+		from := 0
+		if m.at < len(m.exact) && m.exact[m.at].value <= c.Value {
+			from = m.at
+		}
+		at = seekValue(m.exact, from, c.Value)
+		if at == len(m.exact) || m.exact[at].value != c.Value {
+			break
+		}
+		m.classN[class] += c.Weight
+		m.exact[at].w[class] += c.Weight
+		m.at = at
+		cells = cells[1:]
+	}
+	if len(cells) == 0 {
+		return
+	}
+	// The rest, from the first value without a cell.
+	missing, prev := 0, math.NaN()
+	for _, c := range cells {
+		if c.Weight <= 0 || c.Value == prev {
+			continue
+		}
+		prev = c.Value
+		at = seekValue(m.exact, at, c.Value)
+		if at == len(m.exact) || m.exact[at].value != c.Value {
+			missing++
+		}
+	}
+	if len(m.exact)+missing > m.maxBins {
+		m.reserve(m.maxBins)
+		for _, c := range cells {
+			m.observe(class, c.Value, c.Weight)
+		}
+		return
+	}
+	m.reserve(len(m.exact) + missing)
+	e := m.exact[:len(m.exact)+missing]
+	m.exact = e
+	// i walks the old cells and k the merged ones from the back; k-i is
+	// the number of new values still to place.
+	i, k := len(e)-missing-1, len(e)-1
+	placed := false
+	for j := len(cells) - 1; j >= 0; j-- {
+		c := cells[j]
+		if c.Weight <= 0 {
+			continue
+		}
+		m.classN[class] += c.Weight
+		if placed && e[k+1].value == c.Value {
+			e[k+1].w[class] += c.Weight
+			continue
+		}
+		for i >= 0 && e[i].value > c.Value {
+			e[k] = e[i]
+			i, k = i-1, k-1
+		}
+		if i >= 0 && e[i].value == c.Value {
+			e[k] = e[i]
+			i--
+		} else {
+			e[k] = miCell{value: c.Value}
+		}
+		e[k].w[class] += c.Weight
+		if !placed {
+			m.at = k
+		}
+		placed = true
+		k--
+	}
+}
+
+// reserve makes room for n exact cells. It grows the cells by doubling,
+// as append does, but never past the cap, where they rebin instead.
+func (m *MIEstimator) reserve(n int) {
+	if n > cap(m.exact) {
+		grown := make([]miCell, len(m.exact), min(max(n, 2*len(m.exact)), m.maxBins))
+		copy(grown, m.exact)
+		m.exact = grown
+	}
+}
+
+// observe folds weight observations of value under class in, one cell at
+// a time: the path of a run that passes the cap.
+func (m *MIEstimator) observe(class int, value, weight float64) {
 	if weight <= 0 {
 		return
 	}

@@ -3,6 +3,7 @@ package stats
 import (
 	"math"
 	"math/rand"
+	"reflect"
 	"slices"
 	"testing"
 )
@@ -569,53 +570,122 @@ func TestMIEstimatorMatchesMapReference(t *testing.T) {
 	}
 }
 
-// BenchmarkMIObserveRun folds runs shaped like an aes128 T-table
-// histogram into one estimator at the engine's 64-cell cap, one Observe
-// per cell in ascending order, as the evidence engine merges a run.
-// "fixed" repeats one run of 36 addresses, so every value finds its
-// exact cell, as under the fixed key. "random" draws 24 of a 256-entry
-// table per run, so the cells pass the cap and rebin within the first
-// runs, as under random keys. One op is one run; the estimator starts
-// afresh every 64 runs.
-func BenchmarkMIObserveRun(b *testing.B) {
-	type cell struct {
-		addr  uint64
-		count int64
-	}
+// miCellRun is one run's histogram cell: an address and its count.
+type miCellRun struct {
+	addr  uint64
+	count int64
+}
+
+// aesTableRuns returns runs shaped like an aes128 T-table histogram,
+// ascending addresses with counts of 1 to 4. fixed is one run of 36
+// addresses, which the fixed key repeats. random holds 64 runs that
+// each draw 24 of a 256-entry table, as random keys do.
+func aesTableRuns() (fixed []miCellRun, random [][]miCellRun) {
 	rng := rand.New(rand.NewSource(1))
-	table := func(picked func(v int) bool) []cell {
-		var run []cell
+	table := func(picked func(v int) bool) []miCellRun {
+		var run []miCellRun
 		for v := range 256 {
 			if picked(v) {
-				run = append(run, cell{uint64(4096 + 4*v), int64(1 + rng.Intn(4))})
+				run = append(run, miCellRun{uint64(4096 + 4*v), int64(1 + rng.Intn(4))})
 			}
 		}
 		return run
 	}
-	fixed := table(func(v int) bool { return v%8 < 1 || v%64 < 2 })
-	random := make([][]cell, 64)
+	fixed = table(func(v int) bool { return v%8 < 1 || v%64 < 2 })
+	random = make([][]miCellRun, 64)
 	for i := range random {
 		picked := rng.Perm(256)[:24]
 		random[i] = table(func(v int) bool { return slices.Contains(picked, v) })
 	}
+	return fixed, random
+}
+
+// weighted returns run's cells as ObserveRun takes them, in buf.
+func weighted(buf []Weighted, run []miCellRun) []Weighted {
+	buf = buf[:0]
+	for _, c := range run {
+		buf = append(buf, Weighted{float64(c.addr), float64(c.count)})
+	}
+	return buf
+}
+
+// TestMIObserveRunMatchesPerCell folds aes128 T-table runs into three
+// estimators at the engine's 64-cell cap: one ObserveRun per run, one
+// Observe per cell, and the per-cell insert path every cell. After every
+// run the three must hold the same state, read by reflect.DeepEqual, and
+// the same Bits. The fixed-key runs fold into fresh estimators and into
+// ones that hold random-key runs; the random-key runs pass the cap, and
+// the test requires a run that crosses it to have folded through
+// ObserveRun.
+func TestMIObserveRunMatchesPerCell(t *testing.T) {
+	fixed, random := aesTableRuns()
+	crossed := 0
+	for _, tc := range []struct {
+		name string
+		runs func(i int) []miCellRun
+	}{
+		{"fixed", func(int) []miCellRun { return fixed }},
+		{"random", func(i int) []miCellRun { return random[i%len(random)] }},
+		{"mixed", func(i int) []miCellRun {
+			if i%3 == 0 {
+				return fixed
+			}
+			return random[i%len(random)]
+		}},
+	} {
+		run, one, cell := NewMIEstimator(64), NewMIEstimator(64), NewMIEstimator(64)
+		for i := range 40 {
+			class, cells := i%2, tc.runs(i)
+			binned := run.binned
+			run.ObserveRun(class, weighted(nil, cells))
+			for _, c := range cells {
+				one.Observe(class, float64(c.addr), float64(c.count))
+				cell.observe(class, float64(c.addr), float64(c.count))
+			}
+			if !binned && run.binned && len(cells) > 1 {
+				crossed++
+			}
+			if !reflect.DeepEqual(run, cell) || !reflect.DeepEqual(one, cell) {
+				t.Fatalf("%s run %d: ObserveRun %+v, Observe %+v, per cell %+v", tc.name, i, run, one, cell)
+			}
+			if g, o, w := run.Bits(), one.Bits(), cell.Bits(); math.Float64bits(g) != math.Float64bits(w) || math.Float64bits(o) != math.Float64bits(w) {
+				t.Fatalf("%s run %d: Bits %v (ObserveRun), %v (Observe), %v per cell", tc.name, i, g, o, w)
+			}
+		}
+	}
+	if crossed == 0 {
+		t.Fatal("no run crossed the cap through ObserveRun")
+	}
+}
+
+// BenchmarkMIObserveRun folds runs shaped like an aes128 T-table
+// histogram into one estimator at the engine's 64-cell cap, one
+// ObserveRun per run, as the evidence engine merges a run. "fixed"
+// repeats one run of 36 addresses, so every value finds its exact cell,
+// as under the fixed key. "random" draws 24 of a 256-entry table per
+// run, so the cells pass the cap and rebin within the first runs, as
+// under random keys. One op is one run; the estimator starts afresh
+// every 64 runs.
+func BenchmarkMIObserveRun(b *testing.B) {
+	fixed, random := aesTableRuns()
 	shapes := []struct {
 		name string
-		run  func(i int) []cell
+		run  func(i int) []miCellRun
 	}{
-		{"fixed", func(int) []cell { return fixed }},
-		{"random", func(i int) []cell { return random[i%len(random)] }},
+		{"fixed", func(int) []miCellRun { return fixed }},
+		{"random", func(i int) []miCellRun { return random[i%len(random)] }},
 	}
 	for _, sh := range shapes {
 		b.Run(sh.name, func(b *testing.B) {
 			var mi *MIEstimator
+			var buf []Weighted
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				if i%64 == 0 {
 					mi = NewMIEstimator(64)
 				}
-				for _, c := range sh.run(i) {
-					mi.Observe(i%2, float64(c.addr), float64(c.count))
-				}
+				buf = weighted(buf, sh.run(i))
+				mi.ObserveRun(i%2, buf)
 			}
 		})
 	}
