@@ -395,7 +395,7 @@ func (r Recipe) Record(ctx context.Context, p cuda.Program, input []byte, seed i
 }
 
 // runState is what one run is recorded on: a context, with its device and
-// arena, and the tracer observing it. A recording goroutine keeps one for
+// device memory, and the tracer observing it. A recording goroutine keeps one for
 // every run it records and resets it between runs, so a run costs little
 // more than the kernel work it traces. The zero value with a recipe is
 // ready; the first run builds the context and tracer.
@@ -459,8 +459,8 @@ func (s *runState) reset(program string, seed int64) error {
 	return nil
 }
 
-// close hands the state's device arena back to the shared pool; the
-// state's next run, if any, draws one again as its context resets.
+// close hands the state's device memory back to the shared pool; the
+// state's next run, if any, draws memory again as its context resets.
 func (s *runState) close() {
 	if s.ctx != nil {
 		s.ctx.Device().Release()

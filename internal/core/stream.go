@@ -186,10 +186,10 @@ func StreamParallel(ctx context.Context, slots chan struct{}, p cuda.Program, re
 			defer wg.Done()
 			// The goroutine records every run it takes on one run state,
 			// built by its first run and reset for each next one. It holds
-			// the state's device arena only while it holds a slot: when the
+			// the state's device memory only while it holds a slot: when the
 			// slot set is taken (other batches share a process-wide one), it
-			// closes the state before it waits, and the next run draws an
-			// arena again. So live arenas never outnumber slots.
+			// closes the state before it waits, and the next run draws
+			// memory again. So live device memories never outnumber slots.
 			st := runState{recipe: recipe}
 			defer st.close()
 			for {

@@ -126,8 +126,8 @@ func NewSeededContext(cfg gpu.Config, seed int64, obs Observer) (*Context, error
 // configuration and observer: empty event log, call stack and
 // statistics, no kernel overrides, outputs or observability context,
 // and a device with no allocations whose memory reads as zero. The
-// device keeps its arena, so a context reset for every run allocates
-// none per run; a device whose arena was released draws one from the
+// device keeps its memory, so a context reset for every run allocates
+// none per run; a device whose memory was released draws memory from the
 // pool. Slices the previous execution handed out (Outputs,
 // Events) stay valid; DevPtrs from it do not.
 func (c *Context) Reset(seed int64) error {
@@ -168,7 +168,7 @@ func (c *Context) Device() *gpu.Device { return c.dev }
 func (c *Context) SetObsContext(ctx context.Context) { c.dev.SetObsContext(ctx) }
 
 // Close releases the context's simulated device memory back to the shared
-// arena pool. Neither the context nor any DevPtr obtained from it may be
+// pool. Neither the context nor any DevPtr obtained from it may be
 // used afterwards. Close is optional: an unclosed context is collected
 // as garbage.
 func (c *Context) Close() {

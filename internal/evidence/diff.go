@@ -1,6 +1,8 @@
 package evidence
 
 import (
+	"slices"
+
 	"owl/internal/adcfg"
 	"owl/internal/isa"
 	"owl/internal/myers"
@@ -90,6 +92,8 @@ func (d *Diff) Stacks() []string {
 // diff of their stack identities, merges the sequence, and returns the
 // record of each of t's invocations: a matched one, or a new one
 // inserted where the diff puts it. It reports whether it inserted any.
+// A run whose sequence equals the merged one, as most do, matches it in
+// order: the diff would find only matches, so it is not run.
 func (d *Diff) align(t *trace.ProgramTrace) (at []*InvEvidence, inserted bool) {
 	d.stacks = d.stacks[:0]
 	for _, inv := range d.Invs {
@@ -98,6 +102,10 @@ func (d *Diff) align(t *trace.ProgramTrace) (at []*InvEvidence, inserted bool) {
 	d.seq = d.seq[:0]
 	for _, ti := range t.Invocations {
 		d.seq = append(d.seq, ti.StackID)
+	}
+	if slices.Equal(d.stacks, d.seq) {
+		d.at = append(d.at[:0], d.Invs...)
+		return d.at, false
 	}
 	ops := myers.Diff(d.stacks, d.seq)
 	d.at = append(d.at[:0], make([]*InvEvidence, len(t.Invocations))...)

@@ -83,20 +83,12 @@ type AllocRecord struct {
 
 // Device is one simulated GPU.
 type Device struct {
-	cfg      Config
-	global   []int64
-	constant []int64
-	// constShared marks d.constant as a process-global interned arena
-	// (see pool.go): it is immutable, shared with other devices, and must
-	// be copied before any in-place write and never returned to the pool.
-	constShared bool
-
-	// released guards against double-Release returning the arena to the
-	// pool twice.
-	released bool
-	cursor   int64
-	slide    int64
-	allocs   []AllocRecord
+	cfg Config
+	// mem is the device's memory (see pool.go); nil once released.
+	mem    *arenas
+	cursor int64
+	slide  int64
+	allocs []AllocRecord
 	// obsCtx, when non-nil, carries the observability recorder and parent
 	// span every kernel launch reports under. nil (the default) keeps
 	// Launch on its uninstrumented fast path.
@@ -127,23 +119,17 @@ func NewDevice(cfg Config, rng *rand.Rand) (*Device, error) {
 // device can serve execution after execution: no allocations, memory
 // that reads as zero, no observability context, and an ASLR slide drawn
 // from rng (used only when ASLR is on, and may be nil otherwise). The
-// global arena keeps its backing array, which is zeroed as it is
-// materialized again; a released device takes one from the pool.
+// device keeps its memory, whose arenas are zeroed as they are
+// materialized again; a released device takes memory from the pool.
 func (d *Device) Reset(rng *rand.Rand) error {
 	if d.cfg.ASLR && rng == nil {
 		return fmt.Errorf("gpu: ASLR requires an rng")
 	}
-	if d.global == nil {
-		d.global = newArena()
-	} else {
-		d.global = d.global[:0]
+	if d.mem == nil {
+		d.mem = arenaPool.Get().(*arenas)
 	}
-	if d.constShared || d.constant == nil {
-		d.constant, d.constShared = newConstArena(), false
-	} else {
-		d.constant = d.constant[:0]
-	}
-	d.released = false
+	d.mem.global = d.mem.global[:0]
+	d.mem.constant = d.mem.constant[:0]
 	d.cursor, d.slide = 0, 0
 	d.allocs = d.allocs[:0]
 	d.obsCtx = nil
@@ -168,7 +154,7 @@ func (d *Device) Alloc(words int64) (AllocRecord, error) {
 	}
 	// 256-byte (32 word) alignment, like cudaMalloc.
 	d.cursor += (words + 31) &^ 31
-	d.ensure(min(d.slide+d.cursor, d.cfg.GlobalWords))
+	grow(&d.mem.global, min(d.slide+d.cursor, d.cfg.GlobalWords))
 	rec := AllocRecord{ID: len(d.allocs), Base: base, Words: words}
 	d.allocs = append(d.allocs, rec)
 	return rec, nil
@@ -186,8 +172,8 @@ func (d *Device) WriteGlobal(base int64, data []int64) error {
 	if base < 0 || base+int64(len(data)) > d.cfg.GlobalWords {
 		return fmt.Errorf("gpu: global write [%d,%d) out of range", base, base+int64(len(data)))
 	}
-	d.ensure(base + int64(len(data)))
-	copy(d.global[base:], data)
+	grow(&d.mem.global, base+int64(len(data)))
+	copy(d.mem.global[base:], data)
 	return nil
 }
 
@@ -196,35 +182,22 @@ func (d *Device) ReadGlobal(base, words int64) ([]int64, error) {
 	if base < 0 || base+words > d.cfg.GlobalWords {
 		return nil, fmt.Errorf("gpu: global read [%d,%d) out of range", base, base+words)
 	}
-	d.ensure(base + words)
+	grow(&d.mem.global, base+words)
 	out := make([]int64, words)
-	copy(out, d.global[base:base+words])
+	copy(out, d.mem.global[base:base+words])
 	return out, nil
 }
 
-// WriteConstant copies data into constant memory at off.
-//
-// A whole-image write (offset 0 onto an untouched arena) is interned:
-// detection re-uploads the same lookup tables for every instrumented
-// execution, so identical images resolve to one immutable process-global
-// arena shared across devices instead of a fresh copy per launch. Kernels
-// cannot store to constant memory, and any later host write copies the
-// image out first, so sharing is invisible to execution.
+// WriteConstant copies data into constant memory at off. The device owns
+// its constant arena and keeps it across Reset, so a program that uploads
+// its tables on every run copies them into the same backing array and
+// allocates nothing; data is not retained.
 func (d *Device) WriteConstant(off int64, data []int64) error {
 	if off < 0 || off+int64(len(data)) > d.cfg.ConstWords {
 		return fmt.Errorf("gpu: constant write [%d,%d) out of range", off, off+int64(len(data)))
 	}
-	if off == 0 && len(data) > 0 &&
-		(len(d.constant) == 0 || (d.constShared && len(data) >= len(d.constant))) {
-		d.constant = internConst(data)
-		d.constShared = true
-		return nil
-	}
-	if d.constShared {
-		d.unshareConst()
-	}
-	d.ensureConst(off + int64(len(data)))
-	copy(d.constant[off:], data)
+	grow(&d.mem.constant, off+int64(len(data)))
+	copy(d.mem.constant[off:], data)
 	return nil
 }
 
@@ -346,9 +319,9 @@ func (d *Device) launch(k *isa.Kernel, grid, block Dim3, params []int64, inst In
 	// (raw-device tests) keeps the whole address space materialized, as
 	// before lazy sizing.
 	if len(d.allocs) == 0 {
-		d.ensure(d.cfg.GlobalWords)
+		grow(&d.mem.global, d.cfg.GlobalWords)
 	} else {
-		d.ensure(min(d.slide+d.cursor, d.cfg.GlobalWords))
+		grow(&d.mem.global, min(d.slide+d.cursor, d.cfg.GlobalWords))
 	}
 	if inst != nil {
 		defer inst.EndLaunch()
@@ -566,8 +539,8 @@ var _ simt.DirectMemory = (*warpMemory)(nil)
 // Direct exposes the warp's backing slices for slice-indexed access.
 func (m *warpMemory) Direct() simt.Direct {
 	return simt.Direct{
-		Global:   m.dev.global,
-		Constant: m.dev.constant,
+		Global:   m.dev.mem.global,
+		Constant: m.dev.mem.constant,
 		Shared:   m.shared,
 		Local:    m.local,
 	}
@@ -576,18 +549,18 @@ func (m *warpMemory) Direct() simt.Direct {
 func (m *warpMemory) Load(space isa.Space, lane int, addr int64) (int64, error) {
 	switch space {
 	case isa.SpaceGlobal:
-		if addr < 0 || addr >= int64(len(m.dev.global)) {
+		if addr < 0 || addr >= int64(len(m.dev.mem.global)) {
 			return 0, fmt.Errorf("gpu: global load at %d out of range", addr)
 		}
-		return m.dev.global[addr], nil
+		return m.dev.mem.global[addr], nil
 	case isa.SpaceConstant:
 		if addr < 0 || addr >= m.dev.cfg.ConstWords {
 			return 0, fmt.Errorf("gpu: constant load at %d out of range", addr)
 		}
-		if addr >= int64(len(m.dev.constant)) {
+		if addr >= int64(len(m.dev.mem.constant)) {
 			return 0, nil // configured but not yet materialized: zero
 		}
-		return m.dev.constant[addr], nil
+		return m.dev.mem.constant[addr], nil
 	case isa.SpaceShared:
 		if addr < 0 || addr >= int64(len(m.shared)) {
 			return 0, fmt.Errorf("gpu: shared load at %d out of range (%d words)", addr, len(m.shared))
@@ -605,10 +578,10 @@ func (m *warpMemory) Load(space isa.Space, lane int, addr int64) (int64, error) 
 func (m *warpMemory) Store(space isa.Space, lane int, addr, v int64) error {
 	switch space {
 	case isa.SpaceGlobal:
-		if addr < 0 || addr >= int64(len(m.dev.global)) {
+		if addr < 0 || addr >= int64(len(m.dev.mem.global)) {
 			return fmt.Errorf("gpu: global store at %d out of range", addr)
 		}
-		m.dev.global[addr] = v
+		m.dev.mem.global[addr] = v
 		return nil
 	case isa.SpaceConstant:
 		return fmt.Errorf("gpu: constant memory is read-only")

@@ -1,6 +1,7 @@
 package gpu
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -303,4 +304,160 @@ func TestBarrierSynchronizesWarps(t *testing.T) {
 			t.Errorf("consumer read shared[%d] = %d, want %d", i, v, 500+i)
 		}
 	}
+}
+
+// TestConstantMemoryIsPerDevice checks what reusing device memory must
+// guarantee: a device's constant arena is its own, a Reset truncates it
+// so a smaller image reads zero past its end, memory drawn from released
+// arenas reads zero, and devices on separate goroutines never see each
+// other's writes.
+func TestConstantMemoryIsPerDevice(t *testing.T) {
+	const imageWords = 1324 // the AES tables and round keys
+	cfg := Config{GlobalWords: 1 << 12, ConstWords: 1 << 11}
+	image := make([]int64, imageWords)
+	for i := range image {
+		image[i] = int64(i)*7 + 1
+	}
+	// read returns constant word addr through the interface fallback and
+	// through the direct slice the interpreter indexes.
+	read := func(t *testing.T, d *Device, addr int64) (load, direct int64) {
+		t.Helper()
+		m := &warpMemory{dev: d}
+		load, err := m.Load(isa.SpaceConstant, 0, addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if c := m.Direct().Constant; addr < int64(len(c)) {
+			direct = c[addr]
+		}
+		return load, direct
+	}
+	write := func(t *testing.T, d *Device, off int64, data []int64) {
+		t.Helper()
+		if err := d.WriteConstant(off, data); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	t.Run("copies", func(t *testing.T) {
+		a, b := newDev(t, cfg), newDev(t, cfg)
+		write(t, a, 0, image)
+		write(t, b, 0, image)
+		write(t, a, 5, []int64{-1})
+		if load, direct := read(t, b, 5); load != image[5] || direct != image[5] {
+			t.Errorf("other device reads %d (load) and %d (direct) after an overwrite, want %d", load, direct, image[5])
+		}
+		if load, direct := read(t, a, 5); load != -1 || direct != -1 {
+			t.Errorf("writing device reads %d (load) and %d (direct), want -1", load, direct)
+		}
+	})
+
+	t.Run("reset-truncates", func(t *testing.T) {
+		d := newDev(t, cfg)
+		write(t, d, 0, image)
+		if err := d.Reset(nil); err != nil {
+			t.Fatal(err)
+		}
+		write(t, d, 0, image[:396])
+		for addr := int64(396); addr < imageWords; addr++ {
+			if load, direct := read(t, d, addr); load != 0 || direct != 0 {
+				t.Fatalf("word %d reads %d (load) and %d (direct) after a reset, want 0", addr, load, direct)
+			}
+		}
+	})
+
+	t.Run("released-reads-zero", func(t *testing.T) {
+		d := newDev(t, cfg)
+		write(t, d, 0, image)
+		if err := d.WriteGlobal(0, image); err != nil {
+			t.Fatal(err)
+		}
+		mem := d.mem
+		d.Release()
+		// A device built from the released arenas, as the pool hands them
+		// to the next device.
+		e := &Device{cfg: cfg, mem: mem}
+		if err := e.Reset(nil); err != nil {
+			t.Fatal(err)
+		}
+		for addr := int64(0); addr < imageWords; addr++ {
+			if load, direct := read(t, e, addr); load != 0 || direct != 0 {
+				t.Fatalf("constant word %d reads %d (load) and %d (direct), want 0", addr, load, direct)
+			}
+		}
+		got, err := e.ReadGlobal(0, imageWords)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, v := range got {
+			if v != 0 {
+				t.Fatalf("global word %d reads %d, want 0", i, v)
+			}
+		}
+	})
+
+	t.Run("concurrent", func(t *testing.T) {
+		// out[tid] = const[tid] for every word of the image and the private
+		// word after it.
+		b := kbuild.New("read_const", 2)
+		tid := b.Tid()
+		b.If(b.CmpLT(tid, b.Param(1)), func() {
+			v := b.Load(isa.SpaceConstant, tid, 0)
+			b.Store(isa.SpaceGlobal, b.Add(b.Param(0), tid), 0, v)
+		}, nil)
+		b.Ret()
+		k := b.MustBuild()
+		const goroutines, runs, threads = 4, 3, 128
+		n := int64(imageWords + 1)
+		errs := make(chan error, goroutines)
+		for g := 0; g < goroutines; g++ {
+			go func(g int) {
+				errs <- func() error {
+					d, err := NewDevice(cfg, nil)
+					if err != nil {
+						return err
+					}
+					defer d.Release()
+					for r := 0; r < runs; r++ {
+						if err := d.Reset(nil); err != nil {
+							return err
+						}
+						private := int64(-1000 * (g*runs + r + 1))
+						if err := d.WriteConstant(0, image); err != nil {
+							return err
+						}
+						if err := d.WriteConstant(imageWords, []int64{private}); err != nil {
+							return err
+						}
+						out, err := d.Alloc(n)
+						if err != nil {
+							return err
+						}
+						blocks := int((n + threads - 1) / threads)
+						if _, err := d.Launch(k, D1(blocks), D1(threads), []int64{out.Base, n}, nil); err != nil {
+							return err
+						}
+						got, err := d.ReadGlobal(out.Base, n)
+						if err != nil {
+							return err
+						}
+						for i, v := range got[:imageWords] {
+							if v != image[i] {
+								return fmt.Errorf("goroutine %d run %d: const[%d] = %d, want %d", g, r, i, v, image[i])
+							}
+						}
+						if got[imageWords] != private {
+							return fmt.Errorf("goroutine %d run %d: private word = %d, want %d", g, r, got[imageWords], private)
+						}
+					}
+					return nil
+				}()
+			}(g)
+		}
+		for g := 0; g < goroutines; g++ {
+			if err := <-errs; err != nil {
+				t.Error(err)
+			}
+		}
+	})
 }

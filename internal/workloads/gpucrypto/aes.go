@@ -47,8 +47,6 @@ type AES struct {
 
 	mu             sync.Mutex
 	lastCiphertext []int64
-	constRKCache   [44]uint32
-	constBuf       []int64 // memoized constant image for constRKCache; read-only once built
 	pt             []int64 // memoized public plaintext; read-only once built
 	keyCache       [16]byte
 	rkCache        [44]uint32
@@ -87,11 +85,20 @@ func (a *AES) Name() string {
 func (a *AES) Kernel() *isa.Kernel { return a.kernel }
 
 // Run implements cuda.Program: expand the key, upload tables and round
-// keys, encrypt `blocks` plaintext blocks.
+// keys, encrypt `blocks` plaintext blocks. The key-independent tables and
+// the round keys are written as two uploads, so no run builds a whole
+// constant image: the device copies both into its own constant arena.
 func (a *AES) Run(ctx *cuda.Context, input []byte) error {
 	rk := a.roundKeys(normalizeKey(input))
 	return ctx.Call("aes_encrypt", func() error {
-		if err := ctx.SetConstant(0, a.constantImage(rk)); err != nil {
+		if err := ctx.SetConstant(0, aesConstPrefix()); err != nil {
+			return err
+		}
+		var rkWords [44]int64
+		for i, w := range rk {
+			rkWords[i] = int64(w)
+		}
+		if err := ctx.SetConstant(constRK, rkWords[:]); err != nil {
 			return err
 		}
 		pt := a.plaintext()
@@ -160,28 +167,20 @@ func plaintextWord(i int) uint32 {
 	return x
 }
 
-// aesConstTemplate is the key-independent prefix of the constant image —
-// the four T tables and the S-box — built once per process.
-var aesConstTemplate struct {
-	once sync.Once
-	buf  []int64
-}
-
-func aesConstPrefix() []int64 {
-	t := &aesConstTemplate
-	t.once.Do(func() {
-		buf := make([]int64, constRK+44)
-		for i := 0; i < 256; i++ {
-			buf[constTe0+i] = int64(te[0][i])
-			buf[constTe1+i] = int64(te[1][i])
-			buf[constTe2+i] = int64(te[2][i])
-			buf[constTe3+i] = int64(te[3][i])
-			buf[constSbox+i] = int64(sbox[i])
-		}
-		t.buf = buf
-	})
-	return t.buf
-}
+// aesConstPrefix returns the key-independent prefix of the constant image
+// — the four T tables and the S-box, everything below the round keys —
+// built once per process and read-only.
+var aesConstPrefix = sync.OnceValue(func() []int64 {
+	buf := make([]int64, constRK)
+	for i := 0; i < 256; i++ {
+		buf[constTe0+i] = int64(te[0][i])
+		buf[constTe1+i] = int64(te[1][i])
+		buf[constTe2+i] = int64(te[2][i])
+		buf[constTe3+i] = int64(te[3][i])
+		buf[constSbox+i] = int64(sbox[i])
+	}
+	return buf
+})
 
 // roundKeys expands key, memoizing the schedule: fixed-input detection
 // phases run the same key hundreds of times.
@@ -194,25 +193,6 @@ func (a *AES) roundKeys(key []byte) [44]uint32 {
 		a.keyCache, a.rkCache, a.keyValid = k, expandKey128(key), true
 	}
 	return a.rkCache
-}
-
-// constantImage returns the full constant-memory image for rk. The image is
-// memoized per round-key schedule: detection's fixed-input phase runs the
-// same key hundreds of times, and SetConstant copies (or interns) the slice
-// without retaining it, so the cached image is safe to hand out repeatedly.
-func (a *AES) constantImage(rk [44]uint32) []int64 {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	if a.constBuf != nil && a.constRKCache == rk {
-		return a.constBuf
-	}
-	buf := make([]int64, constRK+44)
-	copy(buf, aesConstPrefix())
-	for i, w := range rk {
-		buf[constRK+i] = int64(w)
-	}
-	a.constRKCache, a.constBuf = rk, buf
-	return buf
 }
 
 // plaintext returns the public plaintext blocks, derived from block indices

@@ -8,7 +8,10 @@
 // trace-size growth of Fig. 5 (pattern ❸).
 package jpeg
 
-import "math"
+import (
+	"math"
+	"sync"
+)
 
 // Constant-memory layout shared by the codec kernels.
 const (
@@ -116,8 +119,9 @@ func dcLenTable() [12]int64 {
 	return [12]int64{2, 3, 3, 3, 3, 3, 4, 5, 6, 7, 8, 9}
 }
 
-// constantMemory assembles the full constant-memory image.
-func constantMemory() []int64 {
+// constantMemory returns the full constant-memory image, built once per
+// process and read-only: every encode and decode uploads the same tables.
+var constantMemory = sync.OnceValue(func() []int64 {
 	buf := make([]int64, constWords)
 	cos := cosTable()
 	copy(buf[constCos:], cos[:])
@@ -130,7 +134,7 @@ func constantMemory() []int64 {
 	dc := dcLenTable()
 	copy(buf[constDCLen:], dc[:])
 	return buf
-}
+})
 
 // SynthImage generates a deterministic grayscale test image: a gradient
 // plus seeded texture, standing in for the paper's COCO-2014 inputs.
